@@ -15,11 +15,28 @@ radial dipole integral is set to 1; the photoemission vertex carries a
 constant 1/sqrt(2) so the total 1s removal strength summed over both spin
 channels is normalized to unity (only ratios and normalized states are
 observable here).
+
+M_ph is linear in the spherical components alpha_q (q = +1, 0, -1) of the
+emitted polarization vector, so the geometry enters only through a linear
+contraction. The Fock-space work is done once per process: for each
+intermediate subspace the 3 x dim matrix
+
+    D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b>
+
+over the basis states b. Once per ``ModelParams`` the calculator folds D_sigma
+with the eigenvectors and the photoemission elements into one 3-vector per
+spin and kinetic energy,
+
+    t_sigma[q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / denom_sigma[i],
+
+and A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q] for any number of
+emission angles at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from math import sqrt
 from typing import Mapping
 
@@ -48,8 +65,14 @@ from .model import (
     initial_state,
     intermediate_eigensystem,
     intermediate_subspace,
+    subspace,
 )
-from .polarization import EmissionGeometry, polarization_vector, spherical_components
+from .polarization import (
+    EmissionGeometry,
+    polarization_components,
+    polarization_vector,
+    spherical_components,
+)
 
 __all__ = [
     "CHANNELS",
@@ -60,6 +83,7 @@ __all__ = [
     "dipole_block",
     "xepecs_amplitudes",
     "AmplitudeCalculator",
+    "calculator",
 ]
 
 # (photoelectron spin, emitted polarization) channels in fixed order
@@ -78,6 +102,9 @@ _DIPOLE_ANGULAR = 1.0 / sqrt(3.0)
 
 _SPIN_SUBSPACE = {Spin.UP: SubspaceLabel.M0, Spin.DOWN: SubspaceLabel.M1}
 _EMITTED = {1: PhotonMode.EMITTED_1, 2: PhotonMode.EMITTED_2}
+
+# parameter sets whose calculators are kept by ``calculator``
+_CALCULATOR_CACHE_SIZE = 8
 
 
 def channel_label(channel: tuple[Spin, int]) -> str:
@@ -140,22 +167,46 @@ def _final_state(sigma: Spin, lam: int) -> ManyBodyVector:
     return create_photon(f, _EMITTED[lam])
 
 
+def _emission_rows(sub: Subspace, alphas: dict[int, tuple[complex, complex, complex]]
+                   ) -> np.ndarray:
+    """<f_(sigma lambda)| M_ph |basis state> for each polarization lambda in alphas.
+
+    Rows follow the keys of ``alphas``, columns the subspace basis; the
+    photoelectron spin is the one matching the subspace.
+    """
+    sigma = Spin.UP if sub.label is SubspaceLabel.M0 else Spin.DOWN
+    block = np.zeros((len(alphas), sub.dim), dtype=complex)
+    for col, b in enumerate(sub.basis):
+        ket = create_photoelectron(basis_vector(b), sigma)
+        image = _apply_mph(ket, alphas)
+        for row, lam in enumerate(alphas):
+            block[row, col] = inner(_final_state(sigma, lam), image)
+    return block
+
+
 def dipole_block(geom: EmissionGeometry, sub: Subspace) -> np.ndarray:
     """Photon-emission matrix <f_(sigma lambda)| M_ph |basis state>.
 
     Rows are the two polarizations, columns the subspace basis states; the
     photoelectron spin is the one matching the subspace.
     """
-    sigma = Spin.UP if sub.label is SubspaceLabel.M0 else Spin.DOWN
     alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
+    return _emission_rows(sub, alphas)
 
-    block = np.zeros((2, sub.dim), dtype=complex)
-    for col, b in enumerate(sub.basis):
-        ket = create_photoelectron(basis_vector(b), sigma)
-        image = _apply_mph(ket, alphas)
-        for row, lam in enumerate((1, 2)):
-            block[row, col] = inner(_final_state(sigma, lam), image)
-    return block
+
+@cache
+def _emission_basis(label: SubspaceLabel) -> np.ndarray:
+    """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 (read-only, 3 x dim).
+
+    Built on first use, once per process, through the Fock-space operators.
+    The emitted photon mode only labels the final state, so the rows taken
+    with polarization 1 serve both polarizations.
+    """
+    sub = subspace(label)
+    unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    rows = np.vstack([_emission_rows(sub, {1: e}) for e in unit])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -203,11 +254,14 @@ class AmplitudeSet:
 
 
 class AmplitudeCalculator:
-    """Caches the geometry-independent pieces of the amplitude pipeline.
+    """Everything the amplitudes need that depends only on the model parameters.
 
-    The initial state, the intermediate eigensystems and the photoemission
-    elements depend only on the model parameters; per-geometry work is just
-    the dipole blocks and the resonant sum.
+    The initial state, the intermediate eigensystems, the photoemission
+    elements and the emission matrices D_sigma V_sigma over the eigenstates
+    are computed once on construction and stored read-only. Per kinetic
+    energy, ``spin_vectors`` does the resonant sum; per geometry, the
+    amplitudes are a contraction of those vectors with the polarization
+    components, for one angle or for an array of them.
     """
 
     def __init__(self, params: ModelParams):
@@ -221,18 +275,39 @@ class AmplitudeCalculator:
             sigma: photoemission_elements(self.initial, self.eigensystems[sigma], sigma)
             for sigma in (Spin.UP, Spin.DOWN)
         }
+        self.emission = {
+            sigma: _emission_basis(eig.subspace.label) @ eig.vectors   # (q, i)
+            for sigma, eig in self.eigensystems.items()
+        }
+        for sigma, eig in self.eigensystems.items():
+            for array in (eig.energies, eig.vectors, self.pe_elements[sigma],
+                          self.emission[sigma]):
+                array.flags.writeable = False
 
-    def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
+    def spin_vectors(self, epsilon: float) -> np.ndarray:
+        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down)."""
         p = self.params
-        values: dict[tuple[Spin, int], complex] = {}
+        rows = []
         for sigma in (Spin.UP, Spin.DOWN):
             eig = self.eigensystems[sigma]
-            emission = dipole_block(geom, eig.subspace) @ eig.vectors  # (lambda, i)
             denom = p.Omega + self.E_g - eig.energies - epsilon + 1j * p.Gamma_1s
-            terms = emission * self.pe_elements[sigma][np.newaxis, :] / denom[np.newaxis, :]
-            summed = terms.sum(axis=1)
-            values[(sigma, 1)] = complex(summed[0])
-            values[(sigma, 2)] = complex(summed[1])
+            rows.append(self.emission[sigma] @ (self.pe_elements[sigma] / denom))
+        return np.array(rows)
+
+    def amplitude_array(self, thetas: np.ndarray, geom: EmissionGeometry, epsilon: float
+                        ) -> np.ndarray:
+        """A[n, sigma, lambda] at the polar angles thetas (radians).
+
+        phi, beta1 and beta2 are taken from ``geom``; sigma runs (up, down)
+        and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order.
+        """
+        alphas = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
+        return np.einsum("nlq,sq->nsl", alphas, self.spin_vectors(epsilon))
+
+    def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
+        summed = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
+        values = {(sigma, lam): complex(summed[s, lam - 1])
+                  for s, sigma in enumerate((Spin.UP, Spin.DOWN)) for lam in (1, 2)}
         return AmplitudeSet(epsilon, values, geom)
 
     def per_eigenstate_terms(self, geom: EmissionGeometry, epsilon: float, sigma: Spin
@@ -245,7 +320,13 @@ class AmplitudeCalculator:
         return emission * self.pe_elements[sigma][np.newaxis, :] / denom[np.newaxis, :]
 
 
+@lru_cache(maxsize=_CALCULATOR_CACHE_SIZE)
+def calculator(params: ModelParams) -> AmplitudeCalculator:
+    """The shared calculator for a parameter set, built on first request."""
+    return AmplitudeCalculator(params)
+
+
 def xepecs_amplitudes(params: ModelParams, geom: EmissionGeometry, epsilon: float
                       ) -> AmplitudeSet:
     """The four A(sigma, lambda) at the given kinetic energy and geometry."""
-    return AmplitudeCalculator(params).amplitudes(geom, epsilon)
+    return calculator(params).amplitudes(geom, epsilon)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ COMMANDS = ("xps", "xepecs", "rho", "entropy")
 _PARAM_KEYS = ("G", "zeta", "eps_s", "eps_p", "Omega", "Gamma_1s", "gamma")
 _ANGLE_KEYS = ("theta_deg", "phi_deg", "beta1_deg", "beta2_deg")
 _CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
+
+# longest entropy sweep accepted; covers --theta 0:180:0.001
+MAX_THETAS = 200_001
 
 _FORMATS = {"xps": ("csv", "json", "svg"),
             "xepecs": ("csv", "json", "svg"),
@@ -77,24 +81,32 @@ class RunConfig:
         return float(self.epsilon)
 
 
+def _number(field: str, value) -> float:
+    """``value`` as a finite float, or a ConfigError naming ``field``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_theta(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError("theta: expected DEG or START:END:STEP")
-        try:
-            start, end, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"theta: {exc}") from exc
+        start, end, step = (_number("theta", p) for p in parts)
         if step <= 0 or end < start:
             raise ConfigError("theta: need END >= START and STEP > 0")
-        count = int(np.floor((end - start) / step + 1e-9)) + 1
+        span = (end - start) / step + 1e-9
+        if not span < MAX_THETAS:
+            raise ConfigError(f"theta: a sweep may have at most {MAX_THETAS} angles")
+        count = int(np.floor(span)) + 1
         values = [start + k * step for k in range(count)]
     else:
-        try:
-            values = [float(text)]
-        except ValueError as exc:
-            raise ConfigError(f"theta: {exc}") from exc
+        values = [_number("theta", text)]
     for v in values:
         if not 0.0 <= v <= 180.0:
             raise ConfigError(f"theta: {v} outside [0, 180] degrees")
@@ -123,6 +135,8 @@ def _load_config_file(path: str | None) -> dict:
             continue
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{key}: expected a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return data
 
 
@@ -143,24 +157,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.command != "entropy" and len(thetas) != 1:
         raise ConfigError("theta: a single angle is required for this command")
 
-    def angle(flag_value, key, default):
+    def angle(flag_value, flag, key, default):
         if flag_value is not None:
-            return float(flag_value)
+            return _number(flag, flag_value)
         return float(file_cfg.get(key, default))
 
-    phi = angle(args.phi, "phi_deg", 0.0)
-    beta1 = angle(args.beta1, "beta1_deg", 90.0)
-    beta2 = angle(args.beta2, "beta2_deg", 180.0)
+    phi = angle(args.phi, "phi", "phi_deg", 0.0)
+    beta1 = angle(args.beta1, "beta1", "beta1_deg", 90.0)
+    beta2 = angle(args.beta2, "beta2", "beta2_deg", 180.0)
 
     epsilon: float | str
     eps_arg = args.epsilon if args.epsilon is not None else file_cfg.get("epsilon", "auto")
-    if eps_arg == "auto":
-        epsilon = "auto"
-    else:
-        try:
-            epsilon = float(eps_arg)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"epsilon: expected a number or 'auto', got {eps_arg!r}") from exc
+    epsilon = "auto" if eps_arg == "auto" else _number("epsilon", eps_arg)
 
     fmt = args.format if args.format is not None else ("json" if args.command == "rho" else "csv")
     if fmt not in _FORMATS[args.command]:

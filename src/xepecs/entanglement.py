@@ -14,6 +14,10 @@ spin density matrix. For the default orthogonal polarization pair
 
 which this module keeps as an independent cross-check of the full amplitude
 pipeline; its reduced spin matrix has eigenvalues (1 +/- |cos(theta)|) / 2.
+
+``entropy_sweep`` evaluates a whole angle sweep as arrays: one amplitude
+contraction, one stack of 2x2 reduced matrices and one batched entropy, with
+the validity checks of the single-state path applied to every angle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import CHANNELS, AmplitudeCalculator, AmplitudeSet
+from .amplitudes import CHANNELS, AmplitudeSet, calculator
 from .fockspace import Spin
 from .model import ModelParams
 from .polarization import EmissionGeometry
@@ -65,7 +69,7 @@ class EntangledState:
 
     def __post_init__(self):
         norm_sq = sum(abs(c) ** 2 for c in self.coeffs.values())
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm^2 = {norm_sq} differs from 1")
 
     def vector(self) -> np.ndarray:
@@ -74,6 +78,24 @@ class EntangledState:
     def fidelity(self, other: "EntangledState") -> float:
         """|<self|other>|, insensitive to global phases."""
         return float(abs(np.vdot(self.vector(), other.vector())))
+
+
+def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of each matrix in a (..., n, n) stack.
+
+    Raises DomainError unless every matrix is Hermitian, has unit trace and
+    no eigenvalue below -tol, each to ``tol``. Every comparison is written
+    so that NaN fails it.
+    """
+    m_h = m.conj().swapaxes(-1, -2)
+    if not np.all(np.abs(m - m_h) <= tol):
+        raise DomainError("matrix is not Hermitian")
+    if not np.all(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= tol):
+        raise DomainError("matrix trace differs from 1")
+    eigenvalues = np.linalg.eigvalsh(0.5 * (m + m_h))
+    if not np.all(eigenvalues >= -tol):
+        raise DomainError("matrix has a negative eigenvalue")
+    return eigenvalues
 
 
 @dataclass(frozen=True)
@@ -89,12 +111,7 @@ class DensityMatrix:
         n = len(self.basis)
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match basis")
-        if np.max(np.abs(m - m.conj().T)) > _MATRIX_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _MATRIX_TOL or abs(np.trace(m).imag) > _MATRIX_TOL:
-            raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -_MATRIX_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        _check_density(m, _MATRIX_TOL)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -118,6 +135,8 @@ class EntropyCurve:
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state."""
     norm_sq = amps.total_strength()
+    if not np.isfinite(norm_sq):
+        raise DomainError("coincidence amplitudes are not finite")
     if norm_sq == 0.0:
         raise DomainError("all coincidence amplitudes vanish; state undefined")
     scale = 1.0 / sqrt(norm_sq)
@@ -184,35 +203,50 @@ def reduce_to_polarization(obj) -> DensityMatrix:
     return DensityMatrix(("1", "2"), reduced)
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     """Base-2 von Neumann entropy -Tr[rho log2 rho].
 
-    Accepts a DensityMatrix or a plain Hermitian array. Raises DomainError if
-    the input violates Hermiticity, unit trace or positivity beyond 1e-8;
-    smaller negative eigenvalue jitter is clipped to zero.
+    Accepts a DensityMatrix, a plain Hermitian array, or a stack of them with
+    shape (..., n, n). Returns a float for one matrix and an array of shape
+    (...) for a stack. Raises DomainError if any input violates Hermiticity,
+    unit trace or positivity beyond 1e-8; smaller negative eigenvalue jitter
+    is clipped to zero.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > _ENTROPY_INPUT_TOL:
-        raise DomainError("matrix is not Hermitian")
-    if abs(np.trace(m) - 1.0) > _ENTROPY_INPUT_TOL:
-        raise DomainError("matrix trace differs from 1")
-    eigenvalues = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if np.min(eigenvalues) < -_ENTROPY_INPUT_TOL:
-        raise DomainError("matrix has a negative eigenvalue")
+    eigenvalues = _check_density(m, _ENTROPY_INPUT_TOL)
 
     clipped = np.clip(eigenvalues, 0.0, 1.0)
     clipped[np.abs(clipped) < _EIGENVALUE_CLIP] = 0.0
-    positive = clipped[clipped > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    positive = clipped > 0.0
+    logs = np.log2(clipped, out=np.zeros_like(clipped), where=positive)
+    entropy = -np.sum(clipped * logs, axis=-1)
+    return float(entropy) if m.ndim == 2 else entropy
 
 
 def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
-    """Entanglement entropy against emission angle, via the full amplitude path."""
-    calculator = AmplitudeCalculator(params)
-    entropies = []
-    for theta in thetas_deg:
-        geom = geom_template.with_theta(radians(theta))
-        state = entangled_state(calculator.amplitudes(geom, epsilon))
-        entropies.append(von_neumann_entropy(reduce_to_spin(state)))
-    return EntropyCurve(tuple(float(t) for t in thetas_deg), tuple(entropies))
+    """Entanglement entropy against emission angle.
+
+    One cached model build per parameter set, then array math over all
+    angles: the amplitudes are one contraction of the polarization
+    components with the per-spin resonant vectors. Every angle passes the
+    checks of ``EmissionGeometry``, ``entangled_state``, ``EntangledState``,
+    ``DensityMatrix`` and ``von_neumann_entropy`` at their tolerances; a
+    non-finite result raises DomainError.
+    """
+    thetas = np.radians(np.asarray(thetas_deg, dtype=float))
+    if not np.all((thetas >= 0.0) & (thetas <= pi)):
+        raise ValueError("theta must lie in [0, pi]")
+
+    amps = calculator(params).amplitude_array(thetas, geom_template, epsilon)
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    if np.any(norm_sq == 0.0):
+        raise DomainError("all coincidence amplitudes vanish; state undefined")
+    coeffs = amps * (1.0 / np.sqrt(norm_sq))[:, np.newaxis, np.newaxis]
+    if not np.all(np.abs(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)) - 1.0) <= _NORM_TOL):
+        raise DomainError("state norm^2 differs from 1")
+
+    reduced = coeffs @ coeffs.conj().swapaxes(-1, -2)   # spin density matrices
+    _check_density(reduced, _MATRIX_TOL)
+    entropy = von_neumann_entropy(reduced)
+    return EntropyCurve(tuple(float(t) for t in thetas_deg), tuple(entropy.tolist()))

@@ -15,7 +15,8 @@ spherical basis vectors e_0 = z, e_(+/-1) = -/+ (x +/- i y)/sqrt(2)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
 
 and both closed forms are cross-checked against the geometric projection on
-every evaluation.
+every evaluation. ``polarization_components`` evaluates the same projections
+for a whole array of emission angles at once.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "basis_vectors",
     "polarization_vector",
     "spherical_components",
+    "polarization_components",
     "alpha_coeffs",
 ]
 
@@ -100,6 +102,29 @@ def spherical_components(v: np.ndarray) -> tuple[complex, complex, complex]:
     zero = vz
     minus = (vx + 1j * vy) / np.sqrt(2.0)
     return plus, zero, minus
+
+
+def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
+                            ) -> np.ndarray:
+    """Spherical projections of both polarization vectors for an array of angles.
+
+    Returns an (N, 2, 3) complex array: entry [n, i - 1, :] equals
+    ``spherical_components(polarization_vector(geom, i))`` for the geometry
+    with polar angle thetas[n] (radians) and the fixed phi, beta1 and beta2.
+    """
+    st, ct = np.sin(thetas), np.cos(thetas)
+    sp, cp = sin(phi), cos(phi)
+    cb = np.array([cos(beta1), cos(beta2)])
+    sb = np.array([sin(beta1), sin(beta2)])
+    # e_lambda = cos(beta) e_theta + sin(beta) e_phi, component by component
+    vx = cb * (ct * cp)[:, np.newaxis] + sb * -sp
+    vy = cb * (ct * sp)[:, np.newaxis] + sb * cp
+    vz = cb * -st[:, np.newaxis] + sb * 0.0
+    out = np.empty(vx.shape + (3,), dtype=complex)
+    out[..., 0] = -(vx - 1j * vy) / np.sqrt(2.0)
+    out[..., 1] = vz
+    out[..., 2] = (vx + 1j * vy) / np.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Shell, Spin, SpinOrbital, create, inner, vacuum
-from .amplitudes import channel_label, photoemission_elements, xepecs_amplitudes
-from .model import ModelParams, apply_hamiltonian, initial_state, intermediate_eigensystem
+from .amplitudes import calculator, channel_label
+from .model import ModelParams, apply_hamiltonian
 from .polarization import EmissionGeometry
 
 __all__ = [
@@ -81,12 +81,12 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     with weight |<i| c^dag s a |g>|^2. Dipole-forbidden eigenstates are kept
     with (numerically) zero weight so the selection rules stay visible.
     """
-    g, energy_g = initial_state(params)
-    eig = intermediate_eigensystem(params, sigma)
-    elements = photoemission_elements(g, eig, sigma)
+    calc = calculator(params)
+    eig = calc.eigensystems[sigma]
+    elements = calc.pe_elements[sigma]
     lines = tuple(
         SpectralLine(
-            position=params.Omega + energy_g - float(e),
+            position=params.Omega + calc.E_g - float(e),
             weight=float(abs(el) ** 2),
             j=j,
             channel=f"xps_{sigma.value}",
@@ -136,9 +136,9 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     |A(sigma, lambda; epsilon)|^2, broadened with the emitted-photon
     resolution ``gamma``.
     """
-    amps = xepecs_amplitudes(params, geom, epsilon)
-    _, energy_g = initial_state(params)
-    omega0 = params.Omega + energy_g - epsilon - final_state_energy(params)
+    calc = calculator(params)
+    amps = calc.amplitudes(geom, epsilon)
+    omega0 = params.Omega + calc.E_g - epsilon - final_state_energy(params)
     if grid is None:
         grid = default_emission_grid(omega0)
     label = channel_label(channel)

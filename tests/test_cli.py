@@ -4,14 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from xepecs import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, cwd, env_extra=None):
     env = dict(os.environ)
     env.pop("XEPECS_CONFIG", None)
+    # the child runs in cwd, where a relative PYTHONPATH would not resolve
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "xepecs", *args],
@@ -197,3 +204,50 @@ class TestSvgOutput:
         text = (tmp_path / f"{command}.svg").read_text(encoding="utf-8")
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert "polyline" in text
+
+
+class TestNonFiniteAndOversizedInputs:
+    """Rejected at the config boundary with exit 2, naming the field (in process)."""
+
+    @staticmethod
+    def main(argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("XEPECS_CONFIG", raising=False)
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["entropy", "--epsilon", "nan"], "epsilon"),
+        (["rho", "--epsilon", "nan"], "epsilon"),
+        (["rho", "--phi", "inf"], "phi"),
+        (["rho", "--phi", "abc"], "phi"),
+        (["entropy", "--beta2=-inf"], "beta2"),
+        (["entropy", "--theta", "0:nan:1"], "theta"),
+    ])
+    def test_flags(self, tmp_path, monkeypatch, capsys, argv, field):
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith(f"config error: {field}:")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"G": NaN}', "G"),
+        ('{"Omega": Infinity}', "Omega"),
+        ('{"phi_deg": -Infinity}', "phi_deg"),
+        ('{"epsilon": NaN}', "epsilon"),
+    ])
+    def test_config_file_values(self, tmp_path, monkeypatch, capsys, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, err = self.main(["rho", "--config", str(cfg)], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith(f"config error: {field}:")
+
+    def test_sweep_one_angle_over_the_cap(self, tmp_path, monkeypatch, capsys):
+        step = 2.0 ** -11   # exact in binary, so the angle count is exact too
+        assert len(cli._parse_theta(f"0:{(cli.MAX_THETAS - 1) * step!r}:{step!r}")) \
+            == cli.MAX_THETAS
+        argv = ["entropy", "--theta", f"0:{cli.MAX_THETAS * step!r}:{step!r}"]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("config error: theta:")

@@ -1,0 +1,183 @@
+"""The geometry-linear amplitude engine against the per-geometry Fock-space routes.
+
+The production path contracts precomputed emission matrices with the
+polarization components; these tests hold it to the mechanical routes it
+replaced: ``dipole_block`` per geometry, and the single-state chain
+``entangled_state`` -> ``reduce_to_spin`` -> ``von_neumann_entropy`` per angle.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from xepecs.amplitudes import AmplitudeCalculator, calculator, dipole_block
+from xepecs.entanglement import (
+    DomainError,
+    entangled_state,
+    entropy_sweep,
+    reduce_to_spin,
+    von_neumann_entropy,
+)
+from xepecs.fockspace import Spin
+from xepecs.model import ModelParams
+from xepecs.polarization import (
+    EmissionGeometry,
+    polarization_components,
+    polarization_vector,
+    spherical_components,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def random_geometry(rng, theta=None):
+    """Any non-degenerate polarization pair, orthogonal or not."""
+    beta1 = rng.uniform(0.0, 360.0)
+    return EmissionGeometry.from_degrees(
+        rng.uniform(0.0, 180.0) if theta is None else theta,
+        rng.uniform(0.0, 360.0), beta1, beta1 + rng.uniform(10.0, 170.0))
+
+
+def random_params(rng, i):
+    """Seeded draws; every third has G = 0 and every third zeta = 0."""
+    return ModelParams(
+        G=0.0 if i % 3 == 0 else rng.uniform(0.0, 1.0),
+        zeta=0.0 if i % 3 == 1 else rng.uniform(0.0, 0.5),
+        eps_p=rng.uniform(-7.0, -3.0),
+        Gamma_1s=rng.uniform(0.2, 0.8),
+        gamma=rng.uniform(0.2, 0.6),
+    )
+
+
+class TestPolarizationComponents:
+    def test_matches_the_per_geometry_projection(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            geom = random_geometry(rng)
+            thetas = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 30)])
+            got = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
+            assert got.shape == (len(thetas), 2, 3)
+            for n, theta in enumerate(thetas):
+                g = geom.with_theta(float(theta))
+                for i in (1, 2):
+                    expected = spherical_components(polarization_vector(g, i))
+                    assert np.max(np.abs(got[n, i - 1] - expected)) <= 1e-15
+
+
+class TestEmissionContraction:
+    def test_equals_dipole_block_on_random_geometries(self):
+        calc = AmplitudeCalculator(ModelParams())
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            geom = random_geometry(rng)
+            alphas = polarization_components(np.array([geom.theta]), geom.phi,
+                                             geom.beta1, geom.beta2)[0]
+            for sigma in (Spin.UP, Spin.DOWN):
+                eig = calc.eigensystems[sigma]
+                reference = dipole_block(geom, eig.subspace) @ eig.vectors
+                assert np.max(np.abs(alphas @ calc.emission[sigma] - reference)) <= 1e-14
+
+    def test_amplitudes_equal_the_dipole_block_resonant_sum(self):
+        calc = AmplitudeCalculator(ModelParams())
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            geom = random_geometry(rng)
+            epsilon = rng.uniform(5.0, 8.0)
+            amps = calc.amplitudes(geom, epsilon)
+            for sigma in (Spin.UP, Spin.DOWN):
+                summed = calc.per_eigenstate_terms(geom, epsilon, sigma).sum(axis=1)
+                for lam in (1, 2):
+                    assert abs(amps[(sigma, lam)] - summed[lam - 1]) <= 1e-14
+
+
+class TestBatchedSweep:
+    def test_equals_the_per_angle_route(self):
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for i in range(21):
+            params = random_params(rng, i)
+            calc = AmplitudeCalculator(params)
+            template = random_geometry(rng, theta=90.0)
+            epsilon = rng.uniform(5.0, 8.0)
+            thetas = [0.0, 90.0, 180.0] + list(rng.uniform(0.0, 180.0, 20))
+            curve = entropy_sweep(params, template, thetas, epsilon)
+            assert curve.thetas == tuple(thetas)
+            for theta, s in zip(thetas, curve.entropy):
+                geom = template.with_theta(math.radians(theta))
+                state = entangled_state(calc.amplitudes(geom, epsilon))
+                worst = max(worst, abs(s - von_neumann_entropy(reduce_to_spin(state))))
+        assert worst <= 1e-13
+
+    def test_empty_sweep(self):
+        curve = entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0), [], 6.5)
+        assert curve.thetas == () and curve.entropy == ()
+
+    @pytest.mark.parametrize("theta", [-1.0, 180.5, float("nan")])
+    def test_angle_outside_the_range_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0),
+                          [10.0, theta], 6.5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_is_a_domain_error(self, epsilon):
+        with pytest.raises(DomainError):
+            entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0),
+                          [0.0, 45.0, 90.0], epsilon)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_single_state_is_a_domain_error(self):
+        amps = AmplitudeCalculator(ModelParams()).amplitudes(
+            EmissionGeometry.from_degrees(45.0), float("nan"))
+        with pytest.raises(DomainError):
+            entangled_state(amps)
+
+
+class TestStackedEntropy:
+    def test_stack_matches_single_matrices(self):
+        x = (1 + math.sqrt(2) / 2) / 2
+        stack = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([x, 1 - x])])
+        got = von_neumann_entropy(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert list(got) == [von_neumann_entropy(m) for m in stack]
+        assert isinstance(von_neumann_entropy(stack[0]), float)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([0.7, 0.7]),
+        np.array([[0.5, 0.2], [0.4, 0.5]]),
+        np.diag([1.2, -0.2]),
+        np.diag([float("nan"), 0.5]),
+    ])
+    def test_one_invalid_matrix_fails_the_stack(self, bad):
+        with pytest.raises(DomainError):
+            von_neumann_entropy(np.array([np.diag([0.5, 0.5]), bad]))
+
+
+class TestCalculatorCache:
+    def test_equal_params_share_one_calculator(self):
+        a = calculator(ModelParams(G=0.25))
+        assert calculator(ModelParams(G=0.25)) is a
+        assert calculator(ModelParams(G=0.26)) is not a
+
+    def test_cached_arrays_are_read_only(self):
+        calc = calculator(ModelParams())
+        arrays = [calc.emission[s] for s in (Spin.UP, Spin.DOWN)]
+        arrays += [calc.pe_elements[s] for s in (Spin.UP, Spin.DOWN)]
+        for eig in calc.eigensystems.values():
+            arrays += [eig.energies, eig.vectors]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_emission_matrices_are_not_built_at_import(self):
+        code = ("import xepecs, xepecs.cli\n"
+                "from xepecs.amplitudes import _emission_basis\n"
+                "print(_emission_basis.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
+        assert out.strip() == "0"
