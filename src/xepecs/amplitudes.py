@@ -42,6 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .angular import cg
 from .fockspace import (
     ManyBodyVector,
     PhotonMode,
@@ -51,17 +52,20 @@ from .fockspace import (
     annihilate,
     annihilate_photon,
     basis_vector,
+    combine,
     create,
     create_photoelectron,
     create_photon,
     inner,
-    vacuum,
 )
 from .model import (
+    DomainError,
     EigenSystem,
     ModelParams,
     Subspace,
     SubspaceLabel,
+    closed_shell,
+    final_state_energy,
     initial_state,
     intermediate_eigensystem,
     intermediate_subspace,
@@ -97,10 +101,10 @@ _LABELS = {(Spin.UP, 1): "U1", (Spin.UP, 2): "U2",
 # Total 1s photoemission strength over both spin channels normalized to 1.
 PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
 
-# Angular factor of the <1s| r |2p_m> bracket, radial integral set to 1.
-_DIPOLE_ANGULAR = 1.0 / sqrt(3.0)
+# Angular factor of <1s| r_q |2p_m>, radial integral set to 1, from the CG
+# layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
+_EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
 
-_SPIN_SUBSPACE = {Spin.UP: SubspaceLabel.M0, Spin.DOWN: SubspaceLabel.M1}
 _EMITTED = {1: PhotonMode.EMITTED_1, 2: PhotonMode.EMITTED_2}
 
 # parameter sets whose calculators are kept by ``calculator``
@@ -118,7 +122,7 @@ def photoemission_elements(g: ManyBodyVector, eig: EigenSystem, sigma: Spin) -> 
     ``eig`` must be the intermediate eigensystem matching the photoelectron
     spin (M = 0 for up, M = 1 for down).
     """
-    if eig.subspace.label is not _SPIN_SUBSPACE[sigma]:
+    if eig.subspace != intermediate_subspace(sigma):
         raise ValueError(
             f"eigensystem over {eig.subspace.label.value} does not match "
             f"photoelectron spin {sigma}"
@@ -140,13 +144,12 @@ def _apply_mph(v: ManyBodyVector, alphas: dict[int, tuple[complex, complex, comp
 
     alphas[i] holds the spherical projections (q = +1, 0, -1) of polarization
     vector i. Each term is d * b^dag_lambda s^dag_sigma p_(m sigma) with
-    d = (-1)^m alpha_(-m) / sqrt(3).
+    d = _EMISSION_VERTEX[m] * alpha_(-m).
     """
-    out = ManyBodyVector()
-    for lam, (a_p1, a_0, a_m1) in alphas.items():
-        by_m = {1: -a_m1, 0: a_0, -1: -a_p1}
-        for m, coeff in by_m.items():
-            d = _DIPOLE_ANGULAR * coeff
+    terms = []
+    for lam, alpha in alphas.items():
+        for m, vertex in _EMISSION_VERTEX.items():
+            d = vertex * alpha[1 + m]   # alpha_(-m): q = +1, 0, -1 sit at 0, 1, 2
             if d == 0:
                 continue
             for sigma in (Spin.UP, Spin.DOWN):
@@ -154,17 +157,13 @@ def _apply_mph(v: ManyBodyVector, alphas: dict[int, tuple[complex, complex, comp
                 if len(w) == 0:
                     continue
                 w = create(w, SpinOrbital(Shell.S1S, 0, sigma))
-                w = create_photon(w, _EMITTED[lam])
-                out = out + d * w
-    return out
+                terms.append((d, create_photon(w, _EMITTED[lam])))
+    return combine(terms)
 
 
 def _final_state(sigma: Spin, lam: int) -> ManyBodyVector:
     """|f_(sigma lambda)>: closed 1s shell + photoelectron + emitted photon."""
-    f = create(create(vacuum(), SpinOrbital(Shell.S1S, 0, Spin.DOWN)),
-               SpinOrbital(Shell.S1S, 0, Spin.UP))
-    f = create_photoelectron(f, sigma)
-    return create_photon(f, _EMITTED[lam])
+    return create_photon(create_photoelectron(closed_shell(), sigma), _EMITTED[lam])
 
 
 def _emission_rows(sub: Subspace, alphas: dict[int, tuple[complex, complex, complex]]
@@ -185,11 +184,7 @@ def _emission_rows(sub: Subspace, alphas: dict[int, tuple[complex, complex, comp
 
 
 def dipole_block(geom: EmissionGeometry, sub: Subspace) -> np.ndarray:
-    """Photon-emission matrix <f_(sigma lambda)| M_ph |basis state>.
-
-    Rows are the two polarizations, columns the subspace basis states; the
-    photoelectron spin is the one matching the subspace.
-    """
+    """``_emission_rows`` for the two polarization vectors of ``geom``."""
     alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
     return _emission_rows(sub, alphas)
 
@@ -256,24 +251,27 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The initial state, the intermediate eigensystems, the photoemission
-    elements and the emission matrices D_sigma V_sigma over the eigenstates
-    are computed once on construction and stored read-only. Per kinetic
-    energy, ``spin_vectors`` does the resonant sum; per geometry, the
-    amplitudes are a contraction of those vectors with the polarization
-    components, for one angle or for an array of them.
+    The initial state with E_g, the final-state energy E_f, the intermediate
+    eigensystems, the photoemission elements and the emission matrices
+    D_sigma V_sigma over the eigenstates are computed once on construction
+    and stored read-only. Per kinetic energy, ``spin_vectors`` does the
+    resonant sum; per geometry, the amplitudes are a contraction of those
+    vectors with the polarization components, for one angle or for an array
+    of them. A model that leaves the domain raises ``DomainError`` naming
+    the parameter set.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.initial, self.E_g = initial_state(params)
-        self.eigensystems = {
-            Spin.UP: intermediate_eigensystem(params, Spin.UP),
-            Spin.DOWN: intermediate_eigensystem(params, Spin.DOWN),
-        }
+        try:
+            self.initial, self.E_g = initial_state(params)
+            self.E_f = final_state_energy(params)
+            self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
+        except DomainError as exc:
+            raise DomainError(f"{params!r}: {exc}") from exc
         self.pe_elements = {
-            sigma: photoemission_elements(self.initial, self.eigensystems[sigma], sigma)
-            for sigma in (Spin.UP, Spin.DOWN)
+            sigma: photoemission_elements(self.initial, eig, sigma)
+            for sigma, eig in self.eigensystems.items()
         }
         self.emission = {
             sigma: _emission_basis(eig.subspace.label) @ eig.vectors   # (q, i)
@@ -284,15 +282,15 @@ class AmplitudeCalculator:
                           self.emission[sigma]):
                 array.flags.writeable = False
 
+    def _resonance(self, sigma: Spin, epsilon: float) -> np.ndarray:
+        """Omega + E_g - E_i - epsilon + i Gamma_1s over the eigenstates i."""
+        p = self.params
+        return p.Omega + self.E_g - self.eigensystems[sigma].energies - epsilon + 1j * p.Gamma_1s
+
     def spin_vectors(self, epsilon: float) -> np.ndarray:
         """t[sigma, q]: the resonant sum over eigenstates, rows (up, down)."""
-        p = self.params
-        rows = []
-        for sigma in (Spin.UP, Spin.DOWN):
-            eig = self.eigensystems[sigma]
-            denom = p.Omega + self.E_g - eig.energies - epsilon + 1j * p.Gamma_1s
-            rows.append(self.emission[sigma] @ (self.pe_elements[sigma] / denom))
-        return np.array(rows)
+        return np.array([self.emission[s] @ (self.pe_elements[s] / self._resonance(s, epsilon))
+                         for s in Spin])
 
     def amplitude_array(self, thetas: np.ndarray, geom: EmissionGeometry, epsilon: float
                         ) -> np.ndarray:
@@ -313,10 +311,9 @@ class AmplitudeCalculator:
     def per_eigenstate_terms(self, geom: EmissionGeometry, epsilon: float, sigma: Spin
                              ) -> np.ndarray:
         """Individual resonance terms (lambda, i) before the sum over i."""
-        p = self.params
         eig = self.eigensystems[sigma]
         emission = dipole_block(geom, eig.subspace) @ eig.vectors
-        denom = p.Omega + self.E_g - eig.energies - epsilon + 1j * p.Gamma_1s
+        denom = self._resonance(sigma, epsilon)
         return emission * self.pe_elements[sigma][np.newaxis, :] / denom[np.newaxis, :]
 
 

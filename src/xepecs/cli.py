@@ -46,6 +46,10 @@ _CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
 # longest entropy sweep accepted; covers --theta 0:180:0.001
 MAX_THETAS = 200_001
 
+# largest |cos(beta1 - beta2)| accepted: the two analyzer axes must be orthogonal
+_ORTHOGONALITY_TOL = 1e-9
+
+# output formats per command, the default first
 _FORMATS = {"xps": ("csv", "json", "svg"),
             "xepecs": ("csv", "json", "svg"),
             "entropy": ("csv", "json", "svg"),
@@ -165,18 +169,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     phi = angle(args.phi, "phi", "phi_deg", 0.0)
     beta1 = angle(args.beta1, "beta1", "beta1_deg", 90.0)
     beta2 = angle(args.beta2, "beta2", "beta2_deg", 180.0)
+    if not abs(math.cos(math.radians(beta1 - beta2))) <= _ORTHOGONALITY_TOL:
+        raise ConfigError(f"beta2: polarization axes {beta1} and {beta2} degrees "
+                          "are not orthogonal")
 
     epsilon: float | str
     eps_arg = args.epsilon if args.epsilon is not None else file_cfg.get("epsilon", "auto")
     epsilon = "auto" if eps_arg == "auto" else _number("epsilon", eps_arg)
 
-    fmt = args.format if args.format is not None else ("json" if args.command == "rho" else "csv")
-    if fmt not in _FORMATS[args.command]:
-        allowed = "|".join(_FORMATS[args.command])
-        raise ConfigError(f"format: {fmt!r} not supported for {args.command} (use {allowed})")
-
     out = Path(args.out) if args.out is not None else None
-    cfg = RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, fmt)
+    cfg = RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, args.format)
     cfg.geometry(thetas[0])  # validate angles early
     return cfg
 
@@ -194,8 +196,11 @@ def _round12(x: float) -> float:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: list[str], columns: list[np.ndarray | list]) -> str:
@@ -404,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta2", metavar="DEG", default=None)
         p.add_argument("--epsilon", metavar="EV|auto", default=None)
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
+        p.add_argument("--format", choices=_FORMATS[name], default=_FORMATS[name][0])
         if name == "xps":
             p.add_argument("--spin", choices=("up", "down"), default="up")
     return parser

@@ -30,7 +30,7 @@ import numpy as np
 
 from .amplitudes import CHANNELS, AmplitudeSet, calculator
 from .fockspace import Spin
-from .model import ModelParams
+from .model import DomainError, ModelParams
 from .polarization import EmissionGeometry
 
 __all__ = [
@@ -53,10 +53,6 @@ _NORM_TOL = 1e-12
 _MATRIX_TOL = 1e-12
 _ENTROPY_INPUT_TOL = 1e-8
 _EIGENVALUE_CLIP = 1e-12
-
-
-class DomainError(ValueError):
-    """A computation left the physically meaningful domain."""
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ The electron system has 8 spin-orbitals in the fixed canonical order
     (1s up, 1s down, 2p[m=-1] up, 2p[m=-1] down,
      2p[m=0] up, 2p[m=0] down, 2p[m=1] up, 2p[m=1] down)
 
-plus two fermionic photoelectron modes (one per spin, the kinetic energy is
-carried as a parameter elsewhere) and three bosonic photon modes (incident
-beam and the two emitted polarizations). Fermionic creation picks up the sign
-(-1)^(number of occupied modes preceding the target in canonical order);
-photoelectron modes sit after all 8 orbitals.
+then two fermionic photoelectron modes (up, down; the kinetic energy is
+carried as a parameter elsewhere), plus three bosonic photon modes (incident
+beam and the two emitted polarizations). All four fermionic operators go
+through one ladder helper over these 10 modes, which applies the sign
+(-1)^(number of occupied modes before the target); both photon operators go
+through one helper with the factor sqrt(n + 1) or sqrt(n).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "ManyBodyVector",
     "vacuum",
     "basis_vector",
+    "combine",
     "create",
     "annihilate",
     "create_photoelectron",
@@ -91,7 +93,8 @@ ORBITALS: tuple[SpinOrbital, ...] = tuple(
 )
 _ORBITAL_INDEX = {orb: i for i, orb in enumerate(ORBITALS)}
 
-_PE_BIT = {Spin.UP: 1, Spin.DOWN: 2}
+# photoelectron modes follow the 8 orbitals in canonical order
+_PE_MODE = {Spin.UP: 8, Spin.DOWN: 9}
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,6 @@ class FockState:
         if len(self.photons) != 3 or any(n < 0 for n in self.photons):
             raise ValueError("photon counts must be non-negative")
 
-    def has(self, orb: SpinOrbital) -> bool:
-        return bool(self.orbitals >> orb.index & 1)
-
-    def occupied(self) -> tuple[SpinOrbital, ...]:
-        return tuple(o for o in ORBITALS if self.has(o))
-
     @property
     def photoelectron(self) -> Spin | None:
         if self.photoelectrons == 0:
@@ -130,10 +127,6 @@ class FockState:
         if self.photoelectrons == 2:
             return Spin.DOWN
         raise ValueError("state holds two photoelectrons")
-
-    def count(self, shell: Shell) -> int:
-        mask = 0b11 if shell is Shell.S1S else 0b11111100
-        return (self.orbitals & mask).bit_count()
 
 
 @dataclass
@@ -190,76 +183,73 @@ def basis_vector(state: FockState) -> ManyBodyVector:
     return ManyBodyVector({state: 1.0 + 0j})
 
 
-def create(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
-    """Apply the fermionic creation operator for ``orb``."""
-    bit = 1 << orb.index
+def combine(terms) -> ManyBodyVector:
+    """sum_k c_k v_k over (c_k, v_k) pairs, accumulated into one dict."""
+    out: dict[FockState, complex] = {}
+    for coeff, v in terms:
+        for s, a in v.terms():
+            _accumulate(out, s, a * coeff)
+    return ManyBodyVector(out)
+
+
+def _fermion(v: ManyBodyVector, mode: int, raise_op: bool) -> ManyBodyVector:
+    """c^dag (raise_op) or c of fermionic mode ``mode`` in canonical order.
+
+    Modes 0-7 are the orbitals, 8 and 9 the up and down photoelectrons, so
+    the sign counts the occupied modes below ``mode`` across both masks.
+    """
+    bit = 1 << mode
     out: dict[FockState, complex] = {}
     for s, a in v.terms():
-        if s.orbitals & bit:
-            continue  # Pauli exclusion
-        sign = -1.0 if (s.orbitals & (bit - 1)).bit_count() % 2 else 1.0
-        _accumulate(out, FockState(s.orbitals | bit, s.photoelectrons, s.photons), a * sign)
+        occ = s.orbitals | s.photoelectrons << 8
+        if bool(occ & bit) is raise_op:
+            continue  # Pauli exclusion, or nothing to remove
+        if (occ & (bit - 1)).bit_count() % 2:
+            a = -a
+        occ ^= bit
+        _accumulate(out, FockState(occ & 0xFF, occ >> 8, s.photons), a)
     return ManyBodyVector(out)
+
+
+def _photon(v: ManyBodyVector, mode: PhotonMode, delta: int) -> ManyBodyVector:
+    """b^dag (delta = +1) or b (delta = -1) of one photon mode."""
+    out: dict[FockState, complex] = {}
+    for s, a in v.terms():
+        photons = list(s.photons)
+        n = photons[mode.value]
+        if n + delta < 0:
+            continue
+        photons[mode.value] = n + delta
+        # sqrt(n + 1) for a creation, sqrt(n) for an annihilation
+        _accumulate(out, FockState(s.orbitals, s.photoelectrons, tuple(photons)),
+                    a * max(n, n + delta) ** 0.5)
+    return ManyBodyVector(out)
+
+
+def create(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
+    """Apply the fermionic creation operator for ``orb``."""
+    return _fermion(v, orb.index, True)
 
 
 def annihilate(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
     """Apply the fermionic annihilation operator for ``orb`` (adjoint of create)."""
-    bit = 1 << orb.index
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        if not s.orbitals & bit:
-            continue
-        sign = -1.0 if (s.orbitals & (bit - 1)).bit_count() % 2 else 1.0
-        _accumulate(out, FockState(s.orbitals & ~bit, s.photoelectrons, s.photons), a * sign)
-    return ManyBodyVector(out)
+    return _fermion(v, orb.index, False)
 
 
 def create_photoelectron(v: ManyBodyVector, spin: Spin) -> ManyBodyVector:
-    bit = _PE_BIT[spin]
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        if s.photoelectrons & bit:
-            continue
-        below = s.orbitals.bit_count() + (s.photoelectrons & (bit - 1)).bit_count()
-        sign = -1.0 if below % 2 else 1.0
-        _accumulate(out, FockState(s.orbitals, s.photoelectrons | bit, s.photons), a * sign)
-    return ManyBodyVector(out)
+    return _fermion(v, _PE_MODE[spin], True)
 
 
 def annihilate_photoelectron(v: ManyBodyVector, spin: Spin) -> ManyBodyVector:
-    bit = _PE_BIT[spin]
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        if not s.photoelectrons & bit:
-            continue
-        below = s.orbitals.bit_count() + (s.photoelectrons & (bit - 1)).bit_count()
-        sign = -1.0 if below % 2 else 1.0
-        _accumulate(out, FockState(s.orbitals, s.photoelectrons & ~bit, s.photons), a * sign)
-    return ManyBodyVector(out)
+    return _fermion(v, _PE_MODE[spin], False)
 
 
 def create_photon(v: ManyBodyVector, mode: PhotonMode) -> ManyBodyVector:
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        n = s.photons[mode.value]
-        photons = list(s.photons)
-        photons[mode.value] = n + 1
-        _accumulate(out, FockState(s.orbitals, s.photoelectrons, tuple(photons)),
-                    a * (n + 1) ** 0.5)
-    return ManyBodyVector(out)
+    return _photon(v, mode, +1)
 
 
 def annihilate_photon(v: ManyBodyVector, mode: PhotonMode) -> ManyBodyVector:
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        n = s.photons[mode.value]
-        if n == 0:
-            continue
-        photons = list(s.photons)
-        photons[mode.value] = n - 1
-        _accumulate(out, FockState(s.orbitals, s.photoelectrons, tuple(photons)),
-                    a * n ** 0.5)
-    return ManyBodyVector(out)
+    return _photon(v, mode, -1)
 
 
 def inner(a: ManyBodyVector, b: ManyBodyVector) -> complex:

@@ -9,18 +9,21 @@ The exchange term is written with shell spin operators, so it vanishes
 identically on a filled (spin-saturated) 1s shell and acts only in
 configurations with a single 1s electron, i.e. in the core-excited
 intermediate states. Matrix elements are evaluated mechanically through the
-fockspace operators rather than by hand.
+fockspace operators rather than by hand, with two helpers: one applies a sum
+of one-body hops c^dag(dst) c(src), the other a diagonal sum_o w_o n_o with
+one weight per canonical orbital (level energies, s_z, j_z and l_z s_z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import sqrt
 
 import numpy as np
 
-from .angular import HalfInt
+from .angular import HalfInt, coupled_state
 from .fockspace import (
     FockState,
     ManyBodyVector,
@@ -29,8 +32,9 @@ from .fockspace import (
     Shell,
     Spin,
     SpinOrbital,
-    basis_vector,
     annihilate,
+    basis_vector,
+    combine,
     create,
     create_photon,
     inner,
@@ -38,6 +42,7 @@ from .fockspace import (
 )
 
 __all__ = [
+    "DomainError",
     "ModelParams",
     "SubspaceLabel",
     "Subspace",
@@ -48,6 +53,8 @@ __all__ = [
     "diagonalize",
     "intermediate_eigensystem",
     "initial_state",
+    "closed_shell",
+    "final_state_energy",
     "j_squared_matrix",
     "jz_matrix",
     "s_squared_matrix",
@@ -57,6 +64,15 @@ _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _J_LABEL_TOL = 1e-8
 _DEGENERACY_TOL = 1e-9
+
+# the 2p electron of the initial state, |(l = 1, s = 1/2) j = m = 1/2>, as
+# (m_l, m_s) -> Clebsch-Gordan coefficient
+_J_HALF = coupled_state(1, 0.5, 0.5, 0.5)
+_SPIN_OF = {1: Spin.UP, -1: Spin.DOWN}   # spin from twice its projection m_s
+
+
+class DomainError(ValueError):
+    """A computation left the physically meaningful domain."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +119,6 @@ class Subspace:
         return len(self.basis)
 
 
-def _orb(shell: Shell, m: int, spin: Spin) -> SpinOrbital:
-    return SpinOrbital(shell, m, spin)
-
-
 def _state(*orbs: SpinOrbital) -> FockState:
     mask = 0
     for o in orbs:
@@ -114,12 +126,12 @@ def _state(*orbs: SpinOrbital) -> FockState:
     return FockState(mask)
 
 
-_S_UP = _orb(Shell.S1S, 0, Spin.UP)
-_S_DN = _orb(Shell.S1S, 0, Spin.DOWN)
+_S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
+_S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
 
 
 def _p(m: int, spin: Spin) -> SpinOrbital:
-    return _orb(Shell.P2P, m, spin)
+    return SpinOrbital(Shell.P2P, m, spin)
 
 
 _BASES: dict[SubspaceLabel, tuple[FockState, ...]] = {
@@ -150,8 +162,7 @@ def subspace(label: SubspaceLabel) -> Subspace:
 
 def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
     """Intermediate-state subspace matching the photoelectron spin."""
-    label = SubspaceLabel.M0 if photoelectron_spin is Spin.UP else SubspaceLabel.M1
-    return subspace(label)
+    return subspace(SubspaceLabel.M0 if photoelectron_spin is Spin.UP else SubspaceLabel.M1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,70 +170,65 @@ def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
 # ---------------------------------------------------------------------------
 
 _SQRT2 = sqrt(2.0)
+_Hops = tuple[tuple[complex, SpinOrbital, SpinOrbital], ...]   # (coeff, dst, src) terms
+_BOTH_SHELLS = (Shell.S1S, Shell.P2P)
+
+# orbital indices occupied in each 8-bit orbital mask
+_OCCUPIED = tuple(tuple(i for i in range(8) if mask >> i & 1) for mask in range(256))
+
+# per-orbital weights of the diagonal operators (the 1s orbital has m = 0)
+_SZ = tuple(0.5 * o.spin.twice_sz for o in ORBITALS)
+_SZ_SHELL = {shell: tuple(w if o.shell is shell else 0.0 for o, w in zip(ORBITALS, _SZ))
+             for shell in Shell}
+_JZ = tuple(o.m + w for o, w in zip(ORBITALS, _SZ))
+_LZSZ = tuple(o.m * w for o, w in zip(ORBITALS, _SZ))
 
 
-def _apply_terms(v: ManyBodyVector, hops: list[tuple[complex, SpinOrbital, SpinOrbital]]
-                 ) -> ManyBodyVector:
+def _apply_diagonal(v: ManyBodyVector, weights: tuple[float, ...]) -> ManyBodyVector:
+    """sum_o weights[o] n_o applied to v, one weight per canonical orbital."""
+    out = {}
+    for s, a in v.terms():
+        w = sum(weights[i] for i in _OCCUPIED[s.orbitals])
+        if w != 0.0:
+            out[s] = a * w
+    return ManyBodyVector(out)
+
+
+def _apply_terms(v: ManyBodyVector, hops: _Hops) -> ManyBodyVector:
     """Sum of one-body terms coeff * c^dag(dst) c(src) applied to v."""
-    out = ManyBodyVector()
-    for coeff, dst, src in hops:
-        out = out + coeff * create(annihilate(v, src), dst)
-    return out
+    return combine((coeff, create(annihilate(v, src), dst)) for coeff, dst, src in hops)
 
 
-def _p_ladder_hops(direction: int, spin_flip: tuple[Spin, Spin] | None
-                   ) -> list[tuple[complex, SpinOrbital, SpinOrbital]]:
-    """Hops for l+/l- (direction +1/-1) on 2p, optionally with a spin flip."""
-    hops = []
-    for m in (-1, 0, 1):
-        m2 = m + direction
-        if m2 not in (-1, 0, 1):
-            continue
-        # l=1 ladder matrix element sqrt(2 - m(m+dir)) = sqrt(2) for every step
-        for spin in (Spin.UP, Spin.DOWN):
-            if spin_flip is not None and spin is not spin_flip[0]:
-                continue
-            dst_spin = spin if spin_flip is None else spin_flip[1]
-            hops.append((_SQRT2, _p(m2, dst_spin), _p(m, spin)))
-    return hops
+@cache
+def _p_ladder_hops(direction: int, spin_flip: tuple[Spin, Spin] | None) -> _Hops:
+    """Hops for l+/l- (direction +1/-1) on 2p, optionally with a spin flip.
+
+    The l = 1 ladder element sqrt(2 - m(m + direction)) is sqrt(2) for every step.
+    """
+    spins = tuple((s, s) for s in Spin) if spin_flip is None else (spin_flip,)
+    return tuple((_SQRT2, _p(m + direction, dst), _p(m, src))
+                 for m in (-1, 0, 1) if m + direction in (-1, 0, 1)
+                 for src, dst in spins)
 
 
-def _spin_ladder_hops(shells: tuple[Shell, ...], raise_spin: bool
-                      ) -> list[tuple[complex, SpinOrbital, SpinOrbital]]:
+@cache
+def _spin_ladder_hops(shells: tuple[Shell, ...], raise_spin: bool) -> _Hops:
     """S+ (or S-) summed over the given shells."""
     src_spin, dst_spin = (Spin.DOWN, Spin.UP) if raise_spin else (Spin.UP, Spin.DOWN)
-    hops = []
-    for o in ORBITALS:
-        if o.shell in shells and o.spin is src_spin:
-            hops.append((1.0, SpinOrbital(o.shell, o.m, dst_spin), o))
-    return hops
-
-
-def _apply_sz_shell(v: ManyBodyVector, shell: Shell) -> ManyBodyVector:
-    out = ManyBodyVector()
-    for s, a in v.terms():
-        w = sum(0.5 * o.spin.twice_sz for o in ORBITALS if o.shell is shell and s.has(o))
-        if w != 0.0:
-            out = out + ManyBodyVector({s: a * w})
-    return out
+    return tuple((1.0, SpinOrbital(o.shell, o.m, dst_spin), o)
+                 for o in ORBITALS if o.shell in shells and o.spin is src_spin)
 
 
 def _apply_spin_orbit(v: ManyBodyVector) -> ManyBodyVector:
     """l.s of the 2p electron: l_z s_z + (l+ s- + l- s+)/2."""
-    lzsz = ManyBodyVector()
-    for s, a in v.terms():
-        w = sum(o.m * 0.5 * o.spin.twice_sz
-                for o in ORBITALS if o.shell is Shell.P2P and s.has(o))
-        if w != 0.0:
-            lzsz = lzsz + ManyBodyVector({s: a * w})
     up_flip = _apply_terms(v, _p_ladder_hops(+1, (Spin.UP, Spin.DOWN)))
     dn_flip = _apply_terms(v, _p_ladder_hops(-1, (Spin.DOWN, Spin.UP)))
-    return lzsz + 0.5 * up_flip + 0.5 * dn_flip
+    return _apply_diagonal(v, _LZSZ) + 0.5 * up_flip + 0.5 * dn_flip
 
 
 def _apply_exchange(v: ManyBodyVector) -> ManyBodyVector:
     """S_1s . S_2p = Sz Sz + (S+_1s S-_2p + S-_1s S+_2p)/2."""
-    zz = _apply_sz_shell(_apply_sz_shell(v, Shell.P2P), Shell.S1S)
+    zz = _apply_diagonal(_apply_diagonal(v, _SZ_SHELL[Shell.P2P]), _SZ_SHELL[Shell.S1S])
     s_up_p_dn = _apply_terms(_apply_terms(v, _spin_ladder_hops((Shell.P2P,), False)),
                              _spin_ladder_hops((Shell.S1S,), True))
     s_dn_p_up = _apply_terms(_apply_terms(v, _spin_ladder_hops((Shell.P2P,), True)),
@@ -232,78 +238,38 @@ def _apply_exchange(v: ManyBodyVector) -> ManyBodyVector:
 
 def apply_hamiltonian(params: ModelParams, v: ManyBodyVector) -> ManyBodyVector:
     """H applied to an arbitrary electron state (photon/photoelectron inert)."""
-    out = ManyBodyVector()
-    for s, a in v.terms():
-        e = params.eps_s * s.count(Shell.S1S) + params.eps_p * s.count(Shell.P2P)
-        if e != 0.0:
-            out = out + ManyBodyVector({s: a * e})
-    out = out + params.zeta * _apply_spin_orbit(v)
-    out = out + (-2.0 * params.G) * _apply_exchange(v)
-    return out
+    levels = tuple(params.eps_s if o.shell is Shell.S1S else params.eps_p for o in ORBITALS)
+    return (_apply_diagonal(v, levels) + params.zeta * _apply_spin_orbit(v)
+            + (-2.0 * params.G) * _apply_exchange(v))
 
 
-def _apply_jz(v: ManyBodyVector) -> ManyBodyVector:
-    out = ManyBodyVector()
-    for s, a in v.terms():
-        w = sum((o.m if o.shell is Shell.P2P else 0) + 0.5 * o.spin.twice_sz
-                for o in ORBITALS if s.has(o))
-        if w != 0.0:
-            out = out + ManyBodyVector({s: a * w})
-    return out
-
-
-def _apply_jpm(v: ManyBodyVector, raise_op: bool) -> ManyBodyVector:
-    direction = +1 if raise_op else -1
-    lpm = _apply_terms(v, _p_ladder_hops(direction, None))
-    spm = _apply_terms(v, _spin_ladder_hops((Shell.S1S, Shell.P2P), raise_op))
-    return lpm + spm
-
-
-def _apply_j_squared(v: ManyBodyVector) -> ManyBodyVector:
-    # J^2 = J- J+ + Jz^2 + Jz
-    jmjp = _apply_jpm(_apply_jpm(v, True), False)
-    jz = _apply_jz(v)
-    return jmjp + _apply_jz(jz) + jz
+def _apply_casimir(v: ManyBodyVector, raising: _Hops, lowering: _Hops,
+                   z_weights: tuple[float, ...]) -> ManyBodyVector:
+    """X^2 = X- X+ + Xz^2 + Xz of an angular momentum X from its ladder hops and Xz."""
+    z = _apply_diagonal(v, z_weights)
+    return _apply_terms(_apply_terms(v, raising), lowering) + _apply_diagonal(z, z_weights) + z
 
 
 def _operator_matrix(sub: Subspace, apply) -> np.ndarray:
-    dim = sub.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    images = [apply(basis_vector(b)) for b in sub.basis]
-    for col, img in enumerate(images):
-        for row, b in enumerate(sub.basis):
-            mat[row, col] = img.amplitude(b)
-    return mat
+    images = [apply(basis_vector(b)) for b in sub.basis]   # one per column
+    return np.array([[img.amplitude(b) for img in images] for b in sub.basis], dtype=complex)
 
 
 def j_squared_matrix(sub: Subspace) -> np.ndarray:
     """Total angular momentum J^2 of the electron system on the subspace."""
-    return _operator_matrix(sub, _apply_j_squared)
+    j_plus = _p_ladder_hops(+1, None) + _spin_ladder_hops(_BOTH_SHELLS, True)
+    j_minus = _p_ladder_hops(-1, None) + _spin_ladder_hops(_BOTH_SHELLS, False)
+    return _operator_matrix(sub, lambda v: _apply_casimir(v, j_plus, j_minus, _JZ))
 
 
 def jz_matrix(sub: Subspace) -> np.ndarray:
-    return _operator_matrix(sub, _apply_jz)
+    return _operator_matrix(sub, lambda v: _apply_diagonal(v, _JZ))
 
 
 def s_squared_matrix(sub: Subspace) -> np.ndarray:
     """Total spin S^2 of the electron system on the subspace."""
-
-    def apply(v: ManyBodyVector) -> ManyBodyVector:
-        smsp = _apply_terms(_apply_terms(v, _spin_ladder_hops((Shell.S1S, Shell.P2P), True)),
-                            _spin_ladder_hops((Shell.S1S, Shell.P2P), False))
-        sz = _apply_total_sz(v)
-        return smsp + _apply_total_sz(sz) + sz
-
-    return _operator_matrix(sub, apply)
-
-
-def _apply_total_sz(v: ManyBodyVector) -> ManyBodyVector:
-    out = ManyBodyVector()
-    for s, a in v.terms():
-        w = sum(0.5 * o.spin.twice_sz for o in ORBITALS if s.has(o))
-        if w != 0.0:
-            out = out + ManyBodyVector({s: a * w})
-    return out
+    s_plus, s_minus = (_spin_ladder_hops(_BOTH_SHELLS, r) for r in (True, False))
+    return _operator_matrix(sub, lambda v: _apply_casimir(v, s_plus, s_minus, _SZ))
 
 
 def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
@@ -338,12 +304,7 @@ def _resolve_clusters(w: np.ndarray, v: np.ndarray, operators: list[np.ndarray]
     deterministic and the labels sharp even at accidental degeneracies.
     """
     scale = max(1.0, float(np.max(np.abs(w))))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][0]] <= _DEGENERACY_TOL * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    groups = _runs(w, list(range(len(w))), _DEGENERACY_TOL * scale)
     for op in operators:
         next_groups: list[list[int]] = []
         for g in groups:
@@ -355,13 +316,19 @@ def _resolve_clusters(w: np.ndarray, v: np.ndarray, operators: list[np.ndarray]
             vals, rot = np.linalg.eigh(0.5 * (sub_op + sub_op.conj().T))
             v[:, g] = block @ rot
             # split the group by the new labels for the next operator pass
-            start = 0
-            for k in range(1, len(g) + 1):
-                if k == len(g) or vals[k] - vals[start] > 1e-6:
-                    next_groups.append(g[start:k])
-                    start = k
+            next_groups += _runs(vals, g, 1e-6)
         groups = next_groups
     return v
+
+
+def _runs(values: np.ndarray, indices: list[int], tol: float) -> list[list[int]]:
+    """Split ``indices`` (``values`` ascending) into runs within ``tol`` of their first value."""
+    runs, start = [], 0
+    for k in range(1, len(indices) + 1):
+        if k == len(indices) or values[k] - values[start] > tol:
+            runs.append(indices[start:k])
+            start = k
+    return runs
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -377,8 +344,8 @@ def _j_label_from_expectation(x: float) -> HalfInt:
     twice_j = round(2.0 * ((-1.0 + sqrt(1.0 + 4.0 * x)) / 2.0))
     j = HalfInt(twice_j)
     expected = float(j.value * (j.value + 1))
-    if abs(x - expected) > _J_LABEL_TOL:
-        raise ValueError(f"<J^2> = {x} is not j(j+1) for any half-integer j")
+    if not abs(x - expected) <= _J_LABEL_TOL:
+        raise DomainError(f"<J^2> = {x} is not j(j+1) for any half-integer j")
     return j
 
 
@@ -387,10 +354,13 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
 
     Degenerate levels are resolved along J^2 and then S^2 so the eigenbasis
     and its labels stay deterministic in the zeta -> 0 and G -> 0 limits.
+    The eigen-residual is checked relative to the scale max(1, max|H|).
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (sub.dim, sub.dim):
         raise ValueError("matrix does not match the subspace dimension")
+    if not np.all(np.isfinite(H)):
+        raise DomainError("Hamiltonian matrix is not finite")
     if np.max(np.abs(H - H.conj().T)) > _HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
 
@@ -401,8 +371,8 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     v = _fix_phases(v)
 
     residual = np.max(np.abs(H @ v - v * w[np.newaxis, :]))
-    if residual > _RESIDUAL_TOL:
-        raise ValueError(f"eigenvector residual {residual:.3e} too large")
+    if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H)))):
+        raise DomainError(f"eigenvector residual {residual:.3e} too large")
 
     labels = []
     for i in range(sub.dim):
@@ -416,22 +386,31 @@ def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> E
     return diagonalize(build_hamiltonian(params, sub), sub)
 
 
+def closed_shell() -> ManyBodyVector:
+    """The closed 1s^2 shell s^dag_up s^dag_down |0>, the core of |g> and |f>."""
+    return create(create(vacuum(), _S_DN), _S_UP)
+
+
 def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
     """The ground state with (J, M) = (1/2, 1/2) plus one incident photon.
 
     Returns the normalized many-body vector and its electron energy E_g.
     The state is verified to be an eigenvector of the Hamiltonian on the
-    initial subspace.
+    initial subspace, relative to the largest energy parameter.
     """
-    # nested creations apply right-to-left: this is s+_up s+_down |0>
-    core = create(create(vacuum(), _S_DN), _S_UP)
-    sp_part = sqrt(2.0 / 3.0) * create(core, _p(1, Spin.DOWN)) \
-        - sqrt(1.0 / 3.0) * create(core, _p(0, Spin.UP))
-
+    core = closed_shell()
+    sp_part = combine((coeff, create(core, _p(ml.twice_value // 2, _SPIN_OF[ms.twice_value])))
+                      for (ml, ms), coeff in _J_HALF.items())
     h_sp = apply_hamiltonian(params, sp_part)
     energy = inner(sp_part, h_sp).real
-    residual = (h_sp - energy * sp_part).norm()
-    if residual > _RESIDUAL_TOL:
-        raise ValueError("initial state is not an eigenvector of the model Hamiltonian")
-
+    scale = max(1.0, abs(params.G), abs(params.zeta), abs(params.eps_s), abs(params.eps_p))
+    residual = ((h_sp - energy * sp_part) * (1.0 / scale)).norm()
+    if not residual <= _RESIDUAL_TOL:
+        raise DomainError("initial state is not an eigenvector of the Hamiltonian")
     return create_photon(sp_part, PhotonMode.INCIDENT), energy
+
+
+def final_state_energy(params: ModelParams) -> float:
+    """Energy of the closed-shell electron final state, computed mechanically."""
+    closed = closed_shell()
+    return inner(closed, apply_hamiltonian(params, closed)).real

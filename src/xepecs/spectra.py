@@ -15,9 +15,9 @@ from math import pi
 import numpy as np
 
 from .angular import HalfInt
-from .fockspace import Shell, Spin, SpinOrbital, create, inner, vacuum
+from .fockspace import Spin
 from .amplitudes import calculator, channel_label
-from .model import ModelParams, apply_hamiltonian
+from .model import DomainError, ModelParams, final_state_energy
 from .polarization import EmissionGeometry
 
 __all__ = [
@@ -49,7 +49,7 @@ class LineSpectrum:
     def __post_init__(self):
         for line in self.lines:
             if not np.isfinite(line.position) or line.weight < 0:
-                raise ValueError("lines need finite positions and non-negative weights")
+                raise DomainError("lines need finite positions and non-negative weights")
 
     def total_weight(self) -> float:
         return sum(line.weight for line in self.lines)
@@ -110,13 +110,6 @@ def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
     return SpectrumSeries(grid, intensity, channel)
 
 
-def final_state_energy(params: ModelParams) -> float:
-    """Energy of the closed-shell electron final state, computed mechanically."""
-    closed = create(create(vacuum(), SpinOrbital(Shell.S1S, 0, Spin.DOWN)),
-                    SpinOrbital(Shell.S1S, 0, Spin.UP))
-    return inner(closed, apply_hamiltonian(params, closed)).real
-
-
 def default_xps_grid() -> np.ndarray:
     """Kinetic energies 5.0 .. 8.0 eV in 0.005 eV steps."""
     return np.linspace(5.0, 8.0, 601)
@@ -138,7 +131,7 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     """
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
-    omega0 = params.Omega + calc.E_g - epsilon - final_state_energy(params)
+    omega0 = params.Omega + calc.E_g - epsilon - calc.E_f
     if grid is None:
         grid = default_emission_grid(omega0)
     label = channel_label(channel)

@@ -251,3 +251,70 @@ class TestNonFiniteAndOversizedInputs:
         code, err = self.main(argv, tmp_path, monkeypatch, capsys)
         assert code == 2
         assert err.startswith("config error: theta:")
+
+
+class TestDomainAndOutputErrors:
+    """Large parameters, bad output paths, non-orthogonal analyzers, format lists (in process)."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+
+    @staticmethod
+    def config(tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        return str(cfg)
+
+    @pytest.mark.parametrize("text", ['{"G": 1e6}', '{"eps_s": -1e6}', '{"G": 1e12}',
+                                      '{"eps_s": -1e10}'])
+    def test_large_finite_parameters_run(self, tmp_path, monkeypatch, capsys, text):
+        argv = ["entropy", "--theta", "0:90:90", "--config", self.config(tmp_path, text)]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        _, data = read_csv(tmp_path / "entropy.csv")
+        assert data[1, 1] == pytest.approx(1.0, abs=1e-10)
+        assert data[0, 1] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("text,named", [
+        ('{"G": 1e308, "zeta": 1e308}', ("G=1e+308", "zeta=1e+308")),
+        ('{"zeta": 1e9}', ("zeta=1000000000.0",)),
+    ])
+    def test_out_of_domain_parameters_exit_3(self, tmp_path, monkeypatch, capsys, text, named):
+        for command in ("rho", "xps"):
+            argv = [command, "--config", self.config(tmp_path, text)]
+            code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+            assert code == 3
+            assert err.startswith("domain error: ModelParams(")
+            assert all(field in err for field in named)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("out", ["missing/rho.json", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        code, err = self.main(["rho", "--out", out], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("config error: out:")
+
+    def test_non_orthogonal_polarization_pair_rejected(self, tmp_path, monkeypatch, capsys):
+        argv = ["entropy", "--theta", "57", "--beta2", "150"]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("config error: beta2:")
+        cfg = self.config(tmp_path, '{"beta1_deg": 10.0, "beta2_deg": 80.0}')
+        code, err = self.main(["rho", "--config", cfg], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("config error: beta2:")
+        # a rotated orthogonal pair is accepted
+        argv = ["entropy", "--theta", "57", "--beta1", "30", "--beta2", "120"]
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+
+    def test_format_choices_and_defaults_come_from_one_table(self, tmp_path, monkeypatch,
+                                                             capsys):
+        for command, formats in cli._FORMATS.items():
+            args = cli._build_parser().parse_args([command])
+            assert args.format == formats[0]
+        assert cli._FORMATS["rho"][0] == "json"
+        assert self.main(["rho", "--theta", "90"], tmp_path, monkeypatch, capsys)[0] == 0
+        assert (tmp_path / "rho.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rho", "--format", "svg"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err

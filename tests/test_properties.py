@@ -1,0 +1,106 @@
+"""Property-based invariants of the model over bounded physical parameters.
+
+Draws include exact G = 0 and zeta = 0, where levels are degenerate and the
+cluster resolution of ``diagonalize`` carries the labels. Examples are
+derandomized, so every run checks the same inputs.
+"""
+
+from math import cos, log2, radians
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xepecs.amplitudes import xepecs_amplitudes
+from xepecs.entanglement import closed_form_state, entangled_state, entropy_sweep
+from xepecs.fockspace import Spin
+from xepecs.model import (
+    ModelParams,
+    SubspaceLabel,
+    build_hamiltonian,
+    intermediate_eigensystem,
+    j_squared_matrix,
+    jz_matrix,
+    s_squared_matrix,
+    subspace,
+)
+from xepecs.polarization import EmissionGeometry
+
+ENTROPY_TOL = 1e-9
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+params_st = st.builds(
+    ModelParams,
+    G=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    zeta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    eps_s=st.floats(-20.0, -10.0),
+    eps_p=st.floats(-8.0, -3.0),
+    Omega=st.floats(15.0, 30.0),
+    Gamma_1s=st.floats(0.1, 1.0),
+)
+epsilon_st = st.floats(4.0, 9.0)
+angle_st = st.floats(0.0, 360.0)
+theta_st = st.floats(0.0, 180.0)
+
+
+def oracle(theta_deg):
+    c = abs(cos(radians(theta_deg)))
+    return -sum(x * log2(x) for x in ((1.0 + c) / 2.0, (1.0 - c) / 2.0) if x > 0.0)
+
+
+def geometry(phi, beta1):
+    return EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + 90.0)
+
+
+@SETTINGS
+@given(params_st, epsilon_st, angle_st, angle_st, st.lists(theta_st, max_size=5))
+def test_entropy_oracle(params, epsilon, phi, beta1, thetas):
+    thetas = [0.0, 90.0, 180.0] + thetas
+    curve = entropy_sweep(params, geometry(phi, beta1), thetas, epsilon)
+    assert abs(curve.entropy[1] - 1.0) <= ENTROPY_TOL
+    assert abs(curve.entropy[0]) <= ENTROPY_TOL and abs(curve.entropy[2]) <= ENTROPY_TOL
+    for theta, s in zip(thetas, curve.entropy):
+        assert abs(s - oracle(theta)) <= ENTROPY_TOL
+
+
+@SETTINGS
+@given(params_st, theta_st, epsilon_st, epsilon_st, angle_st, angle_st, angle_st, angle_st)
+def test_entropy_independent_of_epsilon_phi_and_pair_rotation(params, theta, eps1, eps2,
+                                                              phi1, phi2, beta1, beta2):
+    s1 = entropy_sweep(params, geometry(phi1, beta1), [theta], eps1).entropy[0]
+    s2 = entropy_sweep(params, geometry(phi2, beta2), [theta], eps2).entropy[0]
+    assert abs(s1 - s2) <= ENTROPY_TOL
+
+
+@SETTINGS
+@given(params_st, theta_st, angle_st, epsilon_st)
+def test_fidelity_with_closed_form(params, theta, phi, epsilon):
+    geom = EmissionGeometry.from_degrees(theta, phi, 90.0, 180.0)
+    state = entangled_state(xepecs_amplitudes(params, geom, epsilon))
+    assert abs(state.fidelity(closed_form_state(geom)) - 1.0) <= ENTROPY_TOL
+
+
+@SETTINGS
+@given(params_st)
+def test_operators_hermitian_and_commuting(params):
+    for label in SubspaceLabel:
+        sub = subspace(label)
+        H = build_hamiltonian(params, sub)
+        jsq, jz, ssq = j_squared_matrix(sub), jz_matrix(sub), s_squared_matrix(sub)
+        for op in (H, jsq, ssq):
+            assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+        for op in (jsq, jz):
+            assert np.max(np.abs(H @ op - op @ H)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
+
+
+@SETTINGS
+@given(params_st)
+def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
+    for sigma in Spin:
+        eig = intermediate_eigensystem(params, sigma)
+        jsq = j_squared_matrix(eig.subspace)
+        for i, j in enumerate(eig.j_labels):
+            assert j.is_integer
+            x = float(np.real(eig.vectors[:, i].conj() @ jsq @ eig.vectors[:, i]))
+            assert abs(x - float(j.value * (j.value + 1))) <= 1e-8
