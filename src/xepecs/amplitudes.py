@@ -23,9 +23,11 @@ intermediate subspace the 3 x dim matrix
 
     D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b>
 
-over the basis states b. Once per ``ModelParams`` the calculator folds D_sigma
-with the eigenvectors and the photoemission elements into one 3-vector per
-spin and kinetic energy,
+over the basis states b, and the photoemission components
+c_sigma[b] = <b| c^dag_(eps sigma) s_sigma a |g> of the parameter-independent
+ground state. Once per ``ModelParams`` the calculator forms the photoemission
+elements pe_sigma = V_sigma^dag c_sigma and folds D_sigma with the
+eigenvectors and pe_sigma into one 3-vector per spin and kinetic energy,
 
     t_sigma[q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / denom_sigma[i],
 
@@ -66,6 +68,7 @@ from .model import (
     SubspaceLabel,
     closed_shell,
     final_state_energy,
+    ground_state,
     initial_state,
     intermediate_eigensystem,
     intermediate_subspace,
@@ -116,6 +119,24 @@ def channel_label(channel: tuple[Spin, int]) -> str:
     return _LABELS[channel]
 
 
+def _photoemission_components(g: ManyBodyVector, sigma: Spin) -> np.ndarray:
+    """<b| c^dag_(eps sigma) s_sigma a |g> over the intermediate basis states b."""
+    w = annihilate_photon(g, PhotonMode.INCIDENT)
+    w = annihilate(w, SpinOrbital(Shell.S1S, 0, sigma))
+    w = create_photoelectron(w, sigma)
+    w = PHOTOEMISSION_VERTEX * w
+    return np.array([inner(create_photoelectron(basis_vector(b), sigma), w)
+                     for b in intermediate_subspace(sigma).basis])
+
+
+@cache
+def _ground_components(sigma: Spin) -> np.ndarray:
+    """``_photoemission_components`` of the ground state (read-only), built once."""
+    components = _photoemission_components(ground_state(), sigma)
+    components.flags.writeable = False
+    return components
+
+
 def photoemission_elements(g: ManyBodyVector, eig: EigenSystem, sigma: Spin) -> np.ndarray:
     """<i_sigma| c^dag_(eps sigma) s_sigma a |g> for every eigenstate i.
 
@@ -127,15 +148,7 @@ def photoemission_elements(g: ManyBodyVector, eig: EigenSystem, sigma: Spin) -> 
             f"eigensystem over {eig.subspace.label.value} does not match "
             f"photoelectron spin {sigma}"
         )
-    w = annihilate_photon(g, PhotonMode.INCIDENT)
-    w = annihilate(w, SpinOrbital(Shell.S1S, 0, sigma))
-    w = create_photoelectron(w, sigma)
-    w = PHOTOEMISSION_VERTEX * w
-
-    components = np.array(
-        [inner(create_photoelectron(basis_vector(b), sigma), w) for b in eig.subspace.basis]
-    )
-    return eig.vectors.conj().T @ components
+    return eig.vectors.conj().T @ _photoemission_components(g, sigma)
 
 
 def _apply_mph(v: ManyBodyVector, alphas: dict[int, tuple[complex, complex, complex]]
@@ -251,26 +264,27 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The initial state with E_g, the final-state energy E_f, the intermediate
+    The initial-state energy E_g, the final-state energy E_f, the intermediate
     eigensystems, the photoemission elements and the emission matrices
     D_sigma V_sigma over the eigenstates are computed once on construction
-    and stored read-only. Per kinetic energy, ``spin_vectors`` does the
-    resonant sum; per geometry, the amplitudes are a contraction of those
-    vectors with the polarization components, for one angle or for an array
-    of them. A model that leaves the domain raises ``DomainError`` naming
-    the parameter set.
+    and stored read-only. None of this runs the Fock-space operators: their
+    work is cached per process in ``model`` and in this module. Per kinetic
+    energy, ``spin_vectors`` does the resonant sum; per geometry, the
+    amplitudes are a contraction of those vectors with the polarization
+    components, for one angle or for an array of them. A model that leaves
+    the domain raises ``DomainError`` naming the parameter set.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         try:
-            self.initial, self.E_g = initial_state(params)
+            _, self.E_g = initial_state(params)
             self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
         self.pe_elements = {
-            sigma: photoemission_elements(self.initial, eig, sigma)
+            sigma: eig.vectors.conj().T @ _ground_components(sigma)
             for sigma, eig in self.eigensystems.items()
         }
         self.emission = {

@@ -12,6 +12,14 @@ intermediate states. Matrix elements are evaluated mechanically through the
 fockspace operators rather than by hand, with two helpers: one applies a sum
 of one-body hops c^dag(dst) c(src), the other a diagonal sum_o w_o n_o with
 one weight per canonical orbital (level energies, s_z, j_z and l_z s_z).
+
+H is linear in its four energies, so the Fock-space work is done once per
+process and subspace: the matrices of the four terms n_1s, n_2p, l.s and
+S_1s . S_2p, and of J^2 and S^2, are built on first use and kept read-only.
+A parameter set then costs a weighted sum of 4 x 4 (or smaller) matrices and
+their eigendecomposition. The initial state and the closed 1s shell do not
+depend on the parameters either: E_g is read off the 2 x 2 initial-subspace
+H, and E_f from the closed-shell expectations of the four terms.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize",
     "intermediate_eigensystem",
+    "ground_state",
     "initial_state",
     "closed_shell",
     "final_state_energy",
@@ -236,11 +245,19 @@ def _apply_exchange(v: ManyBodyVector) -> ManyBodyVector:
     return zz + 0.5 * s_up_p_dn + 0.5 * s_dn_p_up
 
 
-def apply_hamiltonian(params: ModelParams, v: ManyBodyVector) -> ManyBodyVector:
-    """H applied to an arbitrary electron state (photon/photoelectron inert)."""
-    levels = tuple(params.eps_s if o.shell is Shell.S1S else params.eps_p for o in ORBITALS)
-    return (_apply_diagonal(v, levels) + params.zeta * _apply_spin_orbit(v)
-            + (-2.0 * params.G) * _apply_exchange(v))
+# the four terms of H, in the order of the weights from ``_energies``
+_N_SHELL = {shell: tuple(1.0 if o.shell is shell else 0.0 for o in ORBITALS) for shell in Shell}
+_TERMS = (
+    lambda v: _apply_diagonal(v, _N_SHELL[Shell.S1S]),
+    lambda v: _apply_diagonal(v, _N_SHELL[Shell.P2P]),
+    _apply_spin_orbit,
+    _apply_exchange,
+)
+
+
+def _energies(params: ModelParams) -> tuple[float, float, float, float]:
+    """Weights of the terms n_1s, n_2p, l.s and S_1s . S_2p in H."""
+    return (params.eps_s, params.eps_p, params.zeta, -2.0 * params.G)
 
 
 def _apply_casimir(v: ManyBodyVector, raising: _Hops, lowering: _Hops,
@@ -255,11 +272,30 @@ def _operator_matrix(sub: Subspace, apply) -> np.ndarray:
     return np.array([[img.amplitude(b) for img in images] for b in sub.basis], dtype=complex)
 
 
-def j_squared_matrix(sub: Subspace) -> np.ndarray:
-    """Total angular momentum J^2 of the electron system on the subspace."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, J^2, S^2) on ``sub``, built once through the Fock-space operators.
+
+    ``terms[k]`` is the matrix of the k-th term of H, weighted by the k-th
+    entry of ``_energies``. All three arrays are read-only.
+    """
     j_plus = _p_ladder_hops(+1, None) + _spin_ladder_hops(_BOTH_SHELLS, True)
     j_minus = _p_ladder_hops(-1, None) + _spin_ladder_hops(_BOTH_SHELLS, False)
-    return _operator_matrix(sub, lambda v: _apply_casimir(v, j_plus, j_minus, _JZ))
+    s_plus, s_minus = (_spin_ladder_hops(_BOTH_SHELLS, r) for r in (True, False))
+    terms = np.array([_operator_matrix(sub, apply) for apply in _TERMS])
+    jsq = _operator_matrix(sub, lambda v: _apply_casimir(v, j_plus, j_minus, _JZ))
+    ssq = _operator_matrix(sub, lambda v: _apply_casimir(v, s_plus, s_minus, _SZ))
+    return _read_only(terms), _read_only(jsq), _read_only(ssq)
+
+
+def j_squared_matrix(sub: Subspace) -> np.ndarray:
+    """Total angular momentum J^2 of the electron system on the subspace (read-only)."""
+    return _subspace_operators(sub)[1]
 
 
 def jz_matrix(sub: Subspace) -> np.ndarray:
@@ -267,14 +303,21 @@ def jz_matrix(sub: Subspace) -> np.ndarray:
 
 
 def s_squared_matrix(sub: Subspace) -> np.ndarray:
-    """Total spin S^2 of the electron system on the subspace."""
-    s_plus, s_minus = (_spin_ladder_hops(_BOTH_SHELLS, r) for r in (True, False))
-    return _operator_matrix(sub, lambda v: _apply_casimir(v, s_plus, s_minus, _SZ))
+    """Total spin S^2 of the electron system on the subspace (read-only)."""
+    return _subspace_operators(sub)[2]
 
 
 def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
-    """Hermitian Hamiltonian matrix over the subspace basis."""
-    return _operator_matrix(sub, lambda v: apply_hamiltonian(params, v))
+    """Hermitian Hamiltonian matrix over the subspace basis: the cached term
+    matrices weighted by the energies. Raises DomainError if the sum overflows."""
+    terms = _subspace_operators(sub)[0]
+    e_s, e_p, so, ex = _energies(params)
+    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = e_s * terms[0] + e_p * terms[1] + so * terms[2] + ex * terms[3]
+    if not np.all(np.isfinite(H)):
+        raise DomainError("Hamiltonian matrix is not finite")
+    return H
 
 
 @dataclass(frozen=True)
@@ -332,21 +375,19 @@ def _runs(values: np.ndarray, indices: list[int], tol: float) -> list[list[int]]
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    for i in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, i])))
-        pivot = v[k, i]
-        if abs(pivot) > 0:
-            v[:, i] *= pivot.conjugate() / abs(pivot)
+    """Rotate each column so that its largest component is real and positive."""
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    size = np.abs(pivots)
+    v *= np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 0)
     return v
 
 
 def _j_label_from_expectation(x: float) -> HalfInt:
     twice_j = round(2.0 * ((-1.0 + sqrt(1.0 + 4.0 * x)) / 2.0))
-    j = HalfInt(twice_j)
-    expected = float(j.value * (j.value + 1))
+    expected = twice_j * (twice_j + 2) / 4.0   # j (j + 1), exact in floating point
     if not abs(x - expected) <= _J_LABEL_TOL:
         raise DomainError(f"<J^2> = {x} is not j(j+1) for any half-integer j")
-    return j
+    return HalfInt(twice_j)
 
 
 def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
@@ -374,11 +415,9 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H)))):
         raise DomainError(f"eigenvector residual {residual:.3e} too large")
 
-    labels = []
-    for i in range(sub.dim):
-        x = float(np.real(v[:, i].conj() @ jsq @ v[:, i]))
-        labels.append(_j_label_from_expectation(x))
-    return EigenSystem(w, v, tuple(labels), sub)
+    expectations = np.einsum("ij,ij->j", v.conj(), jsq @ v).real   # <J^2> per eigenvector
+    labels = tuple(_j_label_from_expectation(float(x)) for x in expectations)
+    return EigenSystem(w, v, labels, sub)
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
@@ -391,6 +430,26 @@ def closed_shell() -> ManyBodyVector:
     return create(create(vacuum(), _S_DN), _S_UP)
 
 
+@cache
+def _ground() -> tuple[ManyBodyVector, np.ndarray]:
+    """The ground state with one incident photon, and the components of its
+    electron part over the initial-subspace basis (read-only)."""
+    core = closed_shell()
+    electrons = combine((coeff, create(core, _p(ml.twice_value // 2, _SPIN_OF[ms.twice_value])))
+                        for (ml, ms), coeff in _J_HALF.items())
+    components = np.array([electrons.amplitude(b) for b in _BASES[SubspaceLabel.INITIAL]])
+    return create_photon(electrons, PhotonMode.INCIDENT), _read_only(components)
+
+
+def ground_state() -> ManyBodyVector:
+    """The (J, M) = (1/2, 1/2) ground state plus one incident photon.
+
+    The 2p electron is coupled to j = 1/2 with Clebsch-Gordan coefficients,
+    so the state does not depend on the model parameters.
+    """
+    return ManyBodyVector(dict(_ground()[0].terms()))
+
+
 def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
     """The ground state with (J, M) = (1/2, 1/2) plus one incident photon.
 
@@ -398,19 +457,36 @@ def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
     The state is verified to be an eigenvector of the Hamiltonian on the
     initial subspace, relative to the largest energy parameter.
     """
-    core = closed_shell()
-    sp_part = combine((coeff, create(core, _p(ml.twice_value // 2, _SPIN_OF[ms.twice_value])))
-                      for (ml, ms), coeff in _J_HALF.items())
-    h_sp = apply_hamiltonian(params, sp_part)
-    energy = inner(sp_part, h_sp).real
+    terms = _subspace_operators(subspace(SubspaceLabel.INITIAL))[0]
+    c = _ground()[1]
+    e_s, e_p, so, ex = _energies(params)
+    # H c term by term: the diagonal level energies are summed per basis
+    # state, and each coupling term acts on c before its weight, the rounding
+    # order of applying H to the state in Fock space
+    with np.errstate(over="ignore", invalid="ignore"):
+        hc = ((e_s * terms[0].diagonal() + e_p * terms[1].diagonal()) * c
+              + so * (terms[2] * c).sum(axis=1) + ex * (terms[3] * c).sum(axis=1))
+    if not np.all(np.isfinite(hc)):
+        raise DomainError("Hamiltonian matrix is not finite")
+    energy = float((c.conj() * hc).sum().real)
     scale = max(1.0, abs(params.G), abs(params.zeta), abs(params.eps_s), abs(params.eps_p))
-    residual = ((h_sp - energy * sp_part) * (1.0 / scale)).norm()
+    residual = np.linalg.norm((hc - energy * c) / scale)
     if not residual <= _RESIDUAL_TOL:
         raise DomainError("initial state is not an eigenvector of the Hamiltonian")
-    return create_photon(sp_part, PhotonMode.INCIDENT), energy
+    return ground_state(), energy
+
+
+@cache
+def _closed_shell_terms() -> tuple[float, ...]:
+    """<1s^2| term |1s^2> for the four terms of H."""
+    closed = closed_shell()
+    return tuple(inner(closed, apply(closed)).real for apply in _TERMS)
 
 
 def final_state_energy(params: ModelParams) -> float:
-    """Energy of the closed-shell electron final state, computed mechanically."""
-    closed = closed_shell()
-    return inner(closed, apply_hamiltonian(params, closed)).real
+    """Energy of the closed-shell electron final state, <1s^2| H |1s^2>.
+
+    Terms that vanish on the closed shell (all but n_1s) are left out, so an
+    overflowing weight on one of them does not turn E_f into NaN.
+    """
+    return sum(w * e for w, e in zip(_energies(params), _closed_shell_terms()) if e)

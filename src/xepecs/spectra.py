@@ -5,12 +5,18 @@ epsilon_i = Omega + E_g - E_i, and the emitted-photon line of the coincidence
 spectrum at omega_0 = Omega + E_g - epsilon - E_f with the unique closed-shell
 final state. Discrete lines are convolved with a unit-area Lorentzian whose
 ``width`` parameter is the half width at half maximum.
+
+Both default grids have a 0.005 eV step, and the emission grid spans 3 eV on
+either side of its line. A model or kinetic energy that puts a line where
+double precision cannot resolve that step (beyond about 3.5e13 eV) is a
+domain error naming the inputs, not a collapsed grid or an overflowing
+Lorentzian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import pi, ulp
 
 import numpy as np
 
@@ -32,6 +38,9 @@ __all__ = [
     "final_state_energy",
     "auto_epsilon",
 ]
+
+_GRID_STEP = 0.005             # eV, the step of both default grids
+_EMISSION_HALF_WIDTH = 3.0     # eV on either side of the emission line
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,17 @@ class SpectrumSeries:
             raise ValueError("intensity must be non-negative")
 
 
+def _resolved_lines(inputs: str, lines: list[SpectralLine]) -> LineSpectrum:
+    """``lines`` as a LineSpectrum, or a DomainError naming ``inputs`` if a
+    line (with an emission window around it) lies where the spacing of
+    doubles reaches the grid step, or is not finite."""
+    for line in lines:
+        if not ulp(abs(line.position) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
+            raise DomainError(f"{inputs}: line at {line.position:.6g} eV is beyond the "
+                              f"{_GRID_STEP} eV resolution of the spectrum grids")
+    return LineSpectrum(tuple(lines))
+
+
 def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     """Photoemission line spectrum for one photoelectron spin.
 
@@ -84,7 +104,7 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     calc = calculator(params)
     eig = calc.eigensystems[sigma]
     elements = calc.pe_elements[sigma]
-    lines = tuple(
+    lines = [
         SpectralLine(
             position=params.Omega + calc.E_g - float(e),
             weight=float(abs(el) ** 2),
@@ -92,8 +112,8 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
             channel=f"xps_{sigma.value}",
         )
         for e, el, j in zip(eig.energies, elements, eig.j_labels)
-    )
-    return LineSpectrum(lines)
+    ]
+    return _resolved_lines(repr(params), lines)
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
@@ -117,7 +137,7 @@ def default_xps_grid() -> np.ndarray:
 
 def default_emission_grid(center: float) -> np.ndarray:
     """Emitted-photon energies center +/- 3 eV in 0.005 eV steps."""
-    return center + np.linspace(-3.0, 3.0, 1201)
+    return center + np.linspace(-_EMISSION_HALF_WIDTH, _EMISSION_HALF_WIDTH, 1201)
 
 
 def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
@@ -132,11 +152,12 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
     omega0 = params.Omega + calc.E_g - epsilon - calc.E_f
+    label = channel_label(channel)
+    lines = _resolved_lines(f"{params!r}, epsilon={epsilon!r}",
+                            [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)])
     if grid is None:
         grid = default_emission_grid(omega0)
-    label = channel_label(channel)
-    line = SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)
-    return broaden(LineSpectrum((line,)), params.gamma, grid, channel=label)
+    return broaden(lines, params.gamma, grid, channel=label)
 
 
 def auto_epsilon(params: ModelParams) -> float:

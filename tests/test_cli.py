@@ -318,3 +318,31 @@ class TestDomainAndOutputErrors:
             cli.main(["rho", "--format", "svg"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+class TestLinesBeyondGridResolution:
+    """A line where doubles cannot resolve the 0.005 eV grid step exits 3, naming the inputs."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    @pytest.mark.parametrize("command,text,named", [
+        ("xepecs", '{"eps_p": 1e308}', "eps_p=1e+308"),
+        ("xepecs", '{"Omega": 1e308}', "Omega=1e+308"),
+        ("xps", '{"Omega": 1e308}', "Omega=1e+308"),
+        ("xepecs", '{"epsilon": 1e308}', "epsilon=1e+308"),
+    ])
+    def test_exit_3_naming_the_inputs(self, tmp_path, monkeypatch, capsys, command, text, named):
+        argv = [command, "--config", self.config(tmp_path, text)]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and named in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_fresh_interpreter_prints_one_line(self, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"Omega": 1e308}', encoding="utf-8")
+        result = run_cli(["xps", "--config", "cfg.json"], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("domain error: ModelParams(")
+        assert "Omega=1e+308" in result.stderr and result.stderr.count("\n") == 1

@@ -4,6 +4,8 @@ The production path contracts precomputed emission matrices with the
 polarization components; these tests hold it to the mechanical routes it
 replaced: ``dipole_block`` per geometry, and the single-state chain
 ``entangled_state`` -> ``reduce_to_spin`` -> ``von_neumann_entropy`` per angle.
+The model build is parameter-linear in the same way: after the first
+calculator of a process, a new parameter set runs no Fock-space operator.
 """
 
 import math
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xepecs import amplitudes, fockspace, model
 from xepecs.amplitudes import AmplitudeCalculator, calculator, dipole_block
 from xepecs.entanglement import (
     DomainError,
@@ -24,7 +27,7 @@ from xepecs.entanglement import (
     von_neumann_entropy,
 )
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams
+from xepecs.model import ModelParams, SubspaceLabel, build_hamiltonian, subspace
 from xepecs.polarization import (
     EmissionGeometry,
     polarization_components,
@@ -181,3 +184,46 @@ class TestCalculatorCache:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
         assert out.strip() == "0"
+
+
+class TestParameterLinearModel:
+    def test_new_parameters_run_no_fock_space_operator(self, monkeypatch):
+        AmplitudeCalculator(ModelParams())   # fills the per-process caches
+        calls = []
+
+        def counted(name):
+            original = getattr(fockspace, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_fermion", "_photon"):
+            monkeypatch.setattr(fockspace, name, counted(name))
+        calc = AmplitudeCalculator(ModelParams(G=0.42, zeta=0.17, eps_s=-12.5, eps_p=-4.5))
+        assert calls == []
+        assert calc.E_f == 2 * -12.5
+        # the counters do see Fock-space work that is not cached
+        model.closed_shell()
+        assert calls == ["_fermion", "_fermion"]
+
+    def test_cached_matrices_are_read_only(self):
+        AmplitudeCalculator(ModelParams())
+        arrays = [model._ground()[1]]
+        for label in SubspaceLabel:
+            sub = subspace(label)
+            arrays += list(model._subspace_operators(sub))
+            arrays += [model.j_squared_matrix(sub), model.s_squared_matrix(sub)]
+        arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+
+    @pytest.mark.parametrize("params", [ModelParams(G=1e308),
+                                        ModelParams(eps_s=1e308, eps_p=1e308)])
+    @pytest.mark.parametrize("label", list(SubspaceLabel))
+    def test_overflowing_sum_is_a_domain_error_without_warnings(self, params, label):
+        # runtime warnings are errors in this suite, so a numpy warning fails here
+        with pytest.raises(DomainError, match="not finite"):
+            build_hamiltonian(params, subspace(label))

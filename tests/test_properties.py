@@ -3,6 +3,10 @@
 Draws include exact G = 0 and zeta = 0, where levels are degenerate and the
 cluster resolution of ``diagonalize`` carries the labels. Examples are
 derandomized, so every run checks the same inputs.
+
+``fock_hamiltonian`` is the per-state Fock-space route that the cached,
+parameter-linear ``build_hamiltonian`` replaced; it is kept here as the
+reference.
 """
 
 from math import cos, log2, radians
@@ -11,13 +15,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xepecs.amplitudes import xepecs_amplitudes
-from xepecs.entanglement import closed_form_state, entangled_state, entropy_sweep
-from xepecs.fockspace import Spin
+from xepecs.amplitudes import calculator, photoemission_elements, xepecs_amplitudes
+from xepecs.entanglement import (
+    closed_form_state,
+    entangled_state,
+    entropy_sweep,
+    full_density_matrix,
+)
+from xepecs.fockspace import ORBITALS, Shell, Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
+    _apply_diagonal,
+    _apply_exchange,
+    _apply_spin_orbit,
+    _operator_matrix,
     build_hamiltonian,
+    initial_state,
     intermediate_eigensystem,
     j_squared_matrix,
     jz_matrix,
@@ -51,6 +65,17 @@ def oracle(theta_deg):
 
 def geometry(phi, beta1):
     return EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + 90.0)
+
+
+def fock_hamiltonian(params, sub):
+    """H applied to each basis state through the Fock-space operators."""
+    levels = tuple(params.eps_s if o.shell is Shell.S1S else params.eps_p for o in ORBITALS)
+
+    def apply(v):
+        return (_apply_diagonal(v, levels) + params.zeta * _apply_spin_orbit(v)
+                + (-2.0 * params.G) * _apply_exchange(v))
+
+    return _operator_matrix(sub, apply)
 
 
 @SETTINGS
@@ -104,3 +129,42 @@ def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
             assert j.is_integer
             x = float(np.real(eig.vectors[:, i].conj() @ jsq @ eig.vectors[:, i]))
             assert abs(x - float(j.value * (j.value + 1))) <= 1e-8
+
+
+@SETTINGS
+@given(params_st)
+def test_hamiltonian_equals_the_fock_space_route(params):
+    for label in SubspaceLabel:
+        sub = subspace(label)
+        H = build_hamiltonian(params, sub)
+        scale = max(1.0, np.max(np.abs(H)))
+        assert np.max(np.abs(H - fock_hamiltonian(params, sub))) <= 1e-15 * scale
+
+
+@SETTINGS
+@given(params_st)
+def test_photoemission_elements_equal_the_per_call_route(params):
+    calc = calculator(params)
+    g, _ = initial_state(params)
+    for sigma in Spin:
+        reference = photoemission_elements(g, calc.eigensystems[sigma], sigma)
+        assert np.max(np.abs(calc.pe_elements[sigma] - reference)) <= 1e-15
+
+
+@SETTINGS
+@given(params_st)
+def test_ground_energy_is_the_j_half_level(params):
+    _, energy = initial_state(params)
+    assert abs(energy - (2 * params.eps_s + params.eps_p - params.zeta)) <= 1e-12
+
+
+@SETTINGS
+@given(params_st, theta_st, angle_st, angle_st, epsilon_st)
+def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
+    geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta1 + 90.0)
+    m = full_density_matrix(entangled_state(xepecs_amplitudes(params, geom, epsilon))).matrix
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert abs(np.trace(m) - 1.0) <= 1e-12
+    eigenvalues = np.linalg.eigvalsh(m)
+    assert eigenvalues[0] >= -1e-12
+    assert abs(eigenvalues[-1] - 1.0) <= 1e-12 and np.all(np.abs(eigenvalues[:-1]) <= 1e-12)
