@@ -22,21 +22,8 @@ from .model import (
     intermediate_eigensystem,
     subspace,
 )
-from .polarization import (
-    EmissionGeometry,
-    PolarizationCoeffs,
-    alpha_coeffs,
-    basis_vectors,
-    polarization_vector,
-)
-from .amplitudes import (
-    AmplitudeCalculator,
-    AmplitudeSet,
-    DipoleBlock,
-    dipole_block,
-    photoemission_elements,
-    xepecs_amplitudes,
-)
+from .polarization import EmissionGeometry, basis_vectors, polarization_vector
+from .amplitudes import AmplitudeCalculator, AmplitudeSet, xepecs_amplitudes
 from .spectra import (
     LineSpectrum,
     SpectralLine,

@@ -10,16 +10,16 @@ lambda (second order):
                               * <i_sigma| c^dag_(eps sigma) s_sigma a |g>
                               / (Omega + E_g - E_i - epsilon + i Gamma_1s)
 
-Every bracket is evaluated mechanically through the fockspace operators. The
-radial dipole integral is set to 1; the photoemission vertex carries a
-constant 1/sqrt(2) so the total 1s removal strength summed over both spin
-channels is normalized to unity (only ratios and normalized states are
-observable here).
+Every bracket is evaluated mechanically through the fockspace operators, once
+per process. The radial dipole integral is set to 1; the photoemission
+vertex carries a constant 1/sqrt(2) so the total 1s removal strength summed
+over both spin channels is normalized to unity (only ratios and normalized
+states are observable here).
 
 M_ph is linear in the spherical components alpha_q (q = +1, 0, -1) of the
 emitted polarization vector, so the geometry enters only through a linear
-contraction. The Fock-space work is done once per process: for each
-intermediate subspace the 3 x dim matrix
+contraction. For each intermediate subspace the Fock-space layer builds the
+3 x dim matrix
 
     D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b>
 
@@ -62,9 +62,7 @@ from .fockspace import (
 )
 from .model import (
     DomainError,
-    EigenSystem,
     ModelParams,
-    Subspace,
     SubspaceLabel,
     closed_shell,
     final_state_energy,
@@ -74,20 +72,12 @@ from .model import (
     intermediate_subspace,
     subspace,
 )
-from .polarization import (
-    EmissionGeometry,
-    polarization_components,
-    polarization_vector,
-    spherical_components,
-)
+from .polarization import EmissionGeometry, polarization_components
 
 __all__ = [
     "CHANNELS",
     "channel_label",
-    "DipoleBlock",
     "AmplitudeSet",
-    "photoemission_elements",
-    "dipole_block",
     "xepecs_amplitudes",
     "AmplitudeCalculator",
     "calculator",
@@ -97,9 +87,6 @@ __all__ = [
 CHANNELS: tuple[tuple[Spin, int], ...] = (
     (Spin.UP, 1), (Spin.UP, 2), (Spin.DOWN, 1), (Spin.DOWN, 2),
 )
-
-_LABELS = {(Spin.UP, 1): "U1", (Spin.UP, 2): "U2",
-           (Spin.DOWN, 1): "D1", (Spin.DOWN, 2): "D2"}
 
 # Total 1s photoemission strength over both spin channels normalized to 1.
 PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
@@ -116,62 +103,21 @@ _CALCULATOR_CACHE_SIZE = 8
 
 def channel_label(channel: tuple[Spin, int]) -> str:
     """Short tag like 'U2' for a (spin, polarization) channel."""
-    return _LABELS[channel]
-
-
-def _photoemission_components(g: ManyBodyVector, sigma: Spin) -> np.ndarray:
-    """<b| c^dag_(eps sigma) s_sigma a |g> over the intermediate basis states b."""
-    w = annihilate_photon(g, PhotonMode.INCIDENT)
-    w = annihilate(w, SpinOrbital(Shell.S1S, 0, sigma))
-    w = create_photoelectron(w, sigma)
-    w = PHOTOEMISSION_VERTEX * w
-    return np.array([inner(create_photoelectron(basis_vector(b), sigma), w)
-                     for b in intermediate_subspace(sigma).basis])
+    sigma, lam = channel
+    return f"{'U' if sigma is Spin.UP else 'D'}{lam}"
 
 
 @cache
 def _ground_components(sigma: Spin) -> np.ndarray:
-    """``_photoemission_components`` of the ground state (read-only), built once."""
-    components = _photoemission_components(ground_state(), sigma)
+    """<b| c^dag_(eps sigma) s_sigma a |g> of the ground state g over the
+    intermediate basis states b (read-only), built once."""
+    w = annihilate_photon(ground_state(), PhotonMode.INCIDENT)
+    w = annihilate(w, SpinOrbital(Shell.S1S, 0, sigma))
+    w = PHOTOEMISSION_VERTEX * create_photoelectron(w, sigma)
+    components = np.array([inner(create_photoelectron(basis_vector(b), sigma), w)
+                           for b in intermediate_subspace(sigma).basis])
     components.flags.writeable = False
     return components
-
-
-def photoemission_elements(g: ManyBodyVector, eig: EigenSystem, sigma: Spin) -> np.ndarray:
-    """<i_sigma| c^dag_(eps sigma) s_sigma a |g> for every eigenstate i.
-
-    ``eig`` must be the intermediate eigensystem matching the photoelectron
-    spin (M = 0 for up, M = 1 for down).
-    """
-    if eig.subspace != intermediate_subspace(sigma):
-        raise ValueError(
-            f"eigensystem over {eig.subspace.label.value} does not match "
-            f"photoelectron spin {sigma}"
-        )
-    return eig.vectors.conj().T @ _photoemission_components(g, sigma)
-
-
-def _apply_mph(v: ManyBodyVector, alphas: dict[int, tuple[complex, complex, complex]]
-               ) -> ManyBodyVector:
-    """The 2p -> 1s photon-emission operator.
-
-    alphas[i] holds the spherical projections (q = +1, 0, -1) of polarization
-    vector i. Each term is d * b^dag_lambda s^dag_sigma p_(m sigma) with
-    d = _EMISSION_VERTEX[m] * alpha_(-m).
-    """
-    terms = []
-    for lam, alpha in alphas.items():
-        for m, vertex in _EMISSION_VERTEX.items():
-            d = vertex * alpha[1 + m]   # alpha_(-m): q = +1, 0, -1 sit at 0, 1, 2
-            if d == 0:
-                continue
-            for sigma in (Spin.UP, Spin.DOWN):
-                w = annihilate(v, SpinOrbital(Shell.P2P, m, sigma))
-                if len(w) == 0:
-                    continue
-                w = create(w, SpinOrbital(Shell.S1S, 0, sigma))
-                terms.append((d, create_photon(w, _EMITTED[lam])))
-    return combine(terms)
 
 
 def _final_state(sigma: Spin, lam: int) -> ManyBodyVector:
@@ -179,67 +125,31 @@ def _final_state(sigma: Spin, lam: int) -> ManyBodyVector:
     return create_photon(create_photoelectron(closed_shell(), sigma), _EMITTED[lam])
 
 
-def _emission_rows(sub: Subspace, alphas: dict[int, tuple[complex, complex, complex]]
-                   ) -> np.ndarray:
-    """<f_(sigma lambda)| M_ph |basis state> for each polarization lambda in alphas.
-
-    Rows follow the keys of ``alphas``, columns the subspace basis; the
-    photoelectron spin is the one matching the subspace.
-    """
-    sigma = Spin.UP if sub.label is SubspaceLabel.M0 else Spin.DOWN
-    block = np.zeros((len(alphas), sub.dim), dtype=complex)
-    for col, b in enumerate(sub.basis):
-        ket = create_photoelectron(basis_vector(b), sigma)
-        image = _apply_mph(ket, alphas)
-        for row, lam in enumerate(alphas):
-            block[row, col] = inner(_final_state(sigma, lam), image)
-    return block
-
-
-def dipole_block(geom: EmissionGeometry, sub: Subspace) -> np.ndarray:
-    """``_emission_rows`` for the two polarization vectors of ``geom``."""
-    alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
-    return _emission_rows(sub, alphas)
-
-
 @cache
 def _emission_basis(label: SubspaceLabel) -> np.ndarray:
     """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 (read-only, 3 x dim).
 
-    Built on first use, once per process, through the Fock-space operators.
-    The emitted photon mode only labels the final state, so the rows taken
-    with polarization 1 serve both polarizations.
+    M_ph(e_q) keeps the one vertex that alpha_q multiplies, d_m with m = -q,
+    and its terms b^dag s^dag_sigma p_(m sigma) over both spins sigma. Built
+    on first use, once per process, through the Fock-space operators. The
+    emitted photon mode only labels the final state, so the rows taken with
+    polarization 1 serve both polarizations.
     """
     sub = subspace(label)
-    unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    rows = np.vstack([_emission_rows(sub, {1: e}) for e in unit])
+    sigma = Spin.UP if label is SubspaceLabel.M0 else Spin.DOWN
+    final = _final_state(sigma, 1)
+    rows = np.zeros((3, sub.dim), dtype=complex)
+    for col, b in enumerate(sub.basis):
+        ket = create_photoelectron(basis_vector(b), sigma)
+        for row, m in enumerate((-1, 0, 1)):   # q = +1, 0, -1
+            terms = []
+            for s in Spin:
+                w = create(annihilate(ket, SpinOrbital(Shell.P2P, m, s)),
+                           SpinOrbital(Shell.S1S, 0, s))
+                terms.append((_EMISSION_VERTEX[m], create_photon(w, PhotonMode.EMITTED_1)))
+            rows[row, col] = inner(final, combine(terms))
     rows.flags.writeable = False
     return rows
-
-
-@dataclass(frozen=True)
-class DipoleBlock:
-    """Both spin blocks of the photon-emission matrix for one geometry.
-
-    The cross blocks (up final state from the M = 1 subspace and vice versa)
-    vanish identically, so only the two diagonal blocks are stored. Their
-    selection-rule zero columns are validated on construction.
-    """
-
-    up_block: np.ndarray    # 2 x 4, over the M = 0 basis
-    down_block: np.ndarray  # 2 x 3, over the M = 1 basis
-    geometry: EmissionGeometry
-
-    @classmethod
-    def from_geometry(cls, geom: EmissionGeometry) -> "DipoleBlock":
-        up = dipole_block(geom, intermediate_subspace(Spin.UP))
-        down = dipole_block(geom, intermediate_subspace(Spin.DOWN))
-        if np.max(np.abs(up[:, 1:3])) > 1e-14 or np.max(np.abs(down[:, 1])) > 1e-14:
-            raise RuntimeError("dipole selection-rule pattern violated")
-        return cls(up, down, geom)
-
-    def block(self, sigma: Spin) -> np.ndarray:
-        return self.up_block if sigma is Spin.UP else self.down_block
 
 
 @dataclass(frozen=True)
@@ -249,6 +159,7 @@ class AmplitudeSet:
     epsilon: float
     values: Mapping[tuple[Spin, int], complex]
     geometry: EmissionGeometry
+    params: ModelParams | None = None   # the model, where the calculator made the set
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
         return self.values[channel]
@@ -256,9 +167,6 @@ class AmplitudeSet:
     def vector(self) -> np.ndarray:
         """Amplitudes in (U1, U2, D1, D2) order."""
         return np.array([self.values[c] for c in CHANNELS])
-
-    def total_strength(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.values.values()))
 
 
 class AmplitudeCalculator:
@@ -320,15 +228,7 @@ class AmplitudeCalculator:
         summed = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
         values = {(sigma, lam): complex(summed[s, lam - 1])
                   for s, sigma in enumerate((Spin.UP, Spin.DOWN)) for lam in (1, 2)}
-        return AmplitudeSet(epsilon, values, geom)
-
-    def per_eigenstate_terms(self, geom: EmissionGeometry, epsilon: float, sigma: Spin
-                             ) -> np.ndarray:
-        """Individual resonance terms (lambda, i) before the sum over i."""
-        eig = self.eigensystems[sigma]
-        emission = dipole_block(geom, eig.subspace) @ eig.vectors
-        denom = self._resonance(sigma, epsilon)
-        return emission * self.pe_elements[sigma][np.newaxis, :] / denom[np.newaxis, :]
+        return AmplitudeSet(epsilon, values, geom, self.params)
 
 
 @lru_cache(maxsize=_CALCULATOR_CACHE_SIZE)

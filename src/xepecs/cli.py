@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .spectra import (
     xps_lines,
 )
 
-COMMANDS = ("xps", "xepecs", "rho", "entropy")
-
 _PARAM_KEYS = ("G", "zeta", "eps_s", "eps_p", "Omega", "Gamma_1s", "gamma")
 _ANGLE_KEYS = ("theta_deg", "phi_deg", "beta1_deg", "beta2_deg")
 _CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
@@ -48,13 +47,6 @@ MAX_THETAS = 200_001
 
 # largest |cos(beta1 - beta2)| accepted: the two analyzer axes must be orthogonal
 _ORTHOGONALITY_TOL = 1e-9
-
-# output formats per command, the default first
-_FORMATS = {"xps": ("csv", "json", "svg"),
-            "xepecs": ("csv", "json", "svg"),
-            "entropy": ("csv", "json", "svg"),
-            "rho": ("json", "csv")}
-
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
@@ -281,108 +273,95 @@ def _render_svg(title: str, xlabel: str, ylabel: str,
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _run_xps(config: RunConfig, spin: Spin, out: Path) -> None:
+def _curves(fmt: str, x_name: str, x: np.ndarray, curves: list[tuple[str, np.ndarray]],
+            svg_text: tuple[str, str, str], head: dict | None = None,
+            tail: dict | None = None) -> str:
+    """Named curves over one x axis as csv columns, json lists (the ``head``
+    entries right after the x axis, the ``tail`` entries last) or svg polylines
+    (``svg_text`` is the title and the two axis labels)."""
+    if fmt == "csv":
+        return _csv([x_name] + [n for n, _ in curves], [x] + [y for _, y in curves])
+    if fmt == "json":
+        payload = {x_name: [float(v) for v in x], **(head or {})}
+        payload.update({n: [float(v) for v in y] for n, y in curves})
+        return _json_dump({**payload, **(tail or {})})
+    return _render_svg(*svg_text, [(n, x, y) for n, y in curves])
+
+
+def _run_xps(config: RunConfig, spin: Spin) -> str:
     lines = xps_lines(config.params, spin)
     grid = default_xps_grid()
     series = broaden(lines, config.params.Gamma_1s, grid)
-    col = f"intensity_{spin.value}"
-    if config.format == "csv":
-        _write_text(out, _csv(["kinetic_energy_eV", col], [grid, series.intensity]))
-    elif config.format == "json":
-        payload = {
-            "kinetic_energy_eV": [float(x) for x in grid],
-            col: [float(y) for y in series.intensity],
-            "lines": [
-                {"kinetic_energy_eV": l.position, "weight": l.weight, "j": str(l.j)}
-                for l in lines.lines
-            ],
-        }
-        _write_text(out, _json_dump(payload))
-    else:
-        _write_text(out, _render_svg(f"1s photoemission ({spin.value}-spin)",
-                                     "kinetic energy (eV)", "intensity (1/eV)",
-                                     [(col, grid, series.intensity)]))
+    tail = {"lines": [{"kinetic_energy_eV": l.position, "weight": l.weight, "j": str(l.j)}
+                      for l in lines.lines]}
+    return _curves(config.format, "kinetic_energy_eV", grid,
+                   [(f"intensity_{spin.value}", series.intensity)],
+                   (f"1s photoemission ({spin.value}-spin)", "kinetic energy (eV)",
+                    "intensity (1/eV)"), tail=tail)
 
 
-def _run_xepecs(config: RunConfig, out: Path) -> None:
+def _run_xepecs(config: RunConfig, spin: Spin) -> str:
     epsilon = config.resolve_epsilon()
     geom = config.geometry()
-    columns = []
-    grid = None
+    curves, grid = [], None
     for channel in CHANNELS:
         series = xepecs_spectrum(config.params, geom, epsilon, channel, grid)
         grid = series.grid
-        columns.append((f"I_{channel_label(channel)}", series.intensity))
-    if config.format == "csv":
-        _write_text(out, _csv(["emission_energy_eV"] + [n for n, _ in columns],
-                              [grid] + [c for _, c in columns]))
-    elif config.format == "json":
-        payload = {"emission_energy_eV": [float(x) for x in grid],
-                   "epsilon_eV": float(epsilon)}
-        payload.update({n: [float(y) for y in c] for n, c in columns})
-        _write_text(out, _json_dump(payload))
-    else:
-        _write_text(out, _render_svg("coincidence emission spectra",
-                                     "emission energy (eV)", "intensity (1/eV)",
-                                     [(n, grid, c) for n, c in columns]))
+        curves.append((f"I_{channel_label(channel)}", series.intensity))
+    return _curves(config.format, "emission_energy_eV", grid, curves,
+                   ("coincidence emission spectra", "emission energy (eV)", "intensity (1/eV)"),
+                   head={"epsilon_eV": float(epsilon)})
 
 
-def _run_rho(config: RunConfig, out: Path) -> None:
+def _run_rho(config: RunConfig, spin: Spin) -> str:
     epsilon = config.resolve_epsilon()
     amps = xepecs_amplitudes(config.params, config.geometry(), epsilon)
     rho = full_density_matrix(entangled_state(amps))
-    if config.format == "json":
-        payload = {
-            "basis": list(rho.basis),
-            "theta_deg": config.thetas_deg[0],
-            "phi_deg": config.phi_deg,
-            "epsilon_eV": float(epsilon),
-            "matrix": [
-                [{"re": float(z.real), "im": float(z.imag)} for z in row]
-                for row in rho.matrix
-            ],
-        }
-        _write_text(out, _json_dump(payload))
-    else:
-        lines = ["row,col,re,im"]
-        for i in range(4):
-            for j in range(4):
-                z = rho.matrix[i, j]
-                lines.append(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
-        _write_text(out, "\n".join(lines) + "\n")
-
-
-def _run_entropy(config: RunConfig, out: Path) -> None:
-    epsilon = config.resolve_epsilon()
-    template = config.geometry(90.0)
-    curve = entropy_sweep(config.params, template, config.thetas_deg, epsilon)
-    thetas = np.array(curve.thetas)
-    entropy = np.array(curve.entropy)
     if config.format == "csv":
-        _write_text(out, _csv(["theta_deg", "entropy_bits"], [thetas, entropy]))
-    elif config.format == "json":
-        _write_text(out, _json_dump({"theta_deg": [float(t) for t in thetas],
-                                     "entropy_bits": [float(s) for s in entropy]}))
-    else:
-        _write_text(out, _render_svg("entanglement entropy vs emission angle",
-                                     "theta (deg)", "entropy (bits)",
-                                     [("entropy_bits", thetas, entropy)]))
+        rows = [f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}"
+                for (i, j), z in np.ndenumerate(rho.matrix)]
+        return "\n".join(["row,col,re,im"] + rows) + "\n"
+    return _json_dump({
+        "basis": list(rho.basis),
+        "theta_deg": config.thetas_deg[0],
+        "phi_deg": config.phi_deg,
+        "epsilon_eV": float(epsilon),
+        "matrix": [[{"re": float(z.real), "im": float(z.imag)} for z in row]
+                   for row in rho.matrix],
+    })
+
+
+def _run_entropy(config: RunConfig, spin: Spin) -> str:
+    epsilon = config.resolve_epsilon()
+    curve = entropy_sweep(config.params, config.geometry(90.0), config.thetas_deg, epsilon)
+    return _curves(config.format, "theta_deg", np.array(curve.thetas),
+                   [("entropy_bits", np.array(curve.entropy))],
+                   ("entanglement entropy vs emission angle", "theta (deg)", "entropy (bits)"))
+
+
+class Command(NamedTuple):
+    runner: Callable[[RunConfig, Spin], str]   # the output text; spin is read by xps only
+    formats: tuple[str, ...]                    # the default first
+    help: str
+
+
+COMMANDS = {
+    "xps": Command(_run_xps, ("csv", "json", "svg"),
+                   "spin-resolved core-level photoemission spectrum"),
+    "xepecs": Command(_run_xepecs, ("csv", "json", "svg"),
+                      "polarization- and spin-resolved emission spectra"),
+    "rho": Command(_run_rho, ("json", "csv"), "spin-polarization density matrix"),
+    "entropy": Command(_run_entropy, ("csv", "json", "svg"),
+                       "entanglement entropy against emission angle"),
+}
 
 
 def run(command: str, config: RunConfig, spin: Spin = Spin.UP) -> Path:
     """Execute one command and return the written output path."""
-    ext = config.format
-    out = config.out if config.out is not None else Path(f"{command}.{ext}")
-    if command == "xps":
-        _run_xps(config, spin, out)
-    elif command == "xepecs":
-        _run_xepecs(config, out)
-    elif command == "rho":
-        _run_rho(config, out)
-    elif command == "entropy":
-        _run_entropy(config, out)
-    else:
+    if command not in COMMANDS:
         raise ConfigError(f"command: unknown command {command!r}")
+    out = config.out if config.out is not None else Path(f"{command}.{config.format}")
+    _write_text(out, COMMANDS[command].runner(config, spin))
     return out
 
 
@@ -393,14 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of the two-shell atomic model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "xps": "spin-resolved core-level photoemission spectrum",
-        "xepecs": "polarization- and spin-resolved emission spectra",
-        "rho": "spin-polarization density matrix",
-        "entropy": "entanglement entropy against emission angle",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="flat JSON config file (fallback: $XEPECS_CONFIG)")
         p.add_argument("--theta", metavar="DEG|START:END:STEP", default=None)
@@ -409,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta2", metavar="DEG", default=None)
         p.add_argument("--epsilon", metavar="EV|auto", default=None)
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--format", choices=_FORMATS[name], default=_FORMATS[name][0])
+        p.add_argument("--format", choices=command.formats, default=command.formats[0])
         if name == "xps":
             p.add_argument("--spin", choices=("up", "down"), default="up")
     return parser

@@ -15,14 +15,16 @@ spin density matrix. For the default orthogonal polarization pair
 which this module keeps as an independent cross-check of the full amplitude
 pipeline; its reduced spin matrix has eigenvalues (1 +/- |cos(theta)|) / 2.
 
-``entropy_sweep`` evaluates a whole angle sweep as arrays: one amplitude
-contraction, one stack of 2x2 reduced matrices and one batched entropy, with
-the validity checks of the single-state path applied to every angle.
+A single state and an angle sweep take one path: the same helpers normalize
+a (..., 2, 2) stack of amplitudes (rejecting non-finite or vanishing ones
+with the parameter set and kinetic energy named), check the norm, check
+each reduced matrix once while taking its eigenvalues, and turn those
+eigenvalues into bits. ``entropy_sweep`` runs that path once over all angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import cos, pi, radians, sin, sqrt
 from typing import Mapping, Sequence
 
@@ -55,25 +57,31 @@ _ENTROPY_INPUT_TOL = 1e-8
 _EIGENVALUE_CLIP = 1e-12
 
 
-@dataclass(frozen=True)
-class EntangledState:
-    """Normalized coefficients over the (U1, U2, D1, D2) product basis."""
+def _normalize(amps: np.ndarray, params: ModelParams | None, epsilon: float) -> np.ndarray:
+    """Coefficients c[..., sigma, lambda] of the normalized states of a stack of
+    amplitudes, or a DomainError naming the inputs if any state is undefined."""
+    def undefined(reason: str) -> DomainError:
+        inputs = f"epsilon={epsilon!r}" if params is None else f"{params!r}, epsilon={epsilon!r}"
+        return DomainError(f"{inputs}: {reason}")
 
-    coeffs: Mapping[tuple[Spin, int], complex]
-    epsilon: float | None
-    geometry: EmissionGeometry
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=(-2, -1))
+    if not np.all(np.isfinite(norm_sq)):
+        raise undefined("coincidence amplitudes are not finite")
+    if np.any(norm_sq == 0.0):
+        raise undefined("all coincidence amplitudes vanish; state undefined")
+    return amps * (1.0 / np.sqrt(norm_sq))[..., np.newaxis, np.newaxis]
 
-    def __post_init__(self):
-        norm_sq = sum(abs(c) ** 2 for c in self.coeffs.values())
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm_sq} differs from 1")
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.coeffs[c] for c in CHANNELS])
+def _check_norm(coeffs: np.ndarray) -> None:
+    """DomainError unless every state of a (..., 2, 2) coefficient stack has norm 1."""
+    norm_sq = np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
+        raise DomainError(f"state norm^2 differs from 1 by more than {_NORM_TOL}")
 
-    def fidelity(self, other: "EntangledState") -> float:
-        """|<self|other>|, insensitive to global phases."""
-        return float(abs(np.vdot(self.vector(), other.vector())))
+
+def _spin_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """c c^dag: the reduced spin matrices of a (..., 2, 2) coefficient stack."""
+    return coeffs @ coeffs.conj().swapaxes(-1, -2)
 
 
 def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
@@ -94,12 +102,46 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     return eigenvalues
 
 
+def _entropy_bits(eigenvalues: np.ndarray):
+    """-sum p log2 p over the last axis of checked density eigenvalues; jitter
+    below 1e-12 counts as zero. A float for one spectrum, else an array."""
+    clipped = np.clip(eigenvalues, 0.0, 1.0)
+    clipped[np.abs(clipped) < _EIGENVALUE_CLIP] = 0.0
+    positive = clipped > 0.0
+    logs = np.log2(clipped, out=np.zeros_like(clipped), where=positive)
+    entropy = -np.sum(clipped * logs, axis=-1)
+    return float(entropy) if eigenvalues.ndim == 1 else entropy
+
+
+@dataclass(frozen=True)
+class EntangledState:
+    """Normalized coefficients over the (U1, U2, D1, D2) product basis."""
+
+    coeffs: Mapping[tuple[Spin, int], complex]
+    epsilon: float | None
+    geometry: EmissionGeometry
+
+    def __post_init__(self):
+        _check_norm(self.vector().reshape(2, 2))
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.coeffs[c] for c in CHANNELS])
+
+    def fidelity(self, other: "EntangledState") -> float:
+        """|<self|other>|, insensitive to global phases."""
+        return float(abs(np.vdot(self.vector(), other.vector())))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix with basis labels."""
+    """Hermitian, unit-trace, positive-semidefinite matrix with basis labels.
+
+    ``eigenvalues`` are those taken by the validity check on construction.
+    """
 
     basis: tuple[str, ...]
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -107,7 +149,7 @@ class DensityMatrix:
         n = len(self.basis)
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match basis")
-        _check_density(m, _MATRIX_TOL)
+        object.__setattr__(self, "eigenvalues", _check_density(m, _MATRIX_TOL))
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -130,14 +172,9 @@ class EntropyCurve:
 
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state."""
-    norm_sq = amps.total_strength()
-    if not np.isfinite(norm_sq):
-        raise DomainError("coincidence amplitudes are not finite")
-    if norm_sq == 0.0:
-        raise DomainError("all coincidence amplitudes vanish; state undefined")
-    scale = 1.0 / sqrt(norm_sq)
-    coeffs = {c: amps[c] * scale for c in CHANNELS}
-    return EntangledState(coeffs, amps.epsilon, amps.geometry)
+    coeffs = _normalize(amps.vector().reshape(2, 2), amps.params, amps.epsilon)
+    return EntangledState(dict(zip(CHANNELS, coeffs.ravel().tolist())),
+                          amps.epsilon, amps.geometry)
 
 
 def _is_angle(value: float, target_deg: float, tol: float = 1e-9) -> bool:
@@ -183,8 +220,7 @@ def reduce_to_spin(obj) -> DensityMatrix:
         rho = np.asarray(obj.matrix).reshape(2, 2, 2, 2)
         reduced = np.einsum("albl->ab", rho)
     else:
-        c = _coefficient_matrix(obj)
-        reduced = c @ c.conj().T
+        reduced = _spin_matrix(_coefficient_matrix(obj))
     return DensityMatrix(("U", "D"), reduced)
 
 
@@ -202,47 +238,33 @@ def reduce_to_polarization(obj) -> DensityMatrix:
 def von_neumann_entropy(rho):
     """Base-2 von Neumann entropy -Tr[rho log2 rho].
 
-    Accepts a DensityMatrix, a plain Hermitian array, or a stack of them with
-    shape (..., n, n). Returns a float for one matrix and an array of shape
-    (...) for a stack. Raises DomainError if any input violates Hermiticity,
-    unit trace or positivity beyond 1e-8; smaller negative eigenvalue jitter
-    is clipped to zero.
+    Accepts a DensityMatrix (already checked to 1e-12 on construction), a
+    plain Hermitian array, or a stack of them with shape (..., n, n). Returns
+    a float for one matrix and an array of shape (...) for a stack. Raises
+    DomainError if an array violates Hermiticity, unit trace or positivity
+    beyond 1e-8; smaller negative eigenvalue jitter is clipped to zero.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    eigenvalues = _check_density(m, _ENTROPY_INPUT_TOL)
-
-    clipped = np.clip(eigenvalues, 0.0, 1.0)
-    clipped[np.abs(clipped) < _EIGENVALUE_CLIP] = 0.0
-    positive = clipped > 0.0
-    logs = np.log2(clipped, out=np.zeros_like(clipped), where=positive)
-    entropy = -np.sum(clipped * logs, axis=-1)
-    return float(entropy) if m.ndim == 2 else entropy
+    if isinstance(rho, DensityMatrix):
+        return _entropy_bits(rho.eigenvalues)
+    return _entropy_bits(_check_density(np.asarray(rho, dtype=complex), _ENTROPY_INPUT_TOL))
 
 
 def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
     """Entanglement entropy against emission angle.
 
-    One cached model build per parameter set, then array math over all
-    angles: the amplitudes are one contraction of the polarization
-    components with the per-spin resonant vectors. Every angle passes the
-    checks of ``EmissionGeometry``, ``entangled_state``, ``EntangledState``,
-    ``DensityMatrix`` and ``von_neumann_entropy`` at their tolerances; a
-    non-finite result raises DomainError.
+    One cached model build per parameter set, then the single-state path
+    over all angles at once: one amplitude contraction, then the
+    normalization, norm and density checks at the tolerances of
+    ``entangled_state``, ``EntangledState`` and ``DensityMatrix``, and one
+    batched eigenvalue decomposition.
     """
     thetas = np.radians(np.asarray(thetas_deg, dtype=float))
     if not np.all((thetas >= 0.0) & (thetas <= pi)):
         raise ValueError("theta must lie in [0, pi]")
 
     amps = calculator(params).amplitude_array(thetas, geom_template, epsilon)
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=(1, 2))
-    if np.any(norm_sq == 0.0):
-        raise DomainError("all coincidence amplitudes vanish; state undefined")
-    coeffs = amps * (1.0 / np.sqrt(norm_sq))[:, np.newaxis, np.newaxis]
-    if not np.all(np.abs(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)) - 1.0) <= _NORM_TOL):
-        raise DomainError("state norm^2 differs from 1")
-
-    reduced = coeffs @ coeffs.conj().swapaxes(-1, -2)   # spin density matrices
-    _check_density(reduced, _MATRIX_TOL)
-    entropy = von_neumann_entropy(reduced)
+    coeffs = _normalize(amps, params, epsilon)
+    _check_norm(coeffs)
+    entropy = _entropy_bits(_check_density(_spin_matrix(coeffs), _MATRIX_TOL))
     return EntropyCurve(tuple(float(t) for t in thetas_deg), tuple(entropy.tolist()))

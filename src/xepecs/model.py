@@ -72,7 +72,10 @@ __all__ = [
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _J_LABEL_TOL = 1e-8
-_DEGENERACY_TOL = 1e-9
+# Levels closer than the residual tolerance form one degenerate cluster, so a
+# rotation within a cluster never fails the residual check; levels further
+# apart are resolved by eigh itself.
+_DEGENERACY_TOL = _RESIDUAL_TOL
 
 # the 2p electron of the initial state, |(l = 1, s = 1/2) j = m = 1/2>, as
 # (m_l, m_s) -> Clebsch-Gordan coefficient

@@ -9,14 +9,13 @@ e_theta and e_phi,
 so they automatically satisfy the transversality (Coulomb gauge) condition.
 The dipole matrix elements only need the projections of e_lambda on the
 spherical basis vectors e_0 = z, e_(+/-1) = -/+ (x +/- i y)/sqrt(2)
-(Condon-Shortley). For linear polarization these are
+(Condon-Shortley); ``polarization_components`` evaluates them for both
+polarizations of a whole array of emission angles at once. The amplitudes
+depend only on alpha_0 (up photoelectron) and alpha_-1 (down), which for
+linear polarization have the closed forms
 
     alpha_0  = -cos(beta) sin(theta)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
-
-and both closed forms are cross-checked against the geometric projection on
-every evaluation. ``polarization_components`` evaluates the same projections
-for a whole array of emission angles at once.
 """
 
 from __future__ import annotations
@@ -28,15 +27,10 @@ import numpy as np
 
 __all__ = [
     "EmissionGeometry",
-    "PolarizationCoeffs",
     "basis_vectors",
     "polarization_vector",
-    "spherical_components",
     "polarization_components",
-    "alpha_coeffs",
 ]
-
-_CROSS_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,25 +86,14 @@ def polarization_vector(geom: EmissionGeometry, i: int) -> np.ndarray:
     return cos(beta) * e_theta + sin(beta) * e_phi
 
 
-def spherical_components(v: np.ndarray) -> tuple[complex, complex, complex]:
-    """Projections (q = +1, 0, -1) of a 3-vector on the spherical basis.
-
-    Component q is v . conj(e_q) with e_0 = z and e_(+/-1) = -/+(x +/- iy)/sqrt(2).
-    """
-    vx, vy, vz = (complex(c) for c in v)
-    plus = -(vx - 1j * vy) / np.sqrt(2.0)
-    zero = vz
-    minus = (vx + 1j * vy) / np.sqrt(2.0)
-    return plus, zero, minus
-
-
 def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
                             ) -> np.ndarray:
     """Spherical projections of both polarization vectors for an array of angles.
 
-    Returns an (N, 2, 3) complex array: entry [n, i - 1, :] equals
-    ``spherical_components(polarization_vector(geom, i))`` for the geometry
-    with polar angle thetas[n] (radians) and the fixed phi, beta1 and beta2.
+    Returns an (N, 2, 3) complex array: entry [n, i - 1, q] is the q = +1, 0,
+    -1 component, e_lambda . conj(e_q), of ``polarization_vector(geom, i)``
+    for the geometry with polar angle thetas[n] (radians) and the fixed phi,
+    beta1 and beta2.
     """
     st, ct = np.sin(thetas), np.cos(thetas)
     sp, cp = sin(phi), cos(phi)
@@ -125,39 +108,3 @@ def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2:
     out[..., 1] = vz
     out[..., 2] = (vx + 1j * vy) / np.sqrt(2.0)
     return out
-
-
-@dataclass(frozen=True)
-class PolarizationCoeffs:
-    """alpha_0 and alpha_-1 for the two polarizations of a stored geometry."""
-
-    alpha0: tuple[complex, complex]
-    alpha_m1: tuple[complex, complex]
-    geometry: EmissionGeometry
-
-    def for_polarization(self, i: int) -> tuple[complex, complex]:
-        """(alpha_0, alpha_-1) of polarization i in {1, 2}."""
-        if i not in (1, 2):
-            raise ValueError("polarization index must be 1 or 2")
-        return self.alpha0[i - 1], self.alpha_m1[i - 1]
-
-
-def alpha_coeffs(geom: EmissionGeometry) -> PolarizationCoeffs:
-    """Closed-form alpha coefficients, verified against the projection route."""
-    st, ct = sin(geom.theta), cos(geom.theta)
-    phase = complex(cos(geom.phi), sin(geom.phi))
-
-    a0 = []
-    am1 = []
-    for i in (1, 2):
-        beta = geom.beta(i)
-        closed0 = complex(-cos(beta) * st)
-        closed1 = np.sqrt(0.5) * (cos(beta) * ct + 1j * sin(beta)) * phase
-
-        _, proj0, proj1 = spherical_components(polarization_vector(geom, i))
-        if abs(closed0 - proj0) > _CROSS_CHECK_TOL or abs(closed1 - proj1) > _CROSS_CHECK_TOL:
-            raise RuntimeError("polarization coefficient cross-check failed")
-        a0.append(closed0)
-        am1.append(complex(closed1))
-
-    return PolarizationCoeffs((a0[0], a0[1]), (am1[0], am1[1]), geom)

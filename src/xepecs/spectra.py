@@ -8,8 +8,9 @@ final state. Discrete lines are convolved with a unit-area Lorentzian whose
 
 Both default grids have a 0.005 eV step, and the emission grid spans 3 eV on
 either side of its line. A model or kinetic energy that puts a line where
-double precision cannot resolve that step (beyond about 3.5e13 eV) is a
-domain error naming the inputs, not a collapsed grid or an overflowing
+double precision cannot resolve that step (beyond about 3.5e13 eV), or that
+sums an energy that large into a line position, is a domain error naming the
+inputs, not a collapsed grid, a multiplet rounded away or an overflowing
 Lorentzian.
 """
 
@@ -83,14 +84,16 @@ class SpectrumSeries:
             raise ValueError("intensity must be non-negative")
 
 
-def _resolved_lines(inputs: str, lines: list[SpectralLine]) -> LineSpectrum:
-    """``lines`` as a LineSpectrum, or a DomainError naming ``inputs`` if a
-    line (with an emission window around it) lies where the spacing of
-    doubles reaches the grid step, or is not finite."""
-    for line in lines:
-        if not ulp(abs(line.position) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
-            raise DomainError(f"{inputs}: line at {line.position:.6g} eV is beyond the "
-                              f"{_GRID_STEP} eV resolution of the spectrum grids")
+def _resolved_lines(inputs: str, lines: list[SpectralLine], energies: list[float]
+                    ) -> LineSpectrum:
+    """``lines`` as a LineSpectrum, or a DomainError naming ``inputs`` if a line
+    position, or one of the ``energies`` summed into it, lies (with an emission
+    window around it) where the spacing of doubles reaches the grid step, or
+    is not finite. A term that large leaves no splitting in the sum."""
+    for energy in [line.position for line in lines] + energies:
+        if not ulp(abs(energy) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
+            raise DomainError(f"{inputs}: {energy:.6g} eV in a line position is beyond "
+                              f"the {_GRID_STEP} eV resolution of the spectrum grids")
     return LineSpectrum(tuple(lines))
 
 
@@ -113,7 +116,7 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
         )
         for e, el, j in zip(eig.energies, elements, eig.j_labels)
     ]
-    return _resolved_lines(repr(params), lines)
+    return _resolved_lines(repr(params), lines, [params.Omega, calc.E_g, *eig.energies])
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
@@ -154,7 +157,8 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     omega0 = params.Omega + calc.E_g - epsilon - calc.E_f
     label = channel_label(channel)
     lines = _resolved_lines(f"{params!r}, epsilon={epsilon!r}",
-                            [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)])
+                            [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)],
+                            [params.Omega, calc.E_g, epsilon, calc.E_f])
     if grid is None:
         grid = default_emission_grid(omega0)
     return broaden(lines, params.gamma, grid, channel=label)

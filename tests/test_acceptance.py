@@ -24,7 +24,7 @@ from xepecs.model import (
     j_squared_matrix,
     subspace,
 )
-from xepecs.polarization import EmissionGeometry, alpha_coeffs
+from xepecs.polarization import EmissionGeometry
 from xepecs.amplitudes import CHANNELS, AmplitudeCalculator
 from xepecs.entanglement import (
     closed_form_state,
@@ -35,6 +35,8 @@ from xepecs.entanglement import (
     von_neumann_entropy,
 )
 from xepecs.spectra import xepecs_spectrum, xps_lines
+
+from reference import alpha_coeffs
 
 PARAMS = ModelParams()
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)

@@ -265,7 +265,7 @@ class TestDomainAndOutputErrors:
         return str(cfg)
 
     @pytest.mark.parametrize("text", ['{"G": 1e6}', '{"eps_s": -1e6}', '{"G": 1e12}',
-                                      '{"eps_s": -1e10}'])
+                                      '{"eps_s": -1e10}', '{"zeta": 1e9}'])
     def test_large_finite_parameters_run(self, tmp_path, monkeypatch, capsys, text):
         argv = ["entropy", "--theta", "0:90:90", "--config", self.config(tmp_path, text)]
         code, err = self.main(argv, tmp_path, monkeypatch, capsys)
@@ -276,7 +276,6 @@ class TestDomainAndOutputErrors:
 
     @pytest.mark.parametrize("text,named", [
         ('{"G": 1e308, "zeta": 1e308}', ("G=1e+308", "zeta=1e+308")),
-        ('{"zeta": 1e9}', ("zeta=1000000000.0",)),
     ])
     def test_out_of_domain_parameters_exit_3(self, tmp_path, monkeypatch, capsys, text, named):
         for command in ("rho", "xps"):
@@ -308,10 +307,10 @@ class TestDomainAndOutputErrors:
 
     def test_format_choices_and_defaults_come_from_one_table(self, tmp_path, monkeypatch,
                                                              capsys):
-        for command, formats in cli._FORMATS.items():
+        for command, (_, formats, _) in cli.COMMANDS.items():
             args = cli._build_parser().parse_args([command])
             assert args.format == formats[0]
-        assert cli._FORMATS["rho"][0] == "json"
+        assert cli.COMMANDS["rho"].formats[0] == "json"
         assert self.main(["rho", "--theta", "90"], tmp_path, monkeypatch, capsys)[0] == 0
         assert (tmp_path / "rho.json").exists()
         with pytest.raises(SystemExit) as exc:
@@ -331,6 +330,11 @@ class TestLinesBeyondGridResolution:
         ("xepecs", '{"Omega": 1e308}', "Omega=1e+308"),
         ("xps", '{"Omega": 1e308}', "Omega=1e+308"),
         ("xepecs", '{"epsilon": 1e308}', "epsilon=1e+308"),
+        # E_g and every E_i round to the same huge value, leaving no multiplet
+        ("xps", '{"eps_p": 1e154}', "eps_p=1e+154"),
+        ("xps", '{"eps_p": 1e14}', "eps_p=100000000000000.0"),
+        ("rho", '{"eps_p": 1e154}', "eps_p=1e+154"),
+        ("entropy", '{"eps_p": 1e14}', "eps_p=100000000000000.0"),
     ])
     def test_exit_3_naming_the_inputs(self, tmp_path, monkeypatch, capsys, command, text, named):
         argv = [command, "--config", self.config(tmp_path, text)]
@@ -346,3 +350,19 @@ class TestLinesBeyondGridResolution:
         assert result.returncode == 3
         assert result.stderr.startswith("domain error: ModelParams(")
         assert "Omega=1e+308" in result.stderr and result.stderr.count("\n") == 1
+
+
+class TestUndefinedStateNamesTheInputs:
+    """Amplitudes that underflow to zero exit 3 with the parameter set and epsilon named."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    @pytest.mark.parametrize("command", ["rho", "entropy"])
+    def test_all_amplitudes_vanish(self, tmp_path, monkeypatch, capsys, command):
+        argv = [command, "--epsilon", "6.5", "--config", self.config(tmp_path, '{"Omega": 1e308}')]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(")
+        assert "Omega=1e+308" in err and "epsilon=6.5" in err and "vanish" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

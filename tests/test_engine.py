@@ -2,10 +2,11 @@
 
 The production path contracts precomputed emission matrices with the
 polarization components; these tests hold it to the mechanical routes it
-replaced: ``dipole_block`` per geometry, and the single-state chain
-``entangled_state`` -> ``reduce_to_spin`` -> ``von_neumann_entropy`` per angle.
-The model build is parameter-linear in the same way: after the first
-calculator of a process, a new parameter set runs no Fock-space operator.
+replaced: ``dipole_block`` per geometry (kept in ``reference.py``), and the
+single-state chain ``entangled_state`` -> ``reduce_to_spin`` ->
+``von_neumann_entropy`` per angle. The model build is parameter-linear in the
+same way: after the first calculator of a process, a new parameter set runs
+no Fock-space operator. Nearly degenerate levels keep their own energies.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from xepecs import amplitudes, fockspace, model
-from xepecs.amplitudes import AmplitudeCalculator, calculator, dipole_block
+from xepecs.amplitudes import AmplitudeCalculator, calculator
 from xepecs.entanglement import (
     DomainError,
     entangled_state,
@@ -28,12 +29,9 @@ from xepecs.entanglement import (
 )
 from xepecs.fockspace import Spin
 from xepecs.model import ModelParams, SubspaceLabel, build_hamiltonian, subspace
-from xepecs.polarization import (
-    EmissionGeometry,
-    polarization_components,
-    polarization_vector,
-    spherical_components,
-)
+from xepecs.polarization import EmissionGeometry, polarization_components, polarization_vector
+
+from reference import dipole_block, per_eigenstate_terms, spherical_components
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,7 +91,7 @@ class TestEmissionContraction:
             epsilon = rng.uniform(5.0, 8.0)
             amps = calc.amplitudes(geom, epsilon)
             for sigma in (Spin.UP, Spin.DOWN):
-                summed = calc.per_eigenstate_terms(geom, epsilon, sigma).sum(axis=1)
+                summed = per_eigenstate_terms(calc, geom, epsilon, sigma).sum(axis=1)
                 for lam in (1, 2):
                     assert abs(amps[(sigma, lam)] - summed[lam - 1]) <= 1e-14
 
@@ -115,6 +113,21 @@ class TestBatchedSweep:
                 state = entangled_state(calc.amplitudes(geom, epsilon))
                 worst = max(worst, abs(s - von_neumann_entropy(reduce_to_spin(state))))
         assert worst <= 1e-13
+
+    def test_one_eigenvalue_decomposition_per_sweep(self, monkeypatch):
+        calculator(ModelParams())   # the model build is not part of the sweep
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        curve = entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0),
+                              list(np.linspace(0.0, 180.0, 1801)), 6.5)
+        assert calls == [(1801, 2, 2)]
+        assert curve.entropy[900] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_sweep(self):
         curve = entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0), [], 6.5)
@@ -227,3 +240,18 @@ class TestParameterLinearModel:
         # runtime warnings are errors in this suite, so a numpy warning fails here
         with pytest.raises(DomainError, match="not finite"):
             build_hamiltonian(params, subspace(label))
+
+class TestNearlyDegenerateLevels:
+    @pytest.mark.parametrize("G,zeta", [(0.0, z) for z in (1e-10, 3e-9, 1e-8, 3e-8, 1e-7)]
+                             + [(g, 0.0) for g in (1e-10, 3e-9, 1e-8, 3e-8, 1e-7)])
+    def test_nearly_degenerate_levels_keep_their_energies(self, G, zeta):
+        # levels split by a coupling just above the residual tolerance are not
+        # rotated into one another as if degenerate
+        params = ModelParams(G=G, zeta=zeta)
+        calc = AmplitudeCalculator(params)
+        for sigma in (Spin.UP, Spin.DOWN):
+            eig = calc.eigensystems[sigma]
+            H = build_hamiltonian(params, eig.subspace)
+            assert np.max(np.abs(H @ eig.vectors - eig.vectors * eig.energies)) <= 1e-9
+        curve = entropy_sweep(params, EmissionGeometry.from_degrees(90.0), [0.0, 90.0], 6.5)
+        assert curve.entropy == pytest.approx((0.0, 1.0), abs=1e-10)

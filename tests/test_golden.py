@@ -1,4 +1,4 @@
-"""README commands against golden CSV/JSON outputs in tests/data/golden.
+"""README commands against golden CSV/JSON/SVG outputs in tests/data/golden.
 
 The goldens were written by the per-geometry amplitude route, before angle
 sweeps became one array contraction. Byte identity with them is not
@@ -7,11 +7,13 @@ that the selection rules make zero come out as different ~1e-17 rounding
 noise, and the 12-digit print of that noise differs (as do entropies within
 a few degrees of 0 and 180, which are differences of nearly equal numbers).
 Every printed number must therefore match to 1e-12 absolute, every other
-token exactly, and two runs of the current code must be byte-identical.
+token exactly, and two runs of the current code must be byte-identical. The
+SVG goldens were written by the batched route and are held to the same rule.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,12 @@ def _csv_tokens(text: str) -> list:
     return [[token(c) for c in line.split(",")] for line in text.split("\n")]
 
 
+def _svg_tokens(text: str) -> list:
+    """Numbers as floats at the odd positions, the text between them as strings."""
+    parts = re.split(r"(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)", text)
+    return [float(p) if i % 2 else p for i, p in enumerate(parts)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_matches_golden_and_repeats_byte_for_byte(tmp_path, monkeypatch, name, fmt):
@@ -76,3 +84,14 @@ def test_matches_golden_and_repeats_byte_for_byte(tmp_path, monkeypatch, name, f
         _assert_close(json.loads(text), json.loads(expected))
     else:
         _assert_close(_csv_tokens(text), _csv_tokens(expected))
+
+
+@pytest.mark.parametrize("name", [n for n in COMMANDS if not n.startswith("rho")])
+def test_svg_matches_golden_and_repeats_byte_for_byte(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("XEPECS_CONFIG", raising=False)
+    argv = [*COMMANDS[name], "--format", "svg"]
+    first = _run(tmp_path, argv, "a.svg")
+    assert _run(tmp_path, argv, "b.svg") == first
+
+    expected = (GOLDEN / f"{name}.svg").read_text(encoding="utf-8")
+    _assert_close(_svg_tokens(first.decode("utf-8")), _svg_tokens(expected))

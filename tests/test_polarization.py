@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from xepecs.polarization import (
-    EmissionGeometry,
-    alpha_coeffs,
-    basis_vectors,
-    polarization_vector,
-    spherical_components,
-)
+from xepecs.polarization import EmissionGeometry, basis_vectors, polarization_vector
+
+from reference import alpha_coeffs, spherical_components
 
 
 def random_geometries(n, seed=0, betas=False):

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xepecs.amplitudes import calculator, photoemission_elements, xepecs_amplitudes
+from xepecs.amplitudes import calculator, xepecs_amplitudes
 from xepecs.entanglement import (
     closed_form_state,
     entangled_state,
@@ -39,6 +39,8 @@ from xepecs.model import (
     subspace,
 )
 from xepecs.polarization import EmissionGeometry
+
+from reference import photoemission_elements
 
 ENTROPY_TOL = 1e-9
 
