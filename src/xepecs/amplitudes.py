@@ -1,37 +1,33 @@
 """Photoemission and radiative-decay matrix elements, and the coincidence
 amplitudes A(sigma, lambda; epsilon) of the second-order process.
 
-The chain is: the incident photon ejects a 1s electron of spin sigma (first
-order), the core-excited intermediate states propagate with a resonant
-denominator, and the 2p -> 1s radiative decay emits a photon of polarization
-lambda (second order):
+The incident photon ejects a 1s electron of spin sigma, the core-excited
+intermediate states i propagate with a resonant denominator, and the 2p -> 1s
+decay emits a photon of polarization lambda:
 
     A(sigma, lambda) = sum_i  <f_(sigma lambda)| M_ph |i_sigma>
                               * <i_sigma| c^dag_(eps sigma) s_sigma a |g>
-                              / (Omega + E_g - E_i - epsilon + i Gamma_1s)
+                              / (Omega + eps_s + E'_g - E'_i - epsilon + i Gamma_1s)
+
+E' are eigenvalues of the couplings H' of ``model``; the level energies enter
+only as eps_s, for the removed 1s electron (here and in the photoemission
+lines Omega + eps_s + E'_g - E'_i), and as eps_p in the emission line
+omega_0 = Omega + eps_p + E'_g - epsilon. The calculator writes these once.
 
 Every bracket is evaluated mechanically through the fockspace operators, once
-per process. The radial dipole integral is set to 1; the photoemission
-vertex carries a constant 1/sqrt(2) so the total 1s removal strength summed
-over both spin channels is normalized to unity (only ratios and normalized
-states are observable here).
+per process. With the radial dipole integral 1 and the photoemission vertex
+1/sqrt(2), both spins remove unit 1s strength (only ratios are observable).
 
 M_ph is linear in the spherical components alpha_q (q = +1, 0, -1) of the
-emitted polarization vector, so the geometry enters only through a linear
-contraction. For each intermediate subspace the Fock-space layer builds the
-3 x dim matrix
-
-    D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b>
-
-over the basis states b, and the photoemission components
-c_sigma[b] = <b| c^dag_(eps sigma) s_sigma a |g> of the parameter-independent
-ground state. Once per ``ModelParams`` the calculator forms the photoemission
-elements pe_sigma = V_sigma^dag c_sigma and folds D_sigma with the
-eigenvectors and pe_sigma into one 3-vector per spin and kinetic energy,
+emitted polarization. Per intermediate subspace the Fock-space layer builds
+D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b> over the basis states b, and
+the photoemission components c_sigma[b] = <b| c^dag_(eps sigma) s_sigma a |g>.
+Per ``ModelParams`` the calculator forms pe_sigma = V_sigma^dag c_sigma and,
+per kinetic energy, one 3-vector
 
     t_sigma[q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / denom_sigma[i],
 
-and A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q] for any number of
+so A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q] for any number of
 emission angles at once.
 """
 
@@ -39,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping
 
 import numpy as np
@@ -66,6 +62,7 @@ from .model import (
     SubspaceLabel,
     closed_shell,
     final_state_energy,
+    ground_coupling_energy,
     ground_state,
     initial_state,
     intermediate_eigensystem,
@@ -172,8 +169,8 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The initial-state energy E_g, the final-state energy E_f, the intermediate
-    eigensystems, the photoemission elements and the emission matrices
+    The energies E_g, E_f and E'_g, the intermediate eigensystems, the
+    photoemission line positions and elements, and the emission matrices
     D_sigma V_sigma over the eigenstates are computed once on construction
     and stored read-only. None of this runs the Fock-space operators: their
     work is cached per process in ``model`` and in this module. Per kinetic
@@ -189,8 +186,15 @@ class AmplitudeCalculator:
             _, self.E_g = initial_state(params)
             self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
+            self.ground_coupling = ground_coupling_energy(params)   # E'_g
+            width = max(params.Gamma_1s, params.gamma)   # Lorentzian HWHMs, squared in spectra
+            if not width * width < inf:
+                raise DomainError(f"a Lorentzian width of {width:g} eV overflows its square")
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
+        self.line_positions = {sigma: params.Omega + params.eps_s
+                               + (self.ground_coupling - eig.coupling_energies)
+                               for sigma, eig in self.eigensystems.items()}
         self.pe_elements = {
             sigma: eig.vectors.conj().T @ _ground_components(sigma)
             for sigma, eig in self.eigensystems.items()
@@ -200,14 +204,17 @@ class AmplitudeCalculator:
             for sigma, eig in self.eigensystems.items()
         }
         for sigma, eig in self.eigensystems.items():
-            for array in (eig.energies, eig.vectors, self.pe_elements[sigma],
-                          self.emission[sigma]):
+            for array in (eig.coupling_energies, eig.vectors, self.line_positions[sigma],
+                          self.pe_elements[sigma], self.emission[sigma]):
                 array.flags.writeable = False
 
+    def emission_line(self, epsilon: float) -> float:
+        """omega_0 = Omega + eps_p + E'_g - epsilon, the emitted-photon energy."""
+        return self.params.Omega + self.params.eps_p + self.ground_coupling - epsilon
+
     def _resonance(self, sigma: Spin, epsilon: float) -> np.ndarray:
-        """Omega + E_g - E_i - epsilon + i Gamma_1s over the eigenstates i."""
-        p = self.params
-        return p.Omega + self.E_g - self.eigensystems[sigma].energies - epsilon + 1j * p.Gamma_1s
+        """Omega + eps_s + E'_g - E'_i - epsilon + i Gamma_1s over the eigenstates i."""
+        return self.line_positions[sigma] - epsilon + 1j * self.params.Gamma_1s
 
     def spin_vectors(self, epsilon: float) -> np.ndarray:
         """t[sigma, q]: the resonant sum over eigenstates, rows (up, down)."""

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -38,7 +38,7 @@ from .spectra import (
     xps_lines,
 )
 
-_PARAM_KEYS = ("G", "zeta", "eps_s", "eps_p", "Omega", "Gamma_1s", "gamma")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _ANGLE_KEYS = ("theta_deg", "phi_deg", "beta1_deg", "beta2_deg")
 _CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
 

@@ -104,12 +104,13 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
 
 def _entropy_bits(eigenvalues: np.ndarray):
     """-sum p log2 p over the last axis of checked density eigenvalues; jitter
-    below 1e-12 counts as zero. A float for one spectrum, else an array."""
+    below 1e-12 counts as zero. A float for one spectrum, else an array. The
+    sum is subtracted from 0.0, so a separable state gives 0, not -0."""
     clipped = np.clip(eigenvalues, 0.0, 1.0)
     clipped[np.abs(clipped) < _EIGENVALUE_CLIP] = 0.0
     positive = clipped > 0.0
     logs = np.log2(clipped, out=np.zeros_like(clipped), where=positive)
-    entropy = -np.sum(clipped * logs, axis=-1)
+    entropy = 0.0 - np.sum(clipped * logs, axis=-1)
     return float(entropy) if eigenvalues.ndim == 1 else entropy
 
 

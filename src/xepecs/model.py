@@ -1,33 +1,28 @@
 """The two-shell (1s, 2p) atomic model: Hamiltonian blocks and eigensystems.
 
-The electron Hamiltonian is
+    H = eps_s * n_1s + eps_p * n_2p + H',
+    H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
 
-    H = eps_s * n_1s + eps_p * n_2p + zeta * (l.s on the 2p electron)
-        + H_exch,    H_exch = -2 G * S_1s . S_2p
+The exchange term uses shell spin operators, so it vanishes on a filled 1s
+shell. Matrix elements come mechanically from the fockspace operators through
+two helpers: a sum of one-body hops c^dag(dst) c(src), and a diagonal
+sum_o w_o n_o with one weight per orbital (shell occupations, s_z, j_z, l_z s_z).
 
-The exchange term is written with shell spin operators, so it vanishes
-identically on a filled (spin-saturated) 1s shell and acts only in
-configurations with a single 1s electron, i.e. in the core-excited
-intermediate states. Matrix elements are evaluated mechanically through the
-fockspace operators rather than by hand, with two helpers: one applies a sum
-of one-body hops c^dag(dst) c(src), the other a diagonal sum_o w_o n_o with
-one weight per canonical orbital (level energies, s_z, j_z and l_z s_z).
-
-H is linear in its four energies, so the Fock-space work is done once per
-process and subspace: the matrices of the four terms n_1s, n_2p, l.s and
-S_1s . S_2p, and of J^2 and S^2, are built on first use and kept read-only.
-A parameter set then costs a weighted sum of 4 x 4 (or smaller) matrices and
-their eigendecomposition. The initial state and the closed 1s shell do not
-depend on the parameters either: E_g is read off the 2 x 2 initial-subspace
-H, and E_f from the closed-shell expectations of the four terms.
+Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
+in the intermediate states and (2, 0) on the closed shell of the final state.
+So only H' is diagonalized, and an energy is the level energy
+eps_s n_1s + eps_p n_2p plus an eigenvalue of H'; H' is zero on the closed
+shell. The occupations and the matrices of l.s, S_1s . S_2p, J^2 and S^2 are
+built once per process and subspace, so a parameter set costs a weighted sum
+of two matrices of at most 4 x 4 and their eigendecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -61,6 +56,7 @@ __all__ = [
     "diagonalize",
     "intermediate_eigensystem",
     "ground_state",
+    "ground_coupling_energy",
     "initial_state",
     "closed_shell",
     "final_state_energy",
@@ -140,6 +136,7 @@ def _state(*orbs: SpinOrbital) -> FockState:
 
 _S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
 _S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
+_CLOSED_SHELL = _state(_S_UP, _S_DN)
 
 
 def _p(m: int, spin: Spin) -> SpinOrbital:
@@ -248,19 +245,9 @@ def _apply_exchange(v: ManyBodyVector) -> ManyBodyVector:
     return zz + 0.5 * s_up_p_dn + 0.5 * s_dn_p_up
 
 
-# the four terms of H, in the order of the weights from ``_energies``
+# the two terms of H', weighted by zeta and -2 G
+_COUPLINGS = (_apply_spin_orbit, _apply_exchange)
 _N_SHELL = {shell: tuple(1.0 if o.shell is shell else 0.0 for o in ORBITALS) for shell in Shell}
-_TERMS = (
-    lambda v: _apply_diagonal(v, _N_SHELL[Shell.S1S]),
-    lambda v: _apply_diagonal(v, _N_SHELL[Shell.P2P]),
-    _apply_spin_orbit,
-    _apply_exchange,
-)
-
-
-def _energies(params: ModelParams) -> tuple[float, float, float, float]:
-    """Weights of the terms n_1s, n_2p, l.s and S_1s . S_2p in H."""
-    return (params.eps_s, params.eps_p, params.zeta, -2.0 * params.G)
 
 
 def _apply_casimir(v: ManyBodyVector, raising: _Hops, lowering: _Hops,
@@ -282,18 +269,43 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @cache
 def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(terms, J^2, S^2) on ``sub``, built once through the Fock-space operators.
-
-    ``terms[k]`` is the matrix of the k-th term of H, weighted by the k-th
-    entry of ``_energies``. All three arrays are read-only.
-    """
+    """(couplings, J^2, S^2) on ``sub``, built once through the Fock-space
+    operators and read-only; ``couplings`` holds the matrices of l.s and S_1s . S_2p."""
     j_plus = _p_ladder_hops(+1, None) + _spin_ladder_hops(_BOTH_SHELLS, True)
     j_minus = _p_ladder_hops(-1, None) + _spin_ladder_hops(_BOTH_SHELLS, False)
     s_plus, s_minus = (_spin_ladder_hops(_BOTH_SHELLS, r) for r in (True, False))
-    terms = np.array([_operator_matrix(sub, apply) for apply in _TERMS])
+    couplings = np.array([_operator_matrix(sub, apply) for apply in _COUPLINGS])
     jsq = _operator_matrix(sub, lambda v: _apply_casimir(v, j_plus, j_minus, _JZ))
     ssq = _operator_matrix(sub, lambda v: _apply_casimir(v, s_plus, s_minus, _SZ))
-    return _read_only(terms), _read_only(jsq), _read_only(ssq)
+    return _read_only(couplings), _read_only(jsq), _read_only(ssq)
+
+
+@cache
+def _occupation(state: FockState) -> tuple[float, float]:
+    """(n_1s, n_2p) of a basis state, read once through the Fock-space n operators."""
+    v = basis_vector(state)
+    return tuple(inner(v, _apply_diagonal(v, _N_SHELL[shell])).real for shell in _BOTH_SHELLS)
+
+
+def _level_energy(params: ModelParams, state: FockState) -> float:
+    """eps_s n_1s + eps_p n_2p of ``state`` and of its whole subspace, or a
+    DomainError if it overflows. An empty shell's level energy plays no part."""
+    level = sum(e * n for e, n in zip((params.eps_s, params.eps_p), _occupation(state)) if n)
+    if not isfinite(level):
+        raise DomainError("level energy is not finite")
+    return level
+
+
+def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray:
+    """H' from the cached coupling matrices plus ``level`` on the diagonal; a
+    DomainError if the sum overflows."""
+    spin_orbit, exchange = _subspace_operators(sub)[0]
+    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = params.zeta * spin_orbit - 2.0 * params.G * exchange + level * np.eye(sub.dim)
+    if not np.all(np.isfinite(H)):
+        raise DomainError("Hamiltonian matrix is not finite")
+    return H
 
 
 def j_squared_matrix(sub: Subspace) -> np.ndarray:
@@ -311,34 +323,32 @@ def s_squared_matrix(sub: Subspace) -> np.ndarray:
 
 
 def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
-    """Hermitian Hamiltonian matrix over the subspace basis: the cached term
-    matrices weighted by the energies. Raises DomainError if the sum overflows."""
-    terms = _subspace_operators(sub)[0]
-    e_s, e_p, so, ex = _energies(params)
-    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = e_s * terms[0] + e_p * terms[1] + so * terms[2] + ex * terms[3]
-    if not np.all(np.isfinite(H)):
-        raise DomainError("Hamiltonian matrix is not finite")
-    return H
+    """Hermitian Hamiltonian matrix over the subspace basis: H' plus the level
+    energy of the subspace. Raises DomainError if it overflows."""
+    return _hamiltonian(params, sub, _level_energy(params, sub.basis[0]))
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenpairs of a subspace Hamiltonian, energies ascending.
+    """Eigenpairs of a subspace Hamiltonian, ascending: ``coupling_energies`` of
+    the diagonalized matrix (for the model H'), to which the energies add the
+    subspace's ``level_energy``; ``vectors[:, i]`` the i-th eigenvector over the
+    subspace basis and ``j_labels[i]`` its J, read off <J^2> = j (j + 1)."""
 
-    ``vectors[:, i]`` is the i-th eigenvector over the subspace basis and
-    ``j_labels[i]`` its total angular momentum, read off <J^2> = j (j + 1).
-    """
-
-    energies: np.ndarray
+    coupling_energies: np.ndarray
     vectors: np.ndarray
     j_labels: tuple[HalfInt, ...]
     subspace: Subspace
+    level_energy: float = 0.0
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Eigenvalues of the full H (read-only)."""
+        return _read_only(self.level_energy + self.coupling_energies)
 
     @property
     def dim(self) -> int:
-        return len(self.energies)
+        return len(self.coupling_energies)
 
 
 def _resolve_clusters(w: np.ndarray, v: np.ndarray, operators: list[np.ndarray]
@@ -424,8 +434,10 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
+    """H' diagonalized on the intermediate subspace, with its level energy."""
     sub = intermediate_subspace(photoelectron_spin)
-    return diagonalize(build_hamiltonian(params, sub), sub)
+    level = _level_energy(params, sub.basis[0])
+    return replace(diagonalize(_hamiltonian(params, sub, 0.0), sub), level_energy=level)
 
 
 def closed_shell() -> ManyBodyVector:
@@ -453,43 +465,29 @@ def ground_state() -> ManyBodyVector:
     return ManyBodyVector(dict(_ground()[0].terms()))
 
 
-def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
-    """The ground state with (J, M) = (1/2, 1/2) plus one incident photon.
-
-    Returns the normalized many-body vector and its electron energy E_g.
-    The state is verified to be an eigenvector of the Hamiltonian on the
-    initial subspace, relative to the largest energy parameter.
-    """
-    terms = _subspace_operators(subspace(SubspaceLabel.INITIAL))[0]
+def ground_coupling_energy(params: ModelParams) -> float:
+    """E'_g = <g| H' |g>, with g verified to be an eigenvector of H' on the
+    initial subspace, relative to max(1, |G|, |zeta|)."""
     c = _ground()[1]
-    e_s, e_p, so, ex = _energies(params)
-    # H c term by term: the diagonal level energies are summed per basis
-    # state, and each coupling term acts on c before its weight, the rounding
-    # order of applying H to the state in Fock space
-    with np.errstate(over="ignore", invalid="ignore"):
-        hc = ((e_s * terms[0].diagonal() + e_p * terms[1].diagonal()) * c
-              + so * (terms[2] * c).sum(axis=1) + ex * (terms[3] * c).sum(axis=1))
-    if not np.all(np.isfinite(hc)):
-        raise DomainError("Hamiltonian matrix is not finite")
-    energy = float((c.conj() * hc).sum().real)
-    scale = max(1.0, abs(params.G), abs(params.zeta), abs(params.eps_s), abs(params.eps_p))
-    residual = np.linalg.norm((hc - energy * c) / scale)
+    hc = _hamiltonian(params, subspace(SubspaceLabel.INITIAL), 0.0) @ c
+    energy = float((c.conj() @ hc).real)
+    residual = np.linalg.norm((hc - energy * c) / max(1.0, abs(params.G), abs(params.zeta)))
     if not residual <= _RESIDUAL_TOL:
         raise DomainError("initial state is not an eigenvector of the Hamiltonian")
+    return energy
+
+
+def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
+    """The normalized (J, M) = (1/2, 1/2) ground state plus one incident photon,
+    and its electron energy E_g = 2 eps_s + eps_p + E'_g, which must be finite."""
+    level = _level_energy(params, _BASES[SubspaceLabel.INITIAL][0])
+    energy = level + ground_coupling_energy(params)
+    if not isfinite(energy):
+        raise DomainError("initial-state energy is not finite")
     return ground_state(), energy
 
 
-@cache
-def _closed_shell_terms() -> tuple[float, ...]:
-    """<1s^2| term |1s^2> for the four terms of H."""
-    closed = closed_shell()
-    return tuple(inner(closed, apply(closed)).real for apply in _TERMS)
-
-
 def final_state_energy(params: ModelParams) -> float:
-    """Energy of the closed-shell electron final state, <1s^2| H |1s^2>.
-
-    Terms that vanish on the closed shell (all but n_1s) are left out, so an
-    overflowing weight on one of them does not turn E_f into NaN.
-    """
-    return sum(w * e for w, e in zip(_energies(params), _closed_shell_terms()) if e)
+    """Energy of the closed-shell electron final state, <1s^2| H |1s^2>: its
+    level energy, since H' vanishes there."""
+    return _level_energy(params, _CLOSED_SHELL)

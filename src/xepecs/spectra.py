@@ -1,10 +1,10 @@
 """Spin-resolved core-level photoemission and coincidence emission spectra.
 
-Line positions follow energy conservation: a photoelectron line sits at
-epsilon_i = Omega + E_g - E_i, and the emitted-photon line of the coincidence
-spectrum at omega_0 = Omega + E_g - epsilon - E_f with the unique closed-shell
-final state. Discrete lines are convolved with a unit-area Lorentzian whose
-``width`` parameter is the half width at half maximum.
+Line positions follow energy conservation, written once by the calculator: a
+photoelectron line at epsilon_i = Omega + eps_s + E'_g - E'_i, and the emitted
+photon of the coincidence spectrum at omega_0 = Omega + eps_p + E'_g - epsilon
+(see ``amplitudes``). Discrete lines are convolved with a unit-area Lorentzian
+whose ``width`` parameter is the half width at half maximum.
 
 Both default grids have a 0.005 eV step, and the emission grid spans 3 eV on
 either side of its line. A model or kinetic energy that puts a line where
@@ -100,23 +100,17 @@ def _resolved_lines(inputs: str, lines: list[SpectralLine], energies: list[float
 def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     """Photoemission line spectrum for one photoelectron spin.
 
-    One line per intermediate eigenstate, positioned at Omega + E_g - E_i
+    One line per intermediate eigenstate i, at Omega + eps_s + E'_g - E'_i
     with weight |<i| c^dag s a |g>|^2. Dipole-forbidden eigenstates are kept
     with (numerically) zero weight so the selection rules stay visible.
     """
     calc = calculator(params)
     eig = calc.eigensystems[sigma]
-    elements = calc.pe_elements[sigma]
-    lines = [
-        SpectralLine(
-            position=params.Omega + calc.E_g - float(e),
-            weight=float(abs(el) ** 2),
-            j=j,
-            channel=f"xps_{sigma.value}",
-        )
-        for e, el, j in zip(eig.energies, elements, eig.j_labels)
-    ]
-    return _resolved_lines(repr(params), lines, [params.Omega, calc.E_g, *eig.energies])
+    lines = [SpectralLine(float(x), float(abs(el) ** 2), j, f"xps_{sigma.value}")
+             for x, el, j in zip(calc.line_positions[sigma], calc.pe_elements[sigma],
+                                 eig.j_labels)]
+    return _resolved_lines(repr(params), lines, [params.Omega, params.eps_s, calc.ground_coupling,
+                                                 *eig.coupling_energies])
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
@@ -148,17 +142,17 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
                     ) -> SpectrumSeries:
     """Emitted-photon spectrum of one (spin, polarization) coincidence channel.
 
-    A single line at omega_0 = Omega + E_g - epsilon - E_f carrying weight
+    A single line at omega_0 = Omega + eps_p + E'_g - epsilon carrying weight
     |A(sigma, lambda; epsilon)|^2, broadened with the emitted-photon
     resolution ``gamma``.
     """
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
-    omega0 = params.Omega + calc.E_g - epsilon - calc.E_f
+    omega0 = calc.emission_line(epsilon)
     label = channel_label(channel)
     lines = _resolved_lines(f"{params!r}, epsilon={epsilon!r}",
                             [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)],
-                            [params.Omega, calc.E_g, epsilon, calc.E_f])
+                            [params.Omega, params.eps_p, calc.ground_coupling, epsilon])
     if grid is None:
         grid = default_emission_grid(omega0)
     return broaden(lines, params.gamma, grid, channel=label)

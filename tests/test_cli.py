@@ -330,11 +330,6 @@ class TestLinesBeyondGridResolution:
         ("xepecs", '{"Omega": 1e308}', "Omega=1e+308"),
         ("xps", '{"Omega": 1e308}', "Omega=1e+308"),
         ("xepecs", '{"epsilon": 1e308}', "epsilon=1e+308"),
-        # E_g and every E_i round to the same huge value, leaving no multiplet
-        ("xps", '{"eps_p": 1e154}', "eps_p=1e+154"),
-        ("xps", '{"eps_p": 1e14}', "eps_p=100000000000000.0"),
-        ("rho", '{"eps_p": 1e154}', "eps_p=1e+154"),
-        ("entropy", '{"eps_p": 1e14}', "eps_p=100000000000000.0"),
     ])
     def test_exit_3_naming_the_inputs(self, tmp_path, monkeypatch, capsys, command, text, named):
         argv = [command, "--config", self.config(tmp_path, text)]
@@ -350,6 +345,71 @@ class TestLinesBeyondGridResolution:
         assert result.returncode == 3
         assert result.stderr.startswith("domain error: ModelParams(")
         assert "Omega=1e+308" in result.stderr and result.stderr.count("\n") == 1
+
+
+class TestLevelEnergyOutsideTheLines:
+    """eps_p enters no photoemission line or resonance, so xps, rho and entropy
+    write the default output for any finite eps_p."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    @pytest.mark.parametrize("command", ["xps", "rho", "entropy"])
+    def test_output_is_byte_identical_to_the_default(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        assert self.main([command, "--out", "default"], tmp_path, monkeypatch, capsys)[0] == 0
+        expected = (tmp_path / "default").read_bytes()
+        for eps_p in ("1e14", "1e154", "-1e300"):
+            argv = [command, "--out", "changed", "--config",
+                    self.config(tmp_path, f'{{"eps_p": {eps_p}}}')]
+            assert self.main(argv, tmp_path, monkeypatch, capsys) == (0, "")
+            assert (tmp_path / "changed").read_bytes() == expected
+
+
+class TestEntropyAtFixedEpsilon:
+    """Exact entropies of the sweep: 1 at 90 degrees, 0 where the pair is separable."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    def test_huge_eps_p_keeps_the_maximum(self, tmp_path, monkeypatch, capsys):
+        # eps_p once entered the resonance through E_g - E_i and rounded the
+        # multiplet splitting away: S(90) came out as 0.999999828
+        argv = ["entropy", "--theta", "0:90:45", "--epsilon", "6.5",
+                "--config", self.config(tmp_path, '{"eps_p": 1e14}')]
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+        _, data = read_csv(tmp_path / "entropy.csv")
+        assert abs(data[0, 1]) <= 1e-12 and abs(data[2, 1] - 1.0) <= 1e-12
+
+    def test_separable_state_writes_0_not_minus_0(self, tmp_path, monkeypatch, capsys):
+        argv = ["entropy", "--theta", "0:180:90",
+                "--config", self.config(tmp_path, '{"G": 0, "zeta": 0}')]
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+        text = (tmp_path / "entropy.csv").read_text(encoding="utf-8")
+        assert text == "theta_deg,entropy_bits\n0,0\n90,1\n180,0\n"
+
+
+class TestHugeWidths:
+    """A Lorentzian width whose square overflows exits 3, naming the inputs."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    @pytest.mark.parametrize("command,text,named", [
+        ("xps", '{"Gamma_1s": 1e155}', "Gamma_1s=1e+155"),
+        ("xepecs", '{"gamma": 1e155}', "gamma=1e+155"),
+    ])
+    def test_exit_3_naming_the_width(self, tmp_path, monkeypatch, capsys, command, text, named):
+        argv = [command, "--config", self.config(tmp_path, text)]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and named in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("text", ['{"Gamma_1s": 1e150}', '{"gamma": 1e150}'])
+    def test_wide_but_finite_square_runs(self, tmp_path, monkeypatch, capsys, text):
+        argv = ["xepecs", "--config", self.config(tmp_path, text)]
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
 
 
 class TestUndefinedStateNamesTheInputs:

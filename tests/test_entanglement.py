@@ -193,6 +193,13 @@ class TestVonNeumannEntropy:
     def test_small_negative_jitter_clipped(self):
         assert von_neumann_entropy(np.diag([1.0 + 1e-13, -1e-13])) == 0.0
 
+    def test_separable_state_has_positive_zero_entropy(self):
+        # -0.0 would print as "-0"
+        pure = np.diag([1.0, 0.0])
+        assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0
+        stack = von_neumann_entropy(np.array([pure, np.diag([0.5, 0.5])]))
+        assert [math.copysign(1.0, s) for s in stack] == [1.0, 1.0]
+
 
 class TestEntropySweep:
     def test_extremes(self):

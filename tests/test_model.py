@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from xepecs import model
+from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt
-from xepecs.fockspace import PhotonMode, Spin, inner
+from xepecs.fockspace import PhotonMode, Shell, Spin, inner
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -215,3 +217,42 @@ class TestSubspaces:
             assert bin(b.orbitals).count("1") == 2
         for b in subspace(SubspaceLabel.INITIAL).basis:
             assert bin(b.orbitals).count("1") == 3
+
+
+class TestOffsetFreeHamiltonian:
+    """n_1s and n_2p are constants on every subspace, so only H' is diagonalized."""
+
+    @pytest.mark.parametrize("label,occupation", [(SubspaceLabel.INITIAL, (2, 1)),
+                                                  (SubspaceLabel.M0, (1, 1)),
+                                                  (SubspaceLabel.M1, (1, 1))])
+    def test_occupations_are_integer_multiples_of_the_identity(self, label, occupation):
+        sub = subspace(label)
+        for shell, n in zip((Shell.S1S, Shell.P2P), occupation):
+            number = model._operator_matrix(
+                sub, lambda v: model._apply_diagonal(v, model._N_SHELL[shell]))
+            assert np.array_equal(number, n * np.eye(sub.dim))
+        assert all(model._occupation(b) == occupation for b in sub.basis)
+
+    def test_closed_shell_has_occupations_2_0_and_no_coupling(self):
+        closed = model.closed_shell()
+        assert list(closed.states()) == [model._CLOSED_SHELL]
+        assert model._occupation(model._CLOSED_SHELL) == (2, 0)
+        for apply in (model._apply_spin_orbit, model._apply_exchange):
+            assert len(apply(closed)) == 0
+        assert model.final_state_energy(TABLE) == 2 * TABLE.eps_s
+
+    def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
+        eig = intermediate_eigensystem(TABLE, Spin.UP)
+        assert eig.level_energy == TABLE.eps_s + TABLE.eps_p
+        assert np.array_equal(eig.energies, eig.level_energy + eig.coupling_energies)
+        H = build_hamiltonian(TABLE, eig.subspace)
+        assert np.max(np.abs(H @ eig.vectors - eig.vectors * eig.energies)) < 1e-10
+
+    def test_near_degenerate_levels_keep_sharp_j_labels(self):
+        # levels split just above the degeneracy tolerance of a scale set by
+        # the level energies were once mixed by eigh, and <J^2> missed j(j+1)
+        params = ModelParams(G=2.5851919801451547e-11, zeta=1.8541897049222843e-09,
+                             eps_s=-26.71222382762132, eps_p=-1.3241151072793786)
+        calc = AmplitudeCalculator(params)
+        labels = {s: [float(j) for j in calc.eigensystems[s].j_labels] for s in Spin}
+        assert labels == {Spin.UP: [0.0, 1.0, 1.0, 2.0], Spin.DOWN: [1.0, 1.0, 2.0]}

@@ -1,8 +1,10 @@
 """Property-based invariants of the model over bounded physical parameters.
 
 Draws include exact G = 0 and zeta = 0, where levels are degenerate and the
-cluster resolution of ``diagonalize`` carries the labels. Examples are
-derandomized, so every run checks the same inputs.
+cluster resolution of ``diagonalize`` carries the labels. Hypothesis also
+folds literals it finds in the source files into its draws, so
+``derandomize=True`` alone does not fix what is tested: the hard cases are
+explicit examples of every property (``hard_cases``), and run every time.
 
 ``fock_hamiltonian`` is the per-state Fock-space route that the cached,
 parameter-linear ``build_hamiltonian`` replaced; it is kept here as the
@@ -12,7 +14,7 @@ reference.
 from math import cos, log2, radians
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xepecs.amplitudes import calculator, xepecs_amplitudes
@@ -59,10 +61,29 @@ epsilon_st = st.floats(4.0, 9.0)
 angle_st = st.floats(0.0, 360.0)
 theta_st = st.floats(0.0, 180.0)
 
+HARD_PARAMS = (
+    ModelParams(G=0.0, zeta=1e-8),
+    ModelParams(G=0.0, zeta=0.0),
+    # a level energy far above the splittings, once rounded into the resonance
+    ModelParams(eps_p=1e14),
+    # levels split just above the degeneracy tolerance, once mislabelled
+    ModelParams(G=2.5851919801451547e-11, zeta=1.8541897049222843e-09,
+                eps_s=-26.71222382762132, eps_p=-1.3241151072793786),
+)
+
 
 def oracle(theta_deg):
     c = abs(cos(radians(theta_deg)))
     return -sum(x * log2(x) for x in ((1.0 + c) / 2.0, (1.0 - c) / 2.0) if x > 0.0)
+
+
+def hard_cases(*rest):
+    """One explicit example per HARD_PARAMS entry, with the other arguments ``rest``."""
+    def decorate(test):
+        for params in HARD_PARAMS:
+            test = example(params, *rest)(test)
+        return test
+    return decorate
 
 
 def geometry(phi, beta1):
@@ -82,6 +103,7 @@ def fock_hamiltonian(params, sub):
 
 @SETTINGS
 @given(params_st, epsilon_st, angle_st, angle_st, st.lists(theta_st, max_size=5))
+@hard_cases(6.5, 30.0, 20.0, [45.0])
 def test_entropy_oracle(params, epsilon, phi, beta1, thetas):
     thetas = [0.0, 90.0, 180.0] + thetas
     curve = entropy_sweep(params, geometry(phi, beta1), thetas, epsilon)
@@ -93,6 +115,7 @@ def test_entropy_oracle(params, epsilon, phi, beta1, thetas):
 
 @SETTINGS
 @given(params_st, theta_st, epsilon_st, epsilon_st, angle_st, angle_st, angle_st, angle_st)
+@hard_cases(45.0, 5.0, 8.0, 0.0, 90.0, 10.0, 70.0)
 def test_entropy_independent_of_epsilon_phi_and_pair_rotation(params, theta, eps1, eps2,
                                                               phi1, phi2, beta1, beta2):
     s1 = entropy_sweep(params, geometry(phi1, beta1), [theta], eps1).entropy[0]
@@ -102,6 +125,7 @@ def test_entropy_independent_of_epsilon_phi_and_pair_rotation(params, theta, eps
 
 @SETTINGS
 @given(params_st, theta_st, angle_st, epsilon_st)
+@hard_cases(45.0, 30.0, 6.5)
 def test_fidelity_with_closed_form(params, theta, phi, epsilon):
     geom = EmissionGeometry.from_degrees(theta, phi, 90.0, 180.0)
     state = entangled_state(xepecs_amplitudes(params, geom, epsilon))
@@ -110,6 +134,7 @@ def test_fidelity_with_closed_form(params, theta, phi, epsilon):
 
 @SETTINGS
 @given(params_st)
+@hard_cases()
 def test_operators_hermitian_and_commuting(params):
     for label in SubspaceLabel:
         sub = subspace(label)
@@ -123,6 +148,7 @@ def test_operators_hermitian_and_commuting(params):
 
 @SETTINGS
 @given(params_st)
+@hard_cases()
 def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
     for sigma in Spin:
         eig = intermediate_eigensystem(params, sigma)
@@ -135,6 +161,7 @@ def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
 
 @SETTINGS
 @given(params_st)
+@hard_cases()
 def test_hamiltonian_equals_the_fock_space_route(params):
     for label in SubspaceLabel:
         sub = subspace(label)
@@ -145,6 +172,7 @@ def test_hamiltonian_equals_the_fock_space_route(params):
 
 @SETTINGS
 @given(params_st)
+@hard_cases()
 def test_photoemission_elements_equal_the_per_call_route(params):
     calc = calculator(params)
     g, _ = initial_state(params)
@@ -155,6 +183,7 @@ def test_photoemission_elements_equal_the_per_call_route(params):
 
 @SETTINGS
 @given(params_st)
+@hard_cases()
 def test_ground_energy_is_the_j_half_level(params):
     _, energy = initial_state(params)
     assert abs(energy - (2 * params.eps_s + params.eps_p - params.zeta)) <= 1e-12
@@ -162,6 +191,7 @@ def test_ground_energy_is_the_j_half_level(params):
 
 @SETTINGS
 @given(params_st, theta_st, angle_st, angle_st, epsilon_st)
+@hard_cases(45.0, 30.0, 20.0, 6.5)
 def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
     geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta1 + 90.0)
     m = full_density_matrix(entangled_state(xepecs_amplitudes(params, geom, epsilon))).matrix
