@@ -64,7 +64,7 @@ from .model import (
     final_state_energy,
     ground_coupling_energy,
     ground_state,
-    initial_state,
+    initial_energy,
     intermediate_eigensystem,
     intermediate_subspace,
     subspace,
@@ -183,10 +183,10 @@ class AmplitudeCalculator:
     def __init__(self, params: ModelParams):
         self.params = params
         try:
-            _, self.E_g = initial_state(params)
+            self.ground_coupling = ground_coupling_energy(params)   # E'_g
+            self.E_g = initial_energy(params, self.ground_coupling)
             self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
-            self.ground_coupling = ground_coupling_energy(params)   # E'_g
             width = max(params.Gamma_1s, params.gamma)   # Lorentzian HWHMs, squared in spectra
             if not width * width < inf:
                 raise DomainError(f"a Lorentzian width of {width:g} eV overflows its square")

@@ -44,7 +44,7 @@ class HalfInt:
             return cls(int(doubled))
         if isinstance(x, float):
             doubled = 2.0 * x
-            if doubled != int(doubled):
+            if not doubled.is_integer():   # also inf and NaN
                 raise ValueError(f"{x} is not an integer or half-integer")
             return cls(int(doubled))
         raise TypeError(f"cannot interpret {x!r} as a half-integer")

@@ -100,7 +100,8 @@ def _parse_theta(text: str) -> list[float]:
         if not span < MAX_THETAS:
             raise ConfigError(f"theta: a sweep may have at most {MAX_THETAS} angles")
         count = int(np.floor(span)) + 1
-        values = [start + k * step for k in range(count)]
+        # start + k * step may round past END on the last angle
+        values = [min(start + k * step, end) for k in range(count)]
     else:
         values = [_number("theta", text)]
     for v in values:

@@ -12,9 +12,10 @@ Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
 So only H' is diagonalized, and an energy is the level energy
 eps_s n_1s + eps_p n_2p plus an eigenvalue of H'; H' is zero on the closed
-shell. The occupations and the matrices of l.s, S_1s . S_2p, J^2 and S^2 are
-built once per process and subspace, so a parameter set costs a weighted sum
-of two matrices of at most 4 x 4 and their eigendecomposition.
+shell. The occupations, the matrices of l.s, S_1s . S_2p, J^2 and S^2 and a
+(J, S) eigenbasis are built once per process and subspace, so a parameter set
+costs a weighted sum of two matrices of at most 4 x 4 and the eigendecomposition
+of each of its J blocks (at most 2 x 2), which gives every level an exact J.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "intermediate_eigensystem",
     "ground_state",
     "ground_coupling_energy",
+    "initial_energy",
     "initial_state",
     "closed_shell",
     "final_state_energy",
@@ -68,10 +70,6 @@ __all__ = [
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _J_LABEL_TOL = 1e-8
-# Levels closer than the residual tolerance form one degenerate cluster, so a
-# rotation within a cluster never fails the residual check; levels further
-# apart are resolved by eigh itself.
-_DEGENERACY_TOL = _RESIDUAL_TOL
 
 # the 2p electron of the initial state, |(l = 1, s = 1/2) j = m = 1/2>, as
 # (m_l, m_s) -> Clebsch-Gordan coefficient
@@ -333,7 +331,8 @@ class EigenSystem:
     """Eigenpairs of a subspace Hamiltonian, ascending: ``coupling_energies`` of
     the diagonalized matrix (for the model H'), to which the energies add the
     subspace's ``level_energy``; ``vectors[:, i]`` the i-th eigenvector over the
-    subspace basis and ``j_labels[i]`` its J, read off <J^2> = j (j + 1)."""
+    subspace basis and ``j_labels[i]`` the J of the block it was found in.
+    The phase of each vector is arbitrary."""
 
     coupling_energies: np.ndarray
     vectors: np.ndarray
@@ -351,50 +350,6 @@ class EigenSystem:
         return len(self.coupling_energies)
 
 
-def _resolve_clusters(w: np.ndarray, v: np.ndarray, operators: list[np.ndarray]
-                      ) -> np.ndarray:
-    """Rotate degenerate eigenvector clusters to diagonalize commuting labels.
-
-    Within each group of (near-)equal eigenvalues the returned columns also
-    diagonalize the given operators, in order, which makes the decomposition
-    deterministic and the labels sharp even at accidental degeneracies.
-    """
-    scale = max(1.0, float(np.max(np.abs(w))))
-    groups = _runs(w, list(range(len(w))), _DEGENERACY_TOL * scale)
-    for op in operators:
-        next_groups: list[list[int]] = []
-        for g in groups:
-            if len(g) == 1:
-                next_groups.append(g)
-                continue
-            block = v[:, g]
-            sub_op = block.conj().T @ op @ block
-            vals, rot = np.linalg.eigh(0.5 * (sub_op + sub_op.conj().T))
-            v[:, g] = block @ rot
-            # split the group by the new labels for the next operator pass
-            next_groups += _runs(vals, g, 1e-6)
-        groups = next_groups
-    return v
-
-
-def _runs(values: np.ndarray, indices: list[int], tol: float) -> list[list[int]]:
-    """Split ``indices`` (``values`` ascending) into runs within ``tol`` of their first value."""
-    runs, start = [], 0
-    for k in range(1, len(indices) + 1):
-        if k == len(indices) or values[k] - values[start] > tol:
-            runs.append(indices[start:k])
-            start = k
-    return runs
-
-
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so that its largest component is real and positive."""
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    size = np.abs(pivots)
-    v *= np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 0)
-    return v
-
-
 def _j_label_from_expectation(x: float) -> HalfInt:
     twice_j = round(2.0 * ((-1.0 + sqrt(1.0 + 4.0 * x)) / 2.0))
     expected = twice_j * (twice_j + 2) / 4.0   # j (j + 1), exact in floating point
@@ -403,12 +358,30 @@ def _j_label_from_expectation(x: float) -> HalfInt:
     return HalfInt(twice_j)
 
 
-def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian subspace Hamiltonian.
+@cache
+def _label_basis(sub: Subspace) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple[slice, ...]]:
+    """The (J, S) eigenbasis of ``sub``, built once: the columns U ascending in
+    J (read-only), their J labels and the slice of U that spans each J block.
 
-    Degenerate levels are resolved along J^2 and then S^2 so the eigenbasis
-    and its labels stay deterministic in the zeta -> 0 and G -> 0 limits.
-    The eigen-residual is checked relative to the scale max(1, max|H|).
+    J(J + 1) values lie at least 2 apart and S(S + 1)/8 < 1/2, so each (J, S)
+    pair has its own eigenvalue of J^2 + S^2/8 and one eigh separates them.
+    """
+    _, jsq, ssq = _subspace_operators(sub)
+    u = np.linalg.eigh(jsq + ssq / 8.0)[1]
+    expectations = np.einsum("ij,ij->j", u.conj(), jsq @ u).real   # <J^2> per column
+    labels = tuple(_j_label_from_expectation(float(x)) for x in expectations)
+    starts = [k for k in range(len(labels)) if k == 0 or labels[k] != labels[k - 1]]
+    blocks = tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [len(labels)]))
+    return _read_only(u), labels, blocks
+
+
+def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
+    """Eigendecomposition of a Hermitian subspace Hamiltonian that commutes
+    with J^2: each J block of H in the (J, S) basis of the subspace, at most
+    2 x 2, is diagonalized on its own, so every label is exact. The pairs are
+    sorted by energy, stably, so equal energies stay in ascending J. The
+    eigen-residual is checked relative to max(1, max|H|); a matrix that does
+    not commute with J^2 fails it.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (sub.dim, sub.dim):
@@ -418,19 +391,18 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     if np.max(np.abs(H - H.conj().T)) > _HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
 
-    w, v = np.linalg.eigh(H)
-    jsq = j_squared_matrix(sub)
-    ssq = s_squared_matrix(sub)
-    v = _resolve_clusters(w, v, [jsq, ssq])
-    v = _fix_phases(v)
+    u, labels, blocks = _label_basis(sub)
+    h = u.conj().T @ H @ u
+    pairs = [np.linalg.eigh(h[b, b]) for b in blocks]
+    w = np.concatenate([values for values, _ in pairs])
+    v = np.hstack([u[:, b] @ rotation for b, (_, rotation) in zip(blocks, pairs)])
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v[:, order]
 
     residual = np.max(np.abs(H @ v - v * w[np.newaxis, :]))
     if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H)))):
         raise DomainError(f"eigenvector residual {residual:.3e} too large")
-
-    expectations = np.einsum("ij,ij->j", v.conj(), jsq @ v).real   # <J^2> per eigenvector
-    labels = tuple(_j_label_from_expectation(float(x)) for x in expectations)
-    return EigenSystem(w, v, labels, sub)
+    return EigenSystem(w, v, tuple(labels[i] for i in order), sub)
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
@@ -477,14 +449,18 @@ def ground_coupling_energy(params: ModelParams) -> float:
     return energy
 
 
-def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
-    """The normalized (J, M) = (1/2, 1/2) ground state plus one incident photon,
-    and its electron energy E_g = 2 eps_s + eps_p + E'_g, which must be finite."""
-    level = _level_energy(params, _BASES[SubspaceLabel.INITIAL][0])
-    energy = level + ground_coupling_energy(params)
+def initial_energy(params: ModelParams, coupling: float) -> float:
+    """E_g = 2 eps_s + eps_p + E'_g from E'_g = ``coupling``; it must be finite."""
+    energy = _level_energy(params, _BASES[SubspaceLabel.INITIAL][0]) + coupling
     if not isfinite(energy):
         raise DomainError("initial-state energy is not finite")
-    return ground_state(), energy
+    return energy
+
+
+def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
+    """The normalized (J, M) = (1/2, 1/2) ground state plus one incident photon,
+    and its electron energy E_g."""
+    return ground_state(), initial_energy(params, ground_coupling_energy(params))
 
 
 def final_state_energy(params: ModelParams) -> float:

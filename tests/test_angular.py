@@ -21,8 +21,9 @@ class TestHalfInt:
         assert HalfInt.of(Fraction(3, 2)).twice_value == 3
 
     def test_of_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            HalfInt.of(0.3)
+        for x in (0.3, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="is not an integer or half-integer"):
+                HalfInt.of(x)
 
     def test_arithmetic_and_ordering(self):
         assert HalfInt.of(1) + HalfInt.of(0.5) == HalfInt.of(1.5)

@@ -426,3 +426,23 @@ class TestUndefinedStateNamesTheInputs:
         assert err.startswith("domain error: ModelParams(")
         assert "Omega=1e+308" in err and "epsilon=6.5" in err and "vanish" in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+class TestSweepEnd:
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+    config = staticmethod(TestDomainAndOutputErrors.config)
+
+    def test_last_angle_does_not_overshoot_end(self, tmp_path, monkeypatch, capsys):
+        # 0.3 + 1797 * 0.1 rounds to 180.00000000000003, once outside [0, 180]
+        code, err = self.main(["entropy", "--theta", "0.3:180:0.1"], tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        _, data = read_csv(tmp_path / "entropy.csv")
+        assert data.shape == (1798, 2)
+        assert data[-1, 0] == 180.0 and abs(data[-1, 1]) <= 1e-12
+
+    def test_overflowing_ground_energy_exits_3(self, tmp_path, monkeypatch, capsys):
+        argv = ["xepecs", "--theta", "45", "--epsilon", "6.5",
+                "--config", self.config(tmp_path, '{"eps_s": 1e308}')]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and "eps_s=1e+308" in err

@@ -241,6 +241,28 @@ class TestParameterLinearModel:
         with pytest.raises(DomainError, match="not finite"):
             build_hamiltonian(params, subspace(label))
 
+class TestGroundEnergyOnce:
+    def test_one_ground_coupling_evaluation_per_calculator(self, monkeypatch):
+        # E'_g is the only use of H' on the initial subspace
+        AmplitudeCalculator(ModelParams())
+        built = []
+        original = model._hamiltonian
+
+        def counted(params, sub, level):
+            built.append(sub.label)
+            return original(params, sub, level)
+
+        monkeypatch.setattr(model, "_hamiltonian", counted)
+        calc = AmplitudeCalculator(ModelParams(G=0.21, zeta=0.13))
+        assert built.count(SubspaceLabel.INITIAL) == 1
+        assert calc.ground_coupling == pytest.approx(-0.13, abs=1e-15)
+        assert calc.E_g == 2 * -13.6 + -5.0 + calc.ground_coupling
+
+    def test_initial_energy_must_be_finite(self):
+        with pytest.raises(model.DomainError, match="initial-state energy is not finite"):
+            model.initial_energy(ModelParams(eps_s=0.0, eps_p=1.7e308), 1e307)
+
+
 class TestNearlyDegenerateLevels:
     @pytest.mark.parametrize("G,zeta", [(0.0, z) for z in (1e-10, 3e-9, 1e-8, 3e-8, 1e-7)]
                              + [(g, 0.0) for g in (1e-10, 3e-9, 1e-8, 3e-8, 1e-7)])

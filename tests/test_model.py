@@ -150,7 +150,7 @@ class TestDiagonalize:
 
     def test_fully_degenerate_limit_still_labels(self):
         # G = zeta = 0 leaves H proportional to the identity; labels must
-        # still come out sharp thanks to the degeneracy resolution.
+        # still come out sharp, since each J block is diagonalized on its own.
         params = ModelParams(G=0.0, zeta=0.0)
         up = intermediate_eigensystem(params, Spin.UP)
         assert j_values(up) == [0.0, 1.0, 1.0, 2.0]
@@ -250,9 +250,66 @@ class TestOffsetFreeHamiltonian:
 
     def test_near_degenerate_levels_keep_sharp_j_labels(self):
         # levels split just above the degeneracy tolerance of a scale set by
-        # the level energies were once mixed by eigh, and <J^2> missed j(j+1)
+        # the level energies were once mixed by eigh, and <J^2> missed j(j+1);
+        # each level keeps its own energy, in ascending order, so the labels
+        # are compared as sorted lists
         params = ModelParams(G=2.5851919801451547e-11, zeta=1.8541897049222843e-09,
                              eps_s=-26.71222382762132, eps_p=-1.3241151072793786)
         calc = AmplitudeCalculator(params)
-        labels = {s: [float(j) for j in calc.eigensystems[s].j_labels] for s in Spin}
+        labels = {s: j_values(calc.eigensystems[s]) for s in Spin}
         assert labels == {Spin.UP: [0.0, 1.0, 1.0, 2.0], Spin.DOWN: [1.0, 1.0, 2.0]}
+
+
+class TestJBlocks:
+    """diagonalize works one J block at a time in a parameter-free (J, S) basis."""
+
+    @pytest.mark.parametrize("label,js", [(SubspaceLabel.INITIAL, [0.5, 1.5]),
+                                          (SubspaceLabel.M0, [0.0, 1.0, 1.0, 2.0]),
+                                          (SubspaceLabel.M1, [1.0, 1.0, 2.0])])
+    def test_label_basis_diagonalizes_j_squared_and_s_squared(self, label, js):
+        sub = subspace(label)
+        u, labels, blocks = model._label_basis(sub)
+        assert [float(j) for j in labels] == js
+        assert [labels[b.start] for b in blocks] == sorted(set(labels))
+        assert sum(b.stop - b.start for b in blocks) == sub.dim
+        assert np.max(np.abs(u.conj().T @ u - np.eye(sub.dim))) < 1e-14
+        for op in (j_squared_matrix(sub), s_squared_matrix(sub)):
+            rotated = u.conj().T @ op @ u
+            assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) < 1e-14
+        jj = [float(j.value * (j.value + 1)) for j in labels]
+        assert np.max(np.abs(np.diag(u.conj().T @ j_squared_matrix(sub) @ u) - jj)) < 1e-14
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+    def test_basis_is_built_once_per_subspace(self):
+        intermediate_eigensystem(TABLE, Spin.UP)
+        misses = model._label_basis.cache_info().misses
+        for params in (ModelParams(G=0.2), ModelParams(zeta=0.0), ModelParams(G=0.0)):
+            intermediate_eigensystem(params, Spin.UP)
+        assert model._label_basis.cache_info().misses == misses
+
+    def test_matrix_not_commuting_with_j_squared_is_rejected(self):
+        sub = subspace(SubspaceLabel.M0)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = a + a.conj().T
+        assert np.max(np.abs(H @ j_squared_matrix(sub) - j_squared_matrix(sub) @ H)) > 0.1
+        with pytest.raises(model.DomainError, match="residual"):
+            diagonalize(H, sub)
+
+    def test_equal_energies_stay_in_ascending_j(self):
+        for spin, js in ((Spin.UP, [0.0, 1.0, 1.0, 2.0]), (Spin.DOWN, [1.0, 1.0, 2.0])):
+            eig = intermediate_eigensystem(ModelParams(G=0.0, zeta=0.0), spin)
+            assert [float(j) for j in eig.j_labels] == js
+
+    def test_split_levels_of_different_j_stay_unmixed(self):
+        # levels of J = 0 and J = 1 about 1e-10 eV apart were once mixed by
+        # roundoff: the up-spin J = 0 and J = 1 weights read 0.250000353 and
+        # 0.249999647, both exactly 1/4
+        params = ModelParams(G=1.7680844477165957e-10, zeta=0.3481734336815314)
+        calc = AmplitudeCalculator(params)
+        eig = calc.eigensystems[Spin.UP]
+        by_j = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0}
+        for j, el in zip(eig.j_labels, calc.pe_elements[Spin.UP]):
+            by_j[float(j)] += abs(el) ** 2
+        assert by_j == pytest.approx({0.0: 0.25, 1.0: 0.25, 2.0: 0.0}, abs=1e-14)

@@ -1,7 +1,7 @@
 """Property-based invariants of the model over bounded physical parameters.
 
 Draws include exact G = 0 and zeta = 0, where levels are degenerate and the
-cluster resolution of ``diagonalize`` carries the labels. Hypothesis also
+J blocks of ``diagonalize`` carry the labels. Hypothesis also
 folds literals it finds in the source files into its draws, so
 ``derandomize=True`` alone does not fix what is tested: the hard cases are
 explicit examples of every property (``hard_cases``), and run every time.
@@ -41,6 +41,7 @@ from xepecs.model import (
     subspace,
 )
 from xepecs.polarization import EmissionGeometry
+from xepecs.spectra import xps_lines
 
 from reference import photoemission_elements
 
@@ -69,6 +70,8 @@ HARD_PARAMS = (
     # levels split just above the degeneracy tolerance, once mislabelled
     ModelParams(G=2.5851919801451547e-11, zeta=1.8541897049222843e-09,
                 eps_s=-26.71222382762132, eps_p=-1.3241151072793786),
+    # levels of J = 0 and J = 1 about 1e-10 eV apart, once mixed by roundoff
+    ModelParams(G=1.7680844477165957e-10, zeta=0.3481734336815314),
 )
 
 
@@ -157,6 +160,20 @@ def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
             assert j.is_integer
             x = float(np.real(eig.vectors[:, i].conj() @ jsq @ eig.vectors[:, i]))
             assert abs(x - float(j.value * (j.value + 1))) <= 1e-8
+
+
+@SETTINGS
+@given(params_st)
+@hard_cases()
+def test_photoemission_selection_rules(params):
+    # unit total strength, dark J = 2, and down-spin J = 1 lines at twice the up-spin weight
+    lines = {sigma: xps_lines(params, sigma) for sigma in Spin}
+    total = sum(line.weight for spectrum in lines.values() for line in spectrum.lines)
+    assert abs(total - 1.0) <= 1e-12
+    assert all(line.weight <= 1e-12 for spectrum in lines.values()
+               for line in spectrum.select(2).lines)
+    j1 = {sigma: sum(line.weight for line in lines[sigma].select(1).lines) for sigma in Spin}
+    assert abs(j1[Spin.DOWN] - 2.0 * j1[Spin.UP]) <= 1e-12
 
 
 @SETTINGS
