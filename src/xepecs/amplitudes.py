@@ -27,8 +27,9 @@ per kinetic energy, one 3-vector
 
     t_sigma[q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / denom_sigma[i],
 
-so A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q] for any number of
-emission angles at once.
+so A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q]. For N emission
+angles at once that is one (2N x 3) @ (3 x 2) matrix product of the stacked
+polarization components with t^T.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ class AmplitudeCalculator:
         and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order.
         """
         alphas = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
-        return np.einsum("nlq,sq->nsl", alphas, self.spin_vectors(epsilon))
+        summed = alphas.reshape(-1, 3) @ self.spin_vectors(epsilon).T   # (n lambda, sigma)
+        return summed.reshape(-1, 2, 2).swapaxes(1, 2)
 
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
         summed = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]

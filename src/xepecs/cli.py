@@ -101,13 +101,13 @@ def _parse_theta(text: str) -> list[float]:
             raise ConfigError(f"theta: a sweep may have at most {MAX_THETAS} angles")
         count = int(np.floor(span)) + 1
         # start + k * step may round past END on the last angle
-        values = [min(start + k * step, end) for k in range(count)]
+        values = np.minimum(start + np.arange(count) * step, end)
     else:
-        values = [_number("theta", text)]
-    for v in values:
-        if not 0.0 <= v <= 180.0:
-            raise ConfigError(f"theta: {v} outside [0, 180] degrees")
-    return values
+        values = np.array([_number("theta", text)])
+    outside = values[~((values >= 0.0) & (values <= 180.0))]
+    if outside.size:
+        raise ConfigError(f"theta: {float(outside[0])} outside [0, 180] degrees")
+    return values.tolist()
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -197,10 +197,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv(header: list[str], columns: list[np.ndarray | list]) -> str:
-    lines = [",".join(header)]
-    for i in range(len(columns[0])):
-        lines.append(",".join(_fmt(float(col[i])) for col in columns))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["{:.12g}"] * len(columns)) + "\n"   # _fmt per column, one call per row
+    values = (np.asarray(col, dtype=float).tolist() for col in columns)
+    return ",".join(header) + "\n" + "".join(map(row.format, *values))
 
 
 def _json_dump(obj) -> str:

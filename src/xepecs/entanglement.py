@@ -15,11 +15,13 @@ spin density matrix. For the default orthogonal polarization pair
 which this module keeps as an independent cross-check of the full amplitude
 pipeline; its reduced spin matrix has eigenvalues (1 +/- |cos(theta)|) / 2.
 
-A single state and an angle sweep take one path: the same helpers normalize
-a (..., 2, 2) stack of amplitudes (rejecting non-finite or vanishing ones
-with the parameter set and kinetic energy named), check the norm, check
-each reduced matrix once while taking its eigenvalues, and turn those
-eigenvalues into bits. ``entropy_sweep`` runs that path once over all angles.
+A single state and an angle sweep share one normalization of a (..., 2, 2)
+amplitude stack (rejecting non-finite or vanishing amplitudes with the
+parameter set and kinetic energy named) and one norm check. A single state's
+reduced matrix is a checked ``DensityMatrix``; ``entropy_sweep`` takes the
+reduced spin eigenvalues of every angle in closed form from |det c|
+(concurrence 2|det c|), with no eigenvalue decomposition. Both turn
+eigenvalues into bits the same way.
 """
 
 from __future__ import annotations
@@ -100,6 +102,29 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     if not np.all(eigenvalues >= -tol):
         raise DomainError("matrix has a negative eigenvalue")
     return eigenvalues
+
+
+def _spin_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues (lambda_-, lambda_+) of the reduced spin matrices c c^dag of a
+    (..., 2, 2) coefficient stack, in closed form, without forming c c^dag.
+
+    With a and d the squared norms of the rows of c and b = c_00 conj(c_10) +
+    c_01 conj(c_11), lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|) and
+    lambda_- = |det c|^2 / lambda_+, which does not cancel near a separable
+    state (det c = 0). Both are real and lambda_- + lambda_+ = a + d, the norm
+    that ``_check_norm`` bounds, so only positivity is left to check: raises
+    DomainError unless lambda_- >= -1e-12, a comparison NaN fails.
+    """
+    c00, c01, c10, c11 = np.moveaxis(coeffs.reshape(*coeffs.shape[:-2], 4), -1, 0)
+    sq = coeffs.real ** 2 + coeffs.imag ** 2
+    a, d = sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1]
+    b = c00 * c10.conj() + c01 * c11.conj()
+    det = c00 * c11 - c01 * c10
+    upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
+    lower = (det.real ** 2 + det.imag ** 2) / upper
+    if not np.all(lower >= -_MATRIX_TOL):
+        raise DomainError("matrix has a negative eigenvalue")
+    return np.stack([lower, upper], axis=-1)
 
 
 def _entropy_bits(eigenvalues: np.ndarray):
@@ -254,11 +279,11 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
     """Entanglement entropy against emission angle.
 
-    One cached model build per parameter set, then the single-state path
-    over all angles at once: one amplitude contraction, then the
-    normalization, norm and density checks at the tolerances of
-    ``entangled_state``, ``EntangledState`` and ``DensityMatrix``, and one
-    batched eigenvalue decomposition.
+    One cached model build per parameter set, then array math over all
+    angles at once: one amplitude product, the normalization and norm check
+    of ``entangled_state`` and ``EntangledState``, and the reduced spin
+    eigenvalues in closed form (``_spin_spectrum``), with the positivity
+    check of ``DensityMatrix`` at the same tolerance.
     """
     thetas = np.radians(np.asarray(thetas_deg, dtype=float))
     if not np.all((thetas >= 0.0) & (thetas <= pi)):
@@ -267,5 +292,5 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     amps = calculator(params).amplitude_array(thetas, geom_template, epsilon)
     coeffs = _normalize(amps, params, epsilon)
     _check_norm(coeffs)
-    entropy = _entropy_bits(_check_density(_spin_matrix(coeffs), _MATRIX_TOL))
-    return EntropyCurve(tuple(float(t) for t in thetas_deg), tuple(entropy.tolist()))
+    entropy = _entropy_bits(_spin_spectrum(coeffs))
+    return EntropyCurve(tuple(map(float, thetas_deg)), tuple(entropy.tolist()))

@@ -446,3 +446,26 @@ class TestSweepEnd:
         code, err = self.main(argv, tmp_path, monkeypatch, capsys)
         assert code == 3
         assert err.startswith("domain error: ModelParams(") and "eps_s=1e+308" in err
+
+
+class TestDenseSweep:
+    """The 180,001-angle sweep: every row on the (1 +/- |cos theta|)/2 oracle, twice alike."""
+
+    main = staticmethod(TestNonFiniteAndOversizedInputs.main)
+
+    def test_every_row_matches_the_oracle_and_repeats(self, tmp_path, monkeypatch, capsys):
+        texts = []
+        for out in ("a.csv", "b.csv"):
+            argv = ["entropy", "--theta", "0:180:0.001", "--out", out]
+            assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+            texts.append((tmp_path / out).read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == 180_002
+        header, body = texts[0].split("\n", 1)
+        assert header == "theta_deg,entropy_bits"
+        data = np.array(body.replace("\n", ",").split(",")[:-1], dtype=float).reshape(-1, 2)
+        assert data[0, 0] == 0.0 and data[-1, 0] == 180.0
+        c = np.abs(np.cos(np.radians(data[:, 0])))
+        x = np.stack([(1.0 + c) / 2.0, (1.0 - c) / 2.0])
+        logs = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+        assert np.max(np.abs(data[:, 1] + np.sum(x * logs, axis=0))) <= 1e-12

@@ -14,11 +14,16 @@ reference.
 from math import cos, log2, radians
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xepecs.amplitudes import calculator, xepecs_amplitudes
+from xepecs.amplitudes import AmplitudeCalculator, calculator, xepecs_amplitudes
 from xepecs.entanglement import (
+    DomainError,
+    _normalize,
+    _spin_matrix,
+    _spin_spectrum,
     closed_form_state,
     entangled_state,
     entropy_sweep,
@@ -61,6 +66,9 @@ params_st = st.builds(
 epsilon_st = st.floats(4.0, 9.0)
 angle_st = st.floats(0.0, 360.0)
 theta_st = st.floats(0.0, 180.0)
+# one 2 x 2 coefficient matrix, row-major; any nonzero norm, not only 1
+coeff_st = st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False), min_size=4,
+                    max_size=4).filter(lambda z: sum(abs(x) ** 2 for x in z) >= 1e-6)
 
 HARD_PARAMS = (
     ModelParams(G=0.0, zeta=1e-8),
@@ -73,6 +81,11 @@ HARD_PARAMS = (
     # levels of J = 0 and J = 1 about 1e-10 eV apart, once mixed by roundoff
     ModelParams(G=1.7680844477165957e-10, zeta=0.3481734336815314),
 )
+
+
+SEPARABLE = np.array([[0.6, 0.8j], [0.0, 0.0]])                    # det c = 0
+MAXIMALLY_ENTANGLED = np.array([[0.0, 1.0], [1.0j, 0.0]]) / np.sqrt(2.0)
+NEAR_SEPARABLE = np.array([[0.6, 0.8j], [0.0, 1e-9]])              # |det c| = 6e-10, exactly
 
 
 def oracle(theta_deg):
@@ -217,3 +230,50 @@ def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
     eigenvalues = np.linalg.eigvalsh(m)
     assert eigenvalues[0] >= -1e-12
     assert abs(eigenvalues[-1] - 1.0) <= 1e-12 and np.all(np.abs(eigenvalues[:-1]) <= 1e-12)
+
+
+@SETTINGS
+@given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, epsilon_st,
+       st.lists(coeff_st, max_size=6))
+@hard_cases([45.0], 30.0, 20.0, 6.5, [[1e-300, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi, beta1,
+                                                            epsilon, draws):
+    # the closed form never forms c c^dag; its eigenvalues from eigvalsh are the
+    # reference, so the trace, Hermiticity and positivity checks it skips still hold
+    amps = calculator(params).amplitude_array(np.radians([0.0, 90.0, 180.0] + thetas),
+                                              geometry(phi, beta1), epsilon)
+    stack = np.concatenate([_normalize(amps, params, epsilon),
+                            np.array(draws, dtype=complex).reshape(-1, 2, 2),
+                            [SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE]])
+    spectrum = _spin_spectrum(stack)
+    assert spectrum.shape == stack.shape[:-1]
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(_spin_matrix(stack)))) <= 1e-12
+    norm_sq = np.sum(np.abs(stack) ** 2, axis=(-2, -1))
+    assert np.max(np.abs(spectrum.sum(axis=-1) - norm_sq)) <= 1e-12
+    assert np.all(spectrum[:, 0] >= 0.0) and np.all(spectrum[:, 0] <= spectrum[:, 1])
+
+
+def test_spin_spectrum_of_separable_and_maximally_entangled_states():
+    lower, upper = _spin_spectrum(np.array([SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE])).T
+    assert lower[0] == 0.0 and abs(upper[0] - 1.0) <= 1e-15
+    assert abs(lower[1] - 0.5) <= 1e-15 and abs(upper[1] - 0.5) <= 1e-15
+    # lambda_- = |det c|^2 / lambda_+ with no cancellation: about 3.6e-19, where
+    # eigvalsh is only good to ~1e-16 absolute
+    assert abs(lower[2] - (0.6 * 1e-9) ** 2 / upper[2]) <= 1e-12 * lower[2]
+
+
+@pytest.mark.parametrize("params", HARD_PARAMS[:2] + (ModelParams(),))
+def test_nan_amplitude_is_a_domain_error_naming_the_inputs(monkeypatch, params):
+    amplitude_array = AmplitudeCalculator.amplitude_array
+
+    def with_nan(self, thetas, geom, epsilon):
+        amps = amplitude_array(self, thetas, geom, epsilon).copy()
+        amps[1, 1, 0] = np.nan
+        return amps
+
+    monkeypatch.setattr(AmplitudeCalculator, "amplitude_array", with_nan)
+    with pytest.raises(DomainError) as error:
+        entropy_sweep(params, geometry(30.0, 20.0), [0.0, 45.0, 90.0], 6.5)
+    assert str(error.value).startswith(f"{params!r}, epsilon=6.5: ")
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        _spin_spectrum(np.full((2, 2, 2), np.nan))
