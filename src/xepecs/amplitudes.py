@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import inf, sqrt
-from typing import Mapping
 
 import numpy as np
 
@@ -74,6 +73,7 @@ from .polarization import EmissionGeometry, polarization_components
 
 __all__ = [
     "CHANNELS",
+    "CHANNEL_INDEX",
     "channel_label",
     "AmplitudeSet",
     "xepecs_amplitudes",
@@ -81,10 +81,12 @@ __all__ = [
     "calculator",
 ]
 
-# (photoelectron spin, emitted polarization) channels in fixed order
+# (photoelectron spin, emitted polarization) channels in fixed order, and the
+# index [sigma, lambda - 1] of each in a (2, 2) array whose ravel() is that order
 CHANNELS: tuple[tuple[Spin, int], ...] = (
     (Spin.UP, 1), (Spin.UP, 2), (Spin.DOWN, 1), (Spin.DOWN, 2),
 )
+CHANNEL_INDEX = {channel: divmod(k, 2) for k, channel in enumerate(CHANNELS)}
 
 # Total 1s photoemission strength over both spin channels normalized to 1.
 PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
@@ -150,21 +152,25 @@ def _emission_basis(label: SubspaceLabel) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: == is identity
 class AmplitudeSet:
-    """The four coincidence amplitudes at one photoelectron kinetic energy."""
+    """The four coincidence amplitudes at one photoelectron kinetic energy: the
+    (2, 2) complex array values[sigma, lambda - 1], stored as given, made read-only."""
 
     epsilon: float
-    values: Mapping[tuple[Spin, int], complex]
+    values: np.ndarray
     geometry: EmissionGeometry
     params: ModelParams | None = None   # the model, where the calculator made the set
 
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
-        return self.values[channel]
+        return complex(self.values[CHANNEL_INDEX[channel]])
 
     def vector(self) -> np.ndarray:
         """Amplitudes in (U1, U2, D1, D2) order."""
-        return np.array([self.values[c] for c in CHANNELS])
+        return self.values.ravel()
 
 
 class AmplitudeCalculator:
@@ -234,9 +240,7 @@ class AmplitudeCalculator:
         return summed.reshape(-1, 2, 2).swapaxes(1, 2)
 
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
-        summed = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
-        values = {(sigma, lam): complex(summed[s, lam - 1])
-                  for s, sigma in enumerate((Spin.UP, Spin.DOWN)) for lam in (1, 2)}
+        values = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
         return AmplitudeSet(epsilon, values, geom, self.params)
 
 

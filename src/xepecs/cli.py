@@ -62,6 +62,7 @@ class RunConfig:
     epsilon: float | str         # eV or "auto"
     out: Path | None
     format: str
+    spin: Spin
 
     def geometry(self, theta_deg: float | None = None) -> EmissionGeometry:
         theta = self.thetas_deg[0] if theta_deg is None else theta_deg
@@ -169,9 +170,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     epsilon: float | str
     eps_arg = args.epsilon if args.epsilon is not None else file_cfg.get("epsilon", "auto")
     epsilon = "auto" if eps_arg == "auto" else _number("epsilon", eps_arg)
+    if epsilon != "auto" and not epsilon > 0.0:
+        raise ConfigError(f"epsilon: {epsilon:g} eV is below threshold; "
+                          "a kinetic energy must be positive")
 
     out = Path(args.out) if args.out is not None else None
-    cfg = RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, args.format)
+    spin = Spin(getattr(args, "spin", Spin.UP.value))
+    cfg = RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, args.format, spin)
     cfg.geometry(thetas[0])  # validate angles early
     return cfg
 
@@ -288,19 +293,19 @@ def _curves(fmt: str, x_name: str, x: np.ndarray, curves: list[tuple[str, np.nda
     return _render_svg(*svg_text, [(n, x, y) for n, y in curves])
 
 
-def _run_xps(config: RunConfig, spin: Spin) -> str:
-    lines = xps_lines(config.params, spin)
+def _run_xps(config: RunConfig) -> str:
+    lines = xps_lines(config.params, config.spin)
     grid = default_xps_grid()
     series = broaden(lines, config.params.Gamma_1s, grid)
     tail = {"lines": [{"kinetic_energy_eV": l.position, "weight": l.weight, "j": str(l.j)}
                       for l in lines.lines]}
     return _curves(config.format, "kinetic_energy_eV", grid,
-                   [(f"intensity_{spin.value}", series.intensity)],
-                   (f"1s photoemission ({spin.value}-spin)", "kinetic energy (eV)",
+                   [(f"intensity_{config.spin.value}", series.intensity)],
+                   (f"1s photoemission ({config.spin.value}-spin)", "kinetic energy (eV)",
                     "intensity (1/eV)"), tail=tail)
 
 
-def _run_xepecs(config: RunConfig, spin: Spin) -> str:
+def _run_xepecs(config: RunConfig) -> str:
     epsilon = config.resolve_epsilon()
     geom = config.geometry()
     curves, grid = [], None
@@ -313,7 +318,7 @@ def _run_xepecs(config: RunConfig, spin: Spin) -> str:
                    head={"epsilon_eV": float(epsilon)})
 
 
-def _run_rho(config: RunConfig, spin: Spin) -> str:
+def _run_rho(config: RunConfig) -> str:
     epsilon = config.resolve_epsilon()
     amps = xepecs_amplitudes(config.params, config.geometry(), epsilon)
     rho = full_density_matrix(entangled_state(amps))
@@ -331,7 +336,7 @@ def _run_rho(config: RunConfig, spin: Spin) -> str:
     })
 
 
-def _run_entropy(config: RunConfig, spin: Spin) -> str:
+def _run_entropy(config: RunConfig) -> str:
     epsilon = config.resolve_epsilon()
     curve = entropy_sweep(config.params, config.geometry(90.0), config.thetas_deg, epsilon)
     return _curves(config.format, "theta_deg", np.array(curve.thetas),
@@ -340,8 +345,8 @@ def _run_entropy(config: RunConfig, spin: Spin) -> str:
 
 
 class Command(NamedTuple):
-    runner: Callable[[RunConfig, Spin], str]   # the output text; spin is read by xps only
-    formats: tuple[str, ...]                    # the default first
+    runner: Callable[[RunConfig], str]   # the output text
+    formats: tuple[str, ...]              # the default first
     help: str
 
 
@@ -356,12 +361,12 @@ COMMANDS = {
 }
 
 
-def run(command: str, config: RunConfig, spin: Spin = Spin.UP) -> Path:
+def run(command: str, config: RunConfig) -> Path:
     """Execute one command and return the written output path."""
     if command not in COMMANDS:
         raise ConfigError(f"command: unknown command {command!r}")
     out = config.out if config.out is not None else Path(f"{command}.{config.format}")
-    _write_text(out, COMMANDS[command].runner(config, spin))
+    _write_text(out, COMMANDS[command].runner(config))
     return out
 
 
@@ -392,8 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
-        spin = Spin(args.spin) if getattr(args, "spin", None) else Spin.UP
-        out = run(args.command, config, spin)
+        out = run(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Spin-polarization entangled state, density matrices and entanglement entropy.
 
 Subsystem A is the photoelectron spin, subsystem B the emitted-photon
-polarization. The pure two-qubit state is the normalized amplitude map
+polarization. The pure two-qubit state is the normalized amplitude array
 
     |psi> = (1 / sqrt(sum |A|^2)) * sum_(sigma lambda) A_(sigma lambda)
             |spin sigma> |polarization lambda>
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, pi, radians, sin, sqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import CHANNELS, AmplitudeSet, calculator
+from .amplitudes import CHANNEL_INDEX, CHANNELS, AmplitudeSet, calculator, channel_label
 from .fockspace import Spin
 from .model import DomainError, ModelParams
 from .polarization import EmissionGeometry
@@ -51,7 +51,7 @@ __all__ = [
     "entropy_sweep",
 ]
 
-SPIN_POLARIZATION_BASIS = ("U1", "U2", "D1", "D2")
+SPIN_POLARIZATION_BASIS = tuple(map(channel_label, CHANNELS))
 
 _NORM_TOL = 1e-12
 _MATRIX_TOL = 1e-12
@@ -139,19 +139,24 @@ def _entropy_bits(eigenvalues: np.ndarray):
     return float(entropy) if eigenvalues.ndim == 1 else entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EntangledState:
-    """Normalized coefficients over the (U1, U2, D1, D2) product basis."""
+    """Normalized coefficients over the (U1, U2, D1, D2) product basis: the (2, 2)
+    complex array coeffs[sigma, lambda - 1], stored as given, made read-only."""
 
-    coeffs: Mapping[tuple[Spin, int], complex]
+    coeffs: np.ndarray
     epsilon: float | None
     geometry: EmissionGeometry
 
     def __post_init__(self):
-        _check_norm(self.vector().reshape(2, 2))
+        self.coeffs.flags.writeable = False
+        _check_norm(self.coeffs)
+
+    def __getitem__(self, channel: tuple[Spin, int]) -> complex:
+        return complex(self.coeffs[CHANNEL_INDEX[channel]])
 
     def vector(self) -> np.ndarray:
-        return np.array([self.coeffs[c] for c in CHANNELS])
+        return self.coeffs.ravel()
 
     def fidelity(self, other: "EntangledState") -> float:
         """|<self|other>|, insensitive to global phases."""
@@ -191,15 +196,15 @@ class EntropyCurve:
     def __post_init__(self):
         if len(self.thetas) != len(self.entropy):
             raise ValueError("angle and entropy lengths differ")
-        for s in self.entropy:
-            if not -1e-9 <= s <= 1.0 + 1e-9:
-                raise ValueError(f"entropy {s} outside [0, 1] bits")
+        entropy = np.asarray(self.entropy, dtype=float)
+        outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))
+        if outside.size:
+            raise ValueError(f"entropy {float(entropy[outside[0]])} outside [0, 1] bits")
 
 
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state."""
-    coeffs = _normalize(amps.vector().reshape(2, 2), amps.params, amps.epsilon)
-    return EntangledState(dict(zip(CHANNELS, coeffs.ravel().tolist())),
+    return EntangledState(_normalize(amps.values, amps.params, amps.epsilon),
                           amps.epsilon, amps.geometry)
 
 
@@ -218,46 +223,34 @@ def closed_form_state(geom: EmissionGeometry, C: float = 2.0 / 9.0) -> Entangled
         raise ValueError("closed form requires beta1 = 90 deg and beta2 = 180 deg")
     phase = complex(cos(geom.phi), sin(geom.phi))
     scale = 1.0 / (3.0 * sqrt(C))
-    coeffs = {
-        (Spin.UP, 1): 0j,
-        (Spin.UP, 2): scale * sin(geom.theta) + 0j,
-        (Spin.DOWN, 1): scale * 1j * phase,
-        (Spin.DOWN, 2): -scale * cos(geom.theta) * phase,
-    }
+    coeffs = np.array([[0j, scale * sin(geom.theta)],
+                       [scale * 1j * phase, -scale * cos(geom.theta) * phase]])
     return EntangledState(coeffs, None, geom)
 
 
 def full_density_matrix(state: EntangledState) -> DensityMatrix:
-    """|psi><psi| over the four spin-polarization product states."""
+    """|psi><psi| over the four spin-polarization product states, written
+    exactly Hermitian (numpy's complex products leave roundoff that is not)."""
     v = state.vector()
-    return DensityMatrix(SPIN_POLARIZATION_BASIS, np.outer(v, v.conj()))
-
-
-def _coefficient_matrix(obj) -> np.ndarray:
-    """2x2 coefficient array c[spin, polarization] from a pure state."""
-    if isinstance(obj, EntangledState):
-        return obj.vector().reshape(2, 2)
-    raise TypeError(f"expected EntangledState or DensityMatrix, got {type(obj).__name__}")
+    m = np.outer(v, v.conj())
+    return DensityMatrix(SPIN_POLARIZATION_BASIS, 0.5 * (m + m.conj().T))
 
 
 def reduce_to_spin(obj) -> DensityMatrix:
     """Partial trace over the photon polarization, leaving the spin qubit."""
     if isinstance(obj, DensityMatrix):
-        rho = np.asarray(obj.matrix).reshape(2, 2, 2, 2)
-        reduced = np.einsum("albl->ab", rho)
+        reduced = np.einsum("albl->ab", obj.matrix.reshape(2, 2, 2, 2))
     else:
-        reduced = _spin_matrix(_coefficient_matrix(obj))
+        reduced = _spin_matrix(obj.coeffs)
     return DensityMatrix(("U", "D"), reduced)
 
 
 def reduce_to_polarization(obj) -> DensityMatrix:
     """Partial trace over the photoelectron spin, leaving the photon qubit."""
     if isinstance(obj, DensityMatrix):
-        rho = np.asarray(obj.matrix).reshape(2, 2, 2, 2)
-        reduced = np.einsum("alam->lm", rho)
+        reduced = np.einsum("alam->lm", obj.matrix.reshape(2, 2, 2, 2))
     else:
-        c = _coefficient_matrix(obj)
-        reduced = c.T @ c.conj()
+        reduced = obj.coeffs.T @ obj.coeffs.conj()
     return DensityMatrix(("1", "2"), reduced)
 
 

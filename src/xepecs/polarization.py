@@ -10,18 +10,19 @@ so they automatically satisfy the transversality (Coulomb gauge) condition.
 The dipole matrix elements only need the projections of e_lambda on the
 spherical basis vectors e_0 = z, e_(+/-1) = -/+ (x +/- i y)/sqrt(2)
 (Condon-Shortley); ``polarization_components`` evaluates them for both
-polarizations of a whole array of emission angles at once. The amplitudes
-depend only on alpha_0 (up photoelectron) and alpha_-1 (down), which for
-linear polarization have the closed forms
+polarizations of a whole array of emission angles at once, from the closed
+forms for linear polarization (alpha_+1 = -conj(alpha_-1), e_lambda is real)
 
     alpha_0  = -cos(beta) sin(theta)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
+
+The amplitudes depend only on alpha_0 (up photoelectron) and alpha_-1 (down).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import cos, pi, radians, sin
+from math import cos, pi, radians, sin, sqrt
 
 import numpy as np
 
@@ -95,16 +96,8 @@ def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2:
     for the geometry with polar angle thetas[n] (radians) and the fixed phi,
     beta1 and beta2.
     """
-    st, ct = np.sin(thetas), np.cos(thetas)
-    sp, cp = sin(phi), cos(phi)
     cb = np.array([cos(beta1), cos(beta2)])
     sb = np.array([sin(beta1), sin(beta2)])
-    # e_lambda = cos(beta) e_theta + sin(beta) e_phi, component by component
-    vx = cb * (ct * cp)[:, np.newaxis] + sb * -sp
-    vy = cb * (ct * sp)[:, np.newaxis] + sb * cp
-    vz = cb * -st[:, np.newaxis] + sb * 0.0
-    out = np.empty(vx.shape + (3,), dtype=complex)
-    out[..., 0] = -(vx - 1j * vy) / np.sqrt(2.0)
-    out[..., 1] = vz
-    out[..., 2] = (vx + 1j * vy) / np.sqrt(2.0)
-    return out
+    phase = complex(cos(phi), sin(phi))
+    minus = phase * (cb * np.cos(thetas)[:, np.newaxis] + 1j * sb) / sqrt(2.0)   # alpha_-1
+    return np.stack([-minus.conj(), -cb * np.sin(thetas)[:, np.newaxis], minus], axis=-1)

@@ -223,6 +223,9 @@ class TestNonFiniteAndOversizedInputs:
         (["rho", "--phi", "abc"], "phi"),
         (["entropy", "--beta2=-inf"], "beta2"),
         (["entropy", "--theta", "0:nan:1"], "theta"),
+        # a kinetic energy <= 0 is below threshold
+        (["entropy", "--theta", "0:180:90", "--epsilon", "-3"], "epsilon"),
+        (["rho", "--theta", "90", "--epsilon", "0"], "epsilon"),
     ])
     def test_flags(self, tmp_path, monkeypatch, capsys, argv, field):
         code, err = self.main(argv, tmp_path, monkeypatch, capsys)
@@ -235,6 +238,7 @@ class TestNonFiniteAndOversizedInputs:
         ('{"Omega": Infinity}', "Omega"),
         ('{"phi_deg": -Infinity}', "phi_deg"),
         ('{"epsilon": NaN}', "epsilon"),
+        ('{"epsilon": -1}', "epsilon"),
     ])
     def test_config_file_values(self, tmp_path, monkeypatch, capsys, text, field):
         cfg = tmp_path / "cfg.json"

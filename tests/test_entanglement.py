@@ -51,22 +51,20 @@ class TestEntangledState:
 
     def test_only_down_sector_along_the_axis(self, calc):
         state = entangled_state(calc.amplitudes(EmissionGeometry.from_degrees(0.0, 0.0), 6.2))
-        assert abs(state.coeffs[U1]) < 1e-14
-        assert abs(state.coeffs[U2]) < 1e-14
-        assert abs(state.coeffs[D1]) ** 2 + abs(state.coeffs[D2]) ** 2 == pytest.approx(1.0)
+        assert abs(state[U1]) < 1e-14
+        assert abs(state[U2]) < 1e-14
+        assert abs(state[D1]) ** 2 + abs(state[D2]) ** 2 == pytest.approx(1.0)
 
     def test_normalized_for_random_geometry(self, calc):
         rng = np.random.default_rng(23)
         for _ in range(20):
             geom = EmissionGeometry.from_degrees(rng.uniform(1, 179), rng.uniform(0, 360))
             state = entangled_state(calc.amplitudes(geom, rng.uniform(4, 9)))
-            assert sum(abs(c) ** 2 for c in state.coeffs.values()) == pytest.approx(1.0,
-                                                                                    abs=1e-12)
+            assert sum(abs(c) ** 2 for c in state.vector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_amplitudes_rejected(self):
         geom = EmissionGeometry.from_degrees(90.0)
-        dead = AmplitudeSet(6.0, {c: 0j for c in ((Spin.UP, 1), (Spin.UP, 2),
-                                                  (Spin.DOWN, 1), (Spin.DOWN, 2))}, geom)
+        dead = AmplitudeSet(6.0, np.zeros((2, 2), dtype=complex), geom)
         with pytest.raises(DomainError):
             entangled_state(dead)
 
@@ -98,8 +96,7 @@ class TestClosedForm:
 
     def test_default_norm_constant(self):
         state = closed_form_state(EmissionGeometry.from_degrees(63.0, 10.0))
-        assert sum(abs(c) ** 2 for c in state.coeffs.values()) == pytest.approx(1.0,
-                                                                                abs=1e-14)
+        assert sum(abs(c) ** 2 for c in state.vector()) == pytest.approx(1.0, abs=1e-14)
 
     def test_requires_the_standard_polarization_pair(self):
         geom = EmissionGeometry.from_degrees(90.0, 0.0, 45.0, 135.0)
@@ -259,3 +256,5 @@ class TestEntropySweep:
             EntropyCurve((0.0, 1.0), (0.5,))
         with pytest.raises(ValueError):
             EntropyCurve((0.0,), (1.5,))
+        with pytest.raises(ValueError, match="entropy nan outside"):
+            EntropyCurve((0.0, 1.0, 2.0), (0.5, float("nan"), 2.0))

@@ -225,7 +225,8 @@ def test_ground_energy_is_the_j_half_level(params):
 def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
     geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta1 + 90.0)
     m = full_density_matrix(entangled_state(xepecs_amplitudes(params, geom, epsilon))).matrix
-    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert np.array_equal(m, m.conj().T)
+    assert np.all(m.diagonal().imag == 0.0)
     assert abs(np.trace(m) - 1.0) <= 1e-12
     eigenvalues = np.linalg.eigvalsh(m)
     assert eigenvalues[0] >= -1e-12
