@@ -163,7 +163,7 @@ class EntangledState:
         return float(abs(np.vdot(self.vector(), other.vector())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: == is identity
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with basis labels.
 
@@ -172,7 +172,7 @@ class DensityMatrix:
 
     basis: tuple[str, ...]
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)

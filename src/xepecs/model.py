@@ -3,19 +3,21 @@
     H = eps_s * n_1s + eps_p * n_2p + H',
     H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
 
-The exchange term uses shell spin operators, so it vanishes on a filled 1s
-shell. Matrix elements come mechanically from the fockspace operators through
-two helpers: a sum of one-body hops c^dag(dst) c(src), and a diagonal
-sum_o w_o n_o with one weight per orbital (shell occupations, s_z, j_z, l_z s_z).
+Every operator comes from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
+8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), each
+turned by the fockspace operators into its matrix over all states with a
+subspace's shell occupations. There A . B = A_z B_z + (A_+ B_- + A_- B_+)/2
+gives l.s and S_1s . S_2p (zero on a filled 1s shell), X^2 = X_- X_+ + X_z^2
++ X_z gives J^2 and S^2, and J_z is the sum of the z parts.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
 So only H' is diagonalized, and an energy is the level energy
 eps_s n_1s + eps_p n_2p plus an eigenvalue of H'; H' is zero on the closed
-shell. The occupations, the matrices of l.s, S_1s . S_2p, J^2 and S^2 and a
-(J, S) eigenbasis are built once per process and subspace, so a parameter set
-costs a weighted sum of two matrices of at most 4 x 4 and the eigendecomposition
-of each of its J blocks (at most 2 x 2), which gives every level an exact J.
+shell. The operator matrices and a (J, S) eigenbasis are built once per process
+and subspace, so a parameter set costs a weighted sum of two matrices of at
+most 4 x 4 and the eigendecomposition of each of its J blocks (at most 2 x 2),
+which gives every level an exact J.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .fockspace import (
     combine,
     create,
     create_photon,
-    inner,
     vacuum,
 )
 
@@ -126,10 +127,7 @@ class Subspace:
 
 
 def _state(*orbs: SpinOrbital) -> FockState:
-    mask = 0
-    for o in orbs:
-        mask |= 1 << o.index
-    return FockState(mask)
+    return FockState(sum(1 << o.index for o in orbs))
 
 
 _S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
@@ -173,116 +171,79 @@ def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# operator applications (all act on the electron content only)
+# operators: products of one-body Fock-space matrices
 # ---------------------------------------------------------------------------
-
-_SQRT2 = sqrt(2.0)
-_Hops = tuple[tuple[complex, SpinOrbital, SpinOrbital], ...]   # (coeff, dst, src) terms
-_BOTH_SHELLS = (Shell.S1S, Shell.P2P)
-
-# orbital indices occupied in each 8-bit orbital mask
-_OCCUPIED = tuple(tuple(i for i in range(8) if mask >> i & 1) for mask in range(256))
-
-# per-orbital weights of the diagonal operators (the 1s orbital has m = 0)
-_SZ = tuple(0.5 * o.spin.twice_sz for o in ORBITALS)
-_SZ_SHELL = {shell: tuple(w if o.shell is shell else 0.0 for o, w in zip(ORBITALS, _SZ))
-             for shell in Shell}
-_JZ = tuple(o.m + w for o, w in zip(ORBITALS, _SZ))
-_LZSZ = tuple(o.m * w for o, w in zip(ORBITALS, _SZ))
-
-
-def _apply_diagonal(v: ManyBodyVector, weights: tuple[float, ...]) -> ManyBodyVector:
-    """sum_o weights[o] n_o applied to v, one weight per canonical orbital."""
-    out = {}
-    for s, a in v.terms():
-        w = sum(weights[i] for i in _OCCUPIED[s.orbitals])
-        if w != 0.0:
-            out[s] = a * w
-    return ManyBodyVector(out)
-
-
-def _apply_terms(v: ManyBodyVector, hops: _Hops) -> ManyBodyVector:
-    """Sum of one-body terms coeff * c^dag(dst) c(src) applied to v."""
-    return combine((coeff, create(annihilate(v, src), dst)) for coeff, dst, src in hops)
-
-
-@cache
-def _p_ladder_hops(direction: int, spin_flip: tuple[Spin, Spin] | None) -> _Hops:
-    """Hops for l+/l- (direction +1/-1) on 2p, optionally with a spin flip.
-
-    The l = 1 ladder element sqrt(2 - m(m + direction)) is sqrt(2) for every step.
-    """
-    spins = tuple((s, s) for s in Spin) if spin_flip is None else (spin_flip,)
-    return tuple((_SQRT2, _p(m + direction, dst), _p(m, src))
-                 for m in (-1, 0, 1) if m + direction in (-1, 0, 1)
-                 for src, dst in spins)
-
-
-@cache
-def _spin_ladder_hops(shells: tuple[Shell, ...], raise_spin: bool) -> _Hops:
-    """S+ (or S-) summed over the given shells."""
-    src_spin, dst_spin = (Spin.DOWN, Spin.UP) if raise_spin else (Spin.UP, Spin.DOWN)
-    return tuple((1.0, SpinOrbital(o.shell, o.m, dst_spin), o)
-                 for o in ORBITALS if o.shell in shells and o.spin is src_spin)
-
-
-def _apply_spin_orbit(v: ManyBodyVector) -> ManyBodyVector:
-    """l.s of the 2p electron: l_z s_z + (l+ s- + l- s+)/2."""
-    up_flip = _apply_terms(v, _p_ladder_hops(+1, (Spin.UP, Spin.DOWN)))
-    dn_flip = _apply_terms(v, _p_ladder_hops(-1, (Spin.DOWN, Spin.UP)))
-    return _apply_diagonal(v, _LZSZ) + 0.5 * up_flip + 0.5 * dn_flip
-
-
-def _apply_exchange(v: ManyBodyVector) -> ManyBodyVector:
-    """S_1s . S_2p = Sz Sz + (S+_1s S-_2p + S-_1s S+_2p)/2."""
-    zz = _apply_diagonal(_apply_diagonal(v, _SZ_SHELL[Shell.P2P]), _SZ_SHELL[Shell.S1S])
-    s_up_p_dn = _apply_terms(_apply_terms(v, _spin_ladder_hops((Shell.P2P,), False)),
-                             _spin_ladder_hops((Shell.S1S,), True))
-    s_dn_p_up = _apply_terms(_apply_terms(v, _spin_ladder_hops((Shell.P2P,), True)),
-                             _spin_ladder_hops((Shell.S1S,), False))
-    return zz + 0.5 * s_up_p_dn + 0.5 * s_dn_p_up
-
-
-# the two terms of H', weighted by zeta and -2 G
-_COUPLINGS = (_apply_spin_orbit, _apply_exchange)
-_N_SHELL = {shell: tuple(1.0 if o.shell is shell else 0.0 for o in ORBITALS) for shell in Shell}
-
-
-def _apply_casimir(v: ManyBodyVector, raising: _Hops, lowering: _Hops,
-                   z_weights: tuple[float, ...]) -> ManyBodyVector:
-    """X^2 = X- X+ + Xz^2 + Xz of an angular momentum X from its ladder hops and Xz."""
-    z = _apply_diagonal(v, z_weights)
-    return _apply_terms(_apply_terms(v, raising), lowering) + _apply_diagonal(z, z_weights) + z
-
-
-def _operator_matrix(sub: Subspace, apply) -> np.ndarray:
-    images = [apply(basis_vector(b)) for b in sub.basis]   # one per column
-    return np.array([[img.amplitude(b) for img in images] for b in sub.basis], dtype=complex)
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-@cache
-def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(couplings, J^2, S^2) on ``sub``, built once through the Fock-space
-    operators and read-only; ``couplings`` holds the matrices of l.s and S_1s . S_2p."""
-    j_plus = _p_ladder_hops(+1, None) + _spin_ladder_hops(_BOTH_SHELLS, True)
-    j_minus = _p_ladder_hops(-1, None) + _spin_ladder_hops(_BOTH_SHELLS, False)
-    s_plus, s_minus = (_spin_ladder_hops(_BOTH_SHELLS, r) for r in (True, False))
-    couplings = np.array([_operator_matrix(sub, apply) for apply in _COUPLINGS])
-    jsq = _operator_matrix(sub, lambda v: _apply_casimir(v, j_plus, j_minus, _JZ))
-    ssq = _operator_matrix(sub, lambda v: _apply_casimir(v, s_plus, s_minus, _SZ))
-    return _read_only(couplings), _read_only(jsq), _read_only(ssq)
+# the bits of each shell's orbitals in an orbital mask, 1s first
+_SHELL_MASK = {shell: sum(1 << o.index for o in ORBITALS if o.shell is shell) for shell in Shell}
+
+
+def _occupation(state: FockState) -> tuple[int, int]:
+    """(n_1s, n_2p) of a basis state: the bit counts of its shell masks."""
+    return tuple((state.orbitals & mask).bit_count() for mask in _SHELL_MASK.values())
+
+
+def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x_z, x_+) of l (``orbital``) or s of one electron on ``shell``, as 8 x 8
+    one-body tables over ORBITALS; x_+ raises m with sqrt(j(j + 1) - m(m + 1))."""
+    z, plus = np.zeros((8, 8)), np.zeros((8, 8))
+    for b, o in enumerate(ORBITALS):
+        if o.shell is shell:
+            j, m = (1.0, o.m) if orbital else (0.5, 0.5 * o.spin.twice_sz)
+            z[b, b] = m
+            if m < j:
+                raised = replace(o, m=o.m + 1) if orbital else replace(o, spin=Spin.UP)
+                plus[raised.index, b] = sqrt(j * (j + 1) - m * (m + 1))
+    return z, plus
+
+
+def _fock_matrix(table: np.ndarray, row: dict[FockState, int]) -> np.ndarray:
+    """sum_ab table[a, b] c^dag_a c_b through the Fock-space operators over the
+    states of ``row`` (state -> index); a KeyError if it leads out of them."""
+    hops = [(float(table[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(table))]
+    out = np.zeros((len(row), len(row)), dtype=complex)
+    for s, col in row.items():
+        image = combine((x, create(annihilate(basis_vector(s), src), dst)) for x, dst, src in hops)
+        for t, amplitude in image.terms():
+            out[row[t], col] = amplitude
+    return out
 
 
 @cache
-def _occupation(state: FockState) -> tuple[float, float]:
-    """(n_1s, n_2p) of a basis state, read once through the Fock-space n operators."""
-    v = basis_vector(state)
-    return tuple(inner(v, _apply_diagonal(v, _N_SHELL[shell])).real for shell in _BOTH_SHELLS)
+def _configuration_operators(occupation: tuple[int, int]) -> tuple[dict, tuple]:
+    """The index of each state with the shell occupations ``occupation``, and
+    l.s, S_1s . S_2p, J^2, S^2 and J_z over those states, built once per
+    occupation. Each one-body matrix maps the states into themselves, so the
+    products are exact there."""
+    states = [FockState(mask) for mask in range(256) if mask.bit_count() == sum(occupation)]
+    row = {s: k for k, s in enumerate(s for s in states if _occupation(s) == occupation)}
+    l2p, s1s, s2p = ([_fock_matrix(t, row) for t in _angular_momentum(*x)]
+                     for x in ((Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)))
+    spin = [a + b for a, b in zip(s1s, s2p)]
+    total = [a + b for a, b in zip(l2p, spin)]
+
+    def dot(a, b):   # A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 from the (z, +) pairs
+        return a[0] @ b[0] + (a[1] @ b[1].conj().T + a[1].conj().T @ b[1]) / 2
+
+    def casimir(x):   # X^2 = X_- X_+ + X_z^2 + X_z
+        return x[1].conj().T @ x[1] + x[0] @ x[0] + x[0]
+
+    operators = (dot(l2p, s2p), dot(s1s, s2p), casimir(total), casimir(spin), total[0])
+    return row, tuple(map(_read_only, operators))
+
+
+@cache
+def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, ...]:
+    """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``: read-only slices of the
+    matrices of its configuration."""
+    row, operators = _configuration_operators(_occupation(sub.basis[0]))
+    k = np.ix_(*2 * ([row[b] for b in sub.basis],))
+    return tuple(_read_only(a[k]) for a in operators)
 
 
 def _level_energy(params: ModelParams, state: FockState) -> float:
@@ -297,7 +258,7 @@ def _level_energy(params: ModelParams, state: FockState) -> float:
 def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray:
     """H' from the cached coupling matrices plus ``level`` on the diagonal; a
     DomainError if the sum overflows."""
-    spin_orbit, exchange = _subspace_operators(sub)[0]
+    spin_orbit, exchange = _subspace_operators(sub)[:2]
     # an overflowing weight or sum leaves inf or NaN entries, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         H = params.zeta * spin_orbit - 2.0 * params.G * exchange + level * np.eye(sub.dim)
@@ -308,16 +269,17 @@ def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray
 
 def j_squared_matrix(sub: Subspace) -> np.ndarray:
     """Total angular momentum J^2 of the electron system on the subspace (read-only)."""
-    return _subspace_operators(sub)[1]
+    return _subspace_operators(sub)[2]
 
 
 def jz_matrix(sub: Subspace) -> np.ndarray:
-    return _operator_matrix(sub, lambda v: _apply_diagonal(v, _JZ))
+    """J_z of the electron system on the subspace (read-only)."""
+    return _subspace_operators(sub)[4]
 
 
 def s_squared_matrix(sub: Subspace) -> np.ndarray:
     """Total spin S^2 of the electron system on the subspace (read-only)."""
-    return _subspace_operators(sub)[2]
+    return _subspace_operators(sub)[3]
 
 
 def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
@@ -366,7 +328,7 @@ def _label_basis(sub: Subspace) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple[
     J(J + 1) values lie at least 2 apart and S(S + 1)/8 < 1/2, so each (J, S)
     pair has its own eigenvalue of J^2 + S^2/8 and one eigh separates them.
     """
-    _, jsq, ssq = _subspace_operators(sub)
+    jsq, ssq = _subspace_operators(sub)[2:4]
     u = np.linalg.eigh(jsq + ssq / 8.0)[1]
     expectations = np.einsum("ij,ij->j", u.conj(), jsq @ u).real   # <J^2> per column
     labels = tuple(_j_label_from_expectation(float(x)) for x in expectations)

@@ -22,7 +22,7 @@ The amplitudes depend only on alpha_0 (up photoelectron) and alpha_-1 (down).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import cos, pi, radians, sin, sqrt
+from math import cos, isfinite, pi, radians, sin, sqrt
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class EmissionGeometry:
     beta2: float = pi
 
     def __post_init__(self):
+        for name in ("theta", "phi", "beta1", "beta2"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.theta <= pi:
             raise ValueError("theta must lie in [0, pi]")
         if abs(sin(self.beta1 - self.beta2)) < 1e-12:

@@ -1,21 +1,108 @@
-"""Independent routes the tests hold the package to: the photon-emission
-operator for any polarization pair through the Fock-space layer, the
-photoemission elements of any initial state, the per-eigenstate resonance
-terms, and the spherical projections of one polarization vector, in closed
-form and by projection."""
+"""Independent routes the tests hold the package to: the model operators
+applied one basis vector at a time, the photon-emission operator for any
+polarization pair through the Fock-space layer, the photoemission elements of
+any initial state, the per-eigenstate resonance terms, and the spherical
+projections of one polarization vector, in closed form and by projection."""
 
-from math import cos, sin
+from math import cos, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX, _EMITTED, _final_state
 from xepecs.fockspace import (
-    PhotonMode, Shell, Spin, SpinOrbital, annihilate, annihilate_photon, basis_vector,
-    combine, create, create_photoelectron, create_photon, inner,
+    ORBITALS, ManyBodyVector, PhotonMode, Shell, Spin, SpinOrbital, annihilate,
+    annihilate_photon, basis_vector, combine, create, create_photoelectron, create_photon, inner,
 )
 from xepecs.model import SubspaceLabel, intermediate_subspace
 from xepecs.polarization import polarization_vector
+
+# ---------------------------------------------------------------------------
+# model operators, one basis vector at a time: sums of one-body hops
+# c^dag(dst) c(src) and diagonals sum_o w_o n_o with one weight per orbital
+# ---------------------------------------------------------------------------
+
+BOTH_SHELLS = (Shell.S1S, Shell.P2P)
+SZ = tuple(0.5 * o.spin.twice_sz for o in ORBITALS)
+SZ_SHELL = {shell: tuple(w if o.shell is shell else 0.0 for o, w in zip(ORBITALS, SZ))
+            for shell in Shell}
+JZ = tuple(o.m + w for o, w in zip(ORBITALS, SZ))
+LZSZ = tuple(o.m * w for o, w in zip(ORBITALS, SZ))
+N_SHELL = {shell: tuple(1.0 if o.shell is shell else 0.0 for o in ORBITALS) for shell in Shell}
+
+
+def apply_diagonal(v, weights):
+    """sum_o weights[o] n_o applied to v, one weight per canonical orbital."""
+    out = {}
+    for s, a in v.terms():
+        w = sum(weights[i] for i in range(8) if s.orbitals >> i & 1)
+        if w != 0.0:
+            out[s] = a * w
+    return ManyBodyVector(out)
+
+
+def apply_terms(v, hops):
+    """Sum of one-body terms coeff * c^dag(dst) c(src) applied to v."""
+    return combine((coeff, create(annihilate(v, src), dst)) for coeff, dst, src in hops)
+
+
+def p_ladder_hops(direction, spin_flip=None):
+    """Hops for l+/l- (direction +1/-1) on 2p, optionally with a spin flip
+    (src, dst); the l = 1 ladder element is sqrt(2) for every step."""
+    spins = tuple((s, s) for s in Spin) if spin_flip is None else (spin_flip,)
+    return tuple((sqrt(2.0), SpinOrbital(Shell.P2P, m + direction, dst),
+                  SpinOrbital(Shell.P2P, m, src))
+                 for m in (-1, 0, 1) if m + direction in (-1, 0, 1)
+                 for src, dst in spins)
+
+
+def spin_ladder_hops(shells, raise_spin):
+    """S+ (or S-) summed over the given shells."""
+    src_spin, dst_spin = (Spin.DOWN, Spin.UP) if raise_spin else (Spin.UP, Spin.DOWN)
+    return tuple((1.0, SpinOrbital(o.shell, o.m, dst_spin), o)
+                 for o in ORBITALS if o.shell in shells and o.spin is src_spin)
+
+
+def apply_spin_orbit(v):
+    """l.s of the 2p electron: l_z s_z + (l+ s- + l- s+)/2."""
+    up_flip = apply_terms(v, p_ladder_hops(+1, (Spin.UP, Spin.DOWN)))
+    dn_flip = apply_terms(v, p_ladder_hops(-1, (Spin.DOWN, Spin.UP)))
+    return apply_diagonal(v, LZSZ) + 0.5 * up_flip + 0.5 * dn_flip
+
+
+def apply_exchange(v):
+    """S_1s . S_2p = Sz Sz + (S+_1s S-_2p + S-_1s S+_2p)/2."""
+    zz = apply_diagonal(apply_diagonal(v, SZ_SHELL[Shell.P2P]), SZ_SHELL[Shell.S1S])
+    s_up_p_dn = apply_terms(apply_terms(v, spin_ladder_hops((Shell.P2P,), False)),
+                            spin_ladder_hops((Shell.S1S,), True))
+    s_dn_p_up = apply_terms(apply_terms(v, spin_ladder_hops((Shell.P2P,), True)),
+                            spin_ladder_hops((Shell.S1S,), False))
+    return zz + 0.5 * s_up_p_dn + 0.5 * s_dn_p_up
+
+
+def apply_casimir(v, raising, lowering, z_weights):
+    """X^2 = X- X+ + Xz^2 + Xz of an angular momentum X from its ladder hops and Xz."""
+    z = apply_diagonal(v, z_weights)
+    return apply_terms(apply_terms(v, raising), lowering) + apply_diagonal(z, z_weights) + z
+
+
+def operator_matrix(sub, apply):
+    """<b| apply(b') |> over the basis of ``sub``."""
+    images = [apply(basis_vector(b)) for b in sub.basis]   # one per column
+    return np.array([[img.amplitude(b) for img in images] for b in sub.basis], dtype=complex)
+
+
+def model_operators(sub):
+    """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``, in the order of
+    ``xepecs.model._subspace_operators``."""
+    j_plus = p_ladder_hops(+1) + spin_ladder_hops(BOTH_SHELLS, True)
+    j_minus = p_ladder_hops(-1) + spin_ladder_hops(BOTH_SHELLS, False)
+    s_plus, s_minus = (spin_ladder_hops(BOTH_SHELLS, r) for r in (True, False))
+    return tuple(operator_matrix(sub, apply) for apply in (
+        apply_spin_orbit, apply_exchange,
+        lambda v: apply_casimir(v, j_plus, j_minus, JZ),
+        lambda v: apply_casimir(v, s_plus, s_minus, SZ),
+        lambda v: apply_diagonal(v, JZ)))
 
 
 def spherical_components(v):

@@ -227,7 +227,9 @@ class TestParameterLinearModel:
         for label in SubspaceLabel:
             sub = subspace(label)
             arrays += list(model._subspace_operators(sub))
-            arrays += [model.j_squared_matrix(sub), model.s_squared_matrix(sub)]
+            arrays += list(model._configuration_operators(model._occupation(sub.basis[0]))[1])
+            arrays += [model.j_squared_matrix(sub), model.s_squared_matrix(sub),
+                       model.jz_matrix(sub)]
         arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
         for array in arrays:
             with pytest.raises(ValueError):

@@ -156,6 +156,12 @@ class TestDensityMatrices:
             spec_b = np.linalg.eigvalsh(reduce_to_polarization(state).matrix)
             assert np.max(np.abs(spec_a - spec_b)) < 1e-10
 
+    def test_equality_is_identity(self, calc):
+        # an ndarray field would make a generated == raise ValueError
+        state = entangled_state(calc.amplitudes(EmissionGeometry.from_degrees(60.0), 6.5))
+        rho, other = full_density_matrix(state), full_density_matrix(state)
+        assert rho == rho and not rho == other and rho != other
+
     def test_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(("U", "D"), np.array([[0.5, 0.1], [0.3, 0.5]]))

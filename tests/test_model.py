@@ -8,7 +8,7 @@ import pytest
 from xepecs import model
 from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt
-from xepecs.fockspace import PhotonMode, Shell, Spin, inner
+from xepecs.fockspace import ORBITALS, FockState, PhotonMode, Shell, Spin, inner
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -21,6 +21,8 @@ from xepecs.model import (
     s_squared_matrix,
     subspace,
 )
+
+import reference
 
 RELATIVE = ModelParams(G=0.3, zeta=0.1, eps_s=0.0, eps_p=0.0)
 TABLE = ModelParams()
@@ -94,6 +96,61 @@ class TestCommutingObservables:
                          (SubspaceLabel.M1, 1.0)):
             sub = subspace(label)
             assert np.allclose(jz_matrix(sub), m * np.eye(sub.dim), atol=1e-14)
+
+
+ALL_STATES = tuple(map(FockState, range(256)))
+ANGULAR_MOMENTA = [(Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)]   # l, s, s
+
+
+class TestOneBodyOperators:
+    """l.s, S_1s . S_2p, J^2, S^2 and J_z as products of one-body Fock matrices."""
+
+    @pytest.mark.parametrize("label", list(SubspaceLabel))
+    def test_equal_the_per_vector_route(self, label):
+        sub = subspace(label)
+        built = model._subspace_operators(sub)
+        for name, ours, theirs in zip(("l.s", "S_1s.S_2p", "J^2", "S^2", "J_z"), built,
+                                      reference.model_operators(sub)):
+            assert np.array_equal(ours, theirs), name
+        assert j_squared_matrix(sub) is built[2]
+        assert s_squared_matrix(sub) is built[3]
+        assert jz_matrix(sub) is built[4]
+
+    @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
+    def test_tables_obey_the_angular_momentum_algebra(self, shell, orbital):
+        z, plus = model._angular_momentum(shell, orbital)
+        minus = plus.T
+        assert np.array_equal(z @ plus - plus @ z, plus)
+        assert np.allclose(plus @ minus - minus @ plus, 2 * z, rtol=0.0, atol=1e-15)
+        j = 1.0 if orbital else 0.5
+        casimir = minus @ plus + z @ z + z
+        inside = np.array([o.shell is shell for o in ORBITALS])
+        assert np.allclose(np.diag(casimir)[inside], j * (j + 1), rtol=0.0, atol=1e-15)
+        assert not np.any(z[~inside]) and not np.any(plus[~inside]) and not np.any(plus[:, ~inside])
+
+    @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
+    def test_one_body_matrices_keep_the_shell_occupations(self, shell, orbital):
+        # over every orbital mask, each element joins states of equal (n_1s, n_2p),
+        # so a product of them restricted to one configuration loses nothing
+        row = {s: k for k, s in enumerate(ALL_STATES)}
+        for table in model._angular_momentum(shell, orbital):
+            rows, cols = np.nonzero(model._fock_matrix(table, row))
+            assert len(rows) > 0
+            assert all(model._occupation(ALL_STATES[i]) == model._occupation(ALL_STATES[k])
+                       for i, k in zip(rows, cols))
+
+    def test_configurations_hold_every_state_of_their_occupations(self):
+        for occupation, size, labels in (((2, 1), 6, [SubspaceLabel.INITIAL]),
+                                         ((1, 1), 12, [SubspaceLabel.M0, SubspaceLabel.M1])):
+            row, operators = model._configuration_operators(occupation)
+            assert len(row) == size and all(op.shape == (size, size) for op in operators)
+            assert all(b in row for label in labels for b in subspace(label).basis)
+
+    def test_fock_matrix_rejects_states_that_do_not_close(self):
+        # l_+ on 2p leads out of the four M = 0 states
+        row = {b: k for k, b in enumerate(subspace(SubspaceLabel.M0).basis)}
+        with pytest.raises(KeyError):
+            model._fock_matrix(model._angular_momentum(Shell.P2P, True)[1], row)
 
 
 class TestDiagonalize:
@@ -228,8 +285,8 @@ class TestOffsetFreeHamiltonian:
     def test_occupations_are_integer_multiples_of_the_identity(self, label, occupation):
         sub = subspace(label)
         for shell, n in zip((Shell.S1S, Shell.P2P), occupation):
-            number = model._operator_matrix(
-                sub, lambda v: model._apply_diagonal(v, model._N_SHELL[shell]))
+            number = reference.operator_matrix(
+                sub, lambda v: reference.apply_diagonal(v, reference.N_SHELL[shell]))
             assert np.array_equal(number, n * np.eye(sub.dim))
         assert all(model._occupation(b) == occupation for b in sub.basis)
 
@@ -237,8 +294,11 @@ class TestOffsetFreeHamiltonian:
         closed = model.closed_shell()
         assert list(closed.states()) == [model._CLOSED_SHELL]
         assert model._occupation(model._CLOSED_SHELL) == (2, 0)
-        for apply in (model._apply_spin_orbit, model._apply_exchange):
+        for apply in (reference.apply_spin_orbit, reference.apply_exchange):
             assert len(apply(closed)) == 0
+        row, operators = model._configuration_operators((2, 0))
+        assert list(row) == [model._CLOSED_SHELL]
+        assert np.array_equal(operators[0], [[0.0]]) and np.array_equal(operators[1], [[0.0]])
         assert model.final_state_energy(TABLE) == 2 * TABLE.eps_s
 
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):

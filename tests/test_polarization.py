@@ -99,6 +99,13 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match="theta"):
             EmissionGeometry.from_degrees(190.0)
 
+    @pytest.mark.parametrize("name", ["theta", "phi", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_named(self, name, value):
+        angles = {"theta": 1.0, "phi": 0.0, "beta1": math.pi / 2, "beta2": math.pi, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EmissionGeometry(**angles)
+
     def test_degenerate_polarization_pair(self):
         with pytest.raises(ValueError, match="beta"):
             EmissionGeometry.from_degrees(90.0, 0.0, 30.0, 210.0)

@@ -6,9 +6,9 @@ folds literals it finds in the source files into its draws, so
 ``derandomize=True`` alone does not fix what is tested: the hard cases are
 explicit examples of every property (``hard_cases``), and run every time.
 
-``fock_hamiltonian`` is the per-state Fock-space route that the cached,
-parameter-linear ``build_hamiltonian`` replaced; it is kept here as the
-reference.
+``fock_hamiltonian`` applies H to one basis state at a time through the
+operators of ``reference``, the route that the cached, parameter-linear
+``build_hamiltonian`` replaced; it is kept here as the reference.
 """
 
 from math import cos, log2, radians
@@ -33,10 +33,6 @@ from xepecs.fockspace import ORBITALS, Shell, Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
-    _apply_diagonal,
-    _apply_exchange,
-    _apply_spin_orbit,
-    _operator_matrix,
     build_hamiltonian,
     initial_state,
     intermediate_eigensystem,
@@ -48,7 +44,13 @@ from xepecs.model import (
 from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import xps_lines
 
-from reference import photoemission_elements
+from reference import (
+    apply_diagonal,
+    apply_exchange,
+    apply_spin_orbit,
+    operator_matrix,
+    photoemission_elements,
+)
 
 ENTROPY_TOL = 1e-9
 
@@ -111,10 +113,10 @@ def fock_hamiltonian(params, sub):
     levels = tuple(params.eps_s if o.shell is Shell.S1S else params.eps_p for o in ORBITALS)
 
     def apply(v):
-        return (_apply_diagonal(v, levels) + params.zeta * _apply_spin_orbit(v)
-                + (-2.0 * params.G) * _apply_exchange(v))
+        return (apply_diagonal(v, levels) + params.zeta * apply_spin_orbit(v)
+                + (-2.0 * params.G) * apply_exchange(v))
 
-    return _operator_matrix(sub, apply)
+    return operator_matrix(sub, apply)
 
 
 @SETTINGS
