@@ -6,7 +6,6 @@ from .angular import HalfInt, CoupledLabel, cg, coupled_state
 from .fockspace import (
     FockState,
     ManyBodyVector,
-    PhotonMode,
     Shell,
     Spin,
     SpinOrbital,

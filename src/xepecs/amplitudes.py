@@ -14,9 +14,16 @@ only as eps_s, for the removed 1s electron (here and in the photoemission
 lines Omega + eps_s + E'_g - E'_i), and as eps_p in the emission line
 omega_0 = Omega + eps_p + E'_g - epsilon. The calculator writes these once.
 
-Every bracket is evaluated mechanically through the fockspace operators, once
-per process. With the radial dipole integral 1 and the photoemission vertex
-1/sqrt(2), both spins remove unit 1s strength (only ratios are observable).
+Only the electrons are second-quantized; the photons and the photoelectron
+label the channel. Each gives every bracket a factor 1: a photon count goes
+1 -> 0 or 0 -> 1 (sqrt(1)), and the photoelectron, above the 8 orbitals, gives
+bra and ket of equal electron count the same fermionic sign. So the
+photoemission components are the vertex times <b| s_sigma |g>, and the decay
+is the one-body operator sum_(m, s) d_m s^dag_s p_(m s), whose Fock matrix
+from the s^1 p^1 states to the closed 1s^2 shell comes from the builder of the
+``model`` operators. Both are built once per process. With the radial dipole
+integral 1 and the photoemission vertex 1/sqrt(2), both spins remove unit 1s
+strength (only ratios are observable).
 
 M_ph is linear in the spherical components alpha_q (q = +1, 0, -1) of the
 emitted polarization. Per intermediate subspace the Fock-space layer builds
@@ -36,31 +43,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import inf, sqrt
+from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 
 from .angular import cg
-from .fockspace import (
-    ManyBodyVector,
-    PhotonMode,
-    Shell,
-    Spin,
-    SpinOrbital,
-    annihilate,
-    annihilate_photon,
-    basis_vector,
-    combine,
-    create,
-    create_photoelectron,
-    create_photon,
-    inner,
-)
+from .fockspace import Shell, Spin, SpinOrbital, annihilate, basis_vector, inner
 from .model import (
     DomainError,
     ModelParams,
     SubspaceLabel,
-    closed_shell,
+    _configuration,
+    _fock_matrix,
+    _read_only,
     final_state_energy,
     ground_coupling_energy,
     ground_state,
@@ -95,8 +90,6 @@ PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
 # layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
 _EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
 
-_EMITTED = {1: PhotonMode.EMITTED_1, 2: PhotonMode.EMITTED_2}
-
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
 
@@ -109,20 +102,11 @@ def channel_label(channel: tuple[Spin, int]) -> str:
 
 @cache
 def _ground_components(sigma: Spin) -> np.ndarray:
-    """<b| c^dag_(eps sigma) s_sigma a |g> of the ground state g over the
-    intermediate basis states b (read-only), built once."""
-    w = annihilate_photon(ground_state(), PhotonMode.INCIDENT)
-    w = annihilate(w, SpinOrbital(Shell.S1S, 0, sigma))
-    w = PHOTOEMISSION_VERTEX * create_photoelectron(w, sigma)
-    components = np.array([inner(create_photoelectron(basis_vector(b), sigma), w)
-                           for b in intermediate_subspace(sigma).basis])
-    components.flags.writeable = False
-    return components
-
-
-def _final_state(sigma: Spin, lam: int) -> ManyBodyVector:
-    """|f_(sigma lambda)>: closed 1s shell + photoelectron + emitted photon."""
-    return create_photon(create_photoelectron(closed_shell(), sigma), _EMITTED[lam])
+    """<b| c^dag_(eps sigma) s_sigma a |g> = vertex * <b| s_sigma |g> of the
+    ground state g over the intermediate basis states b (read-only), built once."""
+    w = PHOTOEMISSION_VERTEX * annihilate(ground_state(), SpinOrbital(Shell.S1S, 0, sigma))
+    return _read_only(np.array([inner(basis_vector(b), w)
+                                for b in intermediate_subspace(sigma).basis]))
 
 
 @cache
@@ -130,26 +114,21 @@ def _emission_basis(label: SubspaceLabel) -> np.ndarray:
     """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 (read-only, 3 x dim).
 
     M_ph(e_q) keeps the one vertex that alpha_q multiplies, d_m with m = -q,
-    and its terms b^dag s^dag_sigma p_(m sigma) over both spins sigma. Built
-    on first use, once per process, through the Fock-space operators. The
-    emitted photon mode only labels the final state, so the rows taken with
-    polarization 1 serve both polarizations.
+    in the one-body operator sum_s d_m s^dag_s p_(m s). Row q is its Fock
+    matrix from the s^1 p^1 states to the closed 1s^2 shell, sliced to the
+    basis of ``label``; built on first use, once per process. The emitted
+    polarization only labels the final state, so these rows serve both.
     """
-    sub = subspace(label)
-    sigma = Spin.UP if label is SubspaceLabel.M0 else Spin.DOWN
-    final = _final_state(sigma, 1)
-    rows = np.zeros((3, sub.dim), dtype=complex)
-    for col, b in enumerate(sub.basis):
-        ket = create_photoelectron(basis_vector(b), sigma)
-        for row, m in enumerate((-1, 0, 1)):   # q = +1, 0, -1
-            terms = []
-            for s in Spin:
-                w = create(annihilate(ket, SpinOrbital(Shell.P2P, m, s)),
-                           SpinOrbital(Shell.S1S, 0, s))
-                terms.append((_EMISSION_VERTEX[m], create_photon(w, PhotonMode.EMITTED_1)))
-            rows[row, col] = inner(final, combine(terms))
-    rows.flags.writeable = False
-    return rows
+    closed, col = _configuration((2, 0)), _configuration((1, 1))
+    basis = [col[b] for b in subspace(label).basis]
+    rows = []
+    for m in (-1, 0, 1):   # q = +1, 0, -1
+        table = np.zeros((8, 8))
+        for s in Spin:
+            table[SpinOrbital(Shell.S1S, 0, s).index,
+                  SpinOrbital(Shell.P2P, m, s).index] = _EMISSION_VERTEX[m]
+        rows.append(_fock_matrix(table, closed, col)[0, basis])
+    return _read_only(np.array(rows))
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
@@ -224,7 +203,10 @@ class AmplitudeCalculator:
         return self.line_positions[sigma] - epsilon + 1j * self.params.Gamma_1s
 
     def spin_vectors(self, epsilon: float) -> np.ndarray:
-        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down)."""
+        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down); a
+        DomainError (a ValueError) if ``epsilon`` is not finite."""
+        if not isfinite(epsilon):
+            raise DomainError(f"epsilon must be finite, got {epsilon!r}")
         return np.array([self.emission[s] @ (self.pe_elements[s] / self._resonance(s, epsilon))
                          for s in Spin])
 
@@ -233,8 +215,11 @@ class AmplitudeCalculator:
         """A[n, sigma, lambda] at the polar angles thetas (radians).
 
         phi, beta1 and beta2 are taken from ``geom``; sigma runs (up, down)
-        and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order.
+        and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order. A theta
+        that is NaN or outside [0, pi] raises ValueError.
         """
+        if not ((thetas >= 0.0) & (thetas <= pi)).all():
+            raise ValueError("theta must lie in [0, pi]")
         alphas = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
         summed = alphas.reshape(-1, 3) @ self.spin_vectors(epsilon).T   # (n lambda, sigma)
         return summed.reshape(-1, 2, 2).swapaxes(1, 2)

@@ -279,9 +279,6 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     check of ``DensityMatrix`` at the same tolerance.
     """
     thetas = np.radians(np.asarray(thetas_deg, dtype=float))
-    if not np.all((thetas >= 0.0) & (thetas <= pi)):
-        raise ValueError("theta must lie in [0, pi]")
-
     amps = calculator(params).amplitude_array(thetas, geom_template, epsilon)
     coeffs = _normalize(amps, params, epsilon)
     _check_norm(coeffs)

@@ -5,12 +5,12 @@ The electron system has 8 spin-orbitals in the fixed canonical order
     (1s up, 1s down, 2p[m=-1] up, 2p[m=-1] down,
      2p[m=0] up, 2p[m=0] down, 2p[m=1] up, 2p[m=1] down)
 
-then two fermionic photoelectron modes (up, down; the kinetic energy is
-carried as a parameter elsewhere), plus three bosonic photon modes (incident
-beam and the two emitted polarizations). All four fermionic operators go
-through one ladder helper over these 10 modes, which applies the sign
-(-1)^(number of occupied modes before the target); both photon operators go
-through one helper with the factor sqrt(n + 1) or sqrt(n).
+and a basis state is the bitmask of its occupied spin-orbitals. Creation and
+annihilation go through one ladder helper over these 8 modes, which applies
+the sign (-1)^(number of occupied modes before the target). Only electrons
+are second-quantized: the photons and the photoelectron change no sign and
+no norm in any matrix element of the model, so they are labels of the
+channels (see ``amplitudes``), not modes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "Spin",
     "Shell",
     "SpinOrbital",
-    "PhotonMode",
     "ORBITALS",
     "FockState",
     "ManyBodyVector",
@@ -31,10 +30,6 @@ __all__ = [
     "combine",
     "create",
     "annihilate",
-    "create_photoelectron",
-    "annihilate_photoelectron",
-    "create_photon",
-    "annihilate_photon",
     "inner",
 ]
 
@@ -54,14 +49,6 @@ class Spin(Enum):
 class Shell(Enum):
     S1S = "1s"
     P2P = "2p"
-
-
-class PhotonMode(Enum):
-    """Photon registers: the incident beam and the two emitted polarizations."""
-
-    INCIDENT = 0
-    EMITTED_1 = 1
-    EMITTED_2 = 2
 
 
 @dataclass(frozen=True)
@@ -93,40 +80,17 @@ ORBITALS: tuple[SpinOrbital, ...] = tuple(
 )
 _ORBITAL_INDEX = {orb: i for i, orb in enumerate(ORBITALS)}
 
-# photoelectron modes follow the 8 orbitals in canonical order
-_PE_MODE = {Spin.UP: 8, Spin.DOWN: 9}
-
 
 @dataclass(frozen=True)
 class FockState:
-    """One occupation-number basis state.
-
-    ``orbitals`` is a bitmask over the 8 canonical spin-orbitals,
-    ``photoelectrons`` a 2-bit mask (bit 0 = up, bit 1 = down) and
-    ``photons`` the counts (incident, emitted lambda1, emitted lambda2).
-    """
+    """One occupation-number basis state: ``orbitals`` is a bitmask over the 8
+    canonical spin-orbitals, bit i set when ORBITALS[i] is occupied."""
 
     orbitals: int = 0
-    photoelectrons: int = 0
-    photons: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
         if not 0 <= self.orbitals < 256:
             raise ValueError("orbital mask out of range")
-        if not 0 <= self.photoelectrons < 4:
-            raise ValueError("photoelectron mask out of range")
-        if len(self.photons) != 3 or any(n < 0 for n in self.photons):
-            raise ValueError("photon counts must be non-negative")
-
-    @property
-    def photoelectron(self) -> Spin | None:
-        if self.photoelectrons == 0:
-            return None
-        if self.photoelectrons == 1:
-            return Spin.UP
-        if self.photoelectrons == 2:
-            return Spin.DOWN
-        raise ValueError("state holds two photoelectrons")
 
 
 @dataclass
@@ -163,9 +127,6 @@ class ManyBodyVector:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values()) ** 0.5
-
 
 def _accumulate(terms: dict[FockState, complex], state: FockState, amp: complex):
     new = terms.get(state, 0j) + amp
@@ -193,36 +154,15 @@ def combine(terms) -> ManyBodyVector:
 
 
 def _fermion(v: ManyBodyVector, mode: int, raise_op: bool) -> ManyBodyVector:
-    """c^dag (raise_op) or c of fermionic mode ``mode`` in canonical order.
-
-    Modes 0-7 are the orbitals, 8 and 9 the up and down photoelectrons, so
-    the sign counts the occupied modes below ``mode`` across both masks.
-    """
+    """c^dag (raise_op) or c of spin-orbital ``mode`` in canonical order."""
     bit = 1 << mode
     out: dict[FockState, complex] = {}
     for s, a in v.terms():
-        occ = s.orbitals | s.photoelectrons << 8
-        if bool(occ & bit) is raise_op:
+        if bool(s.orbitals & bit) is raise_op:
             continue  # Pauli exclusion, or nothing to remove
-        if (occ & (bit - 1)).bit_count() % 2:
+        if (s.orbitals & (bit - 1)).bit_count() % 2:
             a = -a
-        occ ^= bit
-        _accumulate(out, FockState(occ & 0xFF, occ >> 8, s.photons), a)
-    return ManyBodyVector(out)
-
-
-def _photon(v: ManyBodyVector, mode: PhotonMode, delta: int) -> ManyBodyVector:
-    """b^dag (delta = +1) or b (delta = -1) of one photon mode."""
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        photons = list(s.photons)
-        n = photons[mode.value]
-        if n + delta < 0:
-            continue
-        photons[mode.value] = n + delta
-        # sqrt(n + 1) for a creation, sqrt(n) for an annihilation
-        _accumulate(out, FockState(s.orbitals, s.photoelectrons, tuple(photons)),
-                    a * max(n, n + delta) ** 0.5)
+        _accumulate(out, FockState(s.orbitals ^ bit), a)
     return ManyBodyVector(out)
 
 
@@ -234,22 +174,6 @@ def create(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
 def annihilate(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
     """Apply the fermionic annihilation operator for ``orb`` (adjoint of create)."""
     return _fermion(v, orb.index, False)
-
-
-def create_photoelectron(v: ManyBodyVector, spin: Spin) -> ManyBodyVector:
-    return _fermion(v, _PE_MODE[spin], True)
-
-
-def annihilate_photoelectron(v: ManyBodyVector, spin: Spin) -> ManyBodyVector:
-    return _fermion(v, _PE_MODE[spin], False)
-
-
-def create_photon(v: ManyBodyVector, mode: PhotonMode) -> ManyBodyVector:
-    return _photon(v, mode, +1)
-
-
-def annihilate_photon(v: ManyBodyVector, mode: PhotonMode) -> ManyBodyVector:
-    return _photon(v, mode, -1)
 
 
 def inner(a: ManyBodyVector, b: ManyBodyVector) -> complex:

@@ -8,7 +8,9 @@ Every operator comes from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
 turned by the fockspace operators into its matrix over all states with a
 subspace's shell occupations. There A . B = A_z B_z + (A_+ B_- + A_- B_+)/2
 gives l.s and S_1s . S_2p (zero on a filled 1s shell), X^2 = X_- X_+ + X_z^2
-+ X_z gives J^2 and S^2, and J_z is the sum of the z parts.
++ X_z gives J^2 and S^2, and J_z is the sum of the z parts. The same builder
+maps one configuration to another: ``amplitudes`` takes the 2p -> 1s decay
+from the s^1 p^1 states to the closed shell with it.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
@@ -34,7 +36,6 @@ from .fockspace import (
     FockState,
     ManyBodyVector,
     ORBITALS,
-    PhotonMode,
     Shell,
     Spin,
     SpinOrbital,
@@ -42,7 +43,6 @@ from .fockspace import (
     basis_vector,
     combine,
     create,
-    create_photon,
     vacuum,
 )
 
@@ -202,26 +202,34 @@ def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarr
     return z, plus
 
 
-def _fock_matrix(table: np.ndarray, row: dict[FockState, int]) -> np.ndarray:
-    """sum_ab table[a, b] c^dag_a c_b through the Fock-space operators over the
-    states of ``row`` (state -> index); a KeyError if it leads out of them."""
+def _fock_matrix(table: np.ndarray, row: dict[FockState, int],
+                 col: dict[FockState, int] | None = None) -> np.ndarray:
+    """sum_ab table[a, b] c^dag_a c_b through the Fock-space operators, from the
+    states of ``col`` (state -> index; default ``row``) to those of ``row``; a
+    KeyError if it leads out of them."""
+    col = row if col is None else col
     hops = [(float(table[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(table))]
-    out = np.zeros((len(row), len(row)), dtype=complex)
-    for s, col in row.items():
+    out = np.zeros((len(row), len(col)), dtype=complex)
+    for s, k in col.items():
         image = combine((x, create(annihilate(basis_vector(s), src), dst)) for x, dst, src in hops)
         for t, amplitude in image.terms():
-            out[row[t], col] = amplitude
+            out[row[t], k] = amplitude
     return out
 
 
 @cache
-def _configuration_operators(occupation: tuple[int, int]) -> tuple[dict, tuple]:
-    """The index of each state with the shell occupations ``occupation``, and
-    l.s, S_1s . S_2p, J^2, S^2 and J_z over those states, built once per
-    occupation. Each one-body matrix maps the states into themselves, so the
-    products are exact there."""
+def _configuration(occupation: tuple[int, int]) -> dict[FockState, int]:
+    """The index of each state with the shell occupations ``occupation``."""
     states = [FockState(mask) for mask in range(256) if mask.bit_count() == sum(occupation)]
-    row = {s: k for k, s in enumerate(s for s in states if _occupation(s) == occupation)}
+    return {s: k for k, s in enumerate(s for s in states if _occupation(s) == occupation)}
+
+
+@cache
+def _configuration_operators(occupation: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """l.s, S_1s . S_2p, J^2, S^2 and J_z over the states of ``_configuration``,
+    built once per occupation. Each one-body matrix maps the states into
+    themselves, so the products are exact there."""
+    row = _configuration(occupation)
     l2p, s1s, s2p = ([_fock_matrix(t, row) for t in _angular_momentum(*x)]
                      for x in ((Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)))
     spin = [a + b for a, b in zip(s1s, s2p)]
@@ -234,16 +242,17 @@ def _configuration_operators(occupation: tuple[int, int]) -> tuple[dict, tuple]:
         return x[1].conj().T @ x[1] + x[0] @ x[0] + x[0]
 
     operators = (dot(l2p, s2p), dot(s1s, s2p), casimir(total), casimir(spin), total[0])
-    return row, tuple(map(_read_only, operators))
+    return tuple(map(_read_only, operators))
 
 
 @cache
 def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, ...]:
     """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``: read-only slices of the
     matrices of its configuration."""
-    row, operators = _configuration_operators(_occupation(sub.basis[0]))
+    occupation = _occupation(sub.basis[0])
+    row = _configuration(occupation)
     k = np.ix_(*2 * ([row[b] for b in sub.basis],))
-    return tuple(_read_only(a[k]) for a in operators)
+    return tuple(_read_only(a[k]) for a in _configuration_operators(occupation))
 
 
 def _level_energy(params: ModelParams, state: FockState) -> float:
@@ -381,17 +390,17 @@ def closed_shell() -> ManyBodyVector:
 
 @cache
 def _ground() -> tuple[ManyBodyVector, np.ndarray]:
-    """The ground state with one incident photon, and the components of its
-    electron part over the initial-subspace basis (read-only)."""
+    """The electron ground state, and its components over the initial-subspace
+    basis (read-only)."""
     core = closed_shell()
     electrons = combine((coeff, create(core, _p(ml.twice_value // 2, _SPIN_OF[ms.twice_value])))
                         for (ml, ms), coeff in _J_HALF.items())
     components = np.array([electrons.amplitude(b) for b in _BASES[SubspaceLabel.INITIAL]])
-    return create_photon(electrons, PhotonMode.INCIDENT), _read_only(components)
+    return electrons, _read_only(components)
 
 
 def ground_state() -> ManyBodyVector:
-    """The (J, M) = (1/2, 1/2) ground state plus one incident photon.
+    """The (J, M) = (1/2, 1/2) electron ground state 1s^2 2p.
 
     The 2p electron is coupled to j = 1/2 with Clebsch-Gordan coefficients,
     so the state does not depend on the model parameters.
@@ -420,8 +429,7 @@ def initial_energy(params: ModelParams, coupling: float) -> float:
 
 
 def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
-    """The normalized (J, M) = (1/2, 1/2) ground state plus one incident photon,
-    and its electron energy E_g."""
+    """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy E_g."""
     return ground_state(), initial_energy(params, ground_coupling_energy(params))
 
 

@@ -84,14 +84,16 @@ class SpectrumSeries:
             raise ValueError("intensity must be non-negative")
 
 
-def _resolved_lines(inputs: str, lines: list[SpectralLine], energies: list[float]
-                    ) -> LineSpectrum:
-    """``lines`` as a LineSpectrum, or a DomainError naming ``inputs`` if a line
-    position, or one of the ``energies`` summed into it, lies (with an emission
-    window around it) where the spacing of doubles reaches the grid step, or
-    is not finite. A term that large leaves no splitting in the sum."""
+def _resolved_lines(params: ModelParams, lines: list[SpectralLine], energies: list[float],
+                    epsilon: float | None = None) -> LineSpectrum:
+    """``lines`` as a LineSpectrum, or a DomainError naming ``params`` (and
+    ``epsilon``, if given) if a line position, or one of the ``energies`` summed
+    into it, lies (with an emission window around it) where the spacing of
+    doubles reaches the grid step, or is not finite. A term that large leaves
+    no splitting in the sum."""
     for energy in [line.position for line in lines] + energies:
         if not ulp(abs(energy) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
+            inputs = repr(params) if epsilon is None else f"{params!r}, epsilon={epsilon!r}"
             raise DomainError(f"{inputs}: {energy:.6g} eV in a line position is beyond "
                               f"the {_GRID_STEP} eV resolution of the spectrum grids")
     return LineSpectrum(tuple(lines))
@@ -109,8 +111,8 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     lines = [SpectralLine(float(x), float(abs(el) ** 2), j, f"xps_{sigma.value}")
              for x, el, j in zip(calc.line_positions[sigma], calc.pe_elements[sigma],
                                  eig.j_labels)]
-    return _resolved_lines(repr(params), lines, [params.Omega, params.eps_s, calc.ground_coupling,
-                                                 *eig.coupling_energies])
+    return _resolved_lines(params, lines, [params.Omega, params.eps_s, calc.ground_coupling,
+                                           *eig.coupling_energies])
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
@@ -150,9 +152,8 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     amps = calc.amplitudes(geom, epsilon)
     omega0 = calc.emission_line(epsilon)
     label = channel_label(channel)
-    lines = _resolved_lines(f"{params!r}, epsilon={epsilon!r}",
-                            [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)],
-                            [params.Omega, params.eps_p, calc.ground_coupling, epsilon])
+    lines = _resolved_lines(params, [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)],
+                            [params.Omega, params.eps_p, calc.ground_coupling, epsilon], epsilon)
     if grid is None:
         grid = default_emission_grid(omega0)
     return broaden(lines, params.gamma, grid, channel=label)

@@ -1,20 +1,22 @@
 """Independent routes the tests hold the package to: the model operators
-applied one basis vector at a time, the photon-emission operator for any
-polarization pair through the Fock-space layer, the photoemission elements of
-any initial state, the per-eigenstate resonance terms, and the spherical
-projections of one polarization vector, in closed form and by projection."""
+applied one basis vector at a time; a full register of the 8 orbitals, two
+photoelectron modes and three photon counts, and through it the
+photon-emission operator for any polarization pair, the emission rows, and the
+photoemission elements of any initial state; the per-eigenstate resonance
+terms; and the spherical projections of one polarization vector, in closed
+form and by projection."""
 
 from math import cos, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX, _EMITTED, _final_state
+from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
 from xepecs.fockspace import (
-    ORBITALS, ManyBodyVector, PhotonMode, Shell, Spin, SpinOrbital, annihilate,
-    annihilate_photon, basis_vector, combine, create, create_photoelectron, create_photon, inner,
+    ORBITALS, ManyBodyVector, Shell, Spin, SpinOrbital, _accumulate, annihilate, basis_vector,
+    combine, create, inner,
 )
-from xepecs.model import SubspaceLabel, intermediate_subspace
+from xepecs.model import SubspaceLabel, closed_shell, intermediate_subspace, subspace
 from xepecs.polarization import polarization_vector
 
 # ---------------------------------------------------------------------------
@@ -112,17 +114,74 @@ def spherical_components(v):
     return -(vx - 1j * vy) / np.sqrt(2.0), vz, (vx + 1j * vy) / np.sqrt(2.0)
 
 
+# ---------------------------------------------------------------------------
+# the full register: a ManyBodyVector keyed by (orbitals, photoelectrons,
+# photons), an 8-bit orbital mask, a 2-bit photoelectron mask (bit 0 up, bit 1
+# down) and the photon counts (incident, emitted lambda 1, emitted lambda 2)
+# ---------------------------------------------------------------------------
+
+PE_MODE = {Spin.UP: 8, Spin.DOWN: 9}   # the photoelectron modes follow the 8 orbitals
+INCIDENT = 0   # the photon count slot of the incident beam; slot lambda holds polarization lambda
+
+
+def lift(v, photons=(0, 0, 0)):
+    """The electron vector v in the register, with no photoelectron and ``photons``."""
+    return ManyBodyVector({(s.orbitals, 0, photons): a for s, a in v.terms()})
+
+
+def fermion(v, mode, raise_op):
+    """c^dag (raise_op) or c of fermionic mode ``mode``: 0-7 the orbitals, 8 and
+    9 the up and down photoelectron. The sign counts the occupied modes below
+    ``mode`` across both masks."""
+    bit = 1 << mode
+    out = {}
+    for (orbitals, photoelectrons, photons), a in v.terms():
+        occ = orbitals | photoelectrons << 8
+        if bool(occ & bit) is raise_op:
+            continue  # Pauli exclusion, or nothing to remove
+        if (occ & (bit - 1)).bit_count() % 2:
+            a = -a
+        occ ^= bit
+        _accumulate(out, (occ & 0xFF, occ >> 8, photons), a)
+    return ManyBodyVector(out)
+
+
+def photon(v, slot, delta):
+    """b^dag (delta = +1) or b (delta = -1) of photon count ``slot``, with the
+    factor sqrt(n + 1) or sqrt(n)."""
+    out = {}
+    for (orbitals, photoelectrons, photons), a in v.terms():
+        counts = list(photons)
+        n = counts[slot]
+        if n + delta < 0:
+            continue
+        counts[slot] = n + delta
+        _accumulate(out, (orbitals, photoelectrons, tuple(counts)), a * max(n, n + delta) ** 0.5)
+    return ManyBodyVector(out)
+
+
+def final_state(sigma, lam):
+    """|f_(sigma lambda)>: closed 1s shell + photoelectron + emitted photon."""
+    return photon(fermion(lift(closed_shell()), PE_MODE[sigma], True), lam, +1)
+
+
+def photoemission_components(g, sigma, sub):
+    """<b| c^dag_(eps sigma) s_sigma a |g> over the basis states b of ``sub``,
+    with the electron state g and one incident photon."""
+    w = photon(lift(g, (1, 0, 0)), INCIDENT, -1)
+    w = fermion(w, SpinOrbital(Shell.S1S, 0, sigma).index, False)
+    w = PHOTOEMISSION_VERTEX * fermion(w, PE_MODE[sigma], True)
+    return np.array([inner(fermion(lift(basis_vector(b)), PE_MODE[sigma], True), w)
+                     for b in sub.basis])
+
+
 def photoemission_elements(g, eig, sigma):
     """<i_sigma| c^dag_(eps sigma) s_sigma a |g> for every eigenstate i of ``eig``,
     which must be the intermediate eigensystem matching the photoelectron spin."""
     if eig.subspace != intermediate_subspace(sigma):
         raise ValueError(f"eigensystem over {eig.subspace.label.value} does not match "
                          f"photoelectron spin {sigma}")
-    w = annihilate(annihilate_photon(g, PhotonMode.INCIDENT), SpinOrbital(Shell.S1S, 0, sigma))
-    w = PHOTOEMISSION_VERTEX * create_photoelectron(w, sigma)
-    components = np.array([inner(create_photoelectron(basis_vector(b), sigma), w)
-                           for b in eig.subspace.basis])
-    return eig.vectors.conj().T @ components
+    return eig.vectors.conj().T @ photoemission_components(g, sigma, eig.subspace)
 
 
 def _apply_mph(v, alphas):
@@ -136,23 +195,35 @@ def _apply_mph(v, alphas):
             if d == 0:
                 continue
             for sigma in (Spin.UP, Spin.DOWN):
-                w = create(annihilate(v, SpinOrbital(Shell.P2P, m, sigma)),
-                           SpinOrbital(Shell.S1S, 0, sigma))
-                terms.append((d, create_photon(w, _EMITTED[lam])))
+                w = fermion(fermion(v, SpinOrbital(Shell.P2P, m, sigma).index, False),
+                            SpinOrbital(Shell.S1S, 0, sigma).index, True)
+                terms.append((d, photon(w, lam, +1)))
     return combine(terms)
 
 
-def dipole_block(geom, sub):
-    """<f_(sigma lambda)| M_ph |basis state> for both polarizations of ``geom``,
-    rows lambda = 1, 2 and columns the basis of ``sub``."""
+def emission_rows(alphas, sub):
+    """<f_(sigma lambda)| M_ph |basis state> for each polarization lambda of
+    ``alphas`` (rows, in its order) over the basis of ``sub`` (columns)."""
     sigma = Spin.UP if sub.label is SubspaceLabel.M0 else Spin.DOWN
-    alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
-    block = np.zeros((2, sub.dim), dtype=complex)
+    block = np.zeros((len(alphas), sub.dim), dtype=complex)
     for col, b in enumerate(sub.basis):
-        image = _apply_mph(create_photoelectron(basis_vector(b), sigma), alphas)
-        for lam in (1, 2):
-            block[lam - 1, col] = inner(_final_state(sigma, lam), image)
+        image = _apply_mph(fermion(lift(basis_vector(b)), PE_MODE[sigma], True), alphas)
+        for row, lam in enumerate(alphas):
+            block[row, col] = inner(final_state(sigma, lam), image)
     return block
+
+
+def dipole_block(geom, sub):
+    """The emission rows of both polarizations of ``geom``, lambda = 1, 2."""
+    return emission_rows({i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)},
+                         sub)
+
+
+def emission_basis(label):
+    """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 over the basis of
+    ``label``: the emission rows of polarization 1 set to each unit vector."""
+    units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return np.vstack([emission_rows({1: unit}, subspace(label)) for unit in units])
 
 
 class DipoleBlock(NamedTuple):

@@ -7,15 +7,32 @@ import pytest
 
 from xepecs.angular import HalfInt
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams, initial_state, intermediate_eigensystem
-from xepecs.amplitudes import CHANNELS, AmplitudeCalculator, channel_label, xepecs_amplitudes
+from xepecs.model import (
+    ModelParams,
+    SubspaceLabel,
+    ground_state,
+    initial_state,
+    intermediate_eigensystem,
+    intermediate_subspace,
+)
+from xepecs.amplitudes import (
+    CHANNELS,
+    AmplitudeCalculator,
+    _emission_basis,
+    _ground_components,
+    calculator,
+    channel_label,
+    xepecs_amplitudes,
+)
 from xepecs.polarization import EmissionGeometry
 
 from reference import (
     DipoleBlock,
+    emission_basis,
     alpha_coeffs,
     dipole_block,
     per_eigenstate_terms,
+    photoemission_components,
     photoemission_elements,
 )
 
@@ -63,6 +80,20 @@ class TestPhotoemissionElements:
             photoemission_elements(g, eig_up, Spin.DOWN)
 
 
+class TestFullRegisterRoute:
+    """The once-per-process arrays, electron-only, against the route that also
+    carries the photoelectron and photon registers."""
+
+    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
+    def test_emission_basis(self, label):
+        assert np.array_equal(_emission_basis(label), emission_basis(label))
+
+    @pytest.mark.parametrize("sigma", list(Spin))
+    def test_ground_components(self, sigma):
+        expected = photoemission_components(ground_state(), sigma, intermediate_subspace(sigma))
+        assert np.array_equal(_ground_components(sigma), expected)
+
+
 class TestDipoleBlock:
     def test_block_pattern(self):
         # up rows proportional to (1, 0, 0, -1) by sqrt(1/3) alpha_0, down rows
@@ -94,9 +125,8 @@ class TestDipoleBlock:
     def test_cross_spin_blocks_vanish(self):
         # a final state with an up photoelectron has no matrix element with
         # the M = 1 basis (down photoelectron) and vice versa
-        from reference import _apply_mph, spherical_components
-        from xepecs.amplitudes import _final_state
-        from xepecs.fockspace import basis_vector, create_photoelectron, inner
+        from reference import PE_MODE, _apply_mph, fermion, final_state, lift, spherical_components
+        from xepecs.fockspace import basis_vector, inner
         from xepecs.model import intermediate_subspace
         from xepecs.polarization import polarization_vector
 
@@ -104,9 +134,10 @@ class TestDipoleBlock:
         alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
         for bra_spin, ket_spin in ((Spin.UP, Spin.DOWN), (Spin.DOWN, Spin.UP)):
             for b in intermediate_subspace(ket_spin).basis:
-                image = _apply_mph(create_photoelectron(basis_vector(b), ket_spin), alphas)
+                ket = fermion(lift(basis_vector(b)), PE_MODE[ket_spin], True)
+                image = _apply_mph(ket, alphas)
                 for lam in (1, 2):
-                    assert inner(_final_state(bra_spin, lam), image) == 0.0
+                    assert inner(final_state(bra_spin, lam), image) == 0.0
 
     def test_block_shapes(self):
         geom = EmissionGeometry.from_degrees(70.0)
@@ -174,3 +205,24 @@ class TestAmplitudes:
 
     def test_channel_labels(self):
         assert [channel_label(c) for c in CHANNELS] == ["U1", "U2", "D1", "D2"]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: xepecs_amplitudes(PARAMS, EmissionGeometry(math.pi / 2), NAN),
+        lambda: calculator(PARAMS).amplitudes(EmissionGeometry(1.0), -INF),
+        lambda: calculator(PARAMS).spin_vectors(INF),
+        lambda: calculator(PARAMS).amplitude_array(np.array([0.5]), EmissionGeometry(1.0), NAN),
+    ])
+    def test_non_finite_epsilon(self, call):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            call()
+
+    @pytest.mark.parametrize("thetas", [[7.0, NAN], [NAN], [7.0], [-1e-12, 1.0],
+                                        [math.pi + 1e-12], [0.0, INF]])
+    def test_polar_angle_outside_zero_to_pi(self, thetas):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            calculator(PARAMS).amplitude_array(np.array(thetas), EmissionGeometry(1.0), 6.5)

@@ -1,4 +1,5 @@
-"""Fermionic algebra checks: anticommutation, adjointness, inner products."""
+"""Fermionic algebra checks: anticommutation, adjointness, inner products; and
+the photoelectron and photon ladders of the tests' full register."""
 
 import numpy as np
 import pytest
@@ -7,20 +8,18 @@ from xepecs.fockspace import (
     ORBITALS,
     FockState,
     ManyBodyVector,
-    PhotonMode,
     Shell,
     Spin,
     SpinOrbital,
     annihilate,
-    annihilate_photoelectron,
-    annihilate_photon,
     basis_vector,
     create,
-    create_photoelectron,
-    create_photon,
     inner,
     vacuum,
 )
+
+import reference
+from reference import INCIDENT, PE_MODE, fermion, lift, photon
 
 S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
 S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
@@ -93,28 +92,41 @@ def test_create_annihilate_are_adjoint():
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def random_register_vector(rng):
+    amps = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    return ManyBodyVector({(k & 0xFF, k >> 8, (0, 0, 0)): amps[k] for k in range(1024)})
+
+
 def test_photoelectron_modes_are_fermionic_and_adjoint():
     rng = np.random.default_rng(11)
-    v, w = random_vector(rng), random_vector(rng)
+    v, w = random_register_vector(rng), random_register_vector(rng)
+    empty = lift(vacuum())
     for spin in (Spin.UP, Spin.DOWN):
-        assert len(create_photoelectron(create_photoelectron(vacuum(), spin), spin)) == 0
-        lhs = inner(v, create_photoelectron(w, spin))
-        rhs = inner(annihilate_photoelectron(v, spin), w)
+        mode = PE_MODE[spin]
+        assert len(fermion(fermion(empty, mode, True), mode, True)) == 0
+        lhs = inner(v, fermion(w, mode, True))
+        rhs = inner(fermion(v, mode, False), w)
         assert lhs == pytest.approx(rhs, abs=1e-12)
     # photoelectron creation anticommutes with orbital creation
-    a = create(create_photoelectron(vacuum(), Spin.UP), S_UP)
-    b = create_photoelectron(create(vacuum(), S_UP), Spin.UP)
-    target = FockState(0b1, 1)
+    a = fermion(fermion(empty, PE_MODE[Spin.UP], True), S_UP.index, True)
+    b = fermion(fermion(empty, S_UP.index, True), PE_MODE[Spin.UP], True)
+    target = (0b1, 1, (0, 0, 0))
     assert a.amplitude(target) == -b.amplitude(target)
+    # on the orbitals the register's fermion is the package's, key for key
+    state = basis_vector(FockState(0b10110))
+    for orb in ORBITALS:
+        for raise_op, op in ((True, create), (False, annihilate)):
+            register = fermion(lift(state), orb.index, raise_op)
+            assert dict(register.terms()) == dict(lift(op(state, orb)).terms())
 
 
 def test_photon_modes_are_bosonic():
-    v = create_photon(create_photon(vacuum(), PhotonMode.INCIDENT), PhotonMode.INCIDENT)
-    two = FockState(photons=(2, 0, 0))
+    v = photon(photon(lift(vacuum()), INCIDENT, +1), INCIDENT, +1)
+    two = (0, 0, (2, 0, 0))
     assert v.amplitude(two) == pytest.approx(np.sqrt(2.0))
-    back = annihilate_photon(v, PhotonMode.INCIDENT)
-    assert back.amplitude(FockState(photons=(1, 0, 0))) == pytest.approx(2.0)
-    assert len(annihilate_photon(vacuum(), PhotonMode.EMITTED_1)) == 0
+    back = photon(v, INCIDENT, -1)
+    assert back.amplitude((0, 0, (1, 0, 0))) == pytest.approx(2.0)
+    assert len(photon(lift(vacuum()), 1, -1)) == 0
 
 
 def test_inner_products():
@@ -139,7 +151,10 @@ def test_fockstate_validation():
     with pytest.raises(ValueError):
         FockState(256)
     with pytest.raises(ValueError):
-        FockState(0, 0, (0, -1, 0))
-    assert FockState(0, 1).photoelectron is Spin.UP
-    assert FockState(0, 2).photoelectron is Spin.DOWN
-    assert FockState().photoelectron is None
+        FockState(-1)
+    # the photoelectron and photon registers are the tests' keys: bit 0 of the
+    # photoelectron mask is up and bit 1 down, the counts never go below zero
+    for sigma, lam, key in ((Spin.UP, 2, (0b11, 0b01, (0, 0, 1))),
+                            (Spin.DOWN, 1, (0b11, 0b10, (0, 1, 0)))):
+        assert dict(reference.final_state(sigma, lam).terms()) == {key: 1.0}
+    assert len(photon(reference.final_state(Spin.UP, 1), 2, -1)) == 0

@@ -8,7 +8,7 @@ import pytest
 from xepecs import model
 from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt
-from xepecs.fockspace import ORBITALS, FockState, PhotonMode, Shell, Spin, inner
+from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, basis_vector, inner
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -142,9 +142,21 @@ class TestOneBodyOperators:
     def test_configurations_hold_every_state_of_their_occupations(self):
         for occupation, size, labels in (((2, 1), 6, [SubspaceLabel.INITIAL]),
                                          ((1, 1), 12, [SubspaceLabel.M0, SubspaceLabel.M1])):
-            row, operators = model._configuration_operators(occupation)
+            row = model._configuration(occupation)
+            operators = model._configuration_operators(occupation)
             assert len(row) == size and all(op.shape == (size, size) for op in operators)
             assert all(b in row for label in labels for b in subspace(label).basis)
+
+    def test_fock_matrix_between_configurations(self):
+        # s^dag_up p_(-1 up) takes the s^1 p^1 states to the closed shell; its
+        # adjoint leads out of it
+        closed, col = model._configuration((2, 0)), model._configuration((1, 1))
+        hop = np.zeros((8, 8))
+        hop[0, 2] = 1.0
+        decay = model._fock_matrix(hop, closed, col)
+        assert decay.shape == (1, 12) and np.count_nonzero(decay) == 1
+        with pytest.raises(KeyError):
+            model._fock_matrix(hop.T, closed, col)
 
     def test_fock_matrix_rejects_states_that_do_not_close(self):
         # l_+ on 2p leads out of the four M = 0 states
@@ -215,11 +227,16 @@ class TestDiagonalize:
 
 class TestInitialState:
     def test_normalized_with_one_incident_photon(self):
+        # the electron state over the initial basis; with one incident photon in
+        # the tests' full register, the photon ladder leaves it unchanged
         g, _ = initial_state(TABLE)
         assert inner(g, g).real == pytest.approx(1.0, abs=1e-14)
-        for state in g.states():
-            assert state.photons == (1, 0, 0)
-            assert state.photoelectron is None
+        assert set(g.states()) <= set(subspace(SubspaceLabel.INITIAL).basis)
+        with_photon = reference.lift(g, (1, 0, 0))
+        for state in with_photon.states():
+            assert state[1:] == (0, (1, 0, 0))
+        electrons = reference.photon(with_photon, reference.INCIDENT, -1)
+        assert dict(electrons.terms()) == dict(reference.lift(g).terms())
 
     def test_energy(self):
         # filled 1s shell + one 2p electron in its j = 1/2 level (<l.s> = -1)
@@ -234,19 +251,13 @@ class TestInitialState:
         g, energy = initial_state(TABLE)
         assert energy == pytest.approx(float(eig.energies[0]), abs=1e-12)
         # overlap of the stated vector with the j = 1/2 eigenvector is unital
-        from xepecs.fockspace import annihilate_photon, basis_vector
-
-        g_sp = annihilate_photon(g, PhotonMode.INCIDENT)
-        comps = np.array([inner(basis_vector(b), g_sp) for b in sub.basis])
+        comps = np.array([inner(basis_vector(b), g) for b in sub.basis])
         assert abs(eig.vectors[:, 0].conj() @ comps) == pytest.approx(1.0, abs=1e-12)
 
     def test_angular_momentum_quantum_numbers(self):
-        from xepecs.fockspace import annihilate_photon, basis_vector
-
         sub = subspace(SubspaceLabel.INITIAL)
         g, _ = initial_state(TABLE)
-        g_sp = annihilate_photon(g, PhotonMode.INCIDENT)
-        comps = np.array([inner(basis_vector(b), g_sp) for b in sub.basis])
+        comps = np.array([inner(basis_vector(b), g) for b in sub.basis])
         jsq = float(np.real(comps.conj() @ j_squared_matrix(sub) @ comps))
         jz = float(np.real(comps.conj() @ jz_matrix(sub) @ comps))
         assert jsq == pytest.approx(0.75, abs=1e-12)
@@ -296,7 +307,8 @@ class TestOffsetFreeHamiltonian:
         assert model._occupation(model._CLOSED_SHELL) == (2, 0)
         for apply in (reference.apply_spin_orbit, reference.apply_exchange):
             assert len(apply(closed)) == 0
-        row, operators = model._configuration_operators((2, 0))
+        row = model._configuration((2, 0))
+        operators = model._configuration_operators((2, 0))
         assert list(row) == [model._CLOSED_SHELL]
         assert np.array_equal(operators[0], [[0.0]]) and np.array_equal(operators[1], [[0.0]])
         assert model.final_state_energy(TABLE) == 2 * TABLE.eps_s

@@ -6,19 +6,10 @@ import math
 import pytest
 
 from xepecs import amplitudes, cli, model, spectra
-from xepecs.amplitudes import CHANNELS, _EMISSION_VERTEX, _final_state, calculator
+from xepecs.amplitudes import CHANNELS, _EMISSION_VERTEX, calculator
 from xepecs.angular import cg
 from xepecs.entanglement import DomainError
-from xepecs.fockspace import (
-    PhotonMode,
-    Spin,
-    annihilate_photon,
-    basis_vector,
-    combine,
-    create_photoelectron,
-    create_photon,
-    inner,
-)
+from xepecs.fockspace import Spin, basis_vector, combine, inner
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -29,13 +20,14 @@ from xepecs.model import (
 )
 from xepecs.polarization import EmissionGeometry
 
+import reference
+
 
 class TestConstantsFromClebschGordan:
     def test_initial_state_coefficients_are_cg_values(self):
         g, _ = initial_state(ModelParams())
-        electrons = annihilate_photon(g, PhotonMode.INCIDENT)
         # basis order: (1s^2 2p[+1] down, 1s^2 2p[0] up)
-        comps = [inner(basis_vector(b), electrons) for b in subspace(SubspaceLabel.INITIAL).basis]
+        comps = [inner(basis_vector(b), g) for b in subspace(SubspaceLabel.INITIAL).basis]
         assert comps == [cg(1, 1, 0.5, -0.5, 0.5, 0.5), cg(1, 0, 0.5, 0.5, 0.5, 0.5)]
         assert comps == pytest.approx([math.sqrt(2.0 / 3.0), -math.sqrt(1.0 / 3.0)], abs=1e-15)
 
@@ -47,10 +39,16 @@ class TestConstantsFromClebschGordan:
 
 class TestClosedShell:
     def test_final_states_are_built_on_the_closed_shell(self):
+        # the register's final states are the closed shell with one photoelectron
+        # and one emitted photon, and the package's decay ends in the closed shell
+        (closed, amplitude), = closed_shell().terms()
+        assert (closed, amplitude) == (model._CLOSED_SHELL, 1.0)
+        assert list(model._configuration((2, 0))) == [closed]
         for sigma in Spin:
-            for lam, mode in ((1, PhotonMode.EMITTED_1), (2, PhotonMode.EMITTED_2)):
-                expected = create_photon(create_photoelectron(closed_shell(), sigma), mode)
-                assert dict(_final_state(sigma, lam).terms()) == dict(expected.terms())
+            for lam in (1, 2):
+                photons = tuple(int(k == lam) for k in range(3))
+                key = (closed.orbitals, 1 << (reference.PE_MODE[sigma] - 8), photons)
+                assert dict(reference.final_state(sigma, lam).terms()) == {key: 1.0}
 
     def test_closed_shell_energy(self):
         params = ModelParams(eps_s=-11.0, eps_p=-4.0, G=0.7, zeta=0.3)
