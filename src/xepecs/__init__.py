@@ -2,7 +2,7 @@
 minimal two-shell atom, including the spin-polarization entanglement of the
 outgoing pair."""
 
-from .angular import HalfInt, CoupledLabel, cg, coupled_state
+from .angular import HalfInt, cg
 from .fockspace import (
     FockState,
     ManyBodyVector,

@@ -173,9 +173,11 @@ class AmplitudeCalculator:
             self.E_g = initial_energy(params, self.ground_coupling)
             self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
-            width = max(params.Gamma_1s, params.gamma)   # Lorentzian HWHMs, squared in spectra
-            if not width * width < inf:
-                raise DomainError(f"a Lorentzian width of {width:g} eV overflows its square")
+            narrow, wide = sorted((params.Gamma_1s, params.gamma))   # HWHMs, squared in spectra
+            if not wide * wide < inf:
+                raise DomainError(f"a Lorentzian width of {wide:g} eV overflows its square")
+            if not narrow * narrow > 0.0:
+                raise DomainError(f"a Lorentzian width of {narrow:g} eV underflows its square")
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
         self.line_positions = {sigma: params.Omega + params.eps_s

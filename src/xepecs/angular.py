@@ -1,9 +1,11 @@
-"""Exact half-integer angular momentum arithmetic and Clebsch-Gordan coefficients.
+"""Exact half-integer angular momentum values and Clebsch-Gordan coefficients.
 
 Quantum numbers are stored as twice their value so that half-integers stay
 exact. Coefficients follow the Condon-Shortley phase convention and are
 evaluated through Racah's closed-form sum in exact integer/rational
-arithmetic, with a single square root at the end.
+arithmetic, with a single square root at the end. ``cg_exact`` returns the
+sign and the exact square, so a product of coefficients, as in the coupled
+(J, S) basis of ``model``, also needs only one square root.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ from math import factorial, sqrt
 
 __all__ = [
     "HalfInt",
-    "CoupledLabel",
     "cg",
     "cg_exact",
-    "coupled_state",
-    "projections",
 ]
 
 
@@ -53,37 +52,13 @@ class HalfInt:
     def value(self) -> Fraction:
         return Fraction(self.twice_value, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
     def __float__(self) -> float:
         return self.twice_value / 2.0
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice_value + HalfInt.of(other).twice_value)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice_value - HalfInt.of(other).twice_value)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice_value))
 
     def __str__(self) -> str:
         if self.twice_value % 2 == 0:
             return str(self.twice_value // 2)
         return f"{self.twice_value}/2"
-
-
-def projections(j) -> list[HalfInt]:
-    """All projections m = -j, -j+1, ..., +j."""
-    tj = HalfInt.of(j).twice_value
-    if tj < 0:
-        raise ValueError("magnitude j must be non-negative")
-    return [HalfInt(t) for t in range(-tj, tj + 1, 2)]
 
 
 def _valid_pair(tj: int, tm: int) -> bool:
@@ -179,41 +154,3 @@ def cg(j1, m1, j2, m2, j, m) -> float:
         return 0.0
     return sign * sqrt(square)
 
-
-@dataclass(frozen=True)
-class CoupledLabel:
-    """Quantum numbers |(l s) j m> of a coupled angular momentum state."""
-
-    l: HalfInt
-    s: HalfInt
-    j: HalfInt
-    m: HalfInt
-
-    def __post_init__(self):
-        l, s, j, m = (HalfInt.of(v) for v in (self.l, self.s, self.j, self.m))
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "m", m)
-        if not _triangle(l.twice_value, s.twice_value, j.twice_value):
-            raise ValueError(f"triangle rule violated: |{l}-{s}| <= {j} <= {l}+{s}")
-        if not _valid_pair(j.twice_value, m.twice_value):
-            raise ValueError(f"projection m={m} invalid for j={j}")
-
-
-def coupled_state(l, s, j, m) -> dict[tuple[HalfInt, HalfInt], float]:
-    """Expansion of |(l s) j m> over the uncoupled product basis.
-
-    Returns a map (ml, ms) -> coefficient with only non-zero entries; the
-    coefficients are cg(l, ml, s, ms, j, m).
-    """
-    label = CoupledLabel(l, s, j, m)
-    out: dict[tuple[HalfInt, HalfInt], float] = {}
-    for ml in projections(label.l):
-        ms = label.m - ml
-        if abs(ms.twice_value) > label.s.twice_value:
-            continue
-        coeff = cg(label.l, ml, label.s, ms, label.j, label.m)
-        if coeff != 0.0:
-            out[(ml, ms)] = coeff
-    return out

@@ -3,23 +3,26 @@
     H = eps_s * n_1s + eps_p * n_2p + H',
     H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
 
-Every operator comes from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
+Both couplings come from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
 8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), each
 turned by the fockspace operators into its matrix over all states with a
-subspace's shell occupations. There A . B = A_z B_z + (A_+ B_- + A_- B_+)/2
-gives l.s and S_1s . S_2p (zero on a filled 1s shell), X^2 = X_- X_+ + X_z^2
-+ X_z gives J^2 and S^2, and J_z is the sum of the z parts. The same builder
-maps one configuration to another: ``amplitudes`` takes the 2p -> 1s decay
-from the s^1 p^1 states to the closed shell with it.
+subspace's shell occupations, where A . B = A_z B_z + (A_+ B_- + A_- B_+)/2
+gives l.s and S_1s . S_2p (zero on a filled 1s shell). The same builder maps
+one configuration to another: ``amplitudes`` takes the 2p -> 1s decay from
+the s^1 p^1 states to the closed shell with it.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
 So only H' is diagonalized, and an energy is the level energy
 eps_s n_1s + eps_p n_2p plus an eigenvalue of H'; H' is zero on the closed
-shell. The operator matrices and a (J, S) eigenbasis are built once per process
-and subspace, so a parameter set costs a weighted sum of two matrices of at
-most 4 x 4 and the eigendecomposition of each of its J blocks (at most 2 x 2),
-which gives every level an exact J.
+shell. H' commutes with J^2, so it is diagonalized in the coupled basis
+|((s_1s s_2p) S, l) J M> of each subspace, whose entries are products of two
+Clebsch-Gordan coefficients from the exact layer in ``angular``. The operator
+matrices and that basis are built once per process and subspace, so a
+parameter set costs a weighted sum of two matrices of at most 4 x 4 and the
+eigendecomposition of each of its J blocks (at most 2 x 2), which gives every
+level an exact J. The ground state is the J = 1/2 column of the initial
+subspace.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .angular import HalfInt, coupled_state
+from .angular import HalfInt, cg_exact
 from .fockspace import (
     FockState,
     ManyBodyVector,
@@ -63,19 +66,10 @@ __all__ = [
     "initial_state",
     "closed_shell",
     "final_state_energy",
-    "j_squared_matrix",
-    "jz_matrix",
-    "s_squared_matrix",
 ]
 
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
-_J_LABEL_TOL = 1e-8
-
-# the 2p electron of the initial state, |(l = 1, s = 1/2) j = m = 1/2>, as
-# (m_l, m_s) -> Clebsch-Gordan coefficient
-_J_HALF = coupled_state(1, 0.5, 0.5, 0.5)
-_SPIN_OF = {1: Spin.UP, -1: Spin.DOWN}   # spin from twice its projection m_s
 
 
 class DomainError(ValueError):
@@ -225,30 +219,24 @@ def _configuration(occupation: tuple[int, int]) -> dict[FockState, int]:
 
 
 @cache
-def _configuration_operators(occupation: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """l.s, S_1s . S_2p, J^2, S^2 and J_z over the states of ``_configuration``,
-    built once per occupation. Each one-body matrix maps the states into
-    themselves, so the products are exact there."""
+def _configuration_operators(occupation: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """l.s and S_1s . S_2p over the states of ``_configuration``, built once per
+    occupation. Each one-body matrix maps the states into themselves, so the
+    products are exact there."""
     row = _configuration(occupation)
     l2p, s1s, s2p = ([_fock_matrix(t, row) for t in _angular_momentum(*x)]
                      for x in ((Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)))
-    spin = [a + b for a, b in zip(s1s, s2p)]
-    total = [a + b for a, b in zip(l2p, spin)]
 
     def dot(a, b):   # A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 from the (z, +) pairs
-        return a[0] @ b[0] + (a[1] @ b[1].conj().T + a[1].conj().T @ b[1]) / 2
+        return _read_only(a[0] @ b[0] + (a[1] @ b[1].conj().T + a[1].conj().T @ b[1]) / 2)
 
-    def casimir(x):   # X^2 = X_- X_+ + X_z^2 + X_z
-        return x[1].conj().T @ x[1] + x[0] @ x[0] + x[0]
-
-    operators = (dot(l2p, s2p), dot(s1s, s2p), casimir(total), casimir(spin), total[0])
-    return tuple(map(_read_only, operators))
+    return dot(l2p, s2p), dot(s1s, s2p)
 
 
 @cache
-def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, ...]:
-    """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``: read-only slices of the
-    matrices of its configuration."""
+def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """l.s and S_1s . S_2p on ``sub``: read-only slices of the matrices of its
+    configuration."""
     occupation = _occupation(sub.basis[0])
     row = _configuration(occupation)
     k = np.ix_(*2 * ([row[b] for b in sub.basis],))
@@ -267,28 +255,13 @@ def _level_energy(params: ModelParams, state: FockState) -> float:
 def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray:
     """H' from the cached coupling matrices plus ``level`` on the diagonal; a
     DomainError if the sum overflows."""
-    spin_orbit, exchange = _subspace_operators(sub)[:2]
+    spin_orbit, exchange = _subspace_operators(sub)
     # an overflowing weight or sum leaves inf or NaN entries, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         H = params.zeta * spin_orbit - 2.0 * params.G * exchange + level * np.eye(sub.dim)
     if not np.all(np.isfinite(H)):
         raise DomainError("Hamiltonian matrix is not finite")
     return H
-
-
-def j_squared_matrix(sub: Subspace) -> np.ndarray:
-    """Total angular momentum J^2 of the electron system on the subspace (read-only)."""
-    return _subspace_operators(sub)[2]
-
-
-def jz_matrix(sub: Subspace) -> np.ndarray:
-    """J_z of the electron system on the subspace (read-only)."""
-    return _subspace_operators(sub)[4]
-
-
-def s_squared_matrix(sub: Subspace) -> np.ndarray:
-    """Total spin S^2 of the electron system on the subspace (read-only)."""
-    return _subspace_operators(sub)[3]
 
 
 def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
@@ -321,26 +294,42 @@ class EigenSystem:
         return len(self.coupling_energies)
 
 
-def _j_label_from_expectation(x: float) -> HalfInt:
-    twice_j = round(2.0 * ((-1.0 + sqrt(1.0 + 4.0 * x)) / 2.0))
-    expected = twice_j * (twice_j + 2) / 4.0   # j (j + 1), exact in floating point
-    if not abs(x - expected) <= _J_LABEL_TOL:
-        raise DomainError(f"<J^2> = {x} is not j(j+1) for any half-integer j")
-    return HalfInt(twice_j)
+def _angular_numbers(state: FockState) -> tuple[int, int, int, int]:
+    """Twice s_1s and m_1s of the 1s shell of ``state`` (s_1s = 0 when it is
+    closed), and twice m_l and m_s of its one 2p electron."""
+    occupied = [o for o in ORBITALS if state.orbitals >> o.index & 1]
+    core = [o for o in occupied if o.shell is Shell.S1S]
+    p = next(o for o in occupied if o.shell is Shell.P2P)
+    return len(core) % 2, sum(o.spin.twice_sz for o in core), 2 * p.m, p.spin.twice_sz
 
 
 @cache
 def _label_basis(sub: Subspace) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple[slice, ...]]:
-    """The (J, S) eigenbasis of ``sub``, built once: the columns U ascending in
-    J (read-only), their J labels and the slice of U that spans each J block.
+    """The (J, S) basis of ``sub``, built once: the coupled states
+    |((s_1s s_2p) S, l) J M> as the columns U over the basis states (read-only),
+    ascending in (J, S), their J labels and the slice of U that spans each J block.
 
-    J(J + 1) values lie at least 2 apart and S(S + 1)/8 < 1/2, so each (J, S)
-    pair has its own eigenvalue of J^2 + S^2/8 and one eigh separates them.
+    A basis state carries (m_1s, m_l, m_s), and its entry in the column (J, S)
+    is <s_1s m_1s; 1/2 m_s | S M_S> <1 m_l; S M_S | J M>, the square root of
+    the exact product of the two squares from ``cg_exact``. On the initial
+    subspace the closed 1s shell has s_1s = 0, so the columns are |(l s) j m>.
     """
-    jsq, ssq = _subspace_operators(sub)[2:4]
-    u = np.linalg.eigh(jsq + ssq / 8.0)[1]
-    expectations = np.einsum("ij,ij->j", u.conj(), jsq @ u).real   # <J^2> per column
-    labels = tuple(_j_label_from_expectation(float(x)) for x in expectations)
+    numbers = [_angular_numbers(b) for b in sub.basis]   # all twice their value
+    ts1s, tm = numbers[0][0], sum(numbers[0][1:])   # s_1s and M, the same for every state
+    pairs = sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
+                   for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj)
+    u = np.zeros((sub.dim, len(pairs)), dtype=complex)
+    for k, (_, tm1s, tml, tms) in enumerate(numbers):
+        m_spin = HalfInt(tm1s + tms)   # M_S
+        spin = {ts: cg_exact(HalfInt(ts1s), HalfInt(tm1s), 0.5, HalfInt(tms), HalfInt(ts), m_spin)
+                for ts in {ts for _, ts in pairs}}
+        for col, (tj, ts) in enumerate(pairs):
+            spin_sign, spin_square = spin[ts]
+            if spin_sign:   # else |M_S| > S
+                total_sign, total_square = cg_exact(1, HalfInt(tml), HalfInt(ts), m_spin,
+                                                    HalfInt(tj), HalfInt(tm))
+                u[k, col] = spin_sign * total_sign * sqrt(spin_square * total_square)
+    labels = tuple(HalfInt(tj) for tj, _ in pairs)
     starts = [k for k in range(len(labels)) if k == 0 or labels[k] != labels[k - 1]]
     blocks = tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [len(labels)]))
     return _read_only(u), labels, blocks
@@ -350,9 +339,11 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     """Eigendecomposition of a Hermitian subspace Hamiltonian that commutes
     with J^2: each J block of H in the (J, S) basis of the subspace, at most
     2 x 2, is diagonalized on its own, so every label is exact. The pairs are
-    sorted by energy, stably, so equal energies stay in ascending J. The
-    eigen-residual is checked relative to max(1, max|H|); a matrix that does
-    not commute with J^2 fails it.
+    sorted by energy, stably: energies that are equal as floats stay in
+    ascending (J, S) order. Levels degenerate only in exact arithmetic (G = 0
+    or zeta = 0) can differ by an ulp, and then their order follows roundoff.
+    The eigen-residual is checked relative to max(1, max|H|); a matrix that
+    does not commute with J^2 fails it.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (sub.dim, sub.dim):
@@ -390,20 +381,19 @@ def closed_shell() -> ManyBodyVector:
 
 @cache
 def _ground() -> tuple[ManyBodyVector, np.ndarray]:
-    """The electron ground state, and its components over the initial-subspace
-    basis (read-only)."""
-    core = closed_shell()
-    electrons = combine((coeff, create(core, _p(ml.twice_value // 2, _SPIN_OF[ms.twice_value])))
-                        for (ml, ms), coeff in _J_HALF.items())
-    components = np.array([electrons.amplitude(b) for b in _BASES[SubspaceLabel.INITIAL]])
-    return electrons, _read_only(components)
+    """The electron ground state, the J = 1/2 column of the (J, S) basis of the
+    initial subspace, and its components over that subspace's basis (read-only)."""
+    sub = subspace(SubspaceLabel.INITIAL)
+    components = _label_basis(sub)[0][:, 0]
+    return combine(zip(components, map(basis_vector, sub.basis))), components
 
 
 def ground_state() -> ManyBodyVector:
     """The (J, M) = (1/2, 1/2) electron ground state 1s^2 2p.
 
-    The 2p electron is coupled to j = 1/2 with Clebsch-Gordan coefficients,
-    so the state does not depend on the model parameters.
+    The closed 1s shell has spin 0, so this is the 2p electron coupled to
+    j = 1/2 with Clebsch-Gordan coefficients: the state does not depend on
+    the model parameters.
     """
     return ManyBodyVector(dict(_ground()[0].terms()))
 

@@ -95,8 +95,8 @@ def operator_matrix(sub, apply):
 
 
 def model_operators(sub):
-    """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``, in the order of
-    ``xepecs.model._subspace_operators``."""
+    """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``; the first two are the
+    pair of ``xepecs.model._subspace_operators``."""
     j_plus = p_ladder_hops(+1) + spin_ladder_hops(BOTH_SHELLS, True)
     j_minus = p_ladder_hops(-1) + spin_ladder_hops(BOTH_SHELLS, False)
     s_plus, s_minus = (spin_ladder_hops(BOTH_SHELLS, r) for r in (True, False))

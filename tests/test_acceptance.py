@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from xepecs.angular import HalfInt, cg, projections
+from xepecs.angular import HalfInt, cg
 from xepecs.fockspace import (
     ORBITALS,
     FockState,
@@ -21,7 +21,6 @@ from xepecs.model import (
     SubspaceLabel,
     build_hamiltonian,
     diagonalize,
-    j_squared_matrix,
     subspace,
 )
 from xepecs.polarization import EmissionGeometry
@@ -36,7 +35,7 @@ from xepecs.entanglement import (
 )
 from xepecs.spectra import xepecs_spectrum, xps_lines
 
-from reference import alpha_coeffs
+from reference import alpha_coeffs, model_operators
 
 PARAMS = ModelParams()
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
@@ -185,32 +184,33 @@ def test_criterion_09_polarization_basis_invariance(calc):
 
 
 def test_criterion_10_algebraic_substrate():
-    # Clebsch-Gordan orthonormality and sign-flip symmetry, j1, j2 <= 2
+    # Clebsch-Gordan orthonormality and sign-flip symmetry, j1, j2 <= 2; every
+    # j and m as twice its value, m running over -j, -j + 1, ..., j
     cg_ok = True
     for tj1 in range(0, 5):
         for tj2 in range(0, 5):
-            js = [HalfInt(t) for t in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)]
-            for j in js:
-                phase = (-1.0) ** ((tj1 + tj2 - j.twice_value) // 2)
-                for jp in js:
-                    for m in projections(j):
-                        for mp in projections(jp):
-                            total = sum(
-                                cg(HalfInt(tj1), m1, HalfInt(tj2), m2, j, m)
-                                * cg(HalfInt(tj1), m1, HalfInt(tj2), m2, jp, mp)
-                                for m1 in projections(HalfInt(tj1))
-                                for m2 in projections(HalfInt(tj2))
-                            )
-                            expected = 1.0 if (j == jp and m == mp) else 0.0
+            pairs = [(tm1, tm2) for tm1 in range(-tj1, tj1 + 1, 2)
+                     for tm2 in range(-tj2, tj2 + 1, 2)]
+
+            def coeff(tm1, tm2, tj, tm):
+                return cg(*map(HalfInt, (tj1, tm1, tj2, tm2, tj, tm)))
+
+            js = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            for tj in js:
+                phase = (-1.0) ** ((tj1 + tj2 - tj) // 2)
+                for tjp in js:
+                    for tm in range(-tj, tj + 1, 2):
+                        for tmp in range(-tjp, tjp + 1, 2):
+                            total = sum(coeff(tm1, tm2, tj, tm) * coeff(tm1, tm2, tjp, tmp)
+                                        for tm1, tm2 in pairs)
+                            expected = 1.0 if (tj == tjp and tm == tmp) else 0.0
                             cg_ok &= abs(total - expected) < 1e-12
-                for m1 in projections(HalfInt(tj1)):
-                    for m2 in projections(HalfInt(tj2)):
-                        m = m1 + m2
-                        if abs(m.twice_value) > j.twice_value:
-                            continue
-                        left = cg(HalfInt(tj1), m1, HalfInt(tj2), m2, j, m)
-                        right = cg(HalfInt(tj1), -m1, HalfInt(tj2), -m2, j, -m)
-                        cg_ok &= abs(left - phase * right) < 1e-12
+                for tm1, tm2 in pairs:
+                    if abs(tm1 + tm2) > tj:
+                        continue
+                    left = coeff(tm1, tm2, tj, tm1 + tm2)
+                    right = coeff(-tm1, -tm2, tj, -tm1 - tm2)
+                    cg_ok &= abs(left - phase * right) < 1e-12
 
     # fermionic anticommutation over all 2^8 occupation states
     fermi_ok = True
@@ -231,7 +231,7 @@ def test_criterion_10_algebraic_substrate():
         H = build_hamiltonian(PARAMS, sub)
         eig = diagonalize(H, sub)
         residual = np.max(np.abs(H @ eig.vectors - eig.vectors * eig.energies))
-        jsq = j_squared_matrix(sub)
+        jsq = model_operators(sub)[2]
         commutator = np.max(np.abs(H @ jsq - jsq @ H))
         eigen_ok &= residual < 1e-10 and commutator < 1e-10
 

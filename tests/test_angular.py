@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from xepecs.angular import CoupledLabel, HalfInt, cg, cg_exact, coupled_state, projections
+from xepecs.angular import HalfInt, cg, cg_exact
 
 
 def s(x):
     """Signed square root helper for table entries written as +/- sqrt(frac)."""
     return math.copysign(math.sqrt(abs(x)), x)
+
+
+def projections(j):
+    """m = -j, -j + 1, ..., j."""
+    return [HalfInt(t) for t in range(-j.twice_value, j.twice_value + 1, 2)]
 
 
 class TestHalfInt:
@@ -25,16 +30,10 @@ class TestHalfInt:
             with pytest.raises(ValueError, match="is not an integer or half-integer"):
                 HalfInt.of(x)
 
-    def test_arithmetic_and_ordering(self):
-        assert HalfInt.of(1) + HalfInt.of(0.5) == HalfInt.of(1.5)
-        assert -HalfInt.of(0.5) == HalfInt.of(-0.5)
+    def test_ordering_and_str(self):
         assert HalfInt.of(0.5) < HalfInt.of(1)
         assert str(HalfInt.of(1.5)) == "3/2"
         assert str(HalfInt.of(2)) == "2"
-
-    def test_projections(self):
-        ms = projections(1.5)
-        assert [m.twice_value for m in ms] == [-3, -1, 1, 3]
 
 
 class TestAgainstPublishedTables:
@@ -147,40 +146,11 @@ class TestProperties:
                     phase = (-1.0) ** ((tj1 + tj2 - j.twice_value) // 2)
                     for m1 in projections(HalfInt(tj1)):
                         for m2 in projections(HalfInt(tj2)):
-                            m = m1 + m2
-                            if abs(m.twice_value) > j.twice_value:
+                            tm1, tm2 = m1.twice_value, m2.twice_value
+                            if abs(tm1 + tm2) > j.twice_value:
                                 continue
-                            left = cg(HalfInt(tj1), m1, HalfInt(tj2), m2, j, m)
-                            right = cg(HalfInt(tj1), -m1, HalfInt(tj2), -m2, j, -m)
+                            left = cg(HalfInt(tj1), m1, HalfInt(tj2), m2, j, HalfInt(tm1 + tm2))
+                            right = cg(HalfInt(tj1), HalfInt(-tm1), HalfInt(tj2), HalfInt(-tm2),
+                                       j, HalfInt(-tm1 - tm2))
                             assert abs(left - phase * right) < 1e-12
 
-
-class TestCoupledState:
-    def test_initial_state_expansion(self):
-        state = coupled_state(1, 0.5, 0.5, 0.5)
-        key_up = (HalfInt.of(1), HalfInt.of(-0.5))
-        key_dn = (HalfInt.of(0), HalfInt.of(0.5))
-        assert set(state) == {key_up, key_dn}
-        assert state[key_up] == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-        assert state[key_dn] == pytest.approx(-math.sqrt(1 / 3), abs=1e-15)
-
-    def test_stretched_state(self):
-        state = coupled_state(1, 1, 2, 2)
-        assert state == {(HalfInt.of(1), HalfInt.of(1)): pytest.approx(1.0)}
-
-    def test_unitarity_per_uncoupled_state(self):
-        # for fixed (ml, ms), sum over (j, m) of coeff^2 = 1
-        l, sp = HalfInt.of(1), HalfInt.of(0.5)
-        for ml in projections(l):
-            for ms in projections(sp):
-                total = 0.0
-                for j in _all_j(l.twice_value, sp.twice_value):
-                    for m in projections(j):
-                        total += coupled_state(l, sp, j, m).get((ml, ms), 0.0) ** 2
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_label_raises(self):
-        with pytest.raises(ValueError):
-            coupled_state(1, 0.5, 3, 0.5)
-        with pytest.raises(ValueError):
-            CoupledLabel(HalfInt.of(1), HalfInt.of(0.5), HalfInt.of(0.5), HalfInt.of(1.5))

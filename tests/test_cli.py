@@ -394,7 +394,8 @@ class TestEntropyAtFixedEpsilon:
 
 
 class TestHugeWidths:
-    """A Lorentzian width whose square overflows exits 3, naming the inputs."""
+    """A Lorentzian width whose square overflows, or underflows to 0, exits 3,
+    naming the inputs."""
 
     main = staticmethod(TestNonFiniteAndOversizedInputs.main)
     config = staticmethod(TestDomainAndOutputErrors.config)
@@ -414,6 +415,31 @@ class TestHugeWidths:
     def test_wide_but_finite_square_runs(self, tmp_path, monkeypatch, capsys, text):
         argv = ["xepecs", "--config", self.config(tmp_path, text)]
         assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+
+    # a width whose square is 0 once wrote nan (xps) or inf (xepecs) at the grid
+    # point on the line, with a RuntimeWarning, and exited 0
+    NARROW = [("xps", "Gamma_1s"), ("xepecs", "gamma")]
+
+    @pytest.mark.parametrize("value", ["1e-170", "5e-324"])
+    @pytest.mark.parametrize("command,field", NARROW)
+    def test_width_whose_square_underflows_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                   command, field, value):
+        argv = [command, "--theta", "45",
+                "--config", self.config(tmp_path, f'{{"{field}": {value}}}')]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and f"{field}={value}" in err
+        assert "underflows its square" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,field", NARROW)
+    def test_narrow_width_with_subnormal_square_runs(self, tmp_path, monkeypatch, capsys,
+                                                     command, field):
+        argv = [command, "--theta", "45",
+                "--config", self.config(tmp_path, f'{{"{field}": 1e-160}}')]
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+        _, data = read_csv(tmp_path / f"{command}.csv")
+        assert np.all(np.isfinite(data))
 
 
 class TestUndefinedStateNamesTheInputs:

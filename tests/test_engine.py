@@ -227,8 +227,7 @@ class TestParameterLinearModel:
             sub = subspace(label)
             arrays += list(model._subspace_operators(sub))
             arrays += list(model._configuration_operators(model._occupation(sub.basis[0])))
-            arrays += [model.j_squared_matrix(sub), model.s_squared_matrix(sub),
-                       model.jz_matrix(sub)]
+            arrays.append(model._label_basis(sub)[0])
         arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
         for array in arrays:
             with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """Hamiltonian blocks, eigensystems and the coupled-basis labels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from xepecs import model
 from xepecs.amplitudes import AmplitudeCalculator
-from xepecs.angular import HalfInt
+from xepecs.angular import HalfInt, cg_exact
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, basis_vector, inner
 from xepecs.model import (
     ModelParams,
@@ -16,9 +17,6 @@ from xepecs.model import (
     diagonalize,
     initial_state,
     intermediate_eigensystem,
-    j_squared_matrix,
-    jz_matrix,
-    s_squared_matrix,
     subspace,
 )
 
@@ -30,6 +28,11 @@ TABLE = ModelParams()
 
 def j_values(eig):
     return sorted(float(j) for j in eig.j_labels)
+
+
+def angular_operators(sub):
+    """J^2, S^2 and J_z on ``sub``, one basis vector at a time."""
+    return reference.model_operators(sub)[2:]
 
 
 class TestHamiltonianBlocks:
@@ -88,14 +91,15 @@ class TestCommutingObservables:
     def test_j_squared_and_jz_commute_with_h(self, label):
         sub = subspace(label)
         H = build_hamiltonian(TABLE, sub)
-        for op in (j_squared_matrix(sub), jz_matrix(sub)):
+        jsq, _, jz = angular_operators(sub)
+        for op in (jsq, jz):
             assert np.max(np.abs(H @ op - op @ H)) < 1e-10
 
     def test_jz_is_the_subspace_magnetic_number(self):
         for label, m in ((SubspaceLabel.INITIAL, 0.5), (SubspaceLabel.M0, 0.0),
                          (SubspaceLabel.M1, 1.0)):
             sub = subspace(label)
-            assert np.allclose(jz_matrix(sub), m * np.eye(sub.dim), atol=1e-14)
+            assert np.allclose(angular_operators(sub)[2], m * np.eye(sub.dim), atol=1e-14)
 
 
 ALL_STATES = tuple(map(FockState, range(256)))
@@ -103,18 +107,16 @@ ANGULAR_MOMENTA = [(Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)]   
 
 
 class TestOneBodyOperators:
-    """l.s, S_1s . S_2p, J^2, S^2 and J_z as products of one-body Fock matrices."""
+    """l.s and S_1s . S_2p as products of one-body Fock matrices."""
 
     @pytest.mark.parametrize("label", list(SubspaceLabel))
     def test_equal_the_per_vector_route(self, label):
         sub = subspace(label)
         built = model._subspace_operators(sub)
-        for name, ours, theirs in zip(("l.s", "S_1s.S_2p", "J^2", "S^2", "J_z"), built,
+        assert len(built) == 2
+        for name, ours, theirs in zip(("l.s", "S_1s.S_2p"), built,
                                       reference.model_operators(sub)):
             assert np.array_equal(ours, theirs), name
-        assert j_squared_matrix(sub) is built[2]
-        assert s_squared_matrix(sub) is built[3]
-        assert jz_matrix(sub) is built[4]
 
     @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
     def test_tables_obey_the_angular_momentum_algebra(self, shell, orbital):
@@ -212,7 +214,7 @@ class TestDiagonalize:
         params = ModelParams(G=0.3, zeta=0.0)
         for spin in (Spin.UP, Spin.DOWN):
             eig = intermediate_eigensystem(params, spin)
-            ssq = s_squared_matrix(eig.subspace)
+            ssq = angular_operators(eig.subspace)[1]
             for i in range(eig.dim):
                 x = float(np.real(eig.vectors[:, i].conj() @ ssq @ eig.vectors[:, i]))
                 assert min(abs(x - 0.0), abs(x - 2.0)) < 1e-10
@@ -258,8 +260,9 @@ class TestInitialState:
         sub = subspace(SubspaceLabel.INITIAL)
         g, _ = initial_state(TABLE)
         comps = np.array([inner(basis_vector(b), g) for b in sub.basis])
-        jsq = float(np.real(comps.conj() @ j_squared_matrix(sub) @ comps))
-        jz = float(np.real(comps.conj() @ jz_matrix(sub) @ comps))
+        jsq_op, _, jz_op = angular_operators(sub)
+        jsq = float(np.real(comps.conj() @ jsq_op @ comps))
+        jz = float(np.real(comps.conj() @ jz_op @ comps))
         assert jsq == pytest.approx(0.75, abs=1e-12)
         assert jz == pytest.approx(0.5, abs=1e-12)
 
@@ -335,23 +338,54 @@ class TestOffsetFreeHamiltonian:
 class TestJBlocks:
     """diagonalize works one J block at a time in a parameter-free (J, S) basis."""
 
-    @pytest.mark.parametrize("label,js", [(SubspaceLabel.INITIAL, [0.5, 1.5]),
-                                          (SubspaceLabel.M0, [0.0, 1.0, 1.0, 2.0]),
-                                          (SubspaceLabel.M1, [1.0, 1.0, 2.0])])
-    def test_label_basis_diagonalizes_j_squared_and_s_squared(self, label, js):
+    # the (J, S) of each column of the basis, ascending
+    COUPLED = [(SubspaceLabel.INITIAL, [(0.5, 0.5), (1.5, 0.5)]),
+               (SubspaceLabel.M0, [(0, 1), (1, 0), (1, 1), (2, 1)]),
+               (SubspaceLabel.M1, [(1, 0), (1, 1), (2, 1)])]
+
+    @pytest.mark.parametrize("label,coupled", COUPLED)
+    def test_label_basis_is_orthonormal_with_its_labels(self, label, coupled):
         sub = subspace(label)
         u, labels, blocks = model._label_basis(sub)
-        assert [float(j) for j in labels] == js
+        assert [float(j) for j in labels] == [j for j, _ in coupled]
         assert [labels[b.start] for b in blocks] == sorted(set(labels))
         assert sum(b.stop - b.start for b in blocks) == sub.dim
-        assert np.max(np.abs(u.conj().T @ u - np.eye(sub.dim))) < 1e-14
-        for op in (j_squared_matrix(sub), s_squared_matrix(sub)):
-            rotated = u.conj().T @ op @ u
-            assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) < 1e-14
-        jj = [float(j.value * (j.value + 1)) for j in labels]
-        assert np.max(np.abs(np.diag(u.conj().T @ j_squared_matrix(sub) @ u) - jj)) < 1e-14
+        assert np.max(np.abs(u.conj().T @ u - np.eye(sub.dim))) <= 1e-15
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
+
+    @pytest.mark.parametrize("label,coupled", COUPLED)
+    def test_label_basis_diagonalizes_j_squared_and_s_squared(self, label, coupled):
+        sub = subspace(label)
+        u = model._label_basis(sub)[0]
+        jsq, ssq, _ = angular_operators(sub)
+        for op, values in ((jsq, [j for j, _ in coupled]), (ssq, [s for _, s in coupled])):
+            expected = np.diag([x * (x + 1) for x in values])
+            assert np.max(np.abs(u.conj().T @ op @ u - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("label,coupled", COUPLED)
+    def test_label_basis_squares_are_exact_clebsch_gordan_products(self, label, coupled):
+        # |U_bk|^2 = <s_1s m_1s; 1/2 m_s | S M_S>^2 <1 m_l; S M_S | J M>^2, an exact
+        # fraction, to within one ulp; a closed 1s shell has s_1s = m_1s = 0
+        sub = subspace(label)
+        u = model._label_basis(sub)[0]
+        assert not np.any(u.imag)
+        for row, b in enumerate(sub.basis):
+            occupied = [o for o in ORBITALS if b.orbitals >> o.index & 1]
+            core = [Fraction(o.spin.twice_sz, 2) for o in occupied if o.shell is Shell.S1S]
+            (p,) = [o for o in occupied if o.shell is Shell.P2P]
+            s1s, m_s = Fraction(len(core) % 2, 2), Fraction(p.spin.twice_sz, 2)
+            m_spin = sum(core) + m_s
+            for col, (j, s) in enumerate(coupled):
+                square = (cg_exact(s1s, sum(core), 0.5, m_s, s, m_spin)[1]
+                          * cg_exact(1, p.m, s, m_spin, j, m_spin + p.m)[1])
+                assert abs(u[row, col].real ** 2 - float(square)) <= math.ulp(float(square))
+
+    def test_ground_state_is_the_initial_j_half_column(self):
+        components = model._ground()[1]
+        assert list(components) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
+        u = model._label_basis(subspace(SubspaceLabel.INITIAL))[0]
+        assert np.array_equal(components, u[:, 0])
 
     def test_basis_is_built_once_per_subspace(self):
         intermediate_eigensystem(TABLE, Spin.UP)
@@ -365,7 +399,8 @@ class TestJBlocks:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = a + a.conj().T
-        assert np.max(np.abs(H @ j_squared_matrix(sub) - j_squared_matrix(sub) @ H)) > 0.1
+        jsq = angular_operators(sub)[0]
+        assert np.max(np.abs(H @ jsq - jsq @ H)) > 0.1
         with pytest.raises(model.DomainError, match="residual"):
             diagonalize(H, sub)
 
