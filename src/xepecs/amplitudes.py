@@ -37,10 +37,17 @@ per kinetic energy, one 3-vector
 so A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q]. For N emission
 angles at once that is one (2N x 3) @ (3 x 2) matrix product of the stacked
 polarization components with t^T.
+
+A calculator keeps its last t (per epsilon) and its last ``AmplitudeSet`` (per
+theta, phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the
+four channels, the state and a sweep of one measurement share them. A slot is
+one tuple of read-only results, read once and replaced whole, so threads that
+share a calculator never pair a key with another key's result.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import inf, isfinite, pi, sqrt
@@ -92,6 +99,16 @@ _EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
+
+
+def _check_width(width: float) -> None:
+    """ValueError unless the HWHM ``width`` is > 0 and its square is finite and > 0."""
+    if not width > 0.0:
+        raise ValueError("width must be > 0")
+    if not width * width < inf:
+        raise DomainError(f"a Lorentzian width of {width:g} eV overflows its square")
+    if not width * width > 0.0:
+        raise DomainError(f"a Lorentzian width of {width:g} eV underflows its square")
 
 
 def channel_label(channel: tuple[Spin, int]) -> str:
@@ -162,8 +179,11 @@ class AmplitudeCalculator:
     work is cached per process in ``model`` and in this module. Per kinetic
     energy, ``spin_vectors`` does the resonant sum; per geometry, the
     amplitudes are a contraction of those vectors with the polarization
-    components, for one angle or for an array of them. A model that leaves
-    the domain raises ``DomainError`` naming the parameter set.
+    components, for one angle or for an array of them. The last sum (per
+    epsilon) and the last ``amplitudes`` (per geometry and epsilon) are kept,
+    read-only, in one-tuple slots (see the module docstring); inputs are
+    checked before a slot is read. A model that leaves the domain raises
+    ``DomainError`` naming the parameter set.
     """
 
     def __init__(self, params: ModelParams):
@@ -173,44 +193,41 @@ class AmplitudeCalculator:
             self.E_g = initial_energy(params, self.ground_coupling)
             self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
-            narrow, wide = sorted((params.Gamma_1s, params.gamma))   # HWHMs, squared in spectra
-            if not wide * wide < inf:
-                raise DomainError(f"a Lorentzian width of {wide:g} eV overflows its square")
-            if not narrow * narrow > 0.0:
-                raise DomainError(f"a Lorentzian width of {narrow:g} eV underflows its square")
+            for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
+                _check_width(width)
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
-        self.line_positions = {sigma: params.Omega + params.eps_s
-                               + (self.ground_coupling - eig.coupling_energies)
+        self.line_positions = {sigma: _read_only(params.Omega + params.eps_s
+                                                 + (self.ground_coupling - eig.coupling_energies))
                                for sigma, eig in self.eigensystems.items()}
         self.pe_elements = {
-            sigma: eig.vectors.conj().T @ _ground_components(sigma)
+            sigma: _read_only(eig.vectors.conj().T @ _ground_components(sigma))
             for sigma, eig in self.eigensystems.items()
         }
         self.emission = {
-            sigma: _emission_basis(eig.subspace.label) @ eig.vectors   # (q, i)
+            sigma: _read_only(_emission_basis(eig.subspace.label) @ eig.vectors)   # (q, i)
             for sigma, eig in self.eigensystems.items()
         }
-        for sigma, eig in self.eigensystems.items():
-            for array in (eig.coupling_energies, eig.vectors, self.line_positions[sigma],
-                          self.pe_elements[sigma], self.emission[sigma]):
-                array.flags.writeable = False
+        self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
 
     def emission_line(self, epsilon: float) -> float:
         """omega_0 = Omega + eps_p + E'_g - epsilon, the emitted-photon energy."""
         return self.params.Omega + self.params.eps_p + self.ground_coupling - epsilon
 
-    def _resonance(self, sigma: Spin, epsilon: float) -> np.ndarray:
-        """Omega + eps_s + E'_g - E'_i - epsilon + i Gamma_1s over the eigenstates i."""
-        return self.line_positions[sigma] - epsilon + 1j * self.params.Gamma_1s
+    def _resonant_sum(self, epsilon: float) -> np.ndarray:
+        """t[sigma, q] over the denominators Omega + eps_s + E'_g - E'_i - epsilon + i Gamma_1s."""
+        return _read_only(np.array([self.emission[s] @ (self.pe_elements[s] / (
+            self.line_positions[s] - epsilon + 1j * self.params.Gamma_1s)) for s in Spin]))
 
     def spin_vectors(self, epsilon: float) -> np.ndarray:
-        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down); a
-        DomainError (a ValueError) if ``epsilon`` is not finite."""
+        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down), read-only;
+        a DomainError (a ValueError) if ``epsilon`` is not finite."""
         if not isfinite(epsilon):
             raise DomainError(f"epsilon must be finite, got {epsilon!r}")
-        return np.array([self.emission[s] @ (self.pe_elements[s] / self._resonance(s, epsilon))
-                         for s in Spin])
+        key, slot = struct.pack("d", epsilon), self._sum_slot   # bits: 0.0 and -0.0 differ
+        if slot[0] != key:
+            slot = self._sum_slot = (key, self._resonant_sum(epsilon))
+        return slot[1]
 
     def amplitude_array(self, thetas: np.ndarray, geom: EmissionGeometry, epsilon: float
                         ) -> np.ndarray:
@@ -227,8 +244,14 @@ class AmplitudeCalculator:
         return summed.reshape(-1, 2, 2).swapaxes(1, 2)
 
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
-        values = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
-        return AmplitudeSet(epsilon, values, geom, self.params)
+        """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon)."""
+        checked = 0.0 <= geom.theta <= pi and isfinite(epsilon)   # before the lookup
+        key = struct.pack("5d", geom.theta, geom.phi, geom.beta1, geom.beta2, epsilon)
+        slot = self._amplitude_slot
+        if not checked or slot[0] != key:   # a bad theta or epsilon raises in amplitude_array
+            values = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
+            slot = self._amplitude_slot = (key, AmplitudeSet(epsilon, values, geom, self.params))
+        return slot[1]
 
 
 @lru_cache(maxsize=_CALCULATOR_CACHE_SIZE)

@@ -364,7 +364,7 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     residual = np.max(np.abs(H @ v - v * w[np.newaxis, :]))
     if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H)))):
         raise DomainError(f"eigenvector residual {residual:.3e} too large")
-    return EigenSystem(w, v, tuple(labels[i] for i in order), sub)
+    return EigenSystem(_read_only(w), _read_only(v), tuple(labels[i] for i in order), sub)
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:

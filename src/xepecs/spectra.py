@@ -17,14 +17,14 @@ Lorentzian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, ulp
+from math import isfinite, pi, ulp
 
 import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Spin
-from .amplitudes import calculator, channel_label
-from .model import DomainError, ModelParams, final_state_energy
+from .amplitudes import _check_width, calculator, channel_label
+from .model import DomainError, ModelParams, _read_only, final_state_energy
 from .polarization import EmissionGeometry
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 
 _GRID_STEP = 0.005             # eV, the step of both default grids
 _EMISSION_HALF_WIDTH = 3.0     # eV on either side of the emission line
+_XPS_GRID = _read_only(np.linspace(5.0, 8.0, 601))
+_EMISSION_OFFSETS = _read_only(np.linspace(-_EMISSION_HALF_WIDTH, _EMISSION_HALF_WIDTH, 1201))
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class LineSpectrum:
 
     def __post_init__(self):
         for line in self.lines:
-            if not np.isfinite(line.position) or line.weight < 0:
+            if not isfinite(line.position) or not line.weight >= 0:
                 raise DomainError("lines need finite positions and non-negative weights")
 
     def total_weight(self) -> float:
@@ -78,25 +80,31 @@ class SpectrumSeries:
     def __post_init__(self):
         if len(self.grid) != len(self.intensity):
             raise ValueError("grid and intensity lengths differ")
-        if np.any(np.diff(self.grid) <= 0):
+        if not np.greater(self.grid[1:], self.grid[:-1]).all():
             raise ValueError("grid must be strictly ascending")
-        if np.any(self.intensity < 0):
+        if not np.greater_equal(self.intensity, 0.0).all():
             raise ValueError("intensity must be non-negative")
 
 
-def _resolved_lines(params: ModelParams, lines: list[SpectralLine], energies: list[float],
-                    epsilon: float | None = None) -> LineSpectrum:
-    """``lines`` as a LineSpectrum, or a DomainError naming ``params`` (and
-    ``epsilon``, if given) if a line position, or one of the ``energies`` summed
-    into it, lies (with an emission window around it) where the spacing of
-    doubles reaches the grid step, or is not finite. A term that large leaves
-    no splitting in the sum."""
-    for energy in [line.position for line in lines] + energies:
+def _check_resolution(params: ModelParams, energies, epsilon: float | None = None) -> None:
+    """DomainError naming ``params`` (and ``epsilon``, if given) if one of the
+    ``energies`` (a line position, or a term summed into one) lies, with an
+    emission window around it, where the spacing of doubles reaches the grid
+    step, or is not finite. A term that large leaves no splitting in the sum."""
+    for energy in energies:
         if not ulp(abs(energy) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
             inputs = repr(params) if epsilon is None else f"{params!r}, epsilon={epsilon!r}"
             raise DomainError(f"{inputs}: {energy:.6g} eV in a line position is beyond "
                               f"the {_GRID_STEP} eV resolution of the spectrum grids")
-    return LineSpectrum(tuple(lines))
+
+
+def _xps_arrays(params: ModelParams, sigma: Spin):
+    """Positions, weights and J labels of one spin's lines (see ``xps_lines``), checked."""
+    calc = calculator(params)
+    eig = calc.eigensystems[sigma]
+    _check_resolution(params, [*calc.line_positions[sigma], params.Omega, params.eps_s,
+                               calc.ground_coupling, *eig.coupling_energies])
+    return calc.line_positions[sigma], np.abs(calc.pe_elements[sigma]) ** 2, eig.j_labels
 
 
 def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
@@ -106,37 +114,37 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
     with weight |<i| c^dag s a |g>|^2. Dipole-forbidden eigenstates are kept
     with (numerically) zero weight so the selection rules stay visible.
     """
-    calc = calculator(params)
-    eig = calc.eigensystems[sigma]
-    lines = [SpectralLine(float(x), float(abs(el) ** 2), j, f"xps_{sigma.value}")
-             for x, el, j in zip(calc.line_positions[sigma], calc.pe_elements[sigma],
-                                 eig.j_labels)]
-    return _resolved_lines(params, lines, [params.Omega, params.eps_s, calc.ground_coupling,
-                                           *eig.coupling_energies])
+    return LineSpectrum(tuple(SpectralLine(float(x), float(w), j, f"xps_{sigma.value}")
+                              for x, w, j in zip(*_xps_arrays(params, sigma))))
+
+
+def _lorentzians(positions, weights, width: float, grid: np.ndarray) -> np.ndarray:
+    """The (lines x grid) Lorentzians weight * L(grid - position), summed in line order."""
+    return (weights[:, None] * (width / pi)
+            / ((grid - positions[:, None]) ** 2 + width ** 2)).sum(axis=0)
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
             channel: str | None = None) -> SpectrumSeries:
-    """Convolve a line spectrum with a unit-area Lorentzian of HWHM ``width``."""
-    if not width > 0:
-        raise ValueError("width must be > 0")
+    """Convolve a line spectrum with a unit-area Lorentzian of HWHM ``width``
+    (a ValueError unless it passes ``amplitudes._check_width``)."""
+    _check_width(width)
     grid = np.asarray(grid, dtype=float)
-    intensity = np.zeros_like(grid)
-    for line in lines.lines:
-        intensity += line.weight * (width / pi) / ((grid - line.position) ** 2 + width ** 2)
+    positions = np.array([line.position for line in lines.lines], dtype=float)
+    weights = np.array([line.weight for line in lines.lines], dtype=float)
     if channel is None:
         channel = lines.lines[0].channel if lines.lines else ""
-    return SpectrumSeries(grid, intensity, channel)
+    return SpectrumSeries(grid, _lorentzians(positions, weights, width, grid), channel)
 
 
 def default_xps_grid() -> np.ndarray:
     """Kinetic energies 5.0 .. 8.0 eV in 0.005 eV steps."""
-    return np.linspace(5.0, 8.0, 601)
+    return _XPS_GRID.copy()
 
 
 def default_emission_grid(center: float) -> np.ndarray:
     """Emitted-photon energies center +/- 3 eV in 0.005 eV steps."""
-    return center + np.linspace(-_EMISSION_HALF_WIDTH, _EMISSION_HALF_WIDTH, 1201)
+    return center + _EMISSION_OFFSETS
 
 
 def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
@@ -151,19 +159,19 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
     omega0 = calc.emission_line(epsilon)
+    _check_resolution(params, [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon],
+                      epsilon)
     label = channel_label(channel)
-    lines = _resolved_lines(params, [SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)],
-                            [params.Omega, params.eps_p, calc.ground_coupling, epsilon], epsilon)
-    if grid is None:
-        grid = default_emission_grid(omega0)
-    return broaden(lines, params.gamma, grid, channel=label)
+    line = SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)
+    grid = default_emission_grid(omega0) if grid is None else grid
+    return broaden(LineSpectrum((line,)), params.gamma, grid, channel=label)
 
 
 def auto_epsilon(params: ModelParams) -> float:
     """Default photoelectron kinetic energy: the maximum of the broadened
     J = 1 photoemission peak (taken from the down-spin channel, which carries
     only J = 1 lines), on the default kinetic-energy grid."""
-    lines = xps_lines(params, Spin.DOWN).select(1)
-    grid = default_xps_grid()
-    series = broaden(lines, params.Gamma_1s, grid)
-    return float(grid[int(np.argmax(series.intensity))])
+    positions, weights, j_labels = _xps_arrays(params, Spin.DOWN)
+    j1 = np.array([j == HalfInt.of(1) for j in j_labels], dtype=bool)
+    intensity = _lorentzians(positions[j1], weights[j1], params.Gamma_1s, _XPS_GRID)
+    return float(_XPS_GRID[int(np.argmax(intensity))])

@@ -241,7 +241,8 @@ def per_eigenstate_terms(calc, geom, epsilon, sigma):
     """The resonance terms (lambda, i) of ``calc`` before the sum over eigenstates i."""
     eig = calc.eigensystems[sigma]
     emission = dipole_block(geom, eig.subspace) @ eig.vectors
-    return emission * calc.pe_elements[sigma] / calc._resonance(sigma, epsilon)
+    resonance = calc.line_positions[sigma] - epsilon + 1j * calc.params.Gamma_1s
+    return emission * calc.pe_elements[sigma] / resonance
 
 
 class PolarizationCoeffs(NamedTuple):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from xepecs import amplitudes
 from xepecs.angular import HalfInt
+from xepecs.entanglement import entropy_sweep
 from xepecs.fockspace import Spin
 from xepecs.model import (
     ModelParams,
@@ -25,6 +27,7 @@ from xepecs.amplitudes import (
     xepecs_amplitudes,
 )
 from xepecs.polarization import EmissionGeometry
+from xepecs.spectra import xepecs_spectrum
 
 from reference import (
     DipoleBlock,
@@ -226,3 +229,77 @@ class TestInputValidation:
     def test_polar_angle_outside_zero_to_pi(self, thetas):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
             calculator(PARAMS).amplitude_array(np.array(thetas), EmissionGeometry(1.0), 6.5)
+
+
+class TestKeptResults:
+    """A calculator keeps its last resonant sum and its last amplitude row."""
+
+    def test_one_measurement_takes_one_sum_and_one_polarization_row(self, monkeypatch):
+        counts = {"polarization_components": 0, "_resonant_sum": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(amplitudes, "polarization_components")
+        counted(AmplitudeCalculator, "_resonant_sum")
+        calculator.cache_clear()
+        params = ModelParams(G=0.3125, zeta=0.1875)
+        geom = EmissionGeometry.from_degrees(40.0, 25.0, 10.0, 100.0)
+        for channel in CHANNELS:
+            xepecs_spectrum(params, geom, 6.4, channel)
+        xepecs_amplitudes(params, geom, 6.4)
+        assert counts == {"polarization_components": 1, "_resonant_sum": 1}
+        # a sweep at the same kinetic energy contracts the same sum
+        entropy_sweep(params, geom, [0.0, 45.0, 90.0], 6.4)
+        assert counts == {"polarization_components": 2, "_resonant_sum": 1}
+        xepecs_amplitudes(params, geom, 6.5)
+        assert counts == {"polarization_components": 3, "_resonant_sum": 2}
+
+    def test_interleaved_hits_equal_a_fresh_calculator_bit_for_bit(self):
+        calc = AmplitudeCalculator(PARAMS)
+        plus, minus = EmissionGeometry(0.0, 0.3), EmissionGeometry(-0.0, 0.3)
+        oblique = EmissionGeometry.from_degrees(70.0, 10.0)
+        sequence = [(plus, 6.4), (plus, 6.4), (minus, 6.4), (plus, 6.4), (oblique, 6.4),
+                    (oblique, 6.6), (oblique, 6.4), (minus, 6.6), (minus, 6.6), (plus, 6.6),
+                    (oblique, 0.0), (oblique, -0.0), (oblique, 0.0), (plus, 6.4)]
+        for geom, epsilon in sequence:
+            fresh = AmplitudeCalculator(PARAMS)
+            assert (calc.amplitudes(geom, epsilon).values.tobytes()
+                    == fresh.amplitudes(geom, epsilon).values.tobytes())
+            assert calc.spin_vectors(epsilon).tobytes() == fresh.spin_vectors(epsilon).tobytes()
+            assert calc.amplitudes(geom, epsilon) is calc.amplitudes(geom, epsilon)
+
+    def test_zeros_of_either_sign_have_their_own_keys(self):
+        calc = AmplitudeCalculator(PARAMS)
+        plus = calc.amplitudes(EmissionGeometry(0.0), 6.4)
+        assert calc.amplitudes(EmissionGeometry(-0.0), 6.4) is not plus
+        assert calc.spin_vectors(0.0) is not calc.spin_vectors(-0.0)
+
+    def test_kept_arrays_are_read_only(self):
+        calc = AmplitudeCalculator(PARAMS)
+        t = calc.spin_vectors(6.5)
+        assert calc.spin_vectors(6.5) is t
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+        values = calc.amplitudes(EmissionGeometry(1.0), 6.5).values
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+    def test_bad_inputs_raise_after_a_kept_result(self):
+        calc = AmplitudeCalculator(PARAMS)
+        geom = EmissionGeometry(1.0)
+        calc.amplitudes(geom, 6.5)
+        for epsilon in (NAN, INF):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                calc.amplitudes(geom, epsilon)
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                calc.spin_vectors(epsilon)
+        outside = EmissionGeometry(1.0)
+        object.__setattr__(outside, "theta", NAN)   # past the geometry's own check
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            calc.amplitudes(outside, 6.5)

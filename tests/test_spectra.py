@@ -7,11 +7,12 @@ import pytest
 
 from xepecs.angular import HalfInt
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams
+from xepecs.model import DomainError, ModelParams
 from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import (
     LineSpectrum,
     SpectralLine,
+    SpectrumSeries,
     auto_epsilon,
     broaden,
     default_emission_grid,
@@ -22,6 +23,7 @@ from xepecs.spectra import (
 )
 
 PARAMS = ModelParams()
+NAN, INF = float("nan"), float("inf")
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
 D1, D2 = (Spin.DOWN, 1), (Spin.DOWN, 2)
 
@@ -97,6 +99,46 @@ class TestBroaden:
         with pytest.raises(ValueError, match="width"):
             broaden(lines, 0.0, np.linspace(-1, 1, 11))
 
+    @pytest.mark.parametrize("width, message", [
+        (INF, "overflows its square"), (1e200, "overflows its square"),
+        (1e-170, "underflows its square"), (5e-324, "underflows its square"),
+        (NAN, "width must be > 0"), (-0.5, "width must be > 0"),
+    ])
+    def test_width_must_have_a_finite_nonzero_square(self, width, message):
+        lines = LineSpectrum((SpectralLine(0.0, 1.0, None, "test"),))
+        with pytest.raises(ValueError, match=message):
+            broaden(lines, width, np.linspace(-1, 1, 11))
+
+    def test_equals_the_per_line_sum_bit_for_bit(self):
+        lines = xps_lines(ModelParams(G=0.7, zeta=0.3), Spin.UP)
+        grid = default_xps_grid()
+        expected = np.zeros_like(grid)
+        for line in lines.lines:
+            expected += line.weight * (0.45 / math.pi) / ((grid - line.position) ** 2 + 0.45 ** 2)
+        assert broaden(lines, 0.45, grid).intensity.tobytes() == expected.tobytes()
+
+    def test_no_lines_give_zero_intensity(self):
+        series = broaden(LineSpectrum(()), 0.3, np.linspace(0.0, 1.0, 5))
+        assert series.channel == "" and np.array_equal(series.intensity, np.zeros(5))
+
+
+class TestSpectrumChecks:
+    """NaN fails every check, as in the density-matrix checks."""
+
+    def test_nan_grid_is_not_ascending(self):
+        with pytest.raises(ValueError, match="ascending"):
+            SpectrumSeries(np.array([0.0, NAN, 2.0]), np.array([1.0, 1.0, 1.0]), "x")
+        with pytest.raises(ValueError, match="ascending"):
+            SpectrumSeries(np.array([0.0, NAN, 2.0]), np.array([1.0, NAN, 1.0]), "x")
+
+    def test_nan_intensity_is_not_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SpectrumSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, NAN, 1.0]), "x")
+
+    def test_nan_weight_is_rejected(self):
+        with pytest.raises(DomainError, match="non-negative weights"):
+            LineSpectrum((SpectralLine(1.0, NAN, None, "x"),))
+
 
 class TestXepecsSpectrum:
     def test_overlap_at_90_degrees(self):
@@ -158,6 +200,22 @@ class TestDefaults:
 
     def test_final_state_energy(self):
         assert final_state_energy(PARAMS) == pytest.approx(2 * PARAMS.eps_s, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        PARAMS, ModelParams(G=0.0, zeta=0.31), ModelParams(G=0.83, zeta=0.0),
+        ModelParams(G=0.4, zeta=0.45, Gamma_1s=0.21), ModelParams(Omega=15.0),
+        ModelParams(Omega=30.0, G=0.6),
+    ])
+    def test_auto_epsilon_equals_the_line_spectrum_route(self, params):
+        grid = default_xps_grid()
+        series = broaden(xps_lines(params, Spin.DOWN).select(1), params.Gamma_1s, grid)
+        assert auto_epsilon(params) == float(grid[int(np.argmax(series.intensity))])
+
+    def test_default_grids_do_not_share_memory(self):
+        for make in (default_xps_grid, lambda: default_emission_grid(8.0)):
+            make()[:] = 0.0
+            assert make()[0] == 5.0
+        assert auto_epsilon(PARAMS) == 6.48   # read from the kept grid, not the zeroed copies
 
     def test_auto_epsilon_near_strong_j1_line(self):
         eps = auto_epsilon(PARAMS)
