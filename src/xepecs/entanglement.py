@@ -110,10 +110,10 @@ def _spin_spectrum(coeffs: np.ndarray) -> np.ndarray:
 
     With a and d the squared norms of the rows of c and b = c_00 conj(c_10) +
     c_01 conj(c_11), lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|) and
-    lambda_- = |det c|^2 / lambda_+, which does not cancel near a separable
-    state (det c = 0). Both are real and lambda_- + lambda_+ = a + d, the norm
-    that ``_check_norm`` bounds, so only positivity is left to check: raises
-    DomainError unless lambda_- >= -1e-12, a comparison NaN fails.
+    lambda_- = min(|det c|^2 / lambda_+, lambda_+), which does not cancel near
+    a separable state (det c = 0). Both are real and lambda_- + lambda_+ = a + d,
+    the norm that ``_check_norm`` bounds, so only positivity is left to check:
+    raises DomainError unless lambda_- >= -1e-12, a comparison NaN fails.
     """
     c00, c01, c10, c11 = np.moveaxis(coeffs.reshape(*coeffs.shape[:-2], 4), -1, 0)
     sq = coeffs.real ** 2 + coeffs.imag ** 2
@@ -121,7 +121,7 @@ def _spin_spectrum(coeffs: np.ndarray) -> np.ndarray:
     b = c00 * c10.conj() + c01 * c11.conj()
     det = c00 * c11 - c01 * c10
     upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
-    lower = (det.real ** 2 + det.imag ** 2) / upper
+    lower = np.minimum((det.real ** 2 + det.imag ** 2) / upper, upper)
     if not np.all(lower >= -_MATRIX_TOL):
         raise DomainError("matrix has a negative eigenvalue")
     return np.stack([lower, upper], axis=-1)

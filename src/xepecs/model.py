@@ -19,10 +19,10 @@ shell. H' commutes with J^2, so it is diagonalized in the coupled basis
 |((s_1s s_2p) S, l) J M> of each subspace, whose entries are products of two
 Clebsch-Gordan coefficients from the exact layer in ``angular``. The operator
 matrices and that basis are built once per process and subspace, so a
-parameter set costs a weighted sum of two matrices of at most 4 x 4 and the
-eigendecomposition of each of its J blocks (at most 2 x 2), which gives every
-level an exact J. The ground state is the J = 1/2 column of the initial
-subspace.
+parameter set costs a weighted sum of two matrices of at most 4 x 4 and a
+closed-form solve of each of its J blocks (at most 2 x 2, no LAPACK call),
+which gives every level an exact J. The ground state is the J = 1/2 column of
+the initial subspace.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
-from math import isfinite, sqrt
+from math import atan2, copysign, cos, hypot, isfinite, sin, sqrt, tan
 
 import numpy as np
 
@@ -234,12 +234,12 @@ def _configuration_operators(occupation: tuple[int, int]) -> tuple[np.ndarray, n
 
 
 @cache
-def _subspace_operators(sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """l.s and S_1s . S_2p on ``sub``: read-only slices of the matrices of its
-    configuration."""
-    occupation = _occupation(sub.basis[0])
+def _subspace_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
+    """l.s and S_1s . S_2p on the subspace ``label``: read-only slices of the
+    matrices of its configuration."""
+    occupation = _occupation(_BASES[label][0])
     row = _configuration(occupation)
-    k = np.ix_(*2 * ([row[b] for b in sub.basis],))
+    k = np.ix_(*2 * ([row[b] for b in _BASES[label]],))
     return tuple(_read_only(a[k]) for a in _configuration_operators(occupation))
 
 
@@ -255,11 +255,11 @@ def _level_energy(params: ModelParams, state: FockState) -> float:
 def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray:
     """H' from the cached coupling matrices plus ``level`` on the diagonal; a
     DomainError if the sum overflows."""
-    spin_orbit, exchange = _subspace_operators(sub)
+    spin_orbit, exchange = _subspace_operators(sub.label)
     # an overflowing weight or sum leaves inf or NaN entries, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         H = params.zeta * spin_orbit - 2.0 * params.G * exchange + level * np.eye(sub.dim)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise DomainError("Hamiltonian matrix is not finite")
     return H
 
@@ -304,65 +304,85 @@ def _angular_numbers(state: FockState) -> tuple[int, int, int, int]:
 
 
 @cache
-def _label_basis(sub: Subspace) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple[slice, ...]]:
-    """The (J, S) basis of ``sub``, built once: the coupled states
-    |((s_1s s_2p) S, l) J M> as the columns U over the basis states (read-only),
-    ascending in (J, S), their J labels and the slice of U that spans each J block.
+def _label_basis(label: SubspaceLabel) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple]:
+    """The (J, S) basis of subspace ``label`` (a Subspace key rehashes its basis),
+    built once: the coupled states |((s_1s s_2p) S, l) J M> as the columns U over
+    the basis states (read-only), ascending in (J, S), their J labels and the
+    column pair of each 2 x 2 J block.
 
     A basis state carries (m_1s, m_l, m_s), and its entry in the column (J, S)
     is <s_1s m_1s; 1/2 m_s | S M_S> <1 m_l; S M_S | J M>, the square root of
     the exact product of the two squares from ``cg_exact``. On the initial
     subspace the closed 1s shell has s_1s = 0, so the columns are |(l s) j m>.
     """
-    numbers = [_angular_numbers(b) for b in sub.basis]   # all twice their value
+    numbers = [_angular_numbers(b) for b in _BASES[label]]   # all twice their value
     ts1s, tm = numbers[0][0], sum(numbers[0][1:])   # s_1s and M, the same for every state
-    pairs = sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
-                   for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj)
-    u = np.zeros((sub.dim, len(pairs)), dtype=complex)
+    columns = sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
+                     for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj)
+    u = np.zeros((len(numbers), len(columns)), dtype=complex)
     for k, (_, tm1s, tml, tms) in enumerate(numbers):
         m_spin = HalfInt(tm1s + tms)   # M_S
         spin = {ts: cg_exact(HalfInt(ts1s), HalfInt(tm1s), 0.5, HalfInt(tms), HalfInt(ts), m_spin)
-                for ts in {ts for _, ts in pairs}}
-        for col, (tj, ts) in enumerate(pairs):
+                for ts in {ts for _, ts in columns}}
+        for col, (tj, ts) in enumerate(columns):
             spin_sign, spin_square = spin[ts]
             if spin_sign:   # else |M_S| > S
                 total_sign, total_square = cg_exact(1, HalfInt(tml), HalfInt(ts), m_spin,
                                                     HalfInt(tj), HalfInt(tm))
                 u[k, col] = spin_sign * total_sign * sqrt(spin_square * total_square)
-    labels = tuple(HalfInt(tj) for tj, _ in pairs)
-    starts = [k for k in range(len(labels)) if k == 0 or labels[k] != labels[k - 1]]
-    blocks = tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [len(labels)]))
-    return _read_only(u), labels, blocks
+    labels = tuple(HalfInt(tj) for tj, _ in columns)
+    pairs = tuple((k, k + 1) for k in range(len(labels) - 1) if labels[k] == labels[k + 1])
+    return _read_only(u), labels, pairs
+
+
+def _block_eigenpairs(h: np.ndarray, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, in column order, and the unitary rotation of the J blocks of
+    a Hermitian h in a (J, S) basis, each 2 x 2 block [[p, b], [b*, r]] at the
+    columns of one of ``pairs``. A complex b is made real by a phase on the
+    second column. The Jacobi angle theta = atan2(b sgn(p - r), |p - r|) / 2
+    gives diag(p + b tan(theta), r - b tan(theta)): b = 0 keeps a block bit for
+    bit, and a subnormal b gives a subnormal angle. A non-finite value is left
+    to the caller's residual check."""
+    values = h.diagonal().real.copy()
+    rotation = np.eye(len(h), dtype=complex)
+    for i, j in pairs:   # at most one per subspace: Python floats beat size-1 arrays
+        p, r, b = float(values[i]), float(values[j]), complex(h[i, j])
+        phase = np.exp(-1j * np.angle(b)) if b.imag else 1.0
+        b = hypot(b.real, b.imag) if b.imag else b.real
+        half = 0.5 * p - 0.5 * r   # overflows no sooner than p or r
+        angle = 0.5 * atan2(copysign(1.0, half) * b, abs(half))
+        shift = b * tan(angle)
+        values[i], values[j] = p + shift, r - shift
+        rotation[i, i], rotation[i, j] = cos(angle), -sin(angle)
+        rotation[j, i], rotation[j, j] = phase * sin(angle), phase * cos(angle)
+    return values, rotation
 
 
 def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
     """Eigendecomposition of a Hermitian subspace Hamiltonian that commutes
     with J^2: each J block of H in the (J, S) basis of the subspace, at most
-    2 x 2, is diagonalized on its own, so every label is exact. The pairs are
-    sorted by energy, stably: energies that are equal as floats stay in
-    ascending (J, S) order. Levels degenerate only in exact arithmetic (G = 0
-    or zeta = 0) can differ by an ulp, and then their order follows roundoff.
-    The eigen-residual is checked relative to max(1, max|H|); a matrix that
-    does not commute with J^2 fails it.
+    2 x 2, is solved on its own in closed form, so every label is exact. The
+    pairs are sorted by energy, stably: energies that are equal as floats stay
+    in ascending (J, S) order. Levels degenerate only in exact arithmetic
+    (G = 0 or zeta = 0) can differ by an ulp, and then their order follows
+    roundoff. The eigen-residual is checked relative to max(1, max|H|); a
+    matrix that does not commute with J^2 fails it.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (sub.dim, sub.dim):
         raise ValueError("matrix does not match the subspace dimension")
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise DomainError("Hamiltonian matrix is not finite")
-    if np.max(np.abs(H - H.conj().T)) > _HERMITICITY_TOL:
+    if np.abs(H - H.conj().T).max() > _HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
 
-    u, labels, blocks = _label_basis(sub)
-    h = u.conj().T @ H @ u
-    pairs = [np.linalg.eigh(h[b, b]) for b in blocks]
-    w = np.concatenate([values for values, _ in pairs])
-    v = np.hstack([u[:, b] @ rotation for b, (_, rotation) in zip(blocks, pairs)])
-    order = np.argsort(w, kind="stable")
-    w, v = w[order], v[:, order]
-
-    residual = np.max(np.abs(H @ v - v * w[np.newaxis, :]))
-    if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H)))):
+    u, labels, pairs = _label_basis(sub.label)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite pair fails the residual
+        w, rotation = _block_eigenpairs(u.conj().T @ H @ u, pairs)
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], u @ rotation[:, order]
+        residual = np.abs(H @ v - v * w[np.newaxis, :]).max()
+    if not residual <= _RESIDUAL_TOL * max(1.0, float(np.abs(H).max())):
         raise DomainError(f"eigenvector residual {residual:.3e} too large")
     return EigenSystem(_read_only(w), _read_only(v), tuple(labels[i] for i in order), sub)
 
@@ -384,7 +404,7 @@ def _ground() -> tuple[ManyBodyVector, np.ndarray]:
     """The electron ground state, the J = 1/2 column of the (J, S) basis of the
     initial subspace, and its components over that subspace's basis (read-only)."""
     sub = subspace(SubspaceLabel.INITIAL)
-    components = _label_basis(sub)[0][:, 0]
+    components = _label_basis(sub.label)[0][:, 0]
     return combine(zip(components, map(basis_vector, sub.basis))), components
 
 

@@ -1,11 +1,13 @@
 """Independent routes the tests hold the package to: the model operators
-applied one basis vector at a time; a full register of the 8 orbitals, two
+applied one basis vector at a time; the eigendecomposition of each J block by
+LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals, two
 photoelectron modes and three photon counts, and through it the
 photon-emission operator for any polarization pair, the emission rows, and the
 photoemission elements of any initial state; the per-eigenstate resonance
 terms; and the spherical projections of one polarization vector, in closed
 form and by projection."""
 
+from itertools import groupby
 from math import cos, sin, sqrt
 from typing import NamedTuple
 
@@ -16,7 +18,9 @@ from xepecs.fockspace import (
     ORBITALS, ManyBodyVector, Shell, Spin, SpinOrbital, _accumulate, annihilate, basis_vector,
     combine, create, inner,
 )
-from xepecs.model import SubspaceLabel, closed_shell, intermediate_subspace, subspace
+from xepecs.model import (
+    SubspaceLabel, _label_basis, closed_shell, intermediate_subspace, subspace,
+)
 from xepecs.polarization import polarization_vector
 
 # ---------------------------------------------------------------------------
@@ -105,6 +109,21 @@ def model_operators(sub):
         lambda v: apply_casimir(v, j_plus, j_minus, JZ),
         lambda v: apply_casimir(v, s_plus, s_minus, SZ),
         lambda v: apply_diagonal(v, JZ)))
+
+
+def block_eigh(H, sub):
+    """The per-block eigh route: ``np.linalg.eigh`` of each J block of H in the
+    (J, S) basis U of ``sub``, the pairs sorted stably by energy. Returns the
+    energies, the eigenvectors over the basis states and their J labels."""
+    u, labels, _ = _label_basis(sub.label)
+    h = u.conj().T @ np.asarray(H, dtype=complex) @ u
+    starts = [next(group)[0] for _, group in groupby(enumerate(labels), key=lambda x: x[1])]
+    blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(labels)])]
+    pairs = [np.linalg.eigh(h[b, b]) for b in blocks]
+    w = np.concatenate([values for values, _ in pairs])
+    v = np.hstack([u[:, b] @ rotation for b, (_, rotation) in zip(blocks, pairs)])
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order], tuple(labels[i] for i in order)
 
 
 def spherical_components(v):

@@ -225,9 +225,9 @@ class TestParameterLinearModel:
         arrays = [model._ground()[1]]
         for label in SubspaceLabel:
             sub = subspace(label)
-            arrays += list(model._subspace_operators(sub))
+            arrays += list(model._subspace_operators(label))
             arrays += list(model._configuration_operators(model._occupation(sub.basis[0])))
-            arrays.append(model._label_basis(sub)[0])
+            arrays.append(model._label_basis(label)[0])
         arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
         for array in arrays:
             with pytest.raises(ValueError):

@@ -112,7 +112,7 @@ class TestOneBodyOperators:
     @pytest.mark.parametrize("label", list(SubspaceLabel))
     def test_equal_the_per_vector_route(self, label):
         sub = subspace(label)
-        built = model._subspace_operators(sub)
+        built = model._subspace_operators(label)
         assert len(built) == 2
         for name, ours, theirs in zip(("l.s", "S_1s.S_2p"), built,
                                       reference.model_operators(sub)):
@@ -346,10 +346,12 @@ class TestJBlocks:
     @pytest.mark.parametrize("label,coupled", COUPLED)
     def test_label_basis_is_orthonormal_with_its_labels(self, label, coupled):
         sub = subspace(label)
-        u, labels, blocks = model._label_basis(sub)
+        u, labels, pairs = model._label_basis(label)
         assert [float(j) for j in labels] == [j for j, _ in coupled]
-        assert [labels[b.start] for b in blocks] == sorted(set(labels))
-        assert sum(b.stop - b.start for b in blocks) == sub.dim
+        # the columns of each 2 x 2 J block; a J with one column is a 1 x 1 block
+        assert [(labels[i], labels[j]) for i, j in pairs] == [
+            (x, x) for x in sorted(set(labels)) if labels.count(x) == 2]
+        assert all(j == i + 1 for i, j in pairs)
         assert np.max(np.abs(u.conj().T @ u - np.eye(sub.dim))) <= 1e-15
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
@@ -357,7 +359,7 @@ class TestJBlocks:
     @pytest.mark.parametrize("label,coupled", COUPLED)
     def test_label_basis_diagonalizes_j_squared_and_s_squared(self, label, coupled):
         sub = subspace(label)
-        u = model._label_basis(sub)[0]
+        u = model._label_basis(label)[0]
         jsq, ssq, _ = angular_operators(sub)
         for op, values in ((jsq, [j for j, _ in coupled]), (ssq, [s for _, s in coupled])):
             expected = np.diag([x * (x + 1) for x in values])
@@ -368,7 +370,7 @@ class TestJBlocks:
         # |U_bk|^2 = <s_1s m_1s; 1/2 m_s | S M_S>^2 <1 m_l; S M_S | J M>^2, an exact
         # fraction, to within one ulp; a closed 1s shell has s_1s = m_1s = 0
         sub = subspace(label)
-        u = model._label_basis(sub)[0]
+        u = model._label_basis(label)[0]
         assert not np.any(u.imag)
         for row, b in enumerate(sub.basis):
             occupied = [o for o in ORBITALS if b.orbitals >> o.index & 1]
@@ -384,7 +386,7 @@ class TestJBlocks:
     def test_ground_state_is_the_initial_j_half_column(self):
         components = model._ground()[1]
         assert list(components) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
-        u = model._label_basis(subspace(SubspaceLabel.INITIAL))[0]
+        u = model._label_basis(SubspaceLabel.INITIAL)[0]
         assert np.array_equal(components, u[:, 0])
 
     def test_basis_is_built_once_per_subspace(self):
@@ -420,3 +422,149 @@ class TestJBlocks:
         for j, el in zip(eig.j_labels, calc.pe_elements[Spin.UP]):
             by_j[float(j)] += abs(el) ** 2
         assert by_j == pytest.approx({0.0: 0.25, 1.0: 0.25, 2.0: 0.0}, abs=1e-14)
+
+
+class TestClosedFormBlocks:
+    """The J blocks are solved in closed form, held to the per-block eigh route
+    of ``reference``; no LAPACK eigensolver runs per parameter set."""
+
+    # levels split well above roundoff, and the near-degenerate hard cases of
+    # the property suite, whose J = 0 and J = 1 levels are ~1e-10 eV apart
+    SPLIT = ([ModelParams(G=g, zeta=z) for g, z in
+              np.random.default_rng(3).uniform((0.01, 0.01), (1.0, 0.5), (20, 2))]
+             + [TABLE, RELATIVE, ModelParams(G=70.0, zeta=3.0),
+                ModelParams(G=2.5851919801451547e-11, zeta=1.8541897049222843e-09),
+                ModelParams(G=1.7680844477165957e-10, zeta=0.3481734336815314)])
+    # an exactly zero off-diagonal (zeta = 0), a subnormal one, both couplings
+    # 0, and levels of different J degenerate in exact arithmetic (G = 0)
+    HAZARDS = [ModelParams(G=1.0, zeta=0.0), ModelParams(G=0.0, zeta=2.2e-311),
+               ModelParams(G=0.0, zeta=0.0), ModelParams(G=0.0, zeta=0.3)]
+
+    @staticmethod
+    def eigensystems(params):
+        """(H', closed form) on every subspace: H' without its level energy."""
+        relative = ModelParams(G=params.G, zeta=params.zeta, eps_s=0.0, eps_p=0.0)
+        for label in SubspaceLabel:
+            sub = subspace(label)
+            H = build_hamiltonian(relative, sub)
+            if label is SubspaceLabel.INITIAL:
+                yield H, diagonalize(H, sub)
+            else:
+                yield H, intermediate_eigensystem(relative, Spin.UP if label is SubspaceLabel.M0
+                                                  else Spin.DOWN)
+
+    @staticmethod
+    def assert_matches_the_per_block_eigh(H, eig):
+        energies, vectors, labels = reference.block_eigh(H, eig.subspace)
+        scale = max(1.0, np.max(np.abs(H)))
+        assert np.max(np.abs(eig.coupling_energies - energies)) <= 1e-15 * scale
+        overlaps = np.abs(np.sum(vectors.conj() * eig.vectors, axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-14
+        assert eig.j_labels == labels
+
+    @pytest.mark.parametrize("params", SPLIT)
+    def test_equals_the_per_block_eigh(self, params):
+        for H, eig in self.eigensystems(params):
+            self.assert_matches_the_per_block_eigh(H, eig)
+
+    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
+    def test_complex_hermitian_blocks(self, label):
+        # H = U h U^dag with h Hermitian and block diagonal in J, its 2 x 2
+        # blocks complex: H commutes with J^2 but is not real in the (J, S) basis
+        sub = subspace(label)
+        u, _, pairs = model._label_basis(label)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            h = np.diag(rng.normal(size=sub.dim)).astype(complex)
+            for i, j in pairs:
+                h[i, j] = rng.normal() * np.exp(2j * np.pi * rng.uniform())
+                h[j, i] = h[i, j].conjugate()
+            H = u @ h @ u.conj().T
+            H = (H + H.conj().T) / 2
+            eig = diagonalize(H, sub)
+            self.assert_matches_the_per_block_eigh(H, eig)
+            assert np.max(np.abs(eig.coupling_energies - np.linalg.eigvalsh(H))) <= 1e-14
+
+    @pytest.mark.parametrize("params", HAZARDS)
+    def test_degenerate_zero_and_subnormal_blocks(self, params):
+        # exactly degenerate levels may come in another order than eigh's, so
+        # the energies of each J are compared as sorted lists
+        for H, eig in self.eigensystems(params):
+            energies, _, labels = reference.block_eigh(H, eig.subspace)
+            for j in set(labels):
+                ours = sorted(e for e, x in zip(eig.coupling_energies, eig.j_labels) if x == j)
+                theirs = sorted(e for e, x in zip(energies, labels) if x == j)
+                assert np.max(np.abs(np.subtract(ours, theirs))) <= 1e-15
+            v = eig.vectors
+            assert np.all(np.isfinite(v))
+            assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) <= 1e-15
+            assert np.max(np.abs(H @ v - v * eig.coupling_energies)) <= 1e-15
+
+    def test_a_zero_off_diagonal_leaves_the_block_as_it_is(self):
+        # G = 1, zeta = 0: the J = 1 block of U^dag H' U is diagonal, its larger
+        # entry first on the up-spin side; the solve keeps it bit for bit
+        sub = subspace(SubspaceLabel.M0)
+        u, _, pairs = model._label_basis(SubspaceLabel.M0)
+        h = u.conj().T @ build_hamiltonian(ModelParams(G=1.0, zeta=0.0, eps_s=0.0, eps_p=0.0),
+                                           sub) @ u
+        ((i, j),) = pairs
+        assert h[i, j] == 0.0 and h[i, i].real > h[j, j].real
+        values, rotation = model._block_eigenpairs(h, pairs)
+        assert np.array_equal(values, h.diagonal().real)
+        assert np.array_equal(rotation, np.eye(sub.dim))
+
+    @pytest.mark.parametrize("p,r,b", [(1.0, -0.5, 0.0), (-0.5, 1.0, 0.0), (0.3, 0.3, 0.2),
+                                       (0.0, 0.0, 2.2e-311), (1e-311, -1e-311, 3e-311),
+                                       (1e308, -1e308, 5e307), (2.0, 1.0, -1e-9),
+                                       (0.3, -0.2, 0.1 + 0.2j), (1.0, 1.0, -1e-9j),
+                                       (0.0, 0.0, 2e-311 - 3e-311j), (1e308, -1e308, 3e307j)])
+    def test_one_block_against_eigh(self, p, r, b):
+        block = np.array([[p, b], [np.conj(b), r]], dtype=complex)
+        values, rotation = model._block_eigenpairs(block, ((0, 1),))
+        scale = np.max(np.abs(block))
+        tol = 4e-16 * scale + 1e-322   # a few ulps, and a subnormal ulp or two
+        assert np.max(np.abs(block @ rotation - rotation * values)) <= tol
+        assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(2))) <= 4e-16
+        scaled = block.real / scale + 1j * (block.imag / scale)   # complex / subnormal overflows
+        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(scaled) * scale)) <= tol
+        if b == 0.0:
+            assert list(values) == [p, r] and np.array_equal(rotation, np.eye(2))
+
+    def test_a_calculator_runs_no_lapack_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        calc = AmplitudeCalculator(ModelParams(G=0.43, zeta=0.19))
+        assert j_values(calc.eigensystems[Spin.UP]) == [0.0, 1.0, 1.0, 2.0]
+        for label in SubspaceLabel:
+            sub = subspace(label)
+            diagonalize(build_hamiltonian(ModelParams(G=0.43, zeta=0.19), sub), sub)
+
+
+class TestChecksOnTheirReproducers:
+    """Every check of the per-parameter-set step still raises: H finite, the
+    eigen-residual, the ground-state residual, then the widths with Gamma_1s
+    first (H Hermitian: ``TestDiagonalize.test_non_hermitian_rejected``; the
+    eigen-residual: ``TestJBlocks.test_matrix_not_commuting_with_j_squared_is_rejected``)."""
+
+    def test_overflowing_couplings_are_not_finite(self):
+        params = ModelParams(G=1e308)
+        for call in (lambda: model.ground_coupling_energy(params),
+                     lambda: intermediate_eigensystem(params, Spin.UP),
+                     lambda: AmplitudeCalculator(params)):
+            with pytest.raises(model.DomainError, match="Hamiltonian matrix is not finite"):
+                call()
+
+    def test_a_ground_state_off_its_eigenvector_fails_the_residual(self, monkeypatch):
+        # the J = 1/2 column replaced by the first basis state, which l.s mixes
+        # with the second
+        monkeypatch.setattr(model, "_ground", lambda: (None, np.array([1.0, 0.0])))
+        with pytest.raises(model.DomainError, match="not an eigenvector"):
+            model.ground_coupling_energy(TABLE)
+
+    def test_widths_are_checked_after_the_model_gamma_1s_first(self):
+        with pytest.raises(model.DomainError, match="not finite"):
+            AmplitudeCalculator(ModelParams(G=1e308, Gamma_1s=1e200))
+        with pytest.raises(model.DomainError, match="1e\\+200 eV overflows"):
+            AmplitudeCalculator(ModelParams(Gamma_1s=1e200, gamma=1e-170))

@@ -83,12 +83,20 @@ HARD_PARAMS = (
                 eps_s=-26.71222382762132, eps_p=-1.3241151072793786),
     # levels of J = 0 and J = 1 about 1e-10 eV apart, once mixed by roundoff
     ModelParams(G=1.7680844477165957e-10, zeta=0.3481734336815314),
+    # J = 1 blocks in closed form: an exactly zero off-diagonal, the larger
+    # diagonal entry first on the up-spin side, and a subnormal one
+    ModelParams(G=1.0, zeta=0.0),
+    ModelParams(G=0.0, zeta=2.2e-311),
 )
 
 
 SEPARABLE = np.array([[0.6, 0.8j], [0.0, 0.0]])                    # det c = 0
 MAXIMALLY_ENTANGLED = np.array([[0.0, 1.0], [1.0j, 0.0]]) / np.sqrt(2.0)
 NEAR_SEPARABLE = np.array([[0.6, 0.8j], [0.0, 1e-9]])              # |det c| = 6e-10, exactly
+# unitary / sqrt(2), from QR of complex normals: lambda_- = lambda_+ = 1/2, where
+# |det c|^2 / lambda_+ once came out an ulp above lambda_+ for 318 of them
+_NORMALS = np.random.default_rng(0).normal(size=(2, 10_000, 2, 2))
+MAXIMALLY_ENTANGLED_DRAWS = np.linalg.qr(_NORMALS[0] + 1j * _NORMALS[1])[0] / np.sqrt(2.0)
 
 
 def oracle(theta_deg):
@@ -248,7 +256,8 @@ def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi
                                               geometry(phi, beta1), epsilon)
     stack = np.concatenate([_normalize(amps, params, epsilon),
                             np.array(draws, dtype=complex).reshape(-1, 2, 2),
-                            [SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE]])
+                            [SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE],
+                            MAXIMALLY_ENTANGLED_DRAWS])
     spectrum = _spin_spectrum(stack)
     assert spectrum.shape == stack.shape[:-1]
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(_spin_matrix(stack)))) <= 1e-12
