@@ -11,17 +11,16 @@ from .fockspace import (
     SpinOrbital,
 )
 from .model import (
+    DomainError,
     EigenSystem,
     ModelParams,
     Subspace,
     SubspaceLabel,
-    build_hamiltonian,
     diagonalize,
-    initial_state,
     intermediate_eigensystem,
     subspace,
 )
-from .polarization import EmissionGeometry, basis_vectors, polarization_vector
+from .polarization import EmissionGeometry
 from .amplitudes import AmplitudeCalculator, AmplitudeSet, xepecs_amplitudes
 from .spectra import (
     LineSpectrum,
@@ -34,10 +33,8 @@ from .spectra import (
 )
 from .entanglement import (
     DensityMatrix,
-    DomainError,
     EntangledState,
     EntropyCurve,
-    closed_form_state,
     entangled_state,
     entropy_sweep,
     full_density_matrix,
@@ -45,5 +42,18 @@ from .entanglement import (
     reduce_to_spin,
     von_neumann_entropy,
 )
+
+__all__ = [
+    "HalfInt", "cg",
+    "FockState", "ManyBodyVector", "Shell", "Spin", "SpinOrbital",
+    "DomainError", "EigenSystem", "ModelParams", "Subspace", "SubspaceLabel",
+    "diagonalize", "intermediate_eigensystem", "subspace",
+    "EmissionGeometry",
+    "AmplitudeCalculator", "AmplitudeSet", "xepecs_amplitudes",
+    "LineSpectrum", "SpectralLine", "SpectrumSeries",
+    "auto_epsilon", "broaden", "xepecs_spectrum", "xps_lines",
+    "DensityMatrix", "EntangledState", "EntropyCurve", "entangled_state", "entropy_sweep",
+    "full_density_matrix", "reduce_to_polarization", "reduce_to_spin", "von_neumann_entropy",
+]
 
 __version__ = "0.1.0"

@@ -195,11 +195,15 @@ class AmplitudeCalculator:
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
+            with np.errstate(over="ignore"):   # an overflow leaves an inf, reported below
+                self.line_positions = {
+                    sigma: _read_only(params.Omega + params.eps_s
+                                      + (self.ground_coupling - eig.coupling_energies))
+                    for sigma, eig in self.eigensystems.items()}
+            if not all(np.isfinite(x).all() for x in self.line_positions.values()):
+                raise DomainError("photoemission line positions are not finite")
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
-        self.line_positions = {sigma: _read_only(params.Omega + params.eps_s
-                                                 + (self.ground_coupling - eig.coupling_energies))
-                               for sigma, eig in self.eigensystems.items()}
         self.pe_elements = {
             sigma: _read_only(eig.vectors.conj().T @ _ground_components(sigma))
             for sigma, eig in self.eigensystems.items()

@@ -21,14 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .amplitudes import CHANNELS, channel_label, xepecs_amplitudes
-from .entanglement import (
-    DomainError,
-    entangled_state,
-    entropy_sweep,
-    full_density_matrix,
-)
+from .entanglement import entangled_state, entropy_sweep, full_density_matrix
 from .fockspace import Spin
-from .model import ModelParams
+from .model import DomainError, ModelParams
 from .polarization import EmissionGeometry
 from .spectra import (
     auto_epsilon,

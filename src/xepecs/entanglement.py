@@ -8,12 +8,14 @@ polarization. The pure two-qubit state is the normalized amplitude array
 
 and the entanglement entropy is the base-2 von Neumann entropy of the reduced
 spin density matrix. For the default orthogonal polarization pair
-(beta1 = 90 deg, beta2 = 180 deg) the state also has the closed form
+(beta1 = 90 deg, beta2 = 180 deg) the state is the closed form
 
     (1 / (3 sqrt(C))) * [ sin(theta) |U2> + e^(i phi) (i |D1> - cos(theta) |D2>) ]
 
-which this module keeps as an independent cross-check of the full amplitude
-pipeline; its reduced spin matrix has eigenvalues (1 +/- |cos(theta)|) / 2.
+up to a global phase, with C = 2/9 for unit norm; its reduced spin matrix has
+eigenvalues (1 +/- |cos(theta)|) / 2. This module computes that state through
+the amplitudes, as for any other pair; the closed form is in
+``tests/reference.py``, and the tests hold the pipeline to it.
 
 A single state and an angle sweep share one normalization of a (..., 2, 2)
 amplitude stack (rejecting non-finite or vanishing amplitudes with the
@@ -27,7 +29,6 @@ eigenvalues into bits the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, radians, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +39,10 @@ from .model import DomainError, ModelParams
 from .polarization import EmissionGeometry
 
 __all__ = [
-    "DomainError",
     "EntangledState",
     "DensityMatrix",
     "EntropyCurve",
     "entangled_state",
-    "closed_form_state",
     "full_density_matrix",
     "reduce_to_spin",
     "reduce_to_polarization",
@@ -158,10 +157,6 @@ class EntangledState:
     def vector(self) -> np.ndarray:
         return self.coeffs.ravel()
 
-    def fidelity(self, other: "EntangledState") -> float:
-        """|<self|other>|, insensitive to global phases."""
-        return float(abs(np.vdot(self.vector(), other.vector())))
-
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class DensityMatrix:
@@ -181,9 +176,6 @@ class DensityMatrix:
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match basis")
         object.__setattr__(self, "eigenvalues", _check_density(m, _MATRIX_TOL))
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -206,26 +198,6 @@ def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state."""
     return EntangledState(_normalize(amps.values, amps.params, amps.epsilon),
                           amps.epsilon, amps.geometry)
-
-
-def _is_angle(value: float, target_deg: float, tol: float = 1e-9) -> bool:
-    diff = (value - radians(target_deg)) % (2.0 * pi)
-    return min(diff, 2.0 * pi - diff) < tol
-
-
-def closed_form_state(geom: EmissionGeometry, C: float = 2.0 / 9.0) -> EntangledState:
-    """The analytic entangled state for beta1 = 90 deg, beta2 = 180 deg.
-
-    ``C`` is the squared norm of the unnormalized amplitude 4-vector; the
-    default 2/9 makes the coefficients exactly normalized.
-    """
-    if not (_is_angle(geom.beta1, 90.0) and _is_angle(geom.beta2, 180.0)):
-        raise ValueError("closed form requires beta1 = 90 deg and beta2 = 180 deg")
-    phase = complex(cos(geom.phi), sin(geom.phi))
-    scale = 1.0 / (3.0 * sqrt(C))
-    coeffs = np.array([[0j, scale * sin(geom.theta)],
-                       [scale * 1j * phase, -scale * cos(geom.theta) * phase]])
-    return EntangledState(coeffs, None, geom)
 
 
 def full_density_matrix(state: EntangledState) -> DensityMatrix:

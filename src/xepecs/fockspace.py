@@ -117,9 +117,6 @@ class ManyBodyVector:
             _accumulate(out, s, a)
         return ManyBodyVector(out)
 
-    def __sub__(self, other: "ManyBodyVector") -> "ManyBodyVector":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar) -> "ManyBodyVector":
         if scalar == 0:
             return ManyBodyVector()

@@ -46,7 +46,6 @@ from .fockspace import (
     basis_vector,
     combine,
     create,
-    vacuum,
 )
 
 __all__ = [
@@ -57,14 +56,11 @@ __all__ = [
     "EigenSystem",
     "subspace",
     "intermediate_subspace",
-    "build_hamiltonian",
     "diagonalize",
     "intermediate_eigensystem",
     "ground_state",
     "ground_coupling_energy",
     "initial_energy",
-    "initial_state",
-    "closed_shell",
     "final_state_energy",
 ]
 
@@ -264,30 +260,18 @@ def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray
     return H
 
 
-def build_hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
-    """Hermitian Hamiltonian matrix over the subspace basis: H' plus the level
-    energy of the subspace. Raises DomainError if it overflows."""
-    return _hamiltonian(params, sub, _level_energy(params, sub.basis[0]))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenpairs of a subspace Hamiltonian, ascending: ``coupling_energies`` of
-    the diagonalized matrix (for the model H'), to which the energies add the
-    subspace's ``level_energy``; ``vectors[:, i]`` the i-th eigenvector over the
-    subspace basis and ``j_labels[i]`` the J of the block it was found in.
-    The phase of each vector is arbitrary."""
+    """Eigenpairs of a subspace Hamiltonian, ascending: ``coupling_energies`` the
+    eigenvalues of the diagonalized matrix (for the model those of H', which
+    the subspace's level energy shifts to the levels); ``vectors[:, i]`` the
+    i-th eigenvector over the subspace basis and ``j_labels[i]`` the J of the
+    block it was found in. The phase of each vector is arbitrary."""
 
     coupling_energies: np.ndarray
     vectors: np.ndarray
     j_labels: tuple[HalfInt, ...]
     subspace: Subspace
-    level_energy: float = 0.0
-
-    @property
-    def energies(self) -> np.ndarray:
-        """Eigenvalues of the full H (read-only)."""
-        return _read_only(self.level_energy + self.coupling_energies)
 
     @property
     def dim(self) -> int:
@@ -388,15 +372,9 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
-    """H' diagonalized on the intermediate subspace, with its level energy."""
+    """H' diagonalized on the intermediate subspace."""
     sub = intermediate_subspace(photoelectron_spin)
-    level = _level_energy(params, sub.basis[0])
-    return replace(diagonalize(_hamiltonian(params, sub, 0.0), sub), level_energy=level)
-
-
-def closed_shell() -> ManyBodyVector:
-    """The closed 1s^2 shell s^dag_up s^dag_down |0>, the core of |g> and |f>."""
-    return create(create(vacuum(), _S_DN), _S_UP)
+    return diagonalize(_hamiltonian(params, sub, 0.0), sub)
 
 
 @cache
@@ -436,11 +414,6 @@ def initial_energy(params: ModelParams, coupling: float) -> float:
     if not isfinite(energy):
         raise DomainError("initial-state energy is not finite")
     return energy
-
-
-def initial_state(params: ModelParams) -> tuple[ManyBodyVector, float]:
-    """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy E_g."""
-    return ground_state(), initial_energy(params, ground_coupling_energy(params))
 
 
 def final_state_energy(params: ModelParams) -> float:

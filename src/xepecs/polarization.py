@@ -21,15 +21,13 @@ The amplitudes depend only on alpha_0 (up photoelectron) and alpha_-1 (down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import cos, isfinite, pi, radians, sin, sqrt
 
 import numpy as np
 
 __all__ = [
     "EmissionGeometry",
-    "basis_vectors",
-    "polarization_vector",
     "polarization_components",
 ]
 
@@ -62,42 +60,15 @@ class EmissionGeometry:
                      beta1: float = 90.0, beta2: float = 180.0) -> "EmissionGeometry":
         return cls(radians(theta), radians(phi), radians(beta1), radians(beta2))
 
-    def with_theta(self, theta: float) -> "EmissionGeometry":
-        return replace(self, theta=theta)
-
-    def beta(self, i: int) -> float:
-        if i == 1:
-            return self.beta1
-        if i == 2:
-            return self.beta2
-        raise ValueError("polarization index must be 1 or 2")
-
-
-def basis_vectors(geom: EmissionGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e_theta, e_phi, k_hat) as real orthonormal 3-vectors."""
-    st, ct = sin(geom.theta), cos(geom.theta)
-    sp, cp = sin(geom.phi), cos(geom.phi)
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
-    k_hat = np.array([st * cp, st * sp, ct])
-    return e_theta, e_phi, k_hat
-
-
-def polarization_vector(geom: EmissionGeometry, i: int) -> np.ndarray:
-    """Linear polarization axis e_lambda_i, transverse to k_hat."""
-    beta = geom.beta(i)
-    e_theta, e_phi, _ = basis_vectors(geom)
-    return cos(beta) * e_theta + sin(beta) * e_phi
-
 
 def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
                             ) -> np.ndarray:
     """Spherical projections of both polarization vectors for an array of angles.
 
     Returns an (N, 2, 3) complex array: entry [n, i - 1, q] is the q = +1, 0,
-    -1 component, e_lambda . conj(e_q), of ``polarization_vector(geom, i)``
-    for the geometry with polar angle thetas[n] (radians) and the fixed phi,
-    beta1 and beta2.
+    -1 component, e_lambda . conj(e_q), of the polarization vector
+    e_lambda = cos(beta_i) e_theta + sin(beta_i) e_phi for the polar angle
+    thetas[n] (radians) and the fixed phi, beta1 and beta2.
     """
     cb = np.array([cos(beta1), cos(beta2)])
     sb = np.array([sin(beta1), sin(beta2)])

@@ -24,7 +24,7 @@ import numpy as np
 from .angular import HalfInt
 from .fockspace import Spin
 from .amplitudes import _check_width, calculator, channel_label
-from .model import DomainError, ModelParams, _read_only, final_state_energy
+from .model import DomainError, ModelParams, _read_only
 from .polarization import EmissionGeometry
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "xepecs_spectrum",
     "default_xps_grid",
     "default_emission_grid",
-    "final_state_energy",
     "auto_epsilon",
 ]
 
@@ -62,13 +61,6 @@ class LineSpectrum:
         for line in self.lines:
             if not isfinite(line.position) or not line.weight >= 0:
                 raise DomainError("lines need finite positions and non-negative weights")
-
-    def total_weight(self) -> float:
-        return sum(line.weight for line in self.lines)
-
-    def select(self, j) -> "LineSpectrum":
-        j = HalfInt.of(j)
-        return LineSpectrum(tuple(l for l in self.lines if l.j == j))
 
 
 @dataclass(frozen=True)

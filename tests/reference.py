@@ -1,27 +1,29 @@
-"""Independent routes the tests hold the package to: the model operators
-applied one basis vector at a time; the eigendecomposition of each J block by
-LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals, two
-photoelectron modes and three photon counts, and through it the
+"""Independent routes the tests hold the package to, which the package does not
+need: the model operators applied one basis vector at a time; the Hamiltonian
+with its level energy, and the initial state with E_g; the eigendecomposition of
+each J block by LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals,
+two photoelectron modes and three photon counts, and through it the
 photon-emission operator for any polarization pair, the emission rows, and the
 photoemission elements of any initial state; the per-eigenstate resonance
-terms; and the spherical projections of one polarization vector, in closed
-form and by projection."""
+terms; the Cartesian polarization vectors and the spherical projections of one,
+in closed form and by projection; and the closed-form pair state."""
 
 from itertools import groupby
-from math import cos, sin, sqrt
+from math import cos, pi, radians, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
+from xepecs.entanglement import EntangledState
 from xepecs.fockspace import (
     ORBITALS, ManyBodyVector, Shell, Spin, SpinOrbital, _accumulate, annihilate, basis_vector,
-    combine, create, inner,
+    combine, create, inner, vacuum,
 )
 from xepecs.model import (
-    SubspaceLabel, _label_basis, closed_shell, intermediate_subspace, subspace,
+    SubspaceLabel, _hamiltonian, _label_basis, _level_energy, ground_coupling_energy,
+    ground_state, initial_energy, intermediate_subspace, subspace,
 )
-from xepecs.polarization import polarization_vector
 
 # ---------------------------------------------------------------------------
 # model operators, one basis vector at a time: sums of one-body hops
@@ -124,6 +126,59 @@ def block_eigh(H, sub):
     v = np.hstack([u[:, b] @ rotation for b, (_, rotation) in zip(blocks, pairs)])
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order], tuple(labels[i] for i in order)
+
+
+def build_hamiltonian(params, sub):
+    """H' plus the level energy of ``sub``; a DomainError if it overflows."""
+    return _hamiltonian(params, sub, _level_energy(params, sub.basis[0]))
+
+
+def initial_state(params):
+    """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy E_g."""
+    return ground_state(), initial_energy(params, ground_coupling_energy(params))
+
+
+def closed_shell():
+    """The closed 1s^2 shell s^dag_up s^dag_down |0>, the core of |g> and |f>."""
+    return create(create(vacuum(), SpinOrbital(Shell.S1S, 0, Spin.DOWN)),
+                  SpinOrbital(Shell.S1S, 0, Spin.UP))
+
+
+def basis_vectors(geom):
+    """(e_theta, e_phi, k_hat) as real orthonormal 3-vectors."""
+    st, ct = sin(geom.theta), cos(geom.theta)
+    sp, cp = sin(geom.phi), cos(geom.phi)
+    e_theta = np.array([ct * cp, ct * sp, -st])
+    e_phi = np.array([-sp, cp, 0.0])
+    k_hat = np.array([st * cp, st * sp, ct])
+    return e_theta, e_phi, k_hat
+
+
+def polarization_vector(geom, i):
+    """Linear polarization axis e_lambda_i = cos(beta_i) e_theta + sin(beta_i) e_phi."""
+    if i not in (1, 2):
+        raise ValueError("polarization index must be 1 or 2")
+    b = geom.beta1 if i == 1 else geom.beta2
+    e_theta, e_phi, _ = basis_vectors(geom)
+    return cos(b) * e_theta + sin(b) * e_phi
+
+
+def _is_angle(value, target_deg, tol=1e-9):
+    diff = (value - radians(target_deg)) % (2.0 * pi)
+    return min(diff, 2.0 * pi - diff) < tol
+
+
+def closed_form_state(geom, C=2.0 / 9.0):
+    """The analytic entangled state for beta1 = 90 deg, beta2 = 180 deg,
+    (1 / (3 sqrt(C))) [sin(theta) |U2> + e^(i phi) (i |D1> - cos(theta) |D2>)];
+    the default C = 2/9 makes the coefficients exactly normalized."""
+    if not (_is_angle(geom.beta1, 90.0) and _is_angle(geom.beta2, 180.0)):
+        raise ValueError("closed form requires beta1 = 90 deg and beta2 = 180 deg")
+    phase = complex(cos(geom.phi), sin(geom.phi))
+    scale = 1.0 / (3.0 * sqrt(C))
+    coeffs = np.array([[0j, scale * sin(geom.theta)],
+                       [scale * 1j * phase, -scale * cos(geom.theta) * phase]])
+    return EntangledState(coeffs, None, geom)
 
 
 def spherical_components(v):
@@ -278,9 +333,9 @@ def alpha_coeffs(geom):
     phase = complex(cos(geom.phi), sin(geom.phi))
     pairs = []
     for i in (1, 2):
-        beta = geom.beta(i)
-        closed0 = complex(-cos(beta) * sin(geom.theta))
-        closed1 = complex(np.sqrt(0.5) * (cos(beta) * cos(geom.theta) + 1j * sin(beta)) * phase)
+        b = geom.beta1 if i == 1 else geom.beta2
+        closed0 = complex(-cos(b) * sin(geom.theta))
+        closed1 = complex(np.sqrt(0.5) * (cos(b) * cos(geom.theta) + 1j * sin(b)) * phase)
         _, proj0, proj1 = spherical_components(polarization_vector(geom, i))
         if abs(closed0 - proj0) > 1e-12 or abs(closed1 - proj1) > 1e-12:
             raise RuntimeError("polarization coefficient cross-check failed")

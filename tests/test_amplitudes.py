@@ -13,7 +13,6 @@ from xepecs.model import (
     ModelParams,
     SubspaceLabel,
     ground_state,
-    initial_state,
     intermediate_eigensystem,
     intermediate_subspace,
 )
@@ -34,6 +33,7 @@ from reference import (
     emission_basis,
     alpha_coeffs,
     dipole_block,
+    initial_state,
     per_eigenstate_terms,
     photoemission_components,
     photoemission_elements,
@@ -128,10 +128,12 @@ class TestDipoleBlock:
     def test_cross_spin_blocks_vanish(self):
         # a final state with an up photoelectron has no matrix element with
         # the M = 1 basis (down photoelectron) and vice versa
-        from reference import PE_MODE, _apply_mph, fermion, final_state, lift, spherical_components
+        from reference import (
+            PE_MODE, _apply_mph, fermion, final_state, lift, polarization_vector,
+            spherical_components,
+        )
         from xepecs.fockspace import basis_vector, inner
         from xepecs.model import intermediate_subspace
-        from xepecs.polarization import polarization_vector
 
         geom = EmissionGeometry.from_degrees(77.0, 31.0)
         alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}

@@ -280,6 +280,7 @@ class TestDomainAndOutputErrors:
 
     @pytest.mark.parametrize("text,named", [
         ('{"G": 1e308, "zeta": 1e308}', ("G=1e+308", "zeta=1e+308")),
+        ('{"zeta": 1.5e308, "G": 0.0}', ("G=0.0", "zeta=1.5e+308", "line positions")),
     ])
     def test_out_of_domain_parameters_exit_3(self, tmp_path, monkeypatch, capsys, text, named):
         for command in ("rho", "xps"):

@@ -143,7 +143,7 @@ def test_inner_products():
 def test_initial_state_normalization():
     core = create(create(vacuum(), S_UP), S_DN)
     g = np.sqrt(2 / 3) * create(core, P1_DN) \
-        - np.sqrt(1 / 3) * create(core, SpinOrbital(Shell.P2P, 0, Spin.UP))
+        + (-np.sqrt(1 / 3)) * create(core, SpinOrbital(Shell.P2P, 0, Spin.UP))
     assert inner(g, g) == pytest.approx(1.0, abs=1e-15)
 
 

