@@ -25,20 +25,20 @@ from the s^1 p^1 states to the closed 1s^2 shell comes from the builder of the
 integral 1 and the photoemission vertex 1/sqrt(2), both spins remove unit 1s
 strength (only ratios are observable).
 
-M_ph is linear in the spherical components alpha_q (q = +1, 0, -1) of the
-emitted polarization. Per intermediate subspace the Fock-space layer builds
-D_sigma[q, b] = <f_sigma| M_ph(alpha = e_q) |b> over the basis states b, and
-the photoemission components c_sigma[b] = <b| c^dag_(eps sigma) s_sigma a |g>.
-Per ``ModelParams`` the calculator forms pe_sigma = V_sigma^dag c_sigma and,
-per kinetic energy, one 3-vector
+M_ph is linear in the spherical components alpha_q of the emitted
+polarization (d_m multiplies alpha_(-m)). The ground state has J = M = 1/2,
+the closed shell J = 0, and H' is rotation-invariant, so by the Wigner-Eckart
+theorem every amplitude is one reduced amplitude R(epsilon) times a
+Clebsch-Gordan factor: A(down, lambda) = R alpha_(lambda, -1) and
+A(up, lambda) = KAPPA R alpha_(lambda, 0), with KAPPA =
+-<1/2 1/2; 1 0|1/2 1/2> / <1/2 -1/2; 1 1|1/2 1/2> = 1/sqrt(2). Only J = 1
+levels feed R (J = 0 and J = 2 do not decay to J = 0, and J = 2 is dark in
+photoemission), so R(epsilon) = sum_k p_k / (x_k - epsilon + i Gamma_1s) over
+the J = 1 down-spin line positions x_k, p_k the product of the photoemission
+and q = -1 decay elements of level k. Its selection-rule zeros are exact, not
+roundoff that a narrow core hole could amplify.
 
-    t_sigma[q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / denom_sigma[i],
-
-so A(sigma, lambda) = sum_q alpha_(lambda q) t_sigma[q]. For N emission
-angles at once that is one (2N x 3) @ (3 x 2) matrix product of the stacked
-polarization components with t^T.
-
-A calculator keeps its last t (per epsilon) and its last ``AmplitudeSet`` (per
+A calculator keeps its last R (per epsilon) and its last ``AmplitudeSet`` (per
 theta, phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the
 four channels, the state and a sweep of one measurement share them. A slot is
 one tuple of read-only results, read once and replaced whole, so threads that
@@ -54,7 +54,7 @@ from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 
-from .angular import cg
+from .angular import HalfInt, cg
 from .fockspace import Shell, Spin, SpinOrbital, annihilate, basis_vector, inner
 from .model import (
     DomainError,
@@ -71,7 +71,7 @@ from .model import (
     intermediate_subspace,
     subspace,
 )
-from .polarization import EmissionGeometry, polarization_components
+from .polarization import EmissionGeometry, alpha_components
 
 __all__ = [
     "CHANNELS",
@@ -96,6 +96,9 @@ PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
 # Angular factor of <1s| r_q |2p_m>, radial integral set to 1, from the CG
 # layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
 _EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
+
+# A(up, lambda) / alpha_(lambda, 0) over A(down, lambda) / alpha_(lambda, -1)
+KAPPA = -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
@@ -127,25 +130,16 @@ def _ground_components(sigma: Spin) -> np.ndarray:
 
 
 @cache
-def _emission_basis(label: SubspaceLabel) -> np.ndarray:
-    """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 (read-only, 3 x dim).
-
-    M_ph(e_q) keeps the one vertex that alpha_q multiplies, d_m with m = -q,
-    in the one-body operator sum_s d_m s^dag_s p_(m s). Row q is its Fock
-    matrix from the s^1 p^1 states to the closed 1s^2 shell, sliced to the
-    basis of ``label``; built on first use, once per process. The emitted
-    polarization only labels the final state, so these rows serve both.
-    """
+def _decay_row() -> np.ndarray:
+    """<f| sum_s d_1 s^dag_s p_(1 s) |b>, the q = -1 decay to the closed shell, over
+    the down-spin (M = 1) intermediate basis states b: read-only, built once."""
     closed, col = _configuration((2, 0)), _configuration((1, 1))
-    basis = [col[b] for b in subspace(label).basis]
-    rows = []
-    for m in (-1, 0, 1):   # q = +1, 0, -1
-        table = np.zeros((8, 8))
-        for s in Spin:
-            table[SpinOrbital(Shell.S1S, 0, s).index,
-                  SpinOrbital(Shell.P2P, m, s).index] = _EMISSION_VERTEX[m]
-        rows.append(_fock_matrix(table, closed, col)[0, basis])
-    return _read_only(np.array(rows))
+    table = np.zeros((8, 8))
+    for s in Spin:
+        table[SpinOrbital(Shell.S1S, 0, s).index,
+              SpinOrbital(Shell.P2P, 1, s).index] = _EMISSION_VERTEX[1]
+    basis = [col[b] for b in subspace(SubspaceLabel.M1).basis]
+    return _read_only(_fock_matrix(table, closed, col)[0, basis])
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
@@ -173,17 +167,14 @@ class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
     The energies E_g, E_f and E'_g, the intermediate eigensystems, the
-    photoemission line positions and elements, and the emission matrices
-    D_sigma V_sigma over the eigenstates are computed once on construction
-    and stored read-only. None of this runs the Fock-space operators: their
-    work is cached per process in ``model`` and in this module. Per kinetic
-    energy, ``spin_vectors`` does the resonant sum; per geometry, the
-    amplitudes are a contraction of those vectors with the polarization
-    components, for one angle or for an array of them. The last sum (per
-    epsilon) and the last ``amplitudes`` (per geometry and epsilon) are kept,
-    read-only, in one-tuple slots (see the module docstring); inputs are
-    checked before a slot is read. A model that leaves the domain raises
-    ``DomainError`` naming the parameter set.
+    photoemission line positions and elements, and the J = 1 down-spin
+    positions and products of R(epsilon) are computed once, read-only, with
+    no Fock-space operator (their work is cached per process). Per kinetic
+    energy ``reduced_amplitude`` sums R; per geometry the amplitudes are R
+    times the alpha closed forms, for one angle or an array of them. The last
+    R and the last ``amplitudes`` are kept in one-tuple slots (see the module
+    docstring); inputs are checked before a slot is read. A model that leaves
+    the domain raises ``DomainError`` naming the parameter set.
     """
 
     def __init__(self, params: ModelParams):
@@ -208,24 +199,29 @@ class AmplitudeCalculator:
             sigma: _read_only(eig.vectors.conj().T @ _ground_components(sigma))
             for sigma, eig in self.eigensystems.items()
         }
-        self.emission = {
-            sigma: _read_only(_emission_basis(eig.subspace.label) @ eig.vectors)   # (q, i)
-            for sigma, eig in self.eigensystems.items()
-        }
+        down = self.eigensystems[Spin.DOWN]
+        j1 = np.array([j == HalfInt.of(1) for j in down.j_labels])
+        self.j1_positions = _read_only(self.line_positions[Spin.DOWN][j1])
+        self.j1_products = _read_only(
+            (_decay_row() @ down.vectors * self.pe_elements[Spin.DOWN])[j1])
         self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
 
     def emission_line(self, epsilon: float) -> float:
         """omega_0 = Omega + eps_p + E'_g - epsilon, the emitted-photon energy."""
         return self.params.Omega + self.params.eps_p + self.ground_coupling - epsilon
 
-    def _resonant_sum(self, epsilon: float) -> np.ndarray:
-        """t[sigma, q] over the denominators Omega + eps_s + E'_g - E'_i - epsilon + i Gamma_1s."""
-        return _read_only(np.array([self.emission[s] @ (self.pe_elements[s] / (
-            self.line_positions[s] - epsilon + 1j * self.params.Gamma_1s)) for s in Spin]))
+    def _resonant_sum(self, epsilon: float) -> complex:
+        """R(epsilon); a DomainError naming the inputs if |R|^2 is not finite."""
+        with np.errstate(over="ignore"):   # a denominator beyond the float range adds 0
+            r = complex(np.sum(self.j1_products / (
+                self.j1_positions - epsilon + 1j * self.params.Gamma_1s)))
+        if not r.real * r.real + r.imag * r.imag < inf:   # float products overflow to inf
+            raise DomainError(f"{self.params!r}, epsilon={epsilon!r}: "
+                              "squared coincidence amplitudes are not finite")
+        return r
 
-    def spin_vectors(self, epsilon: float) -> np.ndarray:
-        """t[sigma, q]: the resonant sum over eigenstates, rows (up, down), read-only;
-        a DomainError (a ValueError) if ``epsilon`` is not finite."""
+    def reduced_amplitude(self, epsilon: float) -> complex:
+        """R(epsilon); a DomainError (a ValueError) if ``epsilon`` or |R|^2 is not finite."""
         if not isfinite(epsilon):
             raise DomainError(f"epsilon must be finite, got {epsilon!r}")
         key, slot = struct.pack("d", epsilon), self._sum_slot   # bits: 0.0 and -0.0 differ
@@ -235,17 +231,15 @@ class AmplitudeCalculator:
 
     def amplitude_array(self, thetas: np.ndarray, geom: EmissionGeometry, epsilon: float
                         ) -> np.ndarray:
-        """A[n, sigma, lambda] at the polar angles thetas (radians).
+        """A[n, sigma, lambda] at the polar angles thetas (radians): R(epsilon) times
+        KAPPA alpha_(lambda, 0) for sigma = up and alpha_(lambda, -1) for down.
 
         phi, beta1 and beta2 are taken from ``geom``; sigma runs (up, down)
         and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order. A theta
         that is NaN or outside [0, pi] raises ValueError.
         """
-        if not ((thetas >= 0.0) & (thetas <= pi)).all():
-            raise ValueError("theta must lie in [0, pi]")
-        alphas = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
-        summed = alphas.reshape(-1, 3) @ self.spin_vectors(epsilon).T   # (n lambda, sigma)
-        return summed.reshape(-1, 2, 2).swapaxes(1, 2)
+        alpha0, alpha_m1 = alpha_components(thetas, geom.phi, geom.beta1, geom.beta2)
+        return self.reduced_amplitude(epsilon) * np.stack([KAPPA * alpha0, alpha_m1], axis=1)
 
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
         """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon)."""

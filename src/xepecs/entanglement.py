@@ -17,26 +17,31 @@ eigenvalues (1 +/- |cos(theta)|) / 2. This module computes that state through
 the amplitudes, as for any other pair; the closed form is in
 ``tests/reference.py``, and the tests hold the pipeline to it.
 
-A single state and an angle sweep share one normalization of a (..., 2, 2)
-amplitude stack (rejecting non-finite or vanishing amplitudes with the
-parameter set and kinetic energy named) and one norm check. A single state's
-reduced matrix is a checked ``DensityMatrix``; ``entropy_sweep`` takes the
-reduced spin eigenvalues of every angle in closed form from |det c|
-(concurrence 2|det c|), with no eigenvalue decomposition. Both turn
-eigenvalues into bits the same way.
+A single state normalizes its amplitudes, and its reduced matrix is a checked
+``DensityMatrix``. An angle sweep forms no amplitude: they are R(epsilon)
+times a geometry array G (see ``amplitudes``), so R only decides whether the
+states are defined, and G G^dag = [[a, b], [b*, d]] has, with C, S and X the
+sums over the pair of cos^2 beta, sin^2 beta and cos beta sin beta, the real
+invariants a = KAPPA^2 C sin^2 theta, d = (C cos^2 theta + S)/2 (a + d = 1),
+|b| = KAPPA |sin theta| hypot(C cos theta, X)/sqrt(2) and
+|det G| = KAPPA |sin theta| |sin(beta2 - beta1)|/sqrt(2). Its eigenvalues
+follow from these in closed form, with no eigenvalue decomposition. Both
+routes name the inputs when a squared amplitude norm is not finite or is 0,
+check the norm, and turn eigenvalues into bits the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import cos, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import CHANNEL_INDEX, CHANNELS, AmplitudeSet, calculator, channel_label
+from .amplitudes import CHANNEL_INDEX, CHANNELS, KAPPA, AmplitudeSet, calculator, channel_label
 from .fockspace import Spin
 from .model import DomainError, ModelParams
-from .polarization import EmissionGeometry
+from .polarization import EmissionGeometry, _check_polar_angles
 
 __all__ = [
     "EntangledState",
@@ -58,31 +63,21 @@ _ENTROPY_INPUT_TOL = 1e-8
 _EIGENVALUE_CLIP = 1e-12
 
 
-def _normalize(amps: np.ndarray, params: ModelParams | None, epsilon: float) -> np.ndarray:
-    """Coefficients c[..., sigma, lambda] of the normalized states of a stack of
-    amplitudes, or a DomainError naming the inputs if any state is undefined."""
-    def undefined(reason: str) -> DomainError:
-        inputs = f"epsilon={epsilon!r}" if params is None else f"{params!r}, epsilon={epsilon!r}"
-        return DomainError(f"{inputs}: {reason}")
-
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=(-2, -1))
-    if not np.all(np.isfinite(norm_sq)):
-        raise undefined("coincidence amplitudes are not finite")
-    if np.any(norm_sq == 0.0):
-        raise undefined("all coincidence amplitudes vanish; state undefined")
-    return amps * (1.0 / np.sqrt(norm_sq))[..., np.newaxis, np.newaxis]
+def _check_squared_norm(norm_sq, params: ModelParams | None, epsilon: float) -> None:
+    """DomainError naming the inputs unless every squared amplitude norm is finite and > 0."""
+    finite = np.all(np.isfinite(norm_sq))
+    if finite and np.all(norm_sq != 0.0):
+        return
+    inputs = f"epsilon={epsilon!r}" if params is None else f"{params!r}, epsilon={epsilon!r}"
+    reason = ("all coincidence amplitudes vanish; state undefined" if finite
+              else "coincidence amplitudes are not finite")
+    raise DomainError(f"{inputs}: {reason}")
 
 
-def _check_norm(coeffs: np.ndarray) -> None:
-    """DomainError unless every state of a (..., 2, 2) coefficient stack has norm 1."""
-    norm_sq = np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+def _check_norm(norm_sq) -> None:
+    """DomainError unless every squared state norm lies within 1e-12 of 1."""
     if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
         raise DomainError(f"state norm^2 differs from 1 by more than {_NORM_TOL}")
-
-
-def _spin_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """c c^dag: the reduced spin matrices of a (..., 2, 2) coefficient stack."""
-    return coeffs @ coeffs.conj().swapaxes(-1, -2)
 
 
 def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
@@ -103,27 +98,28 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     return eigenvalues
 
 
-def _spin_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues (lambda_-, lambda_+) of the reduced spin matrices c c^dag of a
-    (..., 2, 2) coefficient stack, in closed form, without forming c c^dag.
-
-    With a and d the squared norms of the rows of c and b = c_00 conj(c_10) +
-    c_01 conj(c_11), lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|) and
-    lambda_- = min(|det c|^2 / lambda_+, lambda_+), which does not cancel near
-    a separable state (det c = 0). Both are real and lambda_- + lambda_+ = a + d,
-    the norm that ``_check_norm`` bounds, so only positivity is left to check:
-    raises DomainError unless lambda_- >= -1e-12, a comparison NaN fails.
-    """
-    c00, c01, c10, c11 = np.moveaxis(coeffs.reshape(*coeffs.shape[:-2], 4), -1, 0)
-    sq = coeffs.real ** 2 + coeffs.imag ** 2
-    a, d = sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1]
-    b = c00 * c10.conj() + c01 * c11.conj()
-    det = c00 * c11 - c01 * c10
-    upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
-    lower = np.minimum((det.real ** 2 + det.imag ** 2) / upper, upper)
+def _spin_spectrum(a, d, b, det) -> np.ndarray:
+    """Eigenvalues (lambda_-, lambda_+) of spin matrices [[a, b], [b*, d]] from
+    arrays of a, d, |b| and |det|: lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|)
+    and lambda_- = min(|det|^2 / lambda_+, lambda_+), which does not cancel near
+    a separable state. Their sum is a + d, the norm ``_check_norm`` bounds, so
+    only positivity is checked: a DomainError unless lambda_- >= -1e-12 (NaN fails)."""
+    upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    lower = np.minimum(det * det / upper, upper)
     if not np.all(lower >= -_MATRIX_TOL):
         raise DomainError("matrix has a negative eigenvalue")
     return np.stack([lower, upper], axis=-1)
+
+
+def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
+    """(a, d, |b|, |det G|) at the polar angles thetas (radians) for the pair of
+    ``geom`` (see the module docstring); phi, a phase of G, drops out."""
+    (c1, s1), (c2, s2) = (cos(geom.beta1), sin(geom.beta1)), (cos(geom.beta2), sin(geom.beta2))
+    c, s, x = c1 * c1 + c2 * c2, s1 * s1 + s2 * s2, c1 * s1 + c2 * s2
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
+    scale = np.abs(sin_t) * (KAPPA / sqrt(2.0))
+    return ((KAPPA * KAPPA * c) * (sin_t * sin_t), 0.5 * (c * (cos_t * cos_t) + s),
+            scale * np.hypot(c * cos_t, x), scale * abs(sin(geom.beta2 - geom.beta1)))
 
 
 def _entropy_bits(eigenvalues: np.ndarray):
@@ -149,7 +145,7 @@ class EntangledState:
 
     def __post_init__(self):
         self.coeffs.flags.writeable = False
-        _check_norm(self.coeffs)
+        _check_norm(np.sum(np.abs(self.coeffs) ** 2))
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
         return complex(self.coeffs[CHANNEL_INDEX[channel]])
@@ -195,9 +191,14 @@ class EntropyCurve:
 
 
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
-    """Normalize the four coincidence amplitudes into a two-qubit state."""
-    return EntangledState(_normalize(amps.values, amps.params, amps.epsilon),
-                          amps.epsilon, amps.geometry)
+    """Normalize the four coincidence amplitudes into a two-qubit state, scaled to
+    a largest modulus of 1 first, so that a subnormal squared norm loses no digits."""
+    values = amps.values
+    with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
+        _check_squared_norm(np.sum(values.real ** 2 + values.imag ** 2), amps.params, amps.epsilon)
+    scaled = values / np.max(np.abs(values))
+    coeffs = scaled * (1.0 / np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2)))
+    return EntangledState(coeffs, amps.epsilon, amps.geometry)
 
 
 def full_density_matrix(state: EntangledState) -> DensityMatrix:
@@ -213,7 +214,7 @@ def reduce_to_spin(obj) -> DensityMatrix:
     if isinstance(obj, DensityMatrix):
         reduced = np.einsum("albl->ab", obj.matrix.reshape(2, 2, 2, 2))
     else:
-        reduced = _spin_matrix(obj.coeffs)
+        reduced = obj.coeffs @ obj.coeffs.conj().T
     return DensityMatrix(("U", "D"), reduced)
 
 
@@ -244,15 +245,17 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
     """Entanglement entropy against emission angle.
 
-    One cached model build per parameter set, then array math over all
-    angles at once: one amplitude product, the normalization and norm check
-    of ``entangled_state`` and ``EntangledState``, and the reduced spin
-    eigenvalues in closed form (``_spin_spectrum``), with the positivity
-    check of ``DensityMatrix`` at the same tolerance.
+    One cached model build per parameter set and one R(epsilon), then real
+    array math over all angles: the invariants of G G^dag, the checks of
+    ``entangled_state`` and ``EntangledState`` on |R|^2 (a + d) and a + d, and
+    the closed-form spectrum with the positivity check of ``DensityMatrix``.
     """
     thetas = np.radians(np.asarray(thetas_deg, dtype=float))
-    amps = calculator(params).amplitude_array(thetas, geom_template, epsilon)
-    coeffs = _normalize(amps, params, epsilon)
-    _check_norm(coeffs)
-    entropy = _entropy_bits(_spin_spectrum(coeffs))
+    _check_polar_angles(thetas)
+    r = calculator(params).reduced_amplitude(epsilon)
+    a, d, b, det = _spin_invariants(thetas, geom_template)
+    with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
+        _check_squared_norm((r.real * r.real + r.imag * r.imag) * (a + d), params, epsilon)
+    _check_norm(a + d)
+    entropy = _entropy_bits(_spin_spectrum(a, d, b, det))
     return EntropyCurve(tuple(map(float, thetas_deg)), tuple(entropy.tolist()))

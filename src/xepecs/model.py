@@ -248,13 +248,13 @@ def _level_energy(params: ModelParams, state: FockState) -> float:
     return level
 
 
-def _hamiltonian(params: ModelParams, sub: Subspace, level: float) -> np.ndarray:
-    """H' from the cached coupling matrices plus ``level`` on the diagonal; a
-    DomainError if the sum overflows."""
+def _hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
+    """H' on ``sub`` from the cached coupling matrices; a DomainError if the sum
+    overflows."""
     spin_orbit, exchange = _subspace_operators(sub.label)
     # an overflowing weight or sum leaves inf or NaN entries, which are reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        H = params.zeta * spin_orbit - 2.0 * params.G * exchange + level * np.eye(sub.dim)
+        H = params.zeta * spin_orbit - 2.0 * params.G * exchange
     if not np.isfinite(H).all():
         raise DomainError("Hamiltonian matrix is not finite")
     return H
@@ -374,7 +374,7 @@ def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
     """H' diagonalized on the intermediate subspace."""
     sub = intermediate_subspace(photoelectron_spin)
-    return diagonalize(_hamiltonian(params, sub, 0.0), sub)
+    return diagonalize(_hamiltonian(params, sub), sub)
 
 
 @cache
@@ -400,7 +400,7 @@ def ground_coupling_energy(params: ModelParams) -> float:
     """E'_g = <g| H' |g>, with g verified to be an eigenvector of H' on the
     initial subspace, relative to max(1, |G|, |zeta|)."""
     c = _ground()[1]
-    hc = _hamiltonian(params, subspace(SubspaceLabel.INITIAL), 0.0) @ c
+    hc = _hamiltonian(params, subspace(SubspaceLabel.INITIAL)) @ c
     energy = float((c.conj() @ hc).real)
     residual = np.linalg.norm((hc - energy * c) / max(1.0, abs(params.G), abs(params.zeta)))
     if not residual <= _RESIDUAL_TOL:

@@ -7,16 +7,14 @@ e_theta and e_phi,
     e_lambda(beta) = cos(beta) e_theta + sin(beta) e_phi,
 
 so they automatically satisfy the transversality (Coulomb gauge) condition.
-The dipole matrix elements only need the projections of e_lambda on the
-spherical basis vectors e_0 = z, e_(+/-1) = -/+ (x +/- i y)/sqrt(2)
-(Condon-Shortley); ``polarization_components`` evaluates them for both
-polarizations of a whole array of emission angles at once, from the closed
-forms for linear polarization (alpha_+1 = -conj(alpha_-1), e_lambda is real)
+The dipole matrix elements need only the projections on the spherical basis
+vectors e_0 = z and e_-1 = (x - i y)/sqrt(2) (Condon-Shortley), alpha_0 for
+the up photoelectron and alpha_-1 for the down one. ``alpha_components``
+evaluates both for both polarizations of a whole array of emission angles at
+once, from the closed forms for linear polarization
 
     alpha_0  = -cos(beta) sin(theta)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
-
-The amplitudes depend only on alpha_0 (up photoelectron) and alpha_-1 (down).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "EmissionGeometry",
-    "polarization_components",
+    "alpha_components",
 ]
 
 
@@ -61,17 +59,20 @@ class EmissionGeometry:
         return cls(radians(theta), radians(phi), radians(beta1), radians(beta2))
 
 
-def polarization_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
-                            ) -> np.ndarray:
-    """Spherical projections of both polarization vectors for an array of angles.
+def _check_polar_angles(thetas: np.ndarray) -> None:
+    if not ((thetas >= 0.0) & (thetas <= pi)).all():   # NaN fails too
+        raise ValueError("theta must lie in [0, pi]")
 
-    Returns an (N, 2, 3) complex array: entry [n, i - 1, q] is the q = +1, 0,
-    -1 component, e_lambda . conj(e_q), of the polarization vector
-    e_lambda = cos(beta_i) e_theta + sin(beta_i) e_phi for the polar angle
-    thetas[n] (radians) and the fixed phi, beta1 and beta2.
-    """
+
+def alpha_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_0 (real) and alpha_-1 (complex) as two (N, 2) arrays, entry [n, i - 1]
+    for the polarization vector cos(beta_i) e_theta + sin(beta_i) e_phi at the
+    polar angle thetas[n] (radians) and the fixed phi, beta1 and beta2. A theta
+    that is NaN or outside [0, pi] raises ValueError."""
+    _check_polar_angles(thetas)
     cb = np.array([cos(beta1), cos(beta2)])
     sb = np.array([sin(beta1), sin(beta2)])
     phase = complex(cos(phi), sin(phi))
-    minus = phase * (cb * np.cos(thetas)[:, np.newaxis] + 1j * sb) / sqrt(2.0)   # alpha_-1
-    return np.stack([-minus.conj(), -cb * np.sin(thetas)[:, np.newaxis], minus], axis=-1)
+    return (-cb * np.sin(thetas)[:, np.newaxis],
+            phase * (cb * np.cos(thetas)[:, np.newaxis] + 1j * sb) / sqrt(2.0))

@@ -4,10 +4,15 @@ with its level energy, and the initial state with E_g; the eigendecomposition of
 each J block by LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals,
 two photoelectron modes and three photon counts, and through it the
 photon-emission operator for any polarization pair, the emission rows, and the
-photoemission elements of any initial state; the per-eigenstate resonance
-terms; the Cartesian polarization vectors and the spherical projections of one,
-in closed form and by projection; and the closed-form pair state."""
+photoemission elements of any initial state; the general resonant sum over
+every eigenstate of both spins, with the per-spin emission rows of all three
+spherical components (the (2, 3) vectors t), the amplitudes contracted from
+them, and the per-eigenstate resonance terms; the Cartesian polarization
+vectors and the spherical projections of one, in closed form and by
+projection, and all three components for an array of angles; and the
+closed-form pair state."""
 
+from functools import cache
 from itertools import groupby
 from math import cos, pi, radians, sin, sqrt
 from typing import NamedTuple
@@ -24,6 +29,7 @@ from xepecs.model import (
     SubspaceLabel, _hamiltonian, _label_basis, _level_energy, ground_coupling_energy,
     ground_state, initial_energy, intermediate_subspace, subspace,
 )
+from xepecs.polarization import alpha_components
 
 # ---------------------------------------------------------------------------
 # model operators, one basis vector at a time: sums of one-body hops
@@ -129,8 +135,10 @@ def block_eigh(H, sub):
 
 
 def build_hamiltonian(params, sub):
-    """H' plus the level energy of ``sub``; a DomainError if it overflows."""
-    return _hamiltonian(params, sub, _level_energy(params, sub.basis[0]))
+    """H' plus the level energy of ``sub`` on the diagonal; a DomainError if the
+    level energy or H' overflows."""
+    level = _level_energy(params, sub.basis[0])
+    return _hamiltonian(params, sub) + level * np.eye(sub.dim)
 
 
 def initial_state(params):
@@ -179,6 +187,15 @@ def closed_form_state(geom, C=2.0 / 9.0):
     coeffs = np.array([[0j, scale * sin(geom.theta)],
                        [scale * 1j * phase, -scale * cos(geom.theta) * phase]])
     return EntangledState(coeffs, None, geom)
+
+
+def polarization_components(thetas, phi, beta1, beta2):
+    """All three spherical projections of both polarization vectors for an array
+    of angles: an (N, 2, 3) complex array, entry [n, i - 1, q] for q = +1, 0, -1,
+    from the package's closed forms of alpha_0 and alpha_-1 and
+    alpha_+1 = -conj(alpha_-1)."""
+    alpha0, minus = alpha_components(np.asarray(thetas, dtype=float), phi, beta1, beta2)
+    return np.stack([-minus.conj(), alpha0, minus], axis=-1)
 
 
 def spherical_components(v):
@@ -293,11 +310,41 @@ def dipole_block(geom, sub):
                          sub)
 
 
+@cache
 def emission_basis(label):
     """D[q, b] = <f| M_ph(alpha = e_q) |b> for q = +1, 0, -1 over the basis of
     ``label``: the emission rows of polarization 1 set to each unit vector."""
     units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return np.vstack([emission_rows({1: unit}, subspace(label)) for unit in units])
+    rows = np.vstack([emission_rows({1: unit}, subspace(label)) for unit in units])
+    rows.flags.writeable = False   # built once per label
+    return rows
+
+
+def emission_matrices(calc):
+    """(D_sigma V_sigma)[q, i]: the emission rows of the three spherical
+    components over the eigenstates of each spin's eigensystem of ``calc``."""
+    return {sigma: emission_basis(eig.subspace.label) @ eig.vectors
+            for sigma, eig in calc.eigensystems.items()}
+
+
+def spin_vectors(calc, epsilon):
+    """t[sigma, q] = sum_i (D_sigma V_sigma)[q, i] pe_sigma[i] / (position_i - epsilon
+    + i Gamma_1s), over every eigenstate of both spins, rows (up, down)."""
+    return np.array([row @ (calc.pe_elements[sigma] / (
+        calc.line_positions[sigma] - epsilon + 1j * calc.params.Gamma_1s))
+        for sigma, row in emission_matrices(calc).items()])
+
+
+def amplitude_array(calc, thetas, geom, epsilon):
+    """A[n, sigma, lambda] = sum_q alpha_(lambda q)(theta_n) t[sigma, q]."""
+    alphas = polarization_components(thetas, geom.phi, geom.beta1, geom.beta2)
+    return np.einsum("nlq,sq->nsl", alphas, spin_vectors(calc, epsilon))
+
+
+def reduced_spin_matrices(amps):
+    """c c^dag of the normalized states of an (N, 2, 2) amplitude stack."""
+    coeffs = amps / np.sqrt(np.sum(np.abs(amps) ** 2, axis=(-2, -1)))[:, None, None]
+    return coeffs @ coeffs.conj().swapaxes(-1, -2)
 
 
 class DipoleBlock(NamedTuple):

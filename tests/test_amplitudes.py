@@ -1,6 +1,7 @@
 """Photoemission elements, dipole blocks and the coincidence amplitudes."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from xepecs.model import (
 from xepecs.amplitudes import (
     CHANNELS,
     AmplitudeCalculator,
-    _emission_basis,
+    _decay_row,
     _ground_components,
     calculator,
     channel_label,
@@ -87,9 +88,9 @@ class TestFullRegisterRoute:
     """The once-per-process arrays, electron-only, against the route that also
     carries the photoelectron and photon registers."""
 
-    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
-    def test_emission_basis(self, label):
-        assert np.array_equal(_emission_basis(label), emission_basis(label))
+    def test_decay_row(self):
+        # the q = -1 row of the down-spin (M = 1) emission basis
+        assert np.array_equal(_decay_row(), emission_basis(SubspaceLabel.M1)[2])
 
     @pytest.mark.parametrize("sigma", list(Spin))
     def test_ground_components(self, sigma):
@@ -219,7 +220,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("call", [
         lambda: xepecs_amplitudes(PARAMS, EmissionGeometry(math.pi / 2), NAN),
         lambda: calculator(PARAMS).amplitudes(EmissionGeometry(1.0), -INF),
-        lambda: calculator(PARAMS).spin_vectors(INF),
+        lambda: calculator(PARAMS).reduced_amplitude(INF),
         lambda: calculator(PARAMS).amplitude_array(np.array([0.5]), EmissionGeometry(1.0), NAN),
     ])
     def test_non_finite_epsilon(self, call):
@@ -233,11 +234,15 @@ class TestInputValidation:
             calculator(PARAMS).amplitude_array(np.array(thetas), EmissionGeometry(1.0), 6.5)
 
 
+def bits(z: complex) -> bytes:
+    return struct.pack("2d", z.real, z.imag)
+
+
 class TestKeptResults:
     """A calculator keeps its last resonant sum and its last amplitude row."""
 
     def test_one_measurement_takes_one_sum_and_one_polarization_row(self, monkeypatch):
-        counts = {"polarization_components": 0, "_resonant_sum": 0}
+        counts = {"alpha_components": 0, "_resonant_sum": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -247,7 +252,7 @@ class TestKeptResults:
                 return original(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(amplitudes, "polarization_components")
+        counted(amplitudes, "alpha_components")
         counted(AmplitudeCalculator, "_resonant_sum")
         calculator.cache_clear()
         params = ModelParams(G=0.3125, zeta=0.1875)
@@ -255,12 +260,12 @@ class TestKeptResults:
         for channel in CHANNELS:
             xepecs_spectrum(params, geom, 6.4, channel)
         xepecs_amplitudes(params, geom, 6.4)
-        assert counts == {"polarization_components": 1, "_resonant_sum": 1}
-        # a sweep at the same kinetic energy contracts the same sum
+        assert counts == {"alpha_components": 1, "_resonant_sum": 1}
+        # a sweep at the same kinetic energy reads the same sum and forms no amplitude
         entropy_sweep(params, geom, [0.0, 45.0, 90.0], 6.4)
-        assert counts == {"polarization_components": 2, "_resonant_sum": 1}
+        assert counts == {"alpha_components": 1, "_resonant_sum": 1}
         xepecs_amplitudes(params, geom, 6.5)
-        assert counts == {"polarization_components": 3, "_resonant_sum": 2}
+        assert counts == {"alpha_components": 2, "_resonant_sum": 2}
 
     def test_interleaved_hits_equal_a_fresh_calculator_bit_for_bit(self):
         calc = AmplitudeCalculator(PARAMS)
@@ -273,21 +278,19 @@ class TestKeptResults:
             fresh = AmplitudeCalculator(PARAMS)
             assert (calc.amplitudes(geom, epsilon).values.tobytes()
                     == fresh.amplitudes(geom, epsilon).values.tobytes())
-            assert calc.spin_vectors(epsilon).tobytes() == fresh.spin_vectors(epsilon).tobytes()
+            assert bits(calc.reduced_amplitude(epsilon)) == bits(fresh.reduced_amplitude(epsilon))
             assert calc.amplitudes(geom, epsilon) is calc.amplitudes(geom, epsilon)
 
     def test_zeros_of_either_sign_have_their_own_keys(self):
         calc = AmplitudeCalculator(PARAMS)
         plus = calc.amplitudes(EmissionGeometry(0.0), 6.4)
         assert calc.amplitudes(EmissionGeometry(-0.0), 6.4) is not plus
-        assert calc.spin_vectors(0.0) is not calc.spin_vectors(-0.0)
+        assert calc.reduced_amplitude(0.0) is not calc.reduced_amplitude(-0.0)
 
     def test_kept_arrays_are_read_only(self):
         calc = AmplitudeCalculator(PARAMS)
-        t = calc.spin_vectors(6.5)
-        assert calc.spin_vectors(6.5) is t
-        with pytest.raises(ValueError):
-            t[0, 0] = 0.0
+        r = calc.reduced_amplitude(6.5)
+        assert calc.reduced_amplitude(6.5) is r
         values = calc.amplitudes(EmissionGeometry(1.0), 6.5).values
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
@@ -300,7 +303,7 @@ class TestKeptResults:
             with pytest.raises(ValueError, match="epsilon must be finite"):
                 calc.amplitudes(geom, epsilon)
             with pytest.raises(ValueError, match="epsilon must be finite"):
-                calc.spin_vectors(epsilon)
+                calc.reduced_amplitude(epsilon)
         outside = EmissionGeometry(1.0)
         object.__setattr__(outside, "theta", NAN)   # past the geometry's own check
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):

@@ -393,6 +393,24 @@ class TestEntropyAtFixedEpsilon:
         text = (tmp_path / "entropy.csv").read_text(encoding="utf-8")
         assert text == "theta_deg,entropy_bits\n0,0\n90,1\n180,0\n"
 
+    @pytest.mark.parametrize("gamma", ["1e-16", "1e-18", "1e-160"])
+    def test_narrow_core_hole_on_the_j2_line(self, tmp_path, monkeypatch, capsys, gamma):
+        # at the J = 2 line the J = 1 terms of R nearly cancel, and roundoff of the
+        # dark J = 2 level, over a narrow width, once set the state: entropy wrote
+        # 0 or 0.0006 bits and rho wrote |U2><U2|
+        cfg = self.config(tmp_path, f'{{"Gamma_1s": {gamma}}}')
+        argv = ["entropy", "--theta", "45", "--epsilon", "6.4", "--config", cfg]
+        assert self.main(argv, tmp_path, monkeypatch, capsys) == (0, "")
+        text = (tmp_path / "entropy.csv").read_text(encoding="utf-8")
+        assert text == "theta_deg,entropy_bits\n45,0.600876036693\n"
+        # the width only scales R, so the state is that of the default model
+        for out, config in (("narrow.csv", ["--config", cfg]), ("default.csv", [])):
+            argv = ["rho", "--theta", "45", "--epsilon", "6.4", "--format", "csv",
+                    "--out", out, *config]
+            assert self.main(argv, tmp_path, monkeypatch, capsys) == (0, "")
+        narrow, default = (read_csv(tmp_path / out)[1] for out in ("narrow.csv", "default.csv"))
+        assert np.max(np.abs(narrow - default)) <= 1e-12
+
 
 class TestHugeWidths:
     """A Lorentzian width whose square overflows, or underflows to 0, exits 3,
@@ -451,11 +469,40 @@ class TestUndefinedStateNamesTheInputs:
 
     @pytest.mark.parametrize("command", ["rho", "entropy"])
     def test_all_amplitudes_vanish(self, tmp_path, monkeypatch, capsys, command):
-        argv = [command, "--epsilon", "6.5", "--config", self.config(tmp_path, '{"Omega": 1e308}')]
+        for omega in ("1e+308", "1e+200"):
+            argv = [command, "--epsilon", "6.5",
+                    "--config", self.config(tmp_path, f'{{"Omega": {omega}}}')]
+            code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+            assert code == 3
+            assert err.startswith("domain error: ModelParams(")
+            assert f"Omega={omega}" in err and "epsilon=6.5" in err and "vanish" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["xepecs", "rho", "entropy"])
+    def test_squared_amplitudes_overflow(self, tmp_path, monkeypatch, capsys, command):
+        # a 1e-160 eV core hole on a J = 1 line: R is about 1e159, and |R|^2 is not
+        # finite. xepecs once ended in an OverflowError (exit 1), and rho and
+        # entropy printed a numpy overflow warning before their exit 3
+        argv = [command, "--theta", "45", "--epsilon", "6.507603367391252",
+                "--config", self.config(tmp_path, '{"Gamma_1s": 1e-160}')]
         code, err = self.main(argv, tmp_path, monkeypatch, capsys)
         assert code == 3
-        assert err.startswith("domain error: ModelParams(")
-        assert "Omega=1e+308" in err and "epsilon=6.5" in err and "vanish" in err
+        assert err.startswith("domain error: ModelParams(") and err.count("\n") == 1
+        assert "Gamma_1s=1e-160" in err and "epsilon=6.507603367391252" in err
+        assert "not finite" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["xepecs", "rho", "entropy"])
+    def test_resonance_denominator_beyond_the_float_range(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        # the J = 1 lines near -8e307 eV and epsilon = 1.7e308: the denominators
+        # overflow, which once ended all three in a numpy overflow warning
+        argv = [command, "--theta", "45", "--epsilon", "1.7e308",
+                "--config", self.config(tmp_path, '{"eps_s": -8e307}')]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and err.count("\n") == 1
+        assert "eps_s=-8e+307" in err and "epsilon=1.7e+308" in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

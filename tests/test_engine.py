@@ -1,8 +1,9 @@
 """The geometry-linear amplitude engine against the per-geometry Fock-space routes.
 
-The production path contracts precomputed emission matrices with the
-polarization components; these tests hold it to the mechanical routes it
-replaced: ``dipole_block`` per geometry (kept in ``reference.py``), and the
+The production path multiplies one reduced amplitude R(epsilon) with the
+alpha closed forms; these tests hold it, and the emission rows of the general
+route in ``reference.py``, to the mechanical routes they replaced:
+``dipole_block`` per geometry (kept in ``reference.py``), and the
 single-state chain ``entangled_state`` -> ``reduce_to_spin`` ->
 ``von_neumann_entropy`` per angle. The model build is parameter-linear in the
 same way: after the first calculator of a process, a new parameter set runs
@@ -24,11 +25,11 @@ from xepecs.amplitudes import AmplitudeCalculator, AmplitudeSet, calculator
 from xepecs.entanglement import entangled_state, entropy_sweep, reduce_to_spin, von_neumann_entropy
 from xepecs.fockspace import Spin
 from xepecs.model import DomainError, ModelParams, SubspaceLabel, subspace
-from xepecs.polarization import EmissionGeometry, polarization_components
+from xepecs.polarization import EmissionGeometry
 
 from reference import (
-    build_hamiltonian, closed_shell, dipole_block, per_eigenstate_terms, polarization_vector,
-    spherical_components,
+    build_hamiltonian, closed_shell, dipole_block, emission_matrices, per_eigenstate_terms,
+    polarization_components, polarization_vector, spherical_components,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,6 +72,7 @@ class TestPolarizationComponents:
 class TestEmissionContraction:
     def test_equals_dipole_block_on_random_geometries(self):
         calc = AmplitudeCalculator(ModelParams())
+        emission = emission_matrices(calc)
         rng = np.random.default_rng(13)
         for _ in range(60):
             geom = random_geometry(rng)
@@ -79,7 +81,7 @@ class TestEmissionContraction:
             for sigma in (Spin.UP, Spin.DOWN):
                 eig = calc.eigensystems[sigma]
                 reference = dipole_block(geom, eig.subspace) @ eig.vectors
-                assert np.max(np.abs(alphas @ calc.emission[sigma] - reference)) <= 1e-14
+                assert np.max(np.abs(alphas @ emission[sigma] - reference)) <= 1e-14
 
     def test_amplitudes_equal_the_dipole_block_resonant_sum(self):
         calc = AmplitudeCalculator(ModelParams())
@@ -180,7 +182,7 @@ class TestCalculatorCache:
 
     def test_cached_arrays_are_read_only(self):
         calc = calculator(ModelParams())
-        arrays = [calc.emission[s] for s in (Spin.UP, Spin.DOWN)]
+        arrays = [calc.j1_positions, calc.j1_products]
         arrays += [calc.pe_elements[s] for s in (Spin.UP, Spin.DOWN)]
         for eig in calc.eigensystems.values():
             arrays += [eig.coupling_energies, eig.vectors]
@@ -190,8 +192,8 @@ class TestCalculatorCache:
 
     def test_emission_matrices_are_not_built_at_import(self):
         code = ("import xepecs, xepecs.cli\n"
-                "from xepecs.amplitudes import _emission_basis\n"
-                "print(_emission_basis.cache_info().currsize)")
+                "from xepecs.amplitudes import _decay_row\n"
+                "print(_decay_row.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
         assert out.strip() == "0"
@@ -238,7 +240,8 @@ class TestParameterLinearModel:
         # runtime warnings are errors in this suite, so a numpy warning fails here
         sub = subspace(label)
         with pytest.raises(DomainError, match="not finite"):
-            model._hamiltonian(params, sub, model._level_energy(params, sub.basis[0]))
+            model._level_energy(params, sub.basis[0])
+            model._hamiltonian(params, sub)
 
 class TestGroundEnergyOnce:
     def test_one_ground_coupling_evaluation_per_calculator(self, monkeypatch):
@@ -247,9 +250,9 @@ class TestGroundEnergyOnce:
         built = []
         original = model._hamiltonian
 
-        def counted(params, sub, level):
+        def counted(params, sub):
             built.append(sub.label)
-            return original(params, sub, level)
+            return original(params, sub)
 
         monkeypatch.setattr(model, "_hamiltonian", counted)
         calc = AmplitudeCalculator(ModelParams(G=0.21, zeta=0.13))

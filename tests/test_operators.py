@@ -29,6 +29,11 @@ class TestConstantsFromClebschGordan:
         for m, d in _EMISSION_VERTEX.items():
             assert d == pytest.approx((-1) ** m / math.sqrt(3.0), abs=1e-15)
 
+    def test_wigner_eckart_ratio_is_a_cg_ratio(self):
+        # A(up, lambda) / alpha_0 over A(down, lambda) / alpha_-1, for every model
+        assert amplitudes.KAPPA == -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
+        assert amplitudes.KAPPA == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+
 
 class TestClosedShell:
     def test_final_states_are_built_on_the_closed_shell(self):

@@ -12,18 +12,17 @@ operators of ``reference``, the route that the cached, parameter-linear
 energy) replaced; it is kept here as the reference.
 """
 
-from math import cos, log2, radians
+from math import cos, log2, radians, sin
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from xepecs.amplitudes import AmplitudeCalculator, calculator, xepecs_amplitudes
+from xepecs.amplitudes import KAPPA, AmplitudeCalculator, calculator, xepecs_amplitudes
 from xepecs.angular import HalfInt
 from xepecs.entanglement import (
-    _normalize,
-    _spin_matrix,
+    _entropy_bits,
     _spin_spectrum,
     entangled_state,
     entropy_sweep,
@@ -41,6 +40,7 @@ from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import xps_lines
 
 from reference import (
+    amplitude_array,
     apply_diagonal,
     apply_exchange,
     apply_spin_orbit,
@@ -49,7 +49,10 @@ from reference import (
     initial_state,
     model_operators,
     operator_matrix,
+    per_eigenstate_terms,
     photoemission_elements,
+    reduced_spin_matrices,
+    spin_vectors,
 )
 
 ENTROPY_TOL = 1e-9
@@ -117,6 +120,15 @@ def hard_cases(*rest):
 
 def geometry(phi, beta1):
     return EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + 90.0)
+
+
+def invariants(coeffs):
+    """(a, d, |b|, |det c|) of the reduced spin matrices c c^dag = [[a, b], [b*, d]]
+    of a (N, 2, 2) coefficient stack."""
+    a, d = np.moveaxis(np.sum(np.abs(coeffs) ** 2, axis=-1), -1, 0)
+    b = coeffs[:, 0, 0] * coeffs[:, 1, 0].conj() + coeffs[:, 0, 1] * coeffs[:, 1, 1].conj()
+    det = coeffs[:, 0, 0] * coeffs[:, 1, 1] - coeffs[:, 0, 1] * coeffs[:, 1, 0]
+    return a, d, np.abs(b), np.abs(det)
 
 
 def fock_hamiltonian(params, sub):
@@ -249,6 +261,47 @@ def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
 
 
 @SETTINGS
+@given(params_st, epsilon_st)
+@hard_cases(6.5)
+def test_reference_spin_vectors_obey_the_wigner_eckart_theorem(params, epsilon):
+    # the general route sums every eigenstate of both spins over all three q; its
+    # structural zeros stay zeros and its up-spin q = 0 entry is KAPPA R
+    t = spin_vectors(calculator(params), epsilon)
+    scale = abs(t[1, 2])
+    assert np.max(np.abs([t[0, 0], t[0, 2], t[1, 0], t[1, 1]])) <= 1e-15 * scale
+    assert abs(t[0, 1] - KAPPA * t[1, 2]) <= 1e-15 * scale
+
+
+@SETTINGS
+@given(params_st, theta_st, angle_st, angle_st, angle_st, epsilon_st)
+@hard_cases(45.0, 30.0, 20.0, 75.0, 6.5)
+def test_amplitudes_equal_the_summed_per_eigenstate_terms(params, theta, phi, beta1, beta2,
+                                                          epsilon):
+    assume(abs(sin(radians(beta2 - beta1))) >= 1e-6)
+    geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta2)
+    calc = calculator(params)
+    amps = calc.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
+    summed = np.array([per_eigenstate_terms(calc, geom, epsilon, sigma).sum(axis=1)
+                       for sigma in Spin])
+    assert np.max(np.abs(amps - summed)) <= 1e-14 * np.max(np.abs(summed))
+
+
+@SETTINGS
+@given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, angle_st, epsilon_st)
+@hard_cases([45.0], 30.0, 20.0, 75.0, 6.5)
+def test_entropy_sweep_equals_the_reference_reduced_matrix(params, thetas, phi, beta1, beta2,
+                                                           epsilon):
+    # any polarization pair, orthogonal or not, and both signs of theta = 0
+    assume(abs(sin(radians(beta2 - beta1))) >= 1e-6)
+    thetas = [0.0, -0.0, 90.0, 180.0] + thetas
+    geom = EmissionGeometry.from_degrees(90.0, phi, beta1, beta2)
+    curve = entropy_sweep(params, geom, thetas, epsilon)
+    amps = amplitude_array(calculator(params), np.radians(thetas), geom, epsilon)
+    eigenvalues = np.linalg.eigvalsh(reduced_spin_matrices(amps))
+    assert np.max(np.abs(np.array(curve.entropy) - _entropy_bits(eigenvalues))) <= 1e-14
+
+
+@SETTINGS
 @given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, epsilon_st,
        st.lists(coeff_st, max_size=6))
 @hard_cases([45.0], 30.0, 20.0, 6.5, [[1e-300, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
@@ -258,20 +311,23 @@ def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi
     # reference, so the trace, Hermiticity and positivity checks it skips still hold
     amps = calculator(params).amplitude_array(np.radians([0.0, 90.0, 180.0] + thetas),
                                               geometry(phi, beta1), epsilon)
-    stack = np.concatenate([_normalize(amps, params, epsilon),
+    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=(-2, -1)))[:, None, None]
+    stack = np.concatenate([amps / norms,
                             np.array(draws, dtype=complex).reshape(-1, 2, 2),
                             [SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE],
                             MAXIMALLY_ENTANGLED_DRAWS])
-    spectrum = _spin_spectrum(stack)
+    spectrum = _spin_spectrum(*invariants(stack))
     assert spectrum.shape == stack.shape[:-1]
-    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(_spin_matrix(stack)))) <= 1e-12
+    reduced = stack @ stack.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(reduced))) <= 1e-12
     norm_sq = np.sum(np.abs(stack) ** 2, axis=(-2, -1))
     assert np.max(np.abs(spectrum.sum(axis=-1) - norm_sq)) <= 1e-12
     assert np.all(spectrum[:, 0] >= 0.0) and np.all(spectrum[:, 0] <= spectrum[:, 1])
 
 
 def test_spin_spectrum_of_separable_and_maximally_entangled_states():
-    lower, upper = _spin_spectrum(np.array([SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE])).T
+    stack = np.array([SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE])
+    lower, upper = _spin_spectrum(*invariants(stack)).T
     assert lower[0] == 0.0 and abs(upper[0] - 1.0) <= 1e-15
     assert abs(lower[1] - 0.5) <= 1e-15 and abs(upper[1] - 0.5) <= 1e-15
     # lambda_- = |det c|^2 / lambda_+ with no cancellation: about 3.6e-19, where
@@ -281,16 +337,22 @@ def test_spin_spectrum_of_separable_and_maximally_entangled_states():
 
 @pytest.mark.parametrize("params", HARD_PARAMS[:2] + (ModelParams(),))
 def test_nan_amplitude_is_a_domain_error_naming_the_inputs(monkeypatch, params):
-    amplitude_array = AmplitudeCalculator.amplitude_array
-
-    def with_nan(self, thetas, geom, epsilon):
-        amps = amplitude_array(self, thetas, geom, epsilon).copy()
-        amps[1, 1, 0] = np.nan
-        return amps
-
-    monkeypatch.setattr(AmplitudeCalculator, "amplitude_array", with_nan)
+    monkeypatch.setattr(AmplitudeCalculator, "reduced_amplitude",
+                        lambda self, epsilon: complex("nan+nanj"))
     with pytest.raises(DomainError) as error:
         entropy_sweep(params, geometry(30.0, 20.0), [0.0, 45.0, 90.0], 6.5)
     assert str(error.value).startswith(f"{params!r}, epsilon=6.5: ")
     with pytest.raises(DomainError, match="negative eigenvalue"):
-        _spin_spectrum(np.full((2, 2, 2), np.nan))
+        _spin_spectrum(*np.full((4, 2), np.nan))
+
+
+@pytest.mark.parametrize("gamma", [1e-16, 1e-18])
+def test_narrow_core_hole_keeps_the_oracle_on_the_j2_line(gamma):
+    # at the J = 2 line (6.4 eV) the J = 1 terms of R nearly cancel; roundoff of
+    # the dark J = 2 level, over a width of 1e-18, once outweighed them and gave
+    # (0.0006, 0.0003) bits
+    params = ModelParams(Gamma_1s=gamma)
+    assert calculator(params).eigensystems[Spin.DOWN].j_labels[1] == HalfInt.of(2)
+    assert calculator(params).line_positions[Spin.DOWN][1] == 6.4
+    curve = entropy_sweep(params, EmissionGeometry.from_degrees(90.0), [45.0, 90.0], 6.4)
+    assert np.max(np.abs(np.array(curve.entropy) - [oracle(45.0), 1.0])) <= 1e-12

@@ -17,8 +17,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path__)
                  if m.name != "__main__")
 
-# (defining module, name): reference routes moved to tests/reference.py, and
-# names with no caller outside their own tests, deleted
+# (defining module, name): reference routes moved to tests/reference.py, names
+# with no caller outside their own tests, deleted, and names the reduced
+# amplitude replaced
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -28,6 +29,8 @@ GONE = [
     ("entanglement", "DensityMatrix.purity"), ("spectra", "LineSpectrum.select"),
     ("spectra", "LineSpectrum.total_weight"), ("fockspace", "ManyBodyVector.__sub__"),
     ("model", "EigenSystem.energies"), ("model", "EigenSystem.level_energy"),
+    # the general route: the full spherical components and the (2, 3) vectors t
+    ("polarization", "polarization_components"), ("amplitudes", "AmplitudeCalculator.spin_vectors"),
 ]
 
 
