@@ -54,7 +54,7 @@ from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 
-from .angular import HalfInt, cg
+from .angular import HalfInt, _triangle, cg
 from .fockspace import Shell, Spin, SpinOrbital, annihilate, basis_vector, inner
 from .model import (
     DomainError,
@@ -195,8 +195,10 @@ class AmplitudeCalculator:
                 raise DomainError("photoemission line positions are not finite")
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
+        # exactly 0 where J, the removed s = 1/2 and the ground J = 1/2 break the triangle rule
         self.pe_elements = {
-            sigma: _read_only(eig.vectors.conj().T @ _ground_components(sigma))
+            sigma: _read_only(np.where([_triangle(j.twice_value, 1, 1) for j in eig.j_labels],
+                                       eig.vectors.conj().T @ _ground_components(sigma), 0.0))
             for sigma, eig in self.eigensystems.items()
         }
         down = self.eigensystems[Spin.DOWN]

@@ -334,8 +334,7 @@ def _run_rho(config: RunConfig) -> str:
 def _run_entropy(config: RunConfig) -> str:
     epsilon = config.resolve_epsilon()
     curve = entropy_sweep(config.params, config.geometry(90.0), config.thetas_deg, epsilon)
-    return _curves(config.format, "theta_deg", np.array(curve.thetas),
-                   [("entropy_bits", np.array(curve.entropy))],
+    return _curves(config.format, "theta_deg", curve.thetas, [("entropy_bits", curve.entropy)],
                    ("entanglement entropy vs emission angle", "theta (deg)", "entropy (bits)"))
 
 

@@ -24,10 +24,10 @@ states are defined, and G G^dag = [[a, b], [b*, d]] has, with C, S and X the
 sums over the pair of cos^2 beta, sin^2 beta and cos beta sin beta, the real
 invariants a = KAPPA^2 C sin^2 theta, d = (C cos^2 theta + S)/2 (a + d = 1),
 |b| = KAPPA |sin theta| hypot(C cos theta, X)/sqrt(2) and
-|det G| = KAPPA |sin theta| |sin(beta2 - beta1)|/sqrt(2). Its eigenvalues
-follow from these in closed form, with no eigenvalue decomposition. Both
-routes name the inputs when a squared amplitude norm is not finite or is 0,
-check the norm, and turn eigenvalues into bits the same way.
+|det G| = KAPPA |sin theta| |sin(beta2 - beta1)|/sqrt(2). Its two eigenvalue
+columns follow from these in closed form, with no eigenvalue decomposition.
+Both routes name the inputs when a squared amplitude norm is not finite or is
+0, check the norm, and turn eigenvalues into bits the same way, by column.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     return eigenvalues
 
 
-def _spin_spectrum(a, d, b, det) -> np.ndarray:
-    """Eigenvalues (lambda_-, lambda_+) of spin matrices [[a, b], [b*, d]] from
-    arrays of a, d, |b| and |det|: lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|)
+def _spin_spectrum(a, d, b, det) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue columns (lambda_-, lambda_+) of spin matrices [[a, b], [b*, d]]
+    from arrays of a, d, |b| and |det|: lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|)
     and lambda_- = min(|det|^2 / lambda_+, lambda_+), which does not cancel near
     a separable state. Their sum is a + d, the norm ``_check_norm`` bounds, so
     only positivity is checked: a DomainError unless lambda_- >= -1e-12 (NaN fails)."""
@@ -108,7 +108,7 @@ def _spin_spectrum(a, d, b, det) -> np.ndarray:
     lower = np.minimum(det * det / upper, upper)
     if not np.all(lower >= -_MATRIX_TOL):
         raise DomainError("matrix has a negative eigenvalue")
-    return np.stack([lower, upper], axis=-1)
+    return lower, upper
 
 
 def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
@@ -122,16 +122,15 @@ def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
             scale * np.hypot(c * cos_t, x), scale * abs(sin(geom.beta2 - geom.beta1)))
 
 
-def _entropy_bits(eigenvalues: np.ndarray):
-    """-sum p log2 p over the last axis of checked density eigenvalues; jitter
-    below 1e-12 counts as zero. A float for one spectrum, else an array. The
-    sum is subtracted from 0.0, so a separable state gives 0, not -0."""
-    clipped = np.clip(eigenvalues, 0.0, 1.0)
-    clipped[np.abs(clipped) < _EIGENVALUE_CLIP] = 0.0
-    positive = clipped > 0.0
-    logs = np.log2(clipped, out=np.zeros_like(clipped), where=positive)
-    entropy = 0.0 - np.sum(clipped * logs, axis=-1)
-    return float(entropy) if eigenvalues.ndim == 1 else entropy
+def _entropy_bits(columns):
+    """-sum p log2 p of checked density eigenvalues, one column (array or number) per
+    eigenvalue, clipped to [0, 1]; below 1e-12 (jitter) adds 0. Columns add left to
+    right, as np.sum does, subtracted from 0.0: a separable state gives 0, not -0."""
+    total = 0.0
+    for p in columns:
+        p = np.clip(p, 0.0, 1.0)
+        total = total + p * np.log2(p, out=np.zeros_like(p), where=p >= _EIGENVALUE_CLIP)
+    return 0.0 - total
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
@@ -176,18 +175,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class EntropyCurve:
-    """Entanglement entropy (bits) per emission angle (degrees)."""
+    """Entropy (bits) per emission angle (degrees); any 1-D sequences, kept as float tuples."""
 
     thetas: tuple[float, ...]
     entropy: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.thetas) != len(self.entropy):
+        thetas, entropy = (np.asarray(x, dtype=float) for x in (self.thetas, self.entropy))
+        if len(thetas) != len(entropy):
             raise ValueError("angle and entropy lengths differ")
-        entropy = np.asarray(self.entropy, dtype=float)
         outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))
         if outside.size:
             raise ValueError(f"entropy {float(entropy[outside[0]])} outside [0, 1] bits")
+        object.__setattr__(self, "thetas", tuple(thetas.tolist()))
+        object.__setattr__(self, "entropy", tuple(entropy.tolist()))
 
 
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
@@ -236,26 +237,31 @@ def von_neumann_entropy(rho):
     DomainError if an array violates Hermiticity, unit trace or positivity
     beyond 1e-8; smaller negative eigenvalue jitter is clipped to zero.
     """
-    if isinstance(rho, DensityMatrix):
-        return _entropy_bits(rho.eigenvalues)
-    return _entropy_bits(_check_density(np.asarray(rho, dtype=complex), _ENTROPY_INPUT_TOL))
+    eigenvalues = (rho.eigenvalues if isinstance(rho, DensityMatrix)
+                   else _check_density(np.asarray(rho, dtype=complex), _ENTROPY_INPUT_TOL))
+    entropy = _entropy_bits(np.moveaxis(eigenvalues, -1, 0))
+    return float(entropy) if eigenvalues.ndim == 1 else entropy
 
 
 def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
     """Entanglement entropy against emission angle.
 
-    One cached model build per parameter set and one R(epsilon), then real
-    array math over all angles: the invariants of G G^dag, the checks of
-    ``entangled_state`` and ``EntangledState`` on |R|^2 (a + d) and a + d, and
-    the closed-form spectrum with the positivity check of ``DensityMatrix``.
+    The angles (degrees, any 1-D sequence, else a ValueError before any math)
+    become one array. One cached model build per parameter set and one R(epsilon),
+    then real array math over all angles: the invariants of G G^dag, the checks of
+    ``entangled_state`` and ``EntangledState`` on |R|^2 (a + d) and a + d, the
+    closed-form spectrum with ``DensityMatrix``'s positivity check, and its bits by column.
     """
-    thetas = np.radians(np.asarray(thetas_deg, dtype=float))
+    degrees = np.asarray(thetas_deg, dtype=float)
+    if degrees.ndim != 1:
+        raise ValueError("theta must be a 1-D sequence of angles")
+    thetas = np.radians(degrees)
     _check_polar_angles(thetas)
     r = calculator(params).reduced_amplitude(epsilon)
     a, d, b, det = _spin_invariants(thetas, geom_template)
+    norm_sq = a + d
     with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
-        _check_squared_norm((r.real * r.real + r.imag * r.imag) * (a + d), params, epsilon)
-    _check_norm(a + d)
-    entropy = _entropy_bits(_spin_spectrum(a, d, b, det))
-    return EntropyCurve(tuple(map(float, thetas_deg)), tuple(entropy.tolist()))
+        _check_squared_norm((r.real * r.real + r.imag * r.imag) * norm_sq, params, epsilon)
+    _check_norm(norm_sq)
+    return EntropyCurve(degrees, _entropy_bits(_spin_spectrum(a, d, b, det)))

@@ -161,9 +161,8 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
 
 def auto_epsilon(params: ModelParams) -> float:
     """Default photoelectron kinetic energy: the maximum of the broadened
-    J = 1 photoemission peak (taken from the down-spin channel, which carries
-    only J = 1 lines), on the default kinetic-energy grid."""
-    positions, weights, j_labels = _xps_arrays(params, Spin.DOWN)
-    j1 = np.array([j == HalfInt.of(1) for j in j_labels], dtype=bool)
-    intensity = _lorentzians(positions[j1], weights[j1], params.Gamma_1s, _XPS_GRID)
+    J = 1 photoemission peak (taken from the down-spin channel, whose J = 2
+    line has weight exactly 0), on the default kinetic-energy grid."""
+    positions, weights, _ = _xps_arrays(params, Spin.DOWN)
+    intensity = _lorentzians(positions, weights, params.Gamma_1s, _XPS_GRID)
     return float(_XPS_GRID[int(np.argmax(intensity))])

@@ -9,8 +9,9 @@ every eigenstate of both spins, with the per-spin emission rows of all three
 spherical components (the (2, 3) vectors t), the amplitudes contracted from
 them, and the per-eigenstate resonance terms; the Cartesian polarization
 vectors and the spherical projections of one, in closed form and by
-projection, and all three components for an array of angles; and the
-closed-form pair state."""
+projection, and all three components for an array of angles; the closed-form
+pair state; and the bits of a sweep by the stacked route, its (n, 2) spectrum
+summed over the last axis by np.sum."""
 
 from functools import cache
 from itertools import groupby
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
-from xepecs.entanglement import EntangledState
+from xepecs.entanglement import EntangledState, _spin_invariants
 from xepecs.fockspace import (
     ORBITALS, ManyBodyVector, Shell, Spin, SpinOrbital, _accumulate, annihilate, basis_vector,
     combine, create, inner, vacuum,
@@ -345,6 +346,24 @@ def reduced_spin_matrices(amps):
     """c c^dag of the normalized states of an (N, 2, 2) amplitude stack."""
     coeffs = amps / np.sqrt(np.sum(np.abs(amps) ** 2, axis=(-2, -1)))[:, None, None]
     return coeffs @ coeffs.conj().swapaxes(-1, -2)
+
+
+def stacked_entropy_bits(eigenvalues):
+    """-sum p log2 p over the last axis of checked density eigenvalues by np.sum,
+    after the clip to [0, 1] and with jitter below 1e-12 set to 0, subtracted from 0.0."""
+    clipped = np.clip(eigenvalues, 0.0, 1.0)
+    clipped[np.abs(clipped) < 1e-12] = 0.0
+    logs = np.log2(clipped, out=np.zeros_like(clipped), where=clipped > 0.0)
+    return 0.0 - np.sum(clipped * logs, axis=-1)
+
+
+def stacked_sweep_entropy(thetas_deg, geom):
+    """The bits of a sweep from the (n, 2) stack of its closed-form spectrum
+    (lambda_-, lambda_+), from the invariants of ``entanglement._spin_invariants``."""
+    a, d, b, det = _spin_invariants(np.radians(np.asarray(thetas_deg, dtype=float)), geom)
+    upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    lower = np.minimum(det * det / upper, upper)
+    return stacked_entropy_bits(np.stack([lower, upper], axis=-1))
 
 
 class DipoleBlock(NamedTuple):

@@ -59,7 +59,7 @@ class TestPhotoemissionElements:
             eig = calc.eigensystems[spin]
             for el, j in zip(calc.pe_elements[spin], eig.j_labels):
                 if j == HalfInt.of(2):
-                    assert abs(el) < 1e-12
+                    assert el == 0.0
 
     def test_j0_state_appears_only_in_up_channel(self, calc):
         up = calc.eigensystems[Spin.UP]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xepecs import amplitudes, fockspace, model
+from xepecs import amplitudes, entanglement, fockspace, model
 from xepecs.amplitudes import AmplitudeCalculator, AmplitudeSet, calculator
 from xepecs.entanglement import entangled_state, entropy_sweep, reduce_to_spin, von_neumann_entropy
 from xepecs.fockspace import Spin
@@ -132,6 +132,25 @@ class TestBatchedSweep:
     def test_empty_sweep(self):
         curve = entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0), [], 6.5)
         assert curve.thetas == () and curve.entropy == ()
+
+    def test_any_one_dimensional_input_gives_the_same_curve(self):
+        geom = EmissionGeometry.from_degrees(90.0)
+        floats = [0.0, 30.0, 45.0, 90.0, 180.0]
+        expected = entropy_sweep(ModelParams(), geom, floats, 6.5)
+        for thetas in (tuple(floats), [0, 30, 45, 90, 180], np.array(floats),
+                       np.array(floats, dtype=np.float32)):
+            curve = entropy_sweep(ModelParams(), geom, thetas, 6.5)
+            assert curve == expected
+            assert all(type(x) is float for x in curve.thetas + curve.entropy)
+        assert entropy_sweep(ModelParams(), geom, np.array([]), 6.5) == \
+            entropy_sweep(ModelParams(), geom, [], 6.5)
+
+    @pytest.mark.parametrize("thetas", [[[0.0, 90.0]], np.zeros((2, 2)), 45.0])
+    def test_angles_not_one_dimensional_rejected_before_any_math(self, monkeypatch, thetas):
+        # once a 2-D list ran the whole sweep and then failed inside float()
+        monkeypatch.setattr(entanglement, "calculator", None)   # calling it would fail
+        with pytest.raises(ValueError, match="1-D"):
+            entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0), thetas, 6.5)
 
     @pytest.mark.parametrize("theta", [-1.0, 180.5, float("nan")])
     def test_angle_outside_the_range_rejected(self, theta):

@@ -264,3 +264,8 @@ class TestEntropySweep:
             EntropyCurve((0.0,), (1.5,))
         with pytest.raises(ValueError, match="entropy nan outside"):
             EntropyCurve((0.0, 1.0, 2.0), (0.5, float("nan"), 2.0))
+
+    def test_curve_from_arrays_stores_tuples_of_floats(self):
+        curve = EntropyCurve(np.array([0.0, 90.0]), np.array([0.0, 1.0], dtype=np.float32))
+        assert curve.thetas == (0.0, 90.0) and curve.entropy == (0.0, 1.0)
+        assert all(type(x) is float for x in curve.thetas + curve.entropy)

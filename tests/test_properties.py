@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 from xepecs.amplitudes import KAPPA, AmplitudeCalculator, calculator, xepecs_amplitudes
 from xepecs.angular import HalfInt
 from xepecs.entanglement import (
-    _entropy_bits,
+    DensityMatrix,
     _spin_spectrum,
     entangled_state,
     entropy_sweep,
     full_density_matrix,
+    von_neumann_entropy,
 )
 from xepecs.fockspace import ORBITALS, Shell, Spin
 from xepecs.model import (
@@ -53,6 +54,8 @@ from reference import (
     photoemission_elements,
     reduced_spin_matrices,
     spin_vectors,
+    stacked_entropy_bits,
+    stacked_sweep_entropy,
 )
 
 ENTROPY_TOL = 1e-9
@@ -131,6 +134,19 @@ def invariants(coeffs):
     return a, d, np.abs(b), np.abs(det)
 
 
+def same_bits(x, y):
+    """Float arrays (or numbers) of one shape and equal bits, so 0.0 and -0.0 differ."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def sweep(params, geom, thetas, epsilon):
+    """``entropy_sweep``, its bits held to the stacked route of ``reference`` exactly."""
+    curve = entropy_sweep(params, geom, thetas, epsilon)
+    assert same_bits(curve.entropy, stacked_sweep_entropy(thetas, geom))
+    return curve
+
+
 def fock_hamiltonian(params, sub):
     """H applied to each basis state through the Fock-space operators."""
     levels = tuple(params.eps_s if o.shell is Shell.S1S else params.eps_p for o in ORBITALS)
@@ -145,9 +161,10 @@ def fock_hamiltonian(params, sub):
 @SETTINGS
 @given(params_st, epsilon_st, angle_st, angle_st, st.lists(theta_st, max_size=5))
 @hard_cases(6.5, 30.0, 20.0, [45.0])
+@hard_cases(6.5, 30.0, 20.0, [-0.0, 1e-300])
 def test_entropy_oracle(params, epsilon, phi, beta1, thetas):
     thetas = [0.0, 90.0, 180.0] + thetas
-    curve = entropy_sweep(params, geometry(phi, beta1), thetas, epsilon)
+    curve = sweep(params, geometry(phi, beta1), thetas, epsilon)
     assert abs(curve.entropy[1] - 1.0) <= ENTROPY_TOL
     assert abs(curve.entropy[0]) <= ENTROPY_TOL and abs(curve.entropy[2]) <= ENTROPY_TOL
     for theta, s in zip(thetas, curve.entropy):
@@ -159,8 +176,8 @@ def test_entropy_oracle(params, epsilon, phi, beta1, thetas):
 @hard_cases(45.0, 5.0, 8.0, 0.0, 90.0, 10.0, 70.0)
 def test_entropy_independent_of_epsilon_phi_and_pair_rotation(params, theta, eps1, eps2,
                                                               phi1, phi2, beta1, beta2):
-    s1 = entropy_sweep(params, geometry(phi1, beta1), [theta], eps1).entropy[0]
-    s2 = entropy_sweep(params, geometry(phi2, beta2), [theta], eps2).entropy[0]
+    s1 = sweep(params, geometry(phi1, beta1), [theta], eps1).entropy[0]
+    s2 = sweep(params, geometry(phi2, beta2), [theta], eps2).entropy[0]
     assert abs(s1 - s2) <= ENTROPY_TOL
 
 
@@ -209,7 +226,7 @@ def test_photoemission_selection_rules(params):
     lines = {sigma: xps_lines(params, sigma) for sigma in Spin}
     total = sum(line.weight for spectrum in lines.values() for line in spectrum.lines)
     assert abs(total - 1.0) <= 1e-12
-    assert all(line.weight <= 1e-12 for spectrum in lines.values()
+    assert all(line.weight == 0.0 for spectrum in lines.values()
                for line in spectrum.lines if line.j == HalfInt.of(2))
     j1 = {sigma: sum(line.weight for line in lines[sigma].lines if line.j == HalfInt.of(1))
           for sigma in Spin}
@@ -289,16 +306,17 @@ def test_amplitudes_equal_the_summed_per_eigenstate_terms(params, theta, phi, be
 @SETTINGS
 @given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, angle_st, epsilon_st)
 @hard_cases([45.0], 30.0, 20.0, 75.0, 6.5)
+@hard_cases([1e-300, 135.0], 0.0, 10.0, 10.5, 5.0)
 def test_entropy_sweep_equals_the_reference_reduced_matrix(params, thetas, phi, beta1, beta2,
                                                            epsilon):
     # any polarization pair, orthogonal or not, and both signs of theta = 0
     assume(abs(sin(radians(beta2 - beta1))) >= 1e-6)
     thetas = [0.0, -0.0, 90.0, 180.0] + thetas
     geom = EmissionGeometry.from_degrees(90.0, phi, beta1, beta2)
-    curve = entropy_sweep(params, geom, thetas, epsilon)
+    curve = sweep(params, geom, thetas, epsilon)
     amps = amplitude_array(calculator(params), np.radians(thetas), geom, epsilon)
     eigenvalues = np.linalg.eigvalsh(reduced_spin_matrices(amps))
-    assert np.max(np.abs(np.array(curve.entropy) - _entropy_bits(eigenvalues))) <= 1e-14
+    assert np.max(np.abs(np.array(curve.entropy) - stacked_entropy_bits(eigenvalues))) <= 1e-14
 
 
 @SETTINGS
@@ -316,7 +334,7 @@ def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi
                             np.array(draws, dtype=complex).reshape(-1, 2, 2),
                             [SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE],
                             MAXIMALLY_ENTANGLED_DRAWS])
-    spectrum = _spin_spectrum(*invariants(stack))
+    spectrum = np.stack(_spin_spectrum(*invariants(stack)), axis=-1)
     assert spectrum.shape == stack.shape[:-1]
     reduced = stack @ stack.conj().swapaxes(-1, -2)
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(reduced))) <= 1e-12
@@ -327,12 +345,35 @@ def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi
 
 def test_spin_spectrum_of_separable_and_maximally_entangled_states():
     stack = np.array([SEPARABLE, MAXIMALLY_ENTANGLED, NEAR_SEPARABLE])
-    lower, upper = _spin_spectrum(*invariants(stack)).T
+    lower, upper = _spin_spectrum(*invariants(stack))
     assert lower[0] == 0.0 and abs(upper[0] - 1.0) <= 1e-15
     assert abs(lower[1] - 0.5) <= 1e-15 and abs(upper[1] - 0.5) <= 1e-15
     # lambda_- = |det c|^2 / lambda_+ with no cancellation: about 3.6e-19, where
     # eigvalsh is only good to ~1e-16 absolute
     assert abs(lower[2] - (0.6 * 1e-9) ** 2 / upper[2]) <= 1e-12 * lower[2]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_von_neumann_entropy_equals_the_summed_bits(n):
+    # density matrices U diag(p) U^dag, written exactly Hermitian, of every rank
+    # from pure to maximally mixed, as one stack and one matrix at a time
+    rng = np.random.default_rng(n)
+    p = rng.dirichlet(np.ones(n), size=300)
+    p[:n] = np.eye(n)
+    p[n] = 1.0 / n
+    normals = rng.normal(size=(2, 300, n, n))
+    u = np.linalg.qr(normals[0] + 1j * normals[1])[0]
+    m = (u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    stack = np.concatenate([0.5 * (m + m.conj().swapaxes(-1, -2)),
+                            [np.diag(np.r_[1.0 + 1e-13, np.full(n - 1, -1e-13 / (n - 1))])]])
+    expected = stacked_entropy_bits(np.linalg.eigvalsh(stack))
+    assert same_bits(von_neumann_entropy(stack), expected)
+    basis = tuple(map(str, range(n)))
+    for rho in stack:
+        single = stacked_entropy_bits(np.linalg.eigvalsh(rho))
+        assert type(von_neumann_entropy(rho)) is float
+        assert same_bits(von_neumann_entropy(rho), single)
+        assert same_bits(von_neumann_entropy(DensityMatrix(basis, rho)), single)
 
 
 @pytest.mark.parametrize("params", HARD_PARAMS[:2] + (ModelParams(),))
@@ -354,5 +395,5 @@ def test_narrow_core_hole_keeps_the_oracle_on_the_j2_line(gamma):
     params = ModelParams(Gamma_1s=gamma)
     assert calculator(params).eigensystems[Spin.DOWN].j_labels[1] == HalfInt.of(2)
     assert calculator(params).line_positions[Spin.DOWN][1] == 6.4
-    curve = entropy_sweep(params, EmissionGeometry.from_degrees(90.0), [45.0, 90.0], 6.4)
+    curve = sweep(params, EmissionGeometry.from_degrees(90.0), [45.0, 90.0], 6.4)
     assert np.max(np.abs(np.array(curve.entropy) - [oracle(45.0), 1.0])) <= 1e-12
