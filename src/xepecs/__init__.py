@@ -3,13 +3,7 @@ minimal two-shell atom, including the spin-polarization entanglement of the
 outgoing pair."""
 
 from .angular import HalfInt, cg
-from .fockspace import (
-    FockState,
-    ManyBodyVector,
-    Shell,
-    Spin,
-    SpinOrbital,
-)
+from .fockspace import FockState, Shell, Spin, SpinOrbital
 from .model import (
     DomainError,
     EigenSystem,
@@ -45,7 +39,7 @@ from .entanglement import (
 
 __all__ = [
     "HalfInt", "cg",
-    "FockState", "ManyBodyVector", "Shell", "Spin", "SpinOrbital",
+    "FockState", "Shell", "Spin", "SpinOrbital",
     "DomainError", "EigenSystem", "ModelParams", "Subspace", "SubspaceLabel",
     "diagonalize", "intermediate_eigensystem", "subspace",
     "EmissionGeometry",

@@ -55,17 +55,17 @@ from math import inf, isfinite, pi, sqrt
 import numpy as np
 
 from .angular import HalfInt, _triangle, cg
-from .fockspace import Shell, Spin, SpinOrbital, annihilate, basis_vector, inner
+from .fockspace import FockState, Shell, Spin, SpinOrbital, ladder
 from .model import (
     DomainError,
     ModelParams,
     SubspaceLabel,
     _configuration,
     _fock_matrix,
+    _ground,
     _read_only,
     final_state_energy,
     ground_coupling_energy,
-    ground_state,
     initial_energy,
     intermediate_eigensystem,
     intermediate_subspace,
@@ -123,10 +123,15 @@ def channel_label(channel: tuple[Spin, int]) -> str:
 @cache
 def _ground_components(sigma: Spin) -> np.ndarray:
     """<b| c^dag_(eps sigma) s_sigma a |g> = vertex * <b| s_sigma |g> of the
-    ground state g over the intermediate basis states b (read-only), built once."""
-    w = PHOTOEMISSION_VERTEX * annihilate(ground_state(), SpinOrbital(Shell.S1S, 0, sigma))
-    return _read_only(np.array([inner(basis_vector(b), w)
-                                for b in intermediate_subspace(sigma).basis]))
+    ground state g over the intermediate basis states b (read-only), built once:
+    the ladder rule removes s_sigma from each initial basis state."""
+    basis = intermediate_subspace(sigma).basis
+    out = np.zeros(len(basis), dtype=complex)
+    for state, c in zip(subspace(SubspaceLabel.INITIAL).basis, _ground()):
+        removed = ladder(state.orbitals, SpinOrbital(Shell.S1S, 0, sigma).index, False)
+        if removed:
+            out[basis.index(FockState(removed[1]))] += PHOTOEMISSION_VERTEX * removed[0] * c
+    return _read_only(out)
 
 
 @cache

@@ -41,7 +41,7 @@ import numpy as np
 from .amplitudes import CHANNEL_INDEX, CHANNELS, KAPPA, AmplitudeSet, calculator, channel_label
 from .fockspace import Spin
 from .model import DomainError, ModelParams
-from .polarization import EmissionGeometry, _check_polar_angles
+from .polarization import EmissionGeometry
 
 __all__ = [
     "EntangledState",
@@ -175,13 +175,17 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class EntropyCurve:
-    """Entropy (bits) per emission angle (degrees); any 1-D sequences, kept as float tuples."""
+    """Entropy (bits) per emission angle (degrees); any 1-D sequences, kept as float
+    tuples. A field that is not 1-D raises ValueError."""
 
     thetas: tuple[float, ...]
     entropy: tuple[float, ...]
 
     def __post_init__(self):
         thetas, entropy = (np.asarray(x, dtype=float) for x in (self.thetas, self.entropy))
+        for name, values in (("thetas", thetas), ("entropy", entropy)):
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D sequence")
         if len(thetas) != len(entropy):
             raise ValueError("angle and entropy lengths differ")
         outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))
@@ -247,19 +251,21 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
                   thetas_deg: Sequence[float], epsilon: float) -> EntropyCurve:
     """Entanglement entropy against emission angle.
 
-    The angles (degrees, any 1-D sequence, else a ValueError before any math)
-    become one array. One cached model build per parameter set and one R(epsilon),
-    then real array math over all angles: the invariants of G G^dag, the checks of
-    ``entangled_state`` and ``EntangledState`` on |R|^2 (a + d) and a + d, the
-    closed-form spectrum with ``DensityMatrix``'s positivity check, and its bits by column.
+    The angles (degrees, any 1-D sequence in [0, 180], else a ValueError naming
+    the first bad value before any math) become one array. One cached model
+    build per parameter set and one R(epsilon), then real array math over all
+    angles: the invariants of G G^dag, the checks of ``entangled_state`` and
+    ``EntangledState`` on |R|^2 (a + d) and a + d, the closed-form spectrum with
+    ``DensityMatrix``'s positivity check, and its bits by column.
     """
     degrees = np.asarray(thetas_deg, dtype=float)
     if degrees.ndim != 1:
         raise ValueError("theta must be a 1-D sequence of angles")
-    thetas = np.radians(degrees)
-    _check_polar_angles(thetas)
+    inside = (degrees >= 0.0) & (degrees <= 180.0)   # NaN fails too
+    if not inside.all():
+        raise ValueError(f"theta: {float(degrees[~inside][0])} outside [0, 180] degrees")
     r = calculator(params).reduced_amplitude(epsilon)
-    a, d, b, det = _spin_invariants(thetas, geom_template)
+    a, d, b, det = _spin_invariants(np.radians(degrees), geom_template)
     norm_sq = a + d
     with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
         _check_squared_norm((r.real * r.real + r.imag * r.imag) * norm_sq, params, epsilon)

@@ -1,21 +1,21 @@
-"""Occupation-number states and second-quantized operators for the two-shell model.
+"""Occupation-number states and the fermionic ladder rule of the two-shell model.
 
 The electron system has 8 spin-orbitals in the fixed canonical order
 
     (1s up, 1s down, 2p[m=-1] up, 2p[m=-1] down,
      2p[m=0] up, 2p[m=0] down, 2p[m=1] up, 2p[m=1] down)
 
-and a basis state is the bitmask of its occupied spin-orbitals. Creation and
-annihilation go through one ladder helper over these 8 modes, which applies
-the sign (-1)^(number of occupied modes before the target). Only electrons
-are second-quantized: the photons and the photoelectron change no sign and
-no norm in any matrix element of the model, so they are labels of the
-channels (see ``amplitudes``), not modes.
-"""
+and a basis state is the bitmask of its occupied spin-orbitals. ``ladder`` is
+the one rule for creation and annihilation on such a mask: it returns the
+sign (-1)^(number of occupied modes below the target) and the new mask, and
+every operator matrix of the model is built from it (see ``model``). Only
+electrons are second-quantized: the photons and the photoelectron change no
+sign and no norm in any matrix element of the model, so they are labels of
+the channels (see ``amplitudes``), not modes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -24,13 +24,7 @@ __all__ = [
     "SpinOrbital",
     "ORBITALS",
     "FockState",
-    "ManyBodyVector",
-    "vacuum",
-    "basis_vector",
-    "combine",
-    "create",
-    "annihilate",
-    "inner",
+    "ladder",
 ]
 
 
@@ -93,88 +87,11 @@ class FockState:
             raise ValueError("orbital mask out of range")
 
 
-@dataclass
-class ManyBodyVector:
-    """A finite linear combination of FockStates with complex amplitudes."""
-
-    _terms: dict[FockState, complex] = field(default_factory=dict)
-
-    def amplitude(self, state: FockState) -> complex:
-        return self._terms.get(state, 0j)
-
-    def terms(self):
-        return self._terms.items()
-
-    def states(self):
-        return self._terms.keys()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "ManyBodyVector") -> "ManyBodyVector":
-        out = dict(self._terms)
-        for s, a in other._terms.items():
-            _accumulate(out, s, a)
-        return ManyBodyVector(out)
-
-    def __mul__(self, scalar) -> "ManyBodyVector":
-        if scalar == 0:
-            return ManyBodyVector()
-        return ManyBodyVector({s: a * scalar for s, a in self._terms.items()})
-
-    __rmul__ = __mul__
-
-
-def _accumulate(terms: dict[FockState, complex], state: FockState, amp: complex):
-    new = terms.get(state, 0j) + amp
-    if new == 0:
-        terms.pop(state, None)
-    else:
-        terms[state] = new
-
-
-def vacuum() -> ManyBodyVector:
-    return ManyBodyVector({FockState(): 1.0 + 0j})
-
-
-def basis_vector(state: FockState) -> ManyBodyVector:
-    return ManyBodyVector({state: 1.0 + 0j})
-
-
-def combine(terms) -> ManyBodyVector:
-    """sum_k c_k v_k over (c_k, v_k) pairs, accumulated into one dict."""
-    out: dict[FockState, complex] = {}
-    for coeff, v in terms:
-        for s, a in v.terms():
-            _accumulate(out, s, a * coeff)
-    return ManyBodyVector(out)
-
-
-def _fermion(v: ManyBodyVector, mode: int, raise_op: bool) -> ManyBodyVector:
-    """c^dag (raise_op) or c of spin-orbital ``mode`` in canonical order."""
+def ladder(mask: int, mode: int, raise_op: bool) -> tuple[int, int] | None:
+    """c^dag (``raise_op``) or c of spin-orbital ``mode`` on the basis state with
+    orbital mask ``mask``: (sign, new mask), or None where Pauli exclusion or an
+    empty mode gives 0. The sign is (-1)^(number of occupied modes below ``mode``)."""
     bit = 1 << mode
-    out: dict[FockState, complex] = {}
-    for s, a in v.terms():
-        if bool(s.orbitals & bit) is raise_op:
-            continue  # Pauli exclusion, or nothing to remove
-        if (s.orbitals & (bit - 1)).bit_count() % 2:
-            a = -a
-        _accumulate(out, FockState(s.orbitals ^ bit), a)
-    return ManyBodyVector(out)
-
-
-def create(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
-    """Apply the fermionic creation operator for ``orb``."""
-    return _fermion(v, orb.index, True)
-
-
-def annihilate(v: ManyBodyVector, orb: SpinOrbital) -> ManyBodyVector:
-    """Apply the fermionic annihilation operator for ``orb`` (adjoint of create)."""
-    return _fermion(v, orb.index, False)
-
-
-def inner(a: ManyBodyVector, b: ManyBodyVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if len(a) > len(b):
-        return complex(sum(a.amplitude(s).conjugate() * amp for s, amp in b.terms()))
-    return complex(sum(amp.conjugate() * b.amplitude(s) for s, amp in a.terms()))
+    if bool(mask & bit) is raise_op:
+        return None
+    return -1 if (mask & (bit - 1)).bit_count() % 2 else 1, mask ^ bit

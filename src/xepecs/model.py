@@ -5,11 +5,12 @@
 
 Both couplings come from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
 8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), each
-turned by the fockspace operators into its matrix over all states with a
-subspace's shell occupations, where A . B = A_z B_z + (A_+ B_- + A_- B_+)/2
-gives l.s and S_1s . S_2p (zero on a filled 1s shell). The same builder maps
-one configuration to another: ``amplitudes`` takes the 2p -> 1s decay from
-the s^1 p^1 states to the closed shell with it.
+turned by the ladder rule of ``fockspace`` into its matrix over all states
+with a subspace's shell occupations, where
+A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 gives l.s and S_1s . S_2p (zero on a
+filled 1s shell). The same builder maps one configuration to another:
+``amplitudes`` takes the 2p -> 1s decay from the s^1 p^1 states to the closed
+shell with it.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
@@ -35,18 +36,7 @@ from math import atan2, copysign, cos, hypot, isfinite, sin, sqrt, tan
 import numpy as np
 
 from .angular import HalfInt, cg_exact
-from .fockspace import (
-    FockState,
-    ManyBodyVector,
-    ORBITALS,
-    Shell,
-    Spin,
-    SpinOrbital,
-    annihilate,
-    basis_vector,
-    combine,
-    create,
-)
+from .fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital, ladder
 
 __all__ = [
     "DomainError",
@@ -58,7 +48,6 @@ __all__ = [
     "intermediate_subspace",
     "diagonalize",
     "intermediate_eigensystem",
-    "ground_state",
     "ground_coupling_energy",
     "initial_energy",
     "final_state_energy",
@@ -194,16 +183,18 @@ def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarr
 
 def _fock_matrix(table: np.ndarray, row: dict[FockState, int],
                  col: dict[FockState, int] | None = None) -> np.ndarray:
-    """sum_ab table[a, b] c^dag_a c_b through the Fock-space operators, from the
-    states of ``col`` (state -> index; default ``row``) to those of ``row``; a
-    KeyError if it leads out of them."""
+    """sum_ab table[a, b] c^dag_a c_b by the ladder rule, c_b and then c^dag_a on
+    each state of ``col`` (state -> index; default ``row``), into the states of
+    ``row``; a KeyError if it leads out of them."""
     col = row if col is None else col
-    hops = [(float(table[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(table))]
+    hops = [(float(table[a, b]), int(a), int(b)) for a, b in zip(*np.nonzero(table))]
     out = np.zeros((len(row), len(col)), dtype=complex)
     for s, k in col.items():
-        image = combine((x, create(annihilate(basis_vector(s), src), dst)) for x, dst, src in hops)
-        for t, amplitude in image.terms():
-            out[row[t], k] = amplitude
+        for x, a, b in hops:
+            removed = ladder(s.orbitals, b, False)
+            added = removed and ladder(removed[1], a, True)
+            if added:
+                out[row[FockState(added[1])], k] += x * removed[0] * added[0]
     return out
 
 
@@ -377,29 +368,18 @@ def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> E
     return diagonalize(_hamiltonian(params, sub), sub)
 
 
-@cache
-def _ground() -> tuple[ManyBodyVector, np.ndarray]:
-    """The electron ground state, the J = 1/2 column of the (J, S) basis of the
-    initial subspace, and its components over that subspace's basis (read-only)."""
-    sub = subspace(SubspaceLabel.INITIAL)
-    components = _label_basis(sub.label)[0][:, 0]
-    return combine(zip(components, map(basis_vector, sub.basis))), components
-
-
-def ground_state() -> ManyBodyVector:
-    """The (J, M) = (1/2, 1/2) electron ground state 1s^2 2p.
-
+def _ground() -> np.ndarray:
+    """The (J, M) = (1/2, 1/2) electron ground state 1s^2 2p as its components
+    over the initial basis (read-only): the J = 1/2 column of the (J, S) basis.
     The closed 1s shell has spin 0, so this is the 2p electron coupled to
-    j = 1/2 with Clebsch-Gordan coefficients: the state does not depend on
-    the model parameters.
-    """
-    return ManyBodyVector(dict(_ground()[0].terms()))
+    j = 1/2 with Clebsch-Gordan coefficients, the same for every parameter set."""
+    return _label_basis(SubspaceLabel.INITIAL)[0][:, 0]
 
 
 def ground_coupling_energy(params: ModelParams) -> float:
     """E'_g = <g| H' |g>, with g verified to be an eigenvector of H' on the
     initial subspace, relative to max(1, |G|, |zeta|)."""
-    c = _ground()[1]
+    c = _ground()
     hc = _hamiltonian(params, subspace(SubspaceLabel.INITIAL)) @ c
     energy = float((c.conj() @ hc).real)
     residual = np.linalg.norm((hc - energy * c) / max(1.0, abs(params.G), abs(params.zeta)))

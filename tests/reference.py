@@ -1,8 +1,11 @@
 """Independent routes the tests hold the package to, which the package does not
-need: the model operators applied one basis vector at a time; the Hamiltonian
-with its level energy, and the initial state with E_g; the eigendecomposition of
-each J block by LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals,
-two photoelectron modes and three photon counts, and through it the
+need: a sparse vector algebra (``ManyBodyVector``, amplitudes keyed by basis
+state) and with it the package's one-body Fock matrices and ground state, and
+the model operators one basis vector at a time; the Hamiltonian with its level
+energy, and the initial state with E_g; the eigendecomposition of each J block
+by LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals, two
+photoelectron modes and three photon counts with one fermionic sign rule, and
+through it the electron creation and annihilation operators, the
 photon-emission operator for any polarization pair, the emission rows, and the
 photoemission elements of any initial state; the general resonant sum over
 every eigenstate of both spins, with the per-spin emission rows of all three
@@ -13,6 +16,7 @@ projection, and all three components for an array of angles; the closed-form
 pair state; and the bits of a sweep by the stacked route, its (n, 2) spectrum
 summed over the last axis by np.sum."""
 
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
 from math import cos, pi, radians, sin, sqrt
@@ -22,15 +26,81 @@ import numpy as np
 
 from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
 from xepecs.entanglement import EntangledState, _spin_invariants
-from xepecs.fockspace import (
-    ORBITALS, ManyBodyVector, Shell, Spin, SpinOrbital, _accumulate, annihilate, basis_vector,
-    combine, create, inner, vacuum,
-)
+from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 from xepecs.model import (
-    SubspaceLabel, _hamiltonian, _label_basis, _level_energy, ground_coupling_energy,
-    ground_state, initial_energy, intermediate_subspace, subspace,
+    SubspaceLabel, _ground, _hamiltonian, _label_basis, _level_energy, ground_coupling_energy,
+    initial_energy, intermediate_subspace, subspace,
 )
 from xepecs.polarization import alpha_components
+
+# ---------------------------------------------------------------------------
+# sparse vectors: amplitudes keyed by basis state, a FockState for the
+# electrons and a tuple in the full register below
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ManyBodyVector:
+    """A finite linear combination of basis states with complex amplitudes."""
+
+    _terms: dict = field(default_factory=dict)
+
+    def amplitude(self, state) -> complex:
+        return self._terms.get(state, 0j)
+
+    def terms(self):
+        return self._terms.items()
+
+    def states(self):
+        return self._terms.keys()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for s, a in other._terms.items():
+            _accumulate(out, s, a)
+        return ManyBodyVector(out)
+
+    def __mul__(self, scalar):
+        if scalar == 0:
+            return ManyBodyVector()
+        return ManyBodyVector({s: a * scalar for s, a in self._terms.items()})
+
+    __rmul__ = __mul__
+
+
+def _accumulate(terms, state, amp):
+    new = terms.get(state, 0j) + amp
+    if new == 0:
+        terms.pop(state, None)
+    else:
+        terms[state] = new
+
+
+def vacuum():
+    return ManyBodyVector({FockState(): 1.0 + 0j})
+
+
+def basis_vector(state):
+    return ManyBodyVector({state: 1.0 + 0j})
+
+
+def combine(terms):
+    """sum_k c_k v_k over (c_k, v_k) pairs, accumulated into one dict."""
+    out = {}
+    for coeff, v in terms:
+        for s, a in v.terms():
+            _accumulate(out, s, a * coeff)
+    return ManyBodyVector(out)
+
+
+def inner(a, b) -> complex:
+    """<a|b>, conjugate-linear in the first argument."""
+    if len(a) > len(b):
+        return complex(sum(a.amplitude(s).conjugate() * amp for s, amp in b.terms()))
+    return complex(sum(amp.conjugate() * b.amplitude(s) for s, amp in a.terms()))
+
 
 # ---------------------------------------------------------------------------
 # model operators, one basis vector at a time: sums of one-body hops
@@ -101,6 +171,14 @@ def apply_casimir(v, raising, lowering, z_weights):
     return apply_terms(apply_terms(v, raising), lowering) + apply_diagonal(z, z_weights) + z
 
 
+def fock_matrix(table, row, col=None):
+    """sum_ab table[a, b] c^dag_a c_b from the states of ``col`` (default ``row``)
+    to those of ``row`` by the vector algebra, in place of ``model._fock_matrix``."""
+    hops = [(float(table[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(table))]
+    images = [apply_terms(basis_vector(s), hops) for s in (row if col is None else col)]
+    return np.array([[v.amplitude(t) for v in images] for t in row], dtype=complex)
+
+
 def operator_matrix(sub, apply):
     """<b| apply(b') |> over the basis of ``sub``."""
     images = [apply(basis_vector(b)) for b in sub.basis]   # one per column
@@ -140,6 +218,12 @@ def build_hamiltonian(params, sub):
     level energy or H' overflows."""
     level = _level_energy(params, sub.basis[0])
     return _hamiltonian(params, sub) + level * np.eye(sub.dim)
+
+
+def ground_state():
+    """The (J, M) = (1/2, 1/2) electron ground state as a vector over the
+    initial basis states, from the package's components."""
+    return combine(zip(_ground(), map(basis_vector, subspace(SubspaceLabel.INITIAL).basis)))
 
 
 def initial_state(params):
@@ -236,6 +320,17 @@ def fermion(v, mode, raise_op):
         occ ^= bit
         _accumulate(out, (occ & 0xFF, occ >> 8, photons), a)
     return ManyBodyVector(out)
+
+
+def _electron_ladder(raise_op):
+    """c^dag (``raise_op``) or c of an orbital on an electron vector, by ``fermion``."""
+    def apply(v, orb):
+        register = fermion(lift(v), orb.index, raise_op)
+        return ManyBodyVector({FockState(o): a for (o, _, _), a in register.terms()})
+    return apply
+
+
+create, annihilate = _electron_ladder(True), _electron_ladder(False)
 
 
 def photon(v, slot, delta):

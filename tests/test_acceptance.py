@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from xepecs.angular import HalfInt, cg
-from xepecs.fockspace import (
-    ORBITALS,
-    FockState,
-    Spin,
-    annihilate,
-    basis_vector,
-    create,
-)
+from xepecs.fockspace import Spin, ladder
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -210,17 +203,16 @@ def test_criterion_10_algebraic_substrate():
                     right = coeff(-tm1, -tm2, tj, -tm1 - tm2)
                     cg_ok &= abs(left - phase * right) < 1e-12
 
-    # fermionic anticommutation over all 2^8 occupation states
-    fermi_ok = True
-    for a in ORBITALS:
-        for b in ORBITALS:
-            delta = 1.0 if a == b else 0.0
-            for mask in range(256):
-                v = basis_vector(FockState(mask))
-                anti = annihilate(create(v, b), a) + create(annihilate(v, a), b)
-                fermi_ok &= abs(anti.amplitude(FockState(mask)) - delta) < 1e-15
-                fermi_ok &= all(anti.amplitude(s) == 0.0 for s in anti.states()
-                                if s != FockState(mask))
+    # fermionic anticommutation over all 2^8 occupation states, on the 256 x 256
+    # matrix of each c_a from the ladder rule (c^dag_a is its transpose)
+    c = np.zeros((8, 256, 256))
+    for a in range(8):
+        for mask in range(256):
+            hop = ladder(mask, a, False)
+            if hop:
+                c[a, hop[1], mask] = hop[0]
+    fermi_ok = all(np.array_equal(c[a] @ c[b].T + c[b].T @ c[a], np.eye(256) * (a == b))
+                   for a in range(8) for b in range(8))
 
     # eigen-residuals and [J^2, H] = 0 on every subspace
     eigen_ok = True

@@ -12,6 +12,7 @@ no Fock-space operator. Nearly degenerate levels keep their own energies.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,7 +29,7 @@ from xepecs.model import DomainError, ModelParams, SubspaceLabel, subspace
 from xepecs.polarization import EmissionGeometry
 
 from reference import (
-    build_hamiltonian, closed_shell, dipole_block, emission_matrices, per_eigenstate_terms,
+    build_hamiltonian, dipole_block, emission_matrices, per_eigenstate_terms,
     polarization_components, polarization_vector, spherical_components,
 )
 
@@ -153,8 +154,11 @@ class TestBatchedSweep:
             entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0), thetas, 6.5)
 
     @pytest.mark.parametrize("theta", [-1.0, 180.5, float("nan")])
-    def test_angle_outside_the_range_rejected(self, theta):
-        with pytest.raises(ValueError, match="theta"):
+    def test_angle_outside_the_range_rejected(self, monkeypatch, theta):
+        # named in degrees, as the command line does, before any math
+        monkeypatch.setattr(entanglement, "calculator", None)   # calling it would fail
+        message = re.escape(f"theta: {theta} outside [0, 180] degrees")
+        with pytest.raises(ValueError, match=message):
             entropy_sweep(ModelParams(), EmissionGeometry.from_degrees(90.0),
                           [10.0, theta], 6.5)
 
@@ -221,27 +225,27 @@ class TestCalculatorCache:
 class TestParameterLinearModel:
     def test_new_parameters_run_no_fock_space_operator(self, monkeypatch):
         AmplitudeCalculator(ModelParams())   # fills the per-process caches
-        calls = []
+        calls, ladder = [], fockspace.ladder
 
-        def counted(name):
-            original = getattr(fockspace, name)
+        def counted(*args):
+            calls.append(args)
+            return ladder(*args)
 
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-            return wrapper
-
-        monkeypatch.setattr(fockspace, "_fermion", counted("_fermion"))
+        # every binding of the ladder rule, in whichever module imported it
+        for module in [m for name, m in sys.modules.items() if name.startswith("xepecs")]:
+            if getattr(module, "ladder", None) is ladder:
+                monkeypatch.setattr(module, "ladder", counted)
         calc = AmplitudeCalculator(ModelParams(G=0.42, zeta=0.17, eps_s=-12.5, eps_p=-4.5))
         assert calls == []
         assert calc.E_f == 2 * -12.5
-        # the counters do see Fock-space work that is not cached
-        closed_shell()
-        assert calls == ["_fermion", "_fermion"]
+        # the counter does see Fock-space work that is not cached
+        model._configuration_operators.cache_clear()
+        model._configuration_operators((1, 1))
+        assert calls
 
     def test_cached_matrices_are_read_only(self):
         AmplitudeCalculator(ModelParams())
-        arrays = [model._ground()[1]]
+        arrays = [model._ground()]
         for label in SubspaceLabel:
             sub = subspace(label)
             arrays += list(model._subspace_operators(label))

@@ -265,6 +265,14 @@ class TestEntropySweep:
         with pytest.raises(ValueError, match="entropy nan outside"):
             EntropyCurve((0.0, 1.0, 2.0), (0.5, float("nan"), 2.0))
 
+    @pytest.mark.parametrize("thetas,entropy,name", [
+        (np.zeros((2, 2)), np.zeros((2, 2)), "thetas"), ((0.0, 1.0), [[0.5], [0.5]], "entropy"),
+        (0.0, 0.5, "thetas")])
+    def test_curve_fields_must_be_one_dimensional(self, thetas, entropy, name):
+        # a 2-D field once made a curve of nested lists, which cannot be hashed
+        with pytest.raises(ValueError, match=f"{name} must be a 1-D sequence"):
+            EntropyCurve(thetas, entropy)
+
     def test_curve_from_arrays_stores_tuples_of_floats(self):
         curve = EntropyCurve(np.array([0.0, 90.0]), np.array([0.0, 1.0], dtype=np.float32))
         assert curve.thetas == (0.0, 90.0) and curve.entropy == (0.0, 1.0)

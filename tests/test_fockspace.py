@@ -1,25 +1,17 @@
-"""Fermionic algebra checks: anticommutation, adjointness, inner products; and
-the photoelectron and photon ladders of the tests' full register."""
+"""The package's ladder rule against the tests' vector algebra, basis vector by
+basis vector; and that algebra's own checks: anticommutation, adjointness,
+inner products, and the photoelectron and photon ladders of the full register."""
 
 import numpy as np
 import pytest
 
-from xepecs.fockspace import (
-    ORBITALS,
-    FockState,
-    ManyBodyVector,
-    Shell,
-    Spin,
-    SpinOrbital,
-    annihilate,
-    basis_vector,
-    create,
-    inner,
-    vacuum,
-)
+from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital, ladder
 
 import reference
-from reference import INCIDENT, PE_MODE, fermion, lift, photon
+from reference import (
+    INCIDENT, PE_MODE, ManyBodyVector, annihilate, basis_vector, create, fermion, inner, lift,
+    photon, vacuum,
+)
 
 S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
 S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
@@ -31,6 +23,18 @@ def test_canonical_order():
         "1s+", "1s-", "2p[-1]+", "2p[-1]-", "2p[+0]+", "2p[+0]-", "2p[+1]+", "2p[+1]-",
     ]
     assert [o.index for o in ORBITALS] == list(range(8))
+
+
+@pytest.mark.parametrize("raise_op", [True, False])
+def test_ladder_rule_is_the_reference_ladder_on_every_basis_vector(raise_op):
+    # all 256 masks x 8 modes: the same sign and mask, or both zero
+    op = create if raise_op else annihilate
+    for mask in range(256):
+        for orb in ORBITALS:
+            hop = ladder(mask, orb.index, raise_op)
+            image = dict(op(basis_vector(FockState(mask)), orb).terms())
+            assert image == ({} if hop is None else {FockState(hop[1]): hop[0]})
+            assert hop is None or type(hop[0]) is int
 
 
 def test_create_on_vacuum():
@@ -112,12 +116,6 @@ def test_photoelectron_modes_are_fermionic_and_adjoint():
     b = fermion(fermion(empty, S_UP.index, True), PE_MODE[Spin.UP], True)
     target = (0b1, 1, (0, 0, 0))
     assert a.amplitude(target) == -b.amplitude(target)
-    # on the orbitals the register's fermion is the package's, key for key
-    state = basis_vector(FockState(0b10110))
-    for orb in ORBITALS:
-        for raise_op, op in ((True, create), (False, annihilate)):
-            register = fermion(lift(state), orb.index, raise_op)
-            assert dict(register.terms()) == dict(lift(op(state, orb)).terms())
 
 
 def test_photon_modes_are_bosonic():

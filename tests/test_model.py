@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xepecs import model
+from xepecs import amplitudes, model
 from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt, cg_exact
-from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, basis_vector, inner
+from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
@@ -19,7 +19,7 @@ from xepecs.model import (
 )
 
 import reference
-from reference import build_hamiltonian, initial_state
+from reference import basis_vector, build_hamiltonian, initial_state, inner
 
 RELATIVE = ModelParams(G=0.3, zeta=0.1, eps_s=0.0, eps_p=0.0)
 TABLE = ModelParams()
@@ -116,6 +116,28 @@ class TestOneBodyOperators:
         for name, ours, theirs in zip(("l.s", "S_1s.S_2p"), built,
                                       reference.model_operators(sub)):
             assert np.array_equal(ours, theirs), name
+
+    def test_the_ladder_rule_builds_the_vector_algebra_arrays_bit_for_bit(self, monkeypatch):
+        # every cached array made from a Fock matrix, built by the ladder rule and
+        # again with the reference's vector algebra in place of the rule
+        caches = (model._configuration_operators, model._subspace_operators,
+                  amplitudes._decay_row)
+
+        def build():
+            for cached in caches:
+                cached.cache_clear()
+            arrays = [a for occupation in ((2, 1), (1, 1))
+                      for a in model._configuration_operators(occupation)]
+            arrays += [a for label in SubspaceLabel for a in model._subspace_operators(label)]
+            return [a.tobytes() for a in arrays + [amplitudes._decay_row()]]
+
+        ours = build()
+        for module in (model, amplitudes):
+            monkeypatch.setattr(module, "_fock_matrix", reference.fock_matrix)
+        theirs = build()
+        for cached in caches:   # the next build is the rule's again
+            cached.cache_clear()
+        assert ours == theirs
 
     @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
     def test_tables_obey_the_angular_momentum_algebra(self, shell, orbital):
@@ -384,7 +406,7 @@ class TestJBlocks:
                 assert abs(u[row, col].real ** 2 - float(square)) <= math.ulp(float(square))
 
     def test_ground_state_is_the_initial_j_half_column(self):
-        components = model._ground()[1]
+        components = model._ground()
         assert list(components) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
         u = model._label_basis(SubspaceLabel.INITIAL)[0]
         assert np.array_equal(components, u[:, 0])
@@ -559,7 +581,7 @@ class TestChecksOnTheirReproducers:
     def test_a_ground_state_off_its_eigenvector_fails_the_residual(self, monkeypatch):
         # the J = 1/2 column replaced by the first basis state, which l.s mixes
         # with the second
-        monkeypatch.setattr(model, "_ground", lambda: (None, np.array([1.0, 0.0])))
+        monkeypatch.setattr(model, "_ground", lambda: np.array([1.0, 0.0]))
         with pytest.raises(model.DomainError, match="not an eigenvector"):
             model.ground_coupling_energy(TABLE)
 

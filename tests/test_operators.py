@@ -8,12 +8,12 @@ import pytest
 from xepecs import DomainError, amplitudes, cli, model, spectra
 from xepecs.amplitudes import CHANNELS, _EMISSION_VERTEX, calculator
 from xepecs.angular import cg
-from xepecs.fockspace import Spin, basis_vector, combine, inner
+from xepecs.fockspace import Spin
 from xepecs.model import ModelParams, SubspaceLabel, final_state_energy, subspace
 from xepecs.polarization import EmissionGeometry
 
 import reference
-from reference import closed_shell, initial_state
+from reference import basis_vector, closed_shell, combine, initial_state, inner
 
 
 class TestConstantsFromClebschGordan:
