@@ -40,7 +40,9 @@ roundoff that a narrow core hole could amplify.
 
 A calculator keeps its last R (per epsilon) and its last ``AmplitudeSet`` (per
 theta, phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the
-four channels, the state and a sweep of one measurement share them. A slot is
+four channels, the state and a sweep of one measurement share them; a third
+slot keeps the emission grid and the (4, n) coincidence intensities of
+``spectra.xepecs_spectrum`` for its last amplitude set and grid. A slot is
 one tuple of read-only results, read once and replaced whole, so threads that
 share a calculator never pair a key with another key's result.
 """
@@ -212,6 +214,7 @@ class AmplitudeCalculator:
         self.j1_products = _read_only(
             (_decay_row() @ down.vectors * self.pe_elements[Spin.DOWN])[j1])
         self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
+        self._block_slot = (None, False, None, None)   # written by spectra.xepecs_spectrum
 
     def emission_line(self, epsilon: float) -> float:
         """omega_0 = Omega + eps_p + E'_g - epsilon, the emitted-photon energy."""

@@ -2,17 +2,18 @@
 
 Quantum numbers are stored as twice their value so that half-integers stay
 exact. Coefficients follow the Condon-Shortley phase convention and are
-evaluated through Racah's closed-form sum in exact integer/rational
-arithmetic, with a single square root at the end. ``cg_exact`` returns the
-sign and the exact square, so a product of coefficients, as in the coupled
-(J, S) basis of ``model``, also needs only one square root.
+evaluated through Racah's closed-form sum in exact integer arithmetic, on
+one common denominator, with one rational built at the end and a single
+square root. ``cg_exact`` returns the sign and the exact square, so a
+product of coefficients, as in the coupled (J, S) basis of ``model``, also
+needs only one square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
 
 __all__ = [
     "HalfInt",
@@ -30,23 +31,7 @@ class HalfInt:
     @classmethod
     def of(cls, x) -> "HalfInt":
         """Coerce an int, float, Fraction or HalfInt into a HalfInt."""
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, bool):
-            raise TypeError("bool is not an angular momentum value")
-        if isinstance(x, int):
-            return cls(2 * x)
-        if isinstance(x, Fraction):
-            doubled = 2 * x
-            if doubled.denominator != 1:
-                raise ValueError(f"{x} is not an integer or half-integer")
-            return cls(int(doubled))
-        if isinstance(x, float):
-            doubled = 2.0 * x
-            if not doubled.is_integer():   # also inf and NaN
-                raise ValueError(f"{x} is not an integer or half-integer")
-            return cls(int(doubled))
-        raise TypeError(f"cannot interpret {x!r} as a half-integer")
+        return x if isinstance(x, HalfInt) else cls(_twice(x))
 
     @property
     def value(self) -> Fraction:
@@ -61,6 +46,27 @@ class HalfInt:
         return f"{self.twice_value}/2"
 
 
+def _twice(x) -> int:
+    """2x of an integer or half-integer int, float, Fraction or HalfInt."""
+    if isinstance(x, HalfInt):
+        return x.twice_value
+    if isinstance(x, bool):
+        raise TypeError("bool is not an angular momentum value")
+    if isinstance(x, int):
+        return 2 * x
+    if isinstance(x, Fraction):
+        doubled = 2 * x
+        if doubled.denominator != 1:
+            raise ValueError(f"{x} is not an integer or half-integer")
+        return int(doubled)
+    if isinstance(x, float):
+        doubled = 2.0 * x
+        if not doubled.is_integer():   # also inf and NaN
+            raise ValueError(f"{x} is not an integer or half-integer")
+        return int(doubled)
+    raise TypeError(f"cannot interpret {x!r} as a half-integer")
+
+
 def _valid_pair(tj: int, tm: int) -> bool:
     # |m| <= j and m differs from j by an integer
     return tj >= 0 and abs(tm) <= tj and (tj - tm) % 2 == 0
@@ -71,6 +77,9 @@ def _triangle(tj1: int, tj2: int, tj: int) -> bool:
         abs(tj1 - tj2) <= tj <= tj1 + tj2
         and (tj1 + tj2 + tj) % 2 == 0
     )
+
+
+_ZERO = (0, Fraction(0))
 
 
 def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
@@ -85,15 +94,12 @@ def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     Out-of-domain arguments (projection mismatch, broken triangle rule,
     invalid (j, m) pairs) give ``(0, Fraction(0))``.
     """
-    tj1, tm1 = HalfInt.of(j1).twice_value, HalfInt.of(m1).twice_value
-    tj2, tm2 = HalfInt.of(j2).twice_value, HalfInt.of(m2).twice_value
-    tj, tm = HalfInt.of(j).twice_value, HalfInt.of(m).twice_value
+    tj1, tm1, tj2, tm2, tj, tm = map(_twice, (j1, m1, j2, m2, j, m))
 
-    zero = (0, Fraction(0))
     if not (_valid_pair(tj1, tm1) and _valid_pair(tj2, tm2) and _valid_pair(tj, tm)):
-        return zero
+        return _ZERO
     if tm1 + tm2 != tm or not _triangle(tj1, tj2, tj):
-        return zero
+        return _ZERO
 
     # All of these are integers by the parity checks above.
     a = (tj1 + tj2 - tj) // 2
@@ -101,14 +107,13 @@ def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     c = (-tj1 + tj2 + tj) // 2
     d = (tj1 + tj2 + tj) // 2 + 1
 
-    prefactor = Fraction(
+    prefactor = (
         (tj + 1)
         * factorial(a) * factorial(b) * factorial(c)
         * factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
         * factorial((tj1 - tm1) // 2) * factorial((tj1 + tm1) // 2)
-        * factorial((tj2 - tm2) // 2) * factorial((tj2 + tm2) // 2),
-        factorial(d),
-    )
+        * factorial((tj2 - tm2) // 2) * factorial((tj2 + tm2) // 2)
+    )   # over factorial(d)
 
     # Racah sum over k with every factorial argument non-negative.
     p1 = (tj1 + tj2 - tj) // 2      # j1 + j2 - j
@@ -119,20 +124,18 @@ def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     k_min = max(0, -q1, -q2)
     k_max = min(p1, p2, p3)
 
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        term = Fraction(
-            (-1) ** k,
-            factorial(k)
-            * factorial(p1 - k) * factorial(p2 - k) * factorial(p3 - k)
-            * factorial(q1 + k) * factorial(q2 + k),
-        )
-        total += term
+    # each term (-1)^k / denominators[k - k_min], summed as total / common
+    ks = range(k_min, k_max + 1)
+    denominators = [factorial(k) * factorial(p1 - k) * factorial(p2 - k) * factorial(p3 - k)
+                    * factorial(q1 + k) * factorial(q2 + k) for k in ks]
+    common = lcm(*denominators)
+    total = sum(common // den if k % 2 == 0 else -(common // den)
+                for k, den in zip(ks, denominators))
 
     if total == 0:
-        return zero
+        return _ZERO
     sign = 1 if total > 0 else -1
-    return sign, prefactor * total * total
+    return sign, Fraction(prefactor * total * total, factorial(d) * common * common)
 
 
 def cg(j1, m1, j2, m2, j, m) -> float:

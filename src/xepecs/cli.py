@@ -24,7 +24,7 @@ from .amplitudes import CHANNELS, channel_label, xepecs_amplitudes
 from .entanglement import entangled_state, entropy_sweep, full_density_matrix
 from .fockspace import Spin
 from .model import DomainError, ModelParams
-from .polarization import EmissionGeometry
+from .polarization import EmissionGeometry, _orthogonal
 from .spectra import (
     auto_epsilon,
     broaden,
@@ -40,8 +40,6 @@ _CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
 # longest entropy sweep accepted; covers --theta 0:180:0.001
 MAX_THETAS = 200_001
 
-# largest |cos(beta1 - beta2)| accepted: the two analyzer axes must be orthogonal
-_ORTHOGONALITY_TOL = 1e-9
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
@@ -158,7 +156,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     phi = angle(args.phi, "phi", "phi_deg", 0.0)
     beta1 = angle(args.beta1, "beta1", "beta1_deg", 90.0)
     beta2 = angle(args.beta2, "beta2", "beta2_deg", 180.0)
-    if not abs(math.cos(math.radians(beta1 - beta2))) <= _ORTHOGONALITY_TOL:
+    if not _orthogonal(math.radians(beta1), math.radians(beta2)):
         raise ConfigError(f"beta2: polarization axes {beta1} and {beta2} degrees "
                           "are not orthogonal")
 

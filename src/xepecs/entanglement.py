@@ -28,6 +28,8 @@ invariants a = KAPPA^2 C sin^2 theta, d = (C cos^2 theta + S)/2 (a + d = 1),
 columns follow from these in closed form, with no eigenvalue decomposition.
 Both routes name the inputs when a squared amplitude norm is not finite or is
 0, check the norm, and turn eigenvalues into bits the same way, by column.
+The state needs a polarization basis: for a pair of axes that is not
+orthogonal, a state, its density matrix and a sweep are a DomainError.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .amplitudes import CHANNEL_INDEX, CHANNELS, KAPPA, AmplitudeSet, calculator, channel_label
 from .fockspace import Spin
 from .model import DomainError, ModelParams
-from .polarization import EmissionGeometry
+from .polarization import EmissionGeometry, _orthogonal
 
 __all__ = [
     "EntangledState",
@@ -61,6 +63,14 @@ _NORM_TOL = 1e-12
 _MATRIX_TOL = 1e-12
 _ENTROPY_INPUT_TOL = 1e-8
 _EIGENVALUE_CLIP = 1e-12
+_PURE_SPECTRUM = (0.0, 0.0, 0.0, 1.0)   # of |psi><psi| for a unit psi, ascending as eigvalsh
+
+
+def _check_orthogonal(geom: EmissionGeometry) -> None:
+    """DomainError naming both angles unless the polarization pair of ``geom`` is orthogonal."""
+    if not _orthogonal(geom.beta1, geom.beta2):
+        raise DomainError(f"polarization axes beta1={geom.beta1!r} and beta2={geom.beta2!r} rad "
+                          "are not orthogonal; the spin-polarization state needs a basis")
 
 
 def _check_squared_norm(norm_sq, params: ModelParams | None, epsilon: float) -> None:
@@ -80,6 +90,12 @@ def _check_norm(norm_sq) -> None:
         raise DomainError(f"state norm^2 differs from 1 by more than {_NORM_TOL}")
 
 
+def _check_trace(m: np.ndarray, tol: float) -> None:
+    """DomainError unless every matrix of a (..., n, n) stack has trace 1 to ``tol`` (NaN fails)."""
+    if not np.all(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= tol):
+        raise DomainError("matrix trace differs from 1")
+
+
 def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     """Eigenvalues of the Hermitian part of each matrix in a (..., n, n) stack.
 
@@ -90,8 +106,7 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     m_h = m.conj().swapaxes(-1, -2)
     if not np.all(np.abs(m - m_h) <= tol):
         raise DomainError("matrix is not Hermitian")
-    if not np.all(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= tol):
-        raise DomainError("matrix trace differs from 1")
+    _check_trace(m, tol)
     eigenvalues = np.linalg.eigvalsh(0.5 * (m + m_h))
     if not np.all(eigenvalues >= -tol):
         raise DomainError("matrix has a negative eigenvalue")
@@ -197,7 +212,9 @@ class EntropyCurve:
 
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state, scaled to
-    a largest modulus of 1 first, so that a subnormal squared norm loses no digits."""
+    a largest modulus of 1 first, so that a subnormal squared norm loses no digits.
+    A polarization pair that is not orthogonal is a DomainError naming both angles."""
+    _check_orthogonal(amps.geometry)
     values = amps.values
     with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
         _check_squared_norm(np.sum(values.real ** 2 + values.imag ** 2), amps.params, amps.epsilon)
@@ -208,10 +225,20 @@ def entangled_state(amps: AmplitudeSet) -> EntangledState:
 
 def full_density_matrix(state: EntangledState) -> DensityMatrix:
     """|psi><psi| over the four spin-polarization product states, written
-    exactly Hermitian (numpy's complex products leave roundoff that is not)."""
+    exactly Hermitian (numpy's complex products leave roundoff that is not),
+    with the exact spectrum (0, 0, 0, 1) and no eigensolve: of ``DensityMatrix``'s
+    checks only the trace can fail on it (the state's norm is held to 1e-12),
+    so only the trace is checked again. A polarization pair that is not
+    orthogonal is a DomainError naming both angles."""
+    _check_orthogonal(state.geometry)
     v = state.vector()
     m = np.outer(v, v.conj())
-    return DensityMatrix(SPIN_POLARIZATION_BASIS, 0.5 * (m + m.conj().T))
+    m = 0.5 * (m + m.conj().T)
+    _check_trace(m, _MATRIX_TOL)
+    rho = object.__new__(DensityMatrix)   # its __post_init__ would solve for the spectrum
+    rho.__dict__.update(basis=SPIN_POLARIZATION_BASIS, matrix=m,
+                        eigenvalues=np.array(_PURE_SPECTRUM))
+    return rho
 
 
 def reduce_to_spin(obj) -> DensityMatrix:
@@ -252,9 +279,10 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     """Entanglement entropy against emission angle.
 
     The angles (degrees, any 1-D sequence in [0, 180], else a ValueError naming
-    the first bad value before any math) become one array. One cached model
-    build per parameter set and one R(epsilon), then real array math over all
-    angles: the invariants of G G^dag, the checks of ``entangled_state`` and
+    the first bad value before any math) become one array, and a polarization
+    pair that is not orthogonal is a DomainError naming both angles. One cached
+    model build per parameter set and one R(epsilon), then real array math over
+    all angles: the invariants of G G^dag, the checks of ``entangled_state`` and
     ``EntangledState`` on |R|^2 (a + d) and a + d, the closed-form spectrum with
     ``DensityMatrix``'s positivity check, and its bits by column.
     """
@@ -264,6 +292,7 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     inside = (degrees >= 0.0) & (degrees <= 180.0)   # NaN fails too
     if not inside.all():
         raise ValueError(f"theta: {float(degrees[~inside][0])} outside [0, 180] degrees")
+    _check_orthogonal(geom_template)
     r = calculator(params).reduced_amplitude(epsilon)
     a, d, b, det = _spin_invariants(np.radians(degrees), geom_template)
     norm_sq = a + d

@@ -140,8 +140,11 @@ _BASES: dict[SubspaceLabel, tuple[FockState, ...]] = {
 }
 
 
+_SUBSPACES = {label: Subspace(label, basis) for label, basis in _BASES.items()}
+
+
 def subspace(label: SubspaceLabel) -> Subspace:
-    return Subspace(label, _BASES[label])
+    return _SUBSPACES[label]
 
 
 def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:

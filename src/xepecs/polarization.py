@@ -15,6 +15,9 @@ once, from the closed forms for linear polarization
 
     alpha_0  = -cos(beta) sin(theta)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
+
+Any two distinct axes give amplitudes; only an orthogonal pair (``_orthogonal``,
+one test for the state and the command line) is a polarization basis.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ __all__ = [
     "EmissionGeometry",
     "alpha_components",
 ]
+
+# largest |cos(beta1 - beta2)| of an orthogonal polarization pair
+_ORTHOGONALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,11 @@ class EmissionGeometry:
     def from_degrees(cls, theta: float, phi: float = 0.0,
                      beta1: float = 90.0, beta2: float = 180.0) -> "EmissionGeometry":
         return cls(radians(theta), radians(phi), radians(beta1), radians(beta2))
+
+
+def _orthogonal(beta1: float, beta2: float) -> bool:
+    """Whether the axes at beta1 and beta2 (radians) are orthogonal; NaN is not."""
+    return abs(cos(beta1 - beta2)) <= _ORTHOGONALITY_TOL
 
 
 def _check_polar_angles(thetas: np.ndarray) -> None:

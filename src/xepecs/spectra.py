@@ -23,7 +23,7 @@ import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Spin
-from .amplitudes import _check_width, calculator, channel_label
+from .amplitudes import CHANNEL_INDEX, CHANNELS, _check_width, calculator, channel_label
 from .model import DomainError, ModelParams, _read_only
 from .polarization import EmissionGeometry
 
@@ -59,8 +59,13 @@ class LineSpectrum:
 
     def __post_init__(self):
         for line in self.lines:
-            if not isfinite(line.position) or not line.weight >= 0:
-                raise DomainError("lines need finite positions and non-negative weights")
+            _check_line(line.position, line.weight)
+
+
+def _check_line(position: float, weight: float) -> None:
+    """DomainError unless a line's position is finite and its weight >= 0 (NaN fails)."""
+    if not isfinite(position) or not weight >= 0:
+        raise DomainError("lines need finite positions and non-negative weights")
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,9 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
 
 
 def _lorentzians(positions, weights, width: float, grid: np.ndarray) -> np.ndarray:
-    """The (lines x grid) Lorentzians weight * L(grid - position), summed in line order."""
-    return (weights[:, None] * (width / pi)
-            / ((grid - positions[:, None]) ** 2 + width ** 2)).sum(axis=0)
+    """The (lines x grid) Lorentzians weight * L(grid - position), ``positions``
+    a column with one per line or one number that every line shares."""
+    return weights[:, None] * (width / pi) / ((grid - positions) ** 2 + width ** 2)
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
@@ -126,7 +131,8 @@ def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
     weights = np.array([line.weight for line in lines.lines], dtype=float)
     if channel is None:
         channel = lines.lines[0].channel if lines.lines else ""
-    return SpectrumSeries(grid, _lorentzians(positions, weights, width, grid), channel)
+    intensity = _lorentzians(positions[:, None], weights, width, grid).sum(axis=0)   # line order
+    return SpectrumSeries(grid, intensity, channel)
 
 
 def default_xps_grid() -> np.ndarray:
@@ -146,17 +152,31 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
 
     A single line at omega_0 = Omega + eps_p + E'_g - epsilon carrying weight
     |A(sigma, lambda; epsilon)|^2, broadened with the emitted-photon
-    resolution ``gamma``.
+    resolution ``gamma``: the row of the channel in one (4, n) block, the
+    weights in CHANNELS order times one Lorentzian profile (the float order of
+    ``broaden``). The calculator keeps the block of its last amplitude set
+    with its grid, both read-only: the default grid around omega_0, or a copy
+    of ``grid``. A call for that amplitude set with no grid after a default
+    build, or with the grid a call returned, reads the block; any other grid
+    builds it again, so a caller's array is never kept or frozen.
     """
+    row, col = CHANNEL_INDEX[channel]   # of the (2, 2) amplitudes; 2 * row + col in CHANNELS
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
     omega0 = calc.emission_line(epsilon)
     _check_resolution(params, [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon],
                       epsilon)
-    label = channel_label(channel)
-    line = SpectralLine(omega0, abs(amps[channel]) ** 2, None, label)
-    grid = default_emission_grid(omega0) if grid is None else grid
-    return broaden(LineSpectrum((line,)), params.gamma, grid, channel=label)
+    slot = calc._block_slot   # (amplitude set, built on the default grid, grid, block)
+    if slot[0] is not amps or not (slot[1] if grid is None else grid is slot[2]):
+        weights = np.array([abs(amps[ch]) ** 2 for ch in CHANNELS])
+        for weight in weights:
+            _check_line(omega0, weight)
+        _check_width(params.gamma)
+        kept = _read_only(default_emission_grid(omega0) if grid is None
+                          else np.array(grid, dtype=float))
+        block = _read_only(_lorentzians(omega0, weights, params.gamma, kept))
+        slot = calc._block_slot = (amps, grid is None, kept, block)
+    return SpectrumSeries(slot[2], slot[3][2 * row + col], channel_label(channel))
 
 
 def auto_epsilon(params: ModelParams) -> float:
@@ -164,5 +184,5 @@ def auto_epsilon(params: ModelParams) -> float:
     J = 1 photoemission peak (taken from the down-spin channel, whose J = 2
     line has weight exactly 0), on the default kinetic-energy grid."""
     positions, weights, _ = _xps_arrays(params, Spin.DOWN)
-    intensity = _lorentzians(positions, weights, params.Gamma_1s, _XPS_GRID)
+    intensity = _lorentzians(positions[:, None], weights, params.Gamma_1s, _XPS_GRID).sum(axis=0)
     return float(_XPS_GRID[int(np.argmax(intensity))])

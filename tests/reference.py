@@ -13,18 +13,21 @@ spherical components (the (2, 3) vectors t), the amplitudes contracted from
 them, and the per-eigenstate resonance terms; the Cartesian polarization
 vectors and the spherical projections of one, in closed form and by
 projection, and all three components for an array of angles; the closed-form
-pair state; and the bits of a sweep by the stacked route, its (n, 2) spectrum
-summed over the last axis by np.sum."""
+pair state; the bits of a sweep by the stacked route, its (n, 2) spectrum
+summed over the last axis by np.sum; and the Racah sum of the Clebsch-Gordan
+coefficients in ``Fraction`` arithmetic, one rational per term."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from math import cos, pi, radians, sin, sqrt
+from math import cos, factorial, pi, radians, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
+from xepecs.angular import HalfInt, _triangle, _valid_pair
 from xepecs.entanglement import EntangledState, _spin_invariants
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 from xepecs.model import (
@@ -502,3 +505,45 @@ def alpha_coeffs(geom):
             raise RuntimeError("polarization coefficient cross-check failed")
         pairs.append((closed0, closed1))
     return PolarizationCoeffs(*zip(*pairs))
+
+
+# ---------------------------------------------------------------------------
+# Clebsch-Gordan coefficients in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def cg_exact_fraction(j1, m1, j2, m2, j, m):
+    """(sign, square) of <j1 m1 j2 m2|j m> as ``angular.cg_exact`` defines them,
+    with the Racah sum added one ``Fraction`` term at a time."""
+    tj1, tm1 = HalfInt.of(j1).twice_value, HalfInt.of(m1).twice_value
+    tj2, tm2 = HalfInt.of(j2).twice_value, HalfInt.of(m2).twice_value
+    tj, tm = HalfInt.of(j).twice_value, HalfInt.of(m).twice_value
+
+    zero = (0, Fraction(0))
+    if not (_valid_pair(tj1, tm1) and _valid_pair(tj2, tm2) and _valid_pair(tj, tm)):
+        return zero
+    if tm1 + tm2 != tm or not _triangle(tj1, tj2, tj):
+        return zero
+
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj1 - tj2 + tj) // 2
+    c = (-tj1 + tj2 + tj) // 2
+    d = (tj1 + tj2 + tj) // 2 + 1
+    prefactor = Fraction(
+        (tj + 1)
+        * factorial(a) * factorial(b) * factorial(c)
+        * factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
+        * factorial((tj1 - tm1) // 2) * factorial((tj1 + tm1) // 2)
+        * factorial((tj2 - tm2) // 2) * factorial((tj2 + tm2) // 2),
+        factorial(d),
+    )
+
+    p1, p2, p3 = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    q1, q2 = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
+    total = Fraction(0)
+    for k in range(max(0, -q1, -q2), min(p1, p2, p3) + 1):
+        total += Fraction((-1) ** k, factorial(k) * factorial(p1 - k) * factorial(p2 - k)
+                          * factorial(p3 - k) * factorial(q1 + k) * factorial(q2 + k))
+
+    if total == 0:
+        return zero
+    return (1 if total > 0 else -1), prefactor * total * total

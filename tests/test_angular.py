@@ -7,6 +7,8 @@ import pytest
 
 from xepecs.angular import HalfInt, cg, cg_exact
 
+from reference import cg_exact_fraction
+
 
 def s(x):
     """Signed square root helper for table entries written as +/- sqrt(frac)."""
@@ -154,3 +156,26 @@ class TestProperties:
                                        j, HalfInt(-tm1 - tm2))
                             assert abs(left - phase * right) < 1e-12
 
+
+
+class TestIntegerRacahSum:
+    def test_equals_the_fraction_sum_for_every_argument_with_2j_up_to_6(self):
+        # every (j, m) pair with 2j <= 6 in each of the three slots; a tuple
+        # whose projections do not add up is zero in both forms
+        pairs = [(HalfInt(tj), m) for tj in range(7) for m in projections(HalfInt(tj))]
+        nonzero = 0
+        for j1, m1 in pairs:
+            for j2, m2 in pairs:
+                for j, m in pairs:
+                    got = cg_exact(j1, m1, j2, m2, j, m)
+                    assert got == cg_exact_fraction(j1, m1, j2, m2, j, m)
+                    assert type(got[1]) is Fraction
+                    nonzero += got[0] != 0
+        assert nonzero > 1000
+
+    def test_takes_every_kind_of_argument(self):
+        assert cg_exact(1, 0, 0.5, 0.5, Fraction(3, 2), HalfInt(1)) == (1, Fraction(2, 3))
+        with pytest.raises(TypeError, match="bool"):
+            cg_exact(True, 0, 1, 0, 1, 0)
+        with pytest.raises(ValueError, match="half-integer"):
+            cg_exact(0.25, 0, 1, 0, 1, 0)

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xepecs import cli
+from xepecs import cli, polarization
+from xepecs.entanglement import entropy_sweep
+from xepecs.model import DomainError, ModelParams
+from xepecs.polarization import EmissionGeometry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -309,6 +312,26 @@ class TestDomainAndOutputErrors:
         # a rotated orthogonal pair is accepted
         argv = ["entropy", "--theta", "57", "--beta1", "30", "--beta2", "120"]
         assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+
+    def test_axes_whose_difference_overflows_exit_2(self, tmp_path, monkeypatch, capsys):
+        # beta1 - beta2 = inf in degrees once ended in a math domain error traceback
+        argv = ["rho", "--beta1", "1e308", "--beta2=-1e308"]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("config error: beta2:")
+
+    def test_one_orthogonality_tolerance_for_the_library_and_the_command_line(
+            self, tmp_path, monkeypatch, capsys):
+        # beta1 = 90 and beta2 = 150 degrees: |cos(60 degrees)| = 0.5
+        geom = EmissionGeometry.from_degrees(57.0, 0.0, 90.0, 150.0)
+        argv = ["entropy", "--theta", "57", "--beta2", "150"]
+        with pytest.raises(DomainError, match="not orthogonal"):
+            entropy_sweep(ModelParams(), geom, [57.0], 6.5)
+        monkeypatch.setattr(polarization, "_ORTHOGONALITY_TOL", 0.51)
+        entropy_sweep(ModelParams(), geom, [57.0], 6.5)
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 0
+        monkeypatch.setattr(polarization, "_ORTHOGONALITY_TOL", 0.49)
+        assert self.main(argv, tmp_path, monkeypatch, capsys)[0] == 2
 
     def test_format_choices_and_defaults_come_from_one_table(self, tmp_path, monkeypatch,
                                                              capsys):

@@ -44,6 +44,13 @@ def random_geometry(rng, theta=None):
         rng.uniform(0.0, 360.0), beta1, beta1 + rng.uniform(10.0, 170.0))
 
 
+def orthogonal_geometry(rng, theta):
+    """An orthogonal polarization pair of either orientation at the polar angle ``theta``."""
+    beta1 = rng.uniform(0.0, 360.0)
+    return EmissionGeometry.from_degrees(theta, rng.uniform(0.0, 360.0), beta1,
+                                         beta1 + rng.choice([90.0, 270.0]))
+
+
 def random_params(rng, i):
     """Seeded draws; every third has G = 0 and every third zeta = 0."""
     return ModelParams(
@@ -104,7 +111,7 @@ class TestBatchedSweep:
         for i in range(21):
             params = random_params(rng, i)
             calc = AmplitudeCalculator(params)
-            template = random_geometry(rng, theta=90.0)
+            template = orthogonal_geometry(rng, 90.0)   # the state needs a polarization basis
             epsilon = rng.uniform(5.0, 8.0)
             thetas = [0.0, 90.0, 180.0] + list(rng.uniform(0.0, 180.0, 20))
             curve = entropy_sweep(params, template, thetas, epsilon)

@@ -278,6 +278,20 @@ def test_density_matrix_is_a_pure_state(params, theta, phi, beta1, epsilon):
 
 
 @SETTINGS
+@given(params_st, theta_st, angle_st, angle_st, epsilon_st)
+@hard_cases(33.0, 30.0, 20.0, 6.5)
+@hard_cases(0.0, 0.0, 90.0, 6.5)
+def test_density_matrix_stores_the_exact_pure_spectrum(params, theta, phi, beta1, epsilon):
+    # (0, 0, 0, 1) with no eigensolve, within 1e-15 of one, and zero bits exactly
+    geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta1 + 90.0)
+    rho = full_density_matrix(entangled_state(xepecs_amplitudes(params, geom, epsilon)))
+    assert rho.eigenvalues.tolist() == [0.0, 0.0, 0.0, 1.0]
+    solved = np.linalg.eigvalsh(rho.matrix)
+    assert np.max(np.abs(solved - rho.eigenvalues)) <= 1e-15 and np.all(solved >= -1e-12)
+    assert von_neumann_entropy(rho) == 0.0
+
+
+@SETTINGS
 @given(params_st, epsilon_st)
 @hard_cases(6.5)
 def test_reference_spin_vectors_obey_the_wigner_eckart_theorem(params, epsilon):
@@ -304,15 +318,15 @@ def test_amplitudes_equal_the_summed_per_eigenstate_terms(params, theta, phi, be
 
 
 @SETTINGS
-@given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, angle_st, epsilon_st)
-@hard_cases([45.0], 30.0, 20.0, 75.0, 6.5)
-@hard_cases([1e-300, 135.0], 0.0, 10.0, 10.5, 5.0)
-def test_entropy_sweep_equals_the_reference_reduced_matrix(params, thetas, phi, beta1, beta2,
+@given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, st.booleans(), epsilon_st)
+@hard_cases([45.0], 30.0, 20.0, False, 6.5)
+@hard_cases([1e-300, 135.0], 0.0, 10.0, True, 5.0)
+def test_entropy_sweep_equals_the_reference_reduced_matrix(params, thetas, phi, beta1, flip,
                                                            epsilon):
-    # any polarization pair, orthogonal or not, and both signs of theta = 0
-    assume(abs(sin(radians(beta2 - beta1))) >= 1e-6)
+    # either orientation of an orthogonal pair (any other pair is a DomainError),
+    # and both signs of theta = 0
     thetas = [0.0, -0.0, 90.0, 180.0] + thetas
-    geom = EmissionGeometry.from_degrees(90.0, phi, beta1, beta2)
+    geom = EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + (270.0 if flip else 90.0))
     curve = sweep(params, geom, thetas, epsilon)
     amps = amplitude_array(calculator(params), np.radians(thetas), geom, epsilon)
     eigenvalues = np.linalg.eigvalsh(reduced_spin_matrices(amps))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from xepecs import spectra
+from xepecs.amplitudes import CHANNELS, calculator, channel_label
 from xepecs.angular import HalfInt
 from xepecs.fockspace import Spin
 from xepecs.model import DomainError, ModelParams, final_state_energy
@@ -232,3 +234,123 @@ class TestDefaults:
         eps = auto_epsilon(PARAMS)
         strongest = max(xps_lines(PARAMS, Spin.DOWN).lines, key=lambda l: l.weight)
         assert abs(eps - strongest.position) < PARAMS.Gamma_1s
+
+
+def one_line_route(params, geom, epsilon, channel, grid):
+    """The public route of one coincidence channel: one line, broadened."""
+    calc = calculator(params)
+    label = channel_label(channel)
+    weight = abs(calc.amplitudes(geom, epsilon)[channel]) ** 2
+    line = SpectralLine(calc.emission_line(epsilon), weight, None, label)
+    return broaden(LineSpectrum((line,)), params.gamma, grid, channel=label)
+
+
+BLOCK_HARD_CASES = [
+    (ModelParams(), EmissionGeometry.from_degrees(90.0), 6.48),
+    (ModelParams(G=0.0, zeta=0.0), EmissionGeometry.from_degrees(0.0, 33.0), 6.5),
+    (ModelParams(G=0.0, zeta=1e-8), EmissionGeometry.from_degrees(180.0, 0.0, 10.0, 100.0), 6.1),
+    (ModelParams(G=1.0, zeta=0.0, gamma=1e-150), EmissionGeometry.from_degrees(45.0), 6.5),
+    (ModelParams(Gamma_1s=1e-16, gamma=30.0), EmissionGeometry.from_degrees(45.0), 6.4),
+    # a pair that is not orthogonal still has spectra
+    (ModelParams(), EmissionGeometry.from_degrees(90.0, 0.0, 90.0, 120.0), 6.5),
+]
+
+
+def block_draws(n=30):
+    rng = np.random.default_rng(71)
+    for i in range(n):
+        params = ModelParams(G=0.0 if i % 3 == 0 else rng.uniform(0.0, 1.0),
+                             zeta=0.0 if i % 3 == 1 else rng.uniform(0.0, 0.5),
+                             eps_p=rng.uniform(-7.0, -3.0), Gamma_1s=rng.uniform(0.2, 0.8),
+                             gamma=rng.uniform(0.2, 0.6))
+        beta1 = rng.uniform(0.0, 180.0)
+        geom = EmissionGeometry.from_degrees(rng.uniform(0.0, 180.0), rng.uniform(0.0, 360.0),
+                                             beta1, beta1 + rng.uniform(10.0, 170.0))
+        yield params, geom, rng.uniform(5.0, 8.0)
+
+
+class TestCoincidenceBlock:
+    """The four channels of one amplitude set share one kept grid and (4, n) block."""
+
+    @pytest.mark.parametrize("params, geom, epsilon", BLOCK_HARD_CASES + list(block_draws()))
+    def test_every_channel_is_the_one_line_route_bit_for_bit(self, params, geom, epsilon):
+        omega0 = calculator(params).emission_line(epsilon)
+        caller = np.linspace(omega0 - 1.0, omega0 + 2.0, 301)
+        for grid_of in (lambda returned: None, lambda returned: returned,
+                        lambda returned: caller.copy()):
+            returned = None
+            for channel in CHANNELS:
+                grid = grid_of(returned)
+                series = xepecs_spectrum(params, geom, epsilon, channel, grid)
+                expected = one_line_route(params, geom, epsilon, channel,
+                                          default_emission_grid(omega0) if grid is None else grid)
+                assert series.channel == expected.channel == channel_label(channel)
+                assert series.grid.tobytes() == expected.grid.tobytes()
+                assert series.intensity.tobytes() == expected.intensity.tobytes()
+                returned = series.grid
+
+    def test_four_channels_build_the_block_once(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(spectra, "_check_width", builds.append)   # runs once per build
+        geom = EmissionGeometry.from_degrees(45.0, 10.0)
+        for grid_of in (lambda series: None, lambda series: series.grid):
+            calculator.cache_clear()
+            builds.clear()
+            first = xepecs_spectrum(PARAMS, geom, 6.5, CHANNELS[0])
+            rows = [xepecs_spectrum(PARAMS, geom, 6.5, ch, grid_of(first)) for ch in CHANNELS]
+            assert builds == [PARAMS.gamma]
+            assert all(row.grid is first.grid for row in rows)
+            assert all(row.intensity.base is first.intensity.base for row in rows)
+            assert first.intensity.base.shape == (4, 1201)
+
+    def test_returned_grid_and_intensity_are_read_only(self):
+        caller = np.linspace(5.0, 11.0, 601)
+        for grid in (None, caller):
+            series = xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, D1, grid)
+            for array in (series.grid, series.intensity):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        assert caller.flags.writeable and series.grid is not caller
+
+    def test_a_caller_grid_mutated_in_place_gives_the_new_profile(self):
+        geom = EmissionGeometry.from_degrees(45.0)
+        grid = np.linspace(5.0, 11.0, 601)
+        before = xepecs_spectrum(PARAMS, geom, 6.5, D1, grid)
+        grid += 0.25
+        after = xepecs_spectrum(PARAMS, geom, 6.5, D1, grid)
+        assert grid.flags.writeable
+        assert np.array_equal(after.grid, grid) and not np.array_equal(before.grid, grid)
+        expected = one_line_route(PARAMS, geom, 6.5, D1, grid)
+        assert after.intensity.tobytes() == expected.intensity.tobytes()
+        # a caller grid that equals the kept one is still a new array, and rebuilt
+        again = xepecs_spectrum(PARAMS, geom, 6.5, D1, grid.copy())
+        assert again.grid is not after.grid and np.array_equal(again.grid, after.grid)
+
+    def test_a_default_build_is_not_read_for_a_caller_grid_and_back(self):
+        geom = EmissionGeometry.from_degrees(45.0)
+        default = xepecs_spectrum(PARAMS, geom, 6.5, U2)
+        caller = np.linspace(6.0, 7.0, 11)
+        assert np.array_equal(xepecs_spectrum(PARAMS, geom, 6.5, U2, caller).grid, caller)
+        assert np.array_equal(xepecs_spectrum(PARAMS, geom, 6.5, U2).grid, default.grid)
+
+    @pytest.mark.parametrize("change", ["geometry", "epsilon", "cache_clear"])
+    def test_another_measurement_or_calculator_is_a_miss(self, monkeypatch, change):
+        builds = []
+        monkeypatch.setattr(spectra, "_check_width", builds.append)
+        geom, epsilon = EmissionGeometry.from_degrees(45.0), 6.5
+        first = xepecs_spectrum(PARAMS, geom, epsilon, D1)
+        if change == "geometry":
+            geom = EmissionGeometry.from_degrees(46.0)
+        elif change == "epsilon":
+            epsilon = 6.6
+        else:
+            calculator.cache_clear()
+        builds.clear()
+        second = xepecs_spectrum(PARAMS, geom, epsilon, D1, first.grid)
+        assert builds == [PARAMS.gamma]
+        expected = one_line_route(PARAMS, geom, epsilon, D1, first.grid)
+        assert second.intensity.tobytes() == expected.intensity.tobytes()
+
+    def test_an_unknown_channel_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, (Spin.UP, 3))
