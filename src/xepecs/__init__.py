@@ -10,7 +10,6 @@ from .model import (
     ModelParams,
     Subspace,
     SubspaceLabel,
-    diagonalize,
     intermediate_eigensystem,
     subspace,
 )
@@ -41,7 +40,7 @@ __all__ = [
     "HalfInt", "cg",
     "FockState", "Shell", "Spin", "SpinOrbital",
     "DomainError", "EigenSystem", "ModelParams", "Subspace", "SubspaceLabel",
-    "diagonalize", "intermediate_eigensystem", "subspace",
+    "intermediate_eigensystem", "subspace",
     "EmissionGeometry",
     "AmplitudeCalculator", "AmplitudeSet", "xepecs_amplitudes",
     "LineSpectrum", "SpectralLine", "SpectrumSeries",

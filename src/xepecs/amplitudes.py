@@ -66,9 +66,7 @@ from .model import (
     _fock_matrix,
     _ground,
     _read_only,
-    final_state_energy,
     ground_coupling_energy,
-    initial_energy,
     intermediate_eigensystem,
     intermediate_subspace,
     subspace,
@@ -173,7 +171,7 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The energies E_g, E_f and E'_g, the intermediate eigensystems, the
+    The ground coupling E'_g, the intermediate eigensystems, the
     photoemission line positions and elements, and the J = 1 down-spin
     positions and products of R(epsilon) are computed once, read-only, with
     no Fock-space operator (their work is cached per process). Per kinetic
@@ -188,12 +186,11 @@ class AmplitudeCalculator:
         self.params = params
         try:
             self.ground_coupling = ground_coupling_energy(params)   # E'_g
-            self.E_g = initial_energy(params, self.ground_coupling)
-            self.E_f = final_state_energy(params)
             self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
-            with np.errstate(over="ignore"):   # an overflow leaves an inf, reported below
+            # an overflow leaves an inf, and inf - inf a NaN, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
                 self.line_positions = {
                     sigma: _read_only(params.Omega + params.eps_s
                                       + (self.ground_coupling - eig.coupling_energies))

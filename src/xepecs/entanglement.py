@@ -29,7 +29,8 @@ columns follow from these in closed form, with no eigenvalue decomposition.
 Both routes name the inputs when a squared amplitude norm is not finite or is
 0, check the norm, and turn eigenvalues into bits the same way, by column.
 The state needs a polarization basis: for a pair of axes that is not
-orthogonal, a state, its density matrix and a sweep are a DomainError.
+orthogonal, ``EntangledState`` and a sweep are a DomainError, so no state,
+reduction or density matrix is formed over it.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _entropy_bits(columns):
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EntangledState:
     """Normalized coefficients over the (U1, U2, D1, D2) product basis: the (2, 2)
-    complex array coeffs[sigma, lambda - 1], stored as given, made read-only."""
+    complex array coeffs[sigma, lambda - 1], stored as given, made read-only. A
+    polarization pair that is not orthogonal is a DomainError naming both angles."""
 
     coeffs: np.ndarray
     epsilon: float | None
@@ -159,6 +161,7 @@ class EntangledState:
 
     def __post_init__(self):
         self.coeffs.flags.writeable = False
+        _check_orthogonal(self.geometry)
         _check_norm(np.sum(np.abs(self.coeffs) ** 2))
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
@@ -213,8 +216,8 @@ class EntropyCurve:
 def entangled_state(amps: AmplitudeSet) -> EntangledState:
     """Normalize the four coincidence amplitudes into a two-qubit state, scaled to
     a largest modulus of 1 first, so that a subnormal squared norm loses no digits.
-    A polarization pair that is not orthogonal is a DomainError naming both angles."""
-    _check_orthogonal(amps.geometry)
+    A polarization pair that is not orthogonal is a DomainError naming both angles
+    (from ``EntangledState``)."""
     values = amps.values
     with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
         _check_squared_norm(np.sum(values.real ** 2 + values.imag ** 2), amps.params, amps.epsilon)
@@ -228,9 +231,8 @@ def full_density_matrix(state: EntangledState) -> DensityMatrix:
     exactly Hermitian (numpy's complex products leave roundoff that is not),
     with the exact spectrum (0, 0, 0, 1) and no eigensolve: of ``DensityMatrix``'s
     checks only the trace can fail on it (the state's norm is held to 1e-12),
-    so only the trace is checked again. A polarization pair that is not
-    orthogonal is a DomainError naming both angles."""
-    _check_orthogonal(state.geometry)
+    so only the trace is checked again. The state holds an orthogonal
+    polarization pair."""
     v = state.vector()
     m = np.outer(v, v.conj())
     m = 0.5 * (m + m.conj().T)

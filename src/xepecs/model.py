@@ -1,4 +1,4 @@
-"""The two-shell (1s, 2p) atomic model: Hamiltonian blocks and eigensystems.
+"""The two-shell (1s, 2p) atomic model: its subspaces, couplings and levels.
 
     H = eps_s * n_1s + eps_p * n_2p + H',
     H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
@@ -14,16 +14,18 @@ shell with it.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
-So only H' is diagonalized, and an energy is the level energy
-eps_s n_1s + eps_p n_2p plus an eigenvalue of H'; H' is zero on the closed
-shell. H' commutes with J^2, so it is diagonalized in the coupled basis
+So the level energy eps_s n_1s + eps_p n_2p only shifts a whole subspace, and
+no level energy is formed here: the lines take eps_s and eps_p through exact
+occupation differences (see ``amplitudes``). Only H' is solved, and it is a
+scalar under rotations, so it commutes with J^2. In the coupled basis
 |((s_1s s_2p) S, l) J M> of each subspace, whose entries are products of two
-Clebsch-Gordan coefficients from the exact layer in ``angular``. The operator
-matrices and that basis are built once per process and subspace, so a
-parameter set costs a weighted sum of two matrices of at most 4 x 4 and a
-closed-form solve of each of its J blocks (at most 2 x 2, no LAPACK call),
-which gives every level an exact J. The ground state is the J = 1/2 column of
-the initial subspace.
+Clebsch-Gordan coefficients from the exact layer in ``angular``, l.s and
+S_1s . S_2p are real and block-diagonal in J: they are projected there and
+checked once per process and subspace. A parameter set then costs
+h = zeta l.s - 2 G S_1s . S_2p on at most 4 x 4 constants and one closed-form
+2 x 2 solve (no LAPACK call) per subspace, which gives every level an exact J.
+The ground state is the J = 1/2 column of the initial subspace, and E'_g its
+entry of h.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
-from math import atan2, copysign, cos, hypot, isfinite, sin, sqrt, tan
+from math import atan2, copysign, cos, sin, sqrt, tan
 
 import numpy as np
 
@@ -46,15 +48,12 @@ __all__ = [
     "EigenSystem",
     "subspace",
     "intermediate_subspace",
-    "diagonalize",
     "intermediate_eigensystem",
     "ground_coupling_energy",
-    "initial_energy",
-    "final_state_energy",
 ]
 
-_HERMITICITY_TOL = 1e-12
-_RESIDUAL_TOL = 1e-10
+# largest entry of a coupling operator allowed outside the J blocks of its subspace
+_BLOCK_TOL = 1e-10
 
 
 class DomainError(ValueError):
@@ -111,7 +110,6 @@ def _state(*orbs: SpinOrbital) -> FockState:
 
 _S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
 _S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
-_CLOSED_SHELL = _state(_S_UP, _S_DN)
 
 
 def _p(m: int, spin: Spin) -> SpinOrbital:
@@ -233,34 +231,13 @@ def _subspace_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_read_only(a[k]) for a in _configuration_operators(occupation))
 
 
-def _level_energy(params: ModelParams, state: FockState) -> float:
-    """eps_s n_1s + eps_p n_2p of ``state`` and of its whole subspace, or a
-    DomainError if it overflows. An empty shell's level energy plays no part."""
-    level = sum(e * n for e, n in zip((params.eps_s, params.eps_p), _occupation(state)) if n)
-    if not isfinite(level):
-        raise DomainError("level energy is not finite")
-    return level
-
-
-def _hamiltonian(params: ModelParams, sub: Subspace) -> np.ndarray:
-    """H' on ``sub`` from the cached coupling matrices; a DomainError if the sum
-    overflows."""
-    spin_orbit, exchange = _subspace_operators(sub.label)
-    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = params.zeta * spin_orbit - 2.0 * params.G * exchange
-    if not np.isfinite(H).all():
-        raise DomainError("Hamiltonian matrix is not finite")
-    return H
-
-
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenpairs of a subspace Hamiltonian, ascending: ``coupling_energies`` the
-    eigenvalues of the diagonalized matrix (for the model those of H', which
-    the subspace's level energy shifts to the levels); ``vectors[:, i]`` the
-    i-th eigenvector over the subspace basis and ``j_labels[i]`` the J of the
-    block it was found in. The phase of each vector is arbitrary."""
+    """The levels of H' on a subspace, ascending: ``coupling_energies`` the
+    eigenvalues of H' (the subspace's level energy shifts them to the
+    energies); ``vectors[:, i]`` the i-th eigenvector over the subspace basis
+    and ``j_labels[i]`` the J of the block it was found in. The phase of each
+    vector is arbitrary."""
 
     coupling_energies: np.ndarray
     vectors: np.ndarray
@@ -313,62 +290,72 @@ def _label_basis(label: SubspaceLabel) -> tuple[np.ndarray, tuple[HalfInt, ...],
     return _read_only(u), labels, pairs
 
 
+@cache
+def _coupled_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
+    """l.s and S_1s . S_2p in the (J, S) basis U of subspace ``label``: the real
+    matrices U^dag X U, built once and read-only. Both are checked there once:
+    a DomainError unless they are real and vanish outside the J blocks (to
+    1e-10), which only an operator that does not commute with J^2 fails. The
+    parameters only weight them, so no parameter set can fail the check."""
+    u, labels, _ = _label_basis(label)
+    twice_j = np.array([j.twice_value for j in labels])
+    outside = twice_j[:, None] != twice_j[None, :]
+    projected = []
+    for name, x in zip(("l.s", "S_1s . S_2p"), _subspace_operators(label)):
+        x = u.conj().T @ x @ u
+        if np.any(x.imag):
+            raise DomainError(f"{name} on {label.value} is not real in the (J, S) basis")
+        if not np.abs(x.real[outside]).max(initial=0.0) <= _BLOCK_TOL:
+            raise DomainError(f"{name} on {label.value} does not commute with J^2")
+        projected.append(_read_only(x.real.copy()))
+    return tuple(projected)
+
+
 def _block_eigenpairs(h: np.ndarray, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, in column order, and the unitary rotation of the J blocks of
-    a Hermitian h in a (J, S) basis, each 2 x 2 block [[p, b], [b*, r]] at the
-    columns of one of ``pairs``. A complex b is made real by a phase on the
-    second column. The Jacobi angle theta = atan2(b sgn(p - r), |p - r|) / 2
-    gives diag(p + b tan(theta), r - b tan(theta)): b = 0 keeps a block bit for
-    bit, and a subnormal b gives a subnormal angle. A non-finite value is left
-    to the caller's residual check."""
-    values = h.diagonal().real.copy()
-    rotation = np.eye(len(h), dtype=complex)
+    """Eigenvalues, in column order, and the rotation of the J blocks of a real
+    symmetric h in a (J, S) basis, each 2 x 2 block [[p, b], [b, r]] at the
+    columns (i, j) of one of ``pairs``, b read from h[i, j]. The Jacobi angle
+    theta = atan2(b sgn(p - r), |p - r|) / 2 gives
+    diag(p + b tan(theta), r - b tan(theta)): b = 0 keeps a block bit for bit,
+    and a subnormal b gives a subnormal angle."""
+    values = h.diagonal().copy()
+    rotation = np.eye(len(h))
     for i, j in pairs:   # at most one per subspace: Python floats beat size-1 arrays
-        p, r, b = float(values[i]), float(values[j]), complex(h[i, j])
-        phase = np.exp(-1j * np.angle(b)) if b.imag else 1.0
-        b = hypot(b.real, b.imag) if b.imag else b.real
+        p, r, b = float(values[i]), float(values[j]), float(h[i, j])
         half = 0.5 * p - 0.5 * r   # overflows no sooner than p or r
         angle = 0.5 * atan2(copysign(1.0, half) * b, abs(half))
         shift = b * tan(angle)
         values[i], values[j] = p + shift, r - shift
         rotation[i, i], rotation[i, j] = cos(angle), -sin(angle)
-        rotation[j, i], rotation[j, j] = phase * sin(angle), phase * cos(angle)
+        rotation[j, i], rotation[j, j] = sin(angle), cos(angle)
     return values, rotation
 
 
-def diagonalize(H: np.ndarray, sub: Subspace) -> EigenSystem:
-    """Eigendecomposition of a Hermitian subspace Hamiltonian that commutes
-    with J^2: each J block of H in the (J, S) basis of the subspace, at most
-    2 x 2, is solved on its own in closed form, so every label is exact. The
-    pairs are sorted by energy, stably: energies that are equal as floats stay
-    in ascending (J, S) order. Levels degenerate only in exact arithmetic
-    (G = 0 or zeta = 0) can differ by an ulp, and then their order follows
-    roundoff. The eigen-residual is checked relative to max(1, max|H|); a
-    matrix that does not commute with J^2 fails it.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (sub.dim, sub.dim):
-        raise ValueError("matrix does not match the subspace dimension")
-    if not np.isfinite(H).all():
+def _eigensystem(params: ModelParams, label: SubspaceLabel) -> EigenSystem:
+    """The levels of H' on subspace ``label``, one rule for every subspace:
+    h = zeta l.s - 2 G S_1s . S_2p on the constants of ``_coupled_operators``,
+    each J block solved in closed form, the pairs sorted by energy, stably
+    (energies equal as floats stay in ascending (J, S) order; levels
+    degenerate only in exact arithmetic, at G = 0 or zeta = 0, can differ by
+    an ulp and then follow roundoff), and the vectors U times the rotation. A
+    DomainError if h overflows; a level beyond the float range comes out as
+    +/-inf, which the calculator's line positions report."""
+    spin_orbit, exchange = _coupled_operators(label)
+    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = params.zeta * spin_orbit - 2.0 * params.G * exchange
+    if not np.isfinite(h).all():
         raise DomainError("Hamiltonian matrix is not finite")
-    if np.abs(H - H.conj().T).max() > _HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-
-    u, labels, pairs = _label_basis(sub.label)
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite pair fails the residual
-        w, rotation = _block_eigenpairs(u.conj().T @ H @ u, pairs)
-        order = np.argsort(w, kind="stable")
-        w, v = w[order], u @ rotation[:, order]
-        residual = np.abs(H @ v - v * w[np.newaxis, :]).max()
-    if not residual <= _RESIDUAL_TOL * max(1.0, float(np.abs(H).max())):
-        raise DomainError(f"eigenvector residual {residual:.3e} too large")
-    return EigenSystem(_read_only(w), _read_only(v), tuple(labels[i] for i in order), sub)
+    u, labels, pairs = _label_basis(label)
+    w, rotation = _block_eigenpairs(h, pairs)
+    order = np.argsort(w, kind="stable")
+    return EigenSystem(_read_only(w[order]), _read_only(u @ rotation[:, order]),
+                       tuple(labels[i] for i in order), subspace(label))
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
-    """H' diagonalized on the intermediate subspace."""
-    sub = intermediate_subspace(photoelectron_spin)
-    return diagonalize(_hamiltonian(params, sub), sub)
+    """The levels of H' on the intermediate subspace of the photoelectron spin."""
+    return _eigensystem(params, intermediate_subspace(photoelectron_spin).label)
 
 
 def _ground() -> np.ndarray:
@@ -380,26 +367,7 @@ def _ground() -> np.ndarray:
 
 
 def ground_coupling_energy(params: ModelParams) -> float:
-    """E'_g = <g| H' |g>, with g verified to be an eigenvector of H' on the
-    initial subspace, relative to max(1, |G|, |zeta|)."""
-    c = _ground()
-    hc = _hamiltonian(params, subspace(SubspaceLabel.INITIAL)) @ c
-    energy = float((c.conj() @ hc).real)
-    residual = np.linalg.norm((hc - energy * c) / max(1.0, abs(params.G), abs(params.zeta)))
-    if not residual <= _RESIDUAL_TOL:
-        raise DomainError("initial state is not an eigenvector of the Hamiltonian")
-    return energy
-
-
-def initial_energy(params: ModelParams, coupling: float) -> float:
-    """E_g = 2 eps_s + eps_p + E'_g from E'_g = ``coupling``; it must be finite."""
-    energy = _level_energy(params, _BASES[SubspaceLabel.INITIAL][0]) + coupling
-    if not isfinite(energy):
-        raise DomainError("initial-state energy is not finite")
-    return energy
-
-
-def final_state_energy(params: ModelParams) -> float:
-    """Energy of the closed-shell electron final state, <1s^2| H |1s^2>: its
-    level energy, since H' vanishes there."""
-    return _level_energy(params, _CLOSED_SHELL)
+    """E'_g, the J = 1/2 level of H' on the initial subspace, whose one vector
+    is ``_ground()``."""
+    eig = _eigensystem(params, SubspaceLabel.INITIAL)
+    return float(eig.coupling_energies[eig.j_labels.index(HalfInt(1))])

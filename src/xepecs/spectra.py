@@ -11,7 +11,8 @@ either side of its line. A model or kinetic energy that puts a line where
 double precision cannot resolve that step (beyond about 3.5e13 eV), or that
 sums an energy that large into a line position, is a domain error naming the
 inputs, not a collapsed grid, a multiplet rounded away or an overflowing
-Lorentzian.
+Lorentzian. The coincidence spectrum checks the down-spin photoemission lines
+too: its resonance R(epsilon) sums their J = 1 members.
 """
 
 from __future__ import annotations
@@ -95,13 +96,20 @@ def _check_resolution(params: ModelParams, energies, epsilon: float | None = Non
                               f"the {_GRID_STEP} eV resolution of the spectrum grids")
 
 
+def _check_lines(params: ModelParams, calc, sigma: Spin, epsilon: float | None = None) -> None:
+    """``_check_resolution`` of the photoemission lines of spin ``sigma`` in
+    ``calc`` and of every term summed into them: Omega, eps_s, E'_g, the E'_i."""
+    _check_resolution(params, [*calc.line_positions[sigma], params.Omega, params.eps_s,
+                               calc.ground_coupling, *calc.eigensystems[sigma].coupling_energies],
+                      epsilon)
+
+
 def _xps_arrays(params: ModelParams, sigma: Spin):
     """Positions, weights and J labels of one spin's lines (see ``xps_lines``), checked."""
     calc = calculator(params)
-    eig = calc.eigensystems[sigma]
-    _check_resolution(params, [*calc.line_positions[sigma], params.Omega, params.eps_s,
-                               calc.ground_coupling, *eig.coupling_energies])
-    return calc.line_positions[sigma], np.abs(calc.pe_elements[sigma]) ** 2, eig.j_labels
+    _check_lines(params, calc, sigma)
+    return (calc.line_positions[sigma], np.abs(calc.pe_elements[sigma]) ** 2,
+            calc.eigensystems[sigma].j_labels)
 
 
 def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
@@ -166,6 +174,7 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     omega0 = calc.emission_line(epsilon)
     _check_resolution(params, [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon],
                       epsilon)
+    _check_lines(params, calc, Spin.DOWN, epsilon)   # R(epsilon) sums its J = 1 lines
     slot = calc._block_slot   # (amplitude set, built on the default grid, grid, block)
     if slot[0] is not amps or not (slot[1] if grid is None else grid is slot[2]):
         weights = np.array([abs(amps[ch]) ** 2 for ch in CHANNELS])

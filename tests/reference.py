@@ -1,9 +1,10 @@
 """Independent routes the tests hold the package to, which the package does not
 need: a sparse vector algebra (``ManyBodyVector``, amplitudes keyed by basis
 state) and with it the package's one-body Fock matrices and ground state, and
-the model operators one basis vector at a time; the Hamiltonian with its level
-energy, and the initial state with E_g; the eigendecomposition of each J block
-by LAPACK (``np.linalg.eigh``); a full register of the 8 orbitals, two
+the model operators one basis vector at a time; the Hamiltonian H' over the
+basis states and with its level energy, and the initial state with E_g; the
+eigendecomposition of each J block by LAPACK (``np.linalg.eigh``), the route
+for any H that commutes with J^2; a full register of the 8 orbitals, two
 photoelectron modes and three photon counts with one fermionic sign rule, and
 through it the electron creation and annihilation operators, the
 photon-emission operator for any polarization pair, the emission rows, and the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from math import cos, factorial, pi, radians, sin, sqrt
+from math import cos, factorial, isfinite, pi, radians, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,8 @@ from xepecs.angular import HalfInt, _triangle, _valid_pair
 from xepecs.entanglement import EntangledState, _spin_invariants
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 from xepecs.model import (
-    SubspaceLabel, _ground, _hamiltonian, _label_basis, _level_energy, ground_coupling_energy,
-    initial_energy, intermediate_subspace, subspace,
+    DomainError, SubspaceLabel, _ground, _label_basis, _occupation, _subspace_operators,
+    ground_coupling_energy, intermediate_subspace, subspace,
 )
 from xepecs.polarization import alpha_components
 
@@ -216,11 +217,31 @@ def block_eigh(H, sub):
     return w[order], v[:, order], tuple(labels[i] for i in order)
 
 
+def level_energy(params, state):
+    """eps_s n_1s + eps_p n_2p of ``state`` and of its whole subspace, or a
+    DomainError if it overflows. An empty shell's level energy plays no part."""
+    level = sum(e * n for e, n in zip((params.eps_s, params.eps_p), _occupation(state)) if n)
+    if not isfinite(level):
+        raise DomainError("level energy is not finite")
+    return level
+
+
+def coupling_hamiltonian(params, sub):
+    """H' = zeta l.s - 2 G S_1s . S_2p over the basis states of ``sub``, from the
+    package's cached coupling matrices; a DomainError if the sum overflows."""
+    spin_orbit, exchange = _subspace_operators(sub.label)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        H = params.zeta * spin_orbit - 2.0 * params.G * exchange
+    if not np.isfinite(H).all():
+        raise DomainError("Hamiltonian matrix is not finite")
+    return H
+
+
 def build_hamiltonian(params, sub):
     """H' plus the level energy of ``sub`` on the diagonal; a DomainError if the
     level energy or H' overflows."""
-    level = _level_energy(params, sub.basis[0])
-    return _hamiltonian(params, sub) + level * np.eye(sub.dim)
+    level = level_energy(params, sub.basis[0])
+    return coupling_hamiltonian(params, sub) + level * np.eye(sub.dim)
 
 
 def ground_state():
@@ -230,8 +251,10 @@ def ground_state():
 
 
 def initial_state(params):
-    """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy E_g."""
-    return ground_state(), initial_energy(params, ground_coupling_energy(params))
+    """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy
+    E_g = 2 eps_s + eps_p + E'_g."""
+    initial = subspace(SubspaceLabel.INITIAL).basis[0]
+    return ground_state(), level_energy(params, initial) + ground_coupling_energy(params)
 
 
 def closed_shell():

@@ -12,7 +12,8 @@ from xepecs.fockspace import Spin, ladder
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
-    diagonalize,
+    _ground,
+    intermediate_eigensystem,
     subspace,
 )
 from xepecs.polarization import EmissionGeometry
@@ -26,7 +27,7 @@ from xepecs.entanglement import (
 )
 from xepecs.spectra import xepecs_spectrum, xps_lines
 
-from reference import alpha_coeffs, build_hamiltonian, closed_form_state, model_operators
+from reference import alpha_coeffs, closed_form_state, coupling_hamiltonian, model_operators
 
 PARAMS = ModelParams()
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
@@ -174,7 +175,7 @@ def test_criterion_09_polarization_basis_invariance(calc):
            worst < 1e-10)
 
 
-def test_criterion_10_algebraic_substrate():
+def test_criterion_10_algebraic_substrate(calc):
     # Clebsch-Gordan orthonormality and sign-flip symmetry, j1, j2 <= 2; every
     # j and m as twice its value, m running over -j, -j + 1, ..., j
     cg_ok = True
@@ -214,13 +215,17 @@ def test_criterion_10_algebraic_substrate():
     fermi_ok = all(np.array_equal(c[a] @ c[b].T + c[b].T @ c[a], np.eye(256) * (a == b))
                    for a in range(8) for b in range(8))
 
-    # eigen-residuals and [J^2, H] = 0 on every subspace
+    # eigen-residuals of the levels (the intermediate eigensystems, and the ground
+    # state with E'_g) and [J^2, H] = 0 on every subspace
+    levels = {SubspaceLabel.INITIAL: (_ground()[:, None], np.array([calc.ground_coupling]))}
+    for sigma in Spin:
+        eig = intermediate_eigensystem(PARAMS, sigma)
+        levels[eig.subspace.label] = (eig.vectors, eig.coupling_energies)
     eigen_ok = True
-    for label in SubspaceLabel:
+    for label, (vectors, coupling_energies) in levels.items():
         sub = subspace(label)
-        H = build_hamiltonian(PARAMS, sub)
-        eig = diagonalize(H, sub)
-        residual = np.max(np.abs(H @ eig.vectors - eig.vectors * eig.coupling_energies))
+        H = coupling_hamiltonian(PARAMS, sub)
+        residual = np.max(np.abs(H @ vectors - vectors * coupling_energies))
         jsq = model_operators(sub)[2]
         commutator = np.max(np.abs(H @ jsq - jsq @ H))
         eigen_ok &= residual < 1e-10 and commutator < 1e-10

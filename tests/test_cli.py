@@ -374,6 +374,37 @@ class TestLinesBeyondGridResolution:
         assert result.stderr.startswith("domain error: ModelParams(")
         assert "Omega=1e+308" in result.stderr and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("eps_s", ["1e20", "-1e20", "-1e14", "1e308", "-1e308", "9e307"])
+    def test_the_coincidence_spectrum_checks_the_lines_of_its_resonance(
+            self, tmp_path, monkeypatch, capsys, eps_s):
+        # R(epsilon) sums over the J = 1 lines at Omega + eps_s + E'_g - E'_i:
+        # eps_s = 1e20 once exited 0 with intensities of about 4e-42, where xps
+        # exits 3
+        argv = ["xepecs", "--epsilon", "6.5",
+                "--config", self.config(tmp_path, f'{{"eps_s": {eps_s}}}')]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and err.count("\n") == 1
+        assert f"eps_s={float(eps_s)!r}" in err and "epsilon=6.5:" in err
+        assert "resolution of the spectrum grids" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("text", ['{"eps_s": 1e308}', '{"eps_s": -1e308}', '{"eps_s": 9e307}',
+                                      '{"eps_s": 1e308, "eps_p": 1e308}',
+                                      '{"eps_s": -1.7e308, "eps_p": -1.7e308}'])
+    @pytest.mark.parametrize("command", ["xps", "xepecs", "rho", "entropy"])
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "6.5"]])
+    def test_level_energies_beyond_the_float_range_exit_3(self, tmp_path, monkeypatch, capsys,
+                                                          text, command, epsilon):
+        # these once ended in "level energy is not finite" from the model build;
+        # the level energies are never formed now, and the lines catch them
+        argv = [command, *epsilon, "--config", self.config(tmp_path, text)]
+        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("domain error: ModelParams(") and err.count("\n") == 1
+        assert f"eps_s={float(json.loads(text)['eps_s'])!r}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
 
 class TestLevelEnergyOutsideTheLines:
     """eps_p enters no photoemission line or resonance, so xps, rho and entropy
@@ -540,13 +571,6 @@ class TestSweepEnd:
         _, data = read_csv(tmp_path / "entropy.csv")
         assert data.shape == (1798, 2)
         assert data[-1, 0] == 180.0 and abs(data[-1, 1]) <= 1e-12
-
-    def test_overflowing_ground_energy_exits_3(self, tmp_path, monkeypatch, capsys):
-        argv = ["xepecs", "--theta", "45", "--epsilon", "6.5",
-                "--config", self.config(tmp_path, '{"eps_s": 1e308}')]
-        code, err = self.main(argv, tmp_path, monkeypatch, capsys)
-        assert code == 3
-        assert err.startswith("domain error: ModelParams(") and "eps_s=1e+308" in err
 
 
 class TestDenseSweep:

@@ -244,7 +244,7 @@ class TestParameterLinearModel:
                 monkeypatch.setattr(module, "ladder", counted)
         calc = AmplitudeCalculator(ModelParams(G=0.42, zeta=0.17, eps_s=-12.5, eps_p=-4.5))
         assert calls == []
-        assert calc.E_f == 2 * -12.5
+        assert calc.ground_coupling == pytest.approx(-0.17, abs=1e-16)
         # the counter does see Fock-space work that is not cached
         model._configuration_operators.cache_clear()
         model._configuration_operators((1, 1))
@@ -256,6 +256,7 @@ class TestParameterLinearModel:
         for label in SubspaceLabel:
             sub = subspace(label)
             arrays += list(model._subspace_operators(label))
+            arrays += list(model._coupled_operators(label))
             arrays += list(model._configuration_operators(model._occupation(sub.basis[0])))
             arrays.append(model._label_basis(label)[0])
         arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
@@ -263,36 +264,40 @@ class TestParameterLinearModel:
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
 
-    @pytest.mark.parametrize("params", [ModelParams(G=1e308),
-                                        ModelParams(eps_s=1e308, eps_p=1e308)])
-    @pytest.mark.parametrize("label", list(SubspaceLabel))
+    @pytest.mark.parametrize("params,label", [
+        # 2G overflows: inf (M0, M1) and inf * 0 = NaN (INITIAL, where S_1s . S_2p is 0)
+        *[(ModelParams(G=1e308), label) for label in SubspaceLabel],
+        # 2G is finite, but the J = 0 entry -zeta - G/2 of M0 overflows
+        (ModelParams(zeta=1.7e308, G=0.85e308), SubspaceLabel.M0),
+    ])
     def test_overflowing_sum_is_a_domain_error_without_warnings(self, params, label):
         # runtime warnings are errors in this suite, so a numpy warning fails here
-        sub = subspace(label)
-        with pytest.raises(DomainError, match="not finite"):
-            model._level_energy(params, sub.basis[0])
-            model._hamiltonian(params, sub)
+        with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
+            model._eigensystem(params, label)
 
-class TestGroundEnergyOnce:
-    def test_one_ground_coupling_evaluation_per_calculator(self, monkeypatch):
-        # E'_g is the only use of H' on the initial subspace
+    @pytest.mark.parametrize("label", [SubspaceLabel.INITIAL, SubspaceLabel.M1])
+    def test_a_sum_that_stays_in_range_is_solved(self, label):
+        # the set that overflows M0 above leaves every entry of these finite
+        eig = model._eigensystem(ModelParams(zeta=1.7e308, G=0.85e308), label)
+        assert np.isfinite(eig.vectors).all()
+
+
+class TestLevelsOnce:
+    def test_one_solve_per_subspace_and_calculator(self, monkeypatch):
+        # E'_g is the only use of H' on the initial subspace; each intermediate
+        # subspace is solved on its own, once
         AmplitudeCalculator(ModelParams())
         built = []
-        original = model._hamiltonian
+        original = model._eigensystem
 
-        def counted(params, sub):
-            built.append(sub.label)
-            return original(params, sub)
+        def counted(params, label):
+            built.append(label)
+            return original(params, label)
 
-        monkeypatch.setattr(model, "_hamiltonian", counted)
+        monkeypatch.setattr(model, "_eigensystem", counted)
         calc = AmplitudeCalculator(ModelParams(G=0.21, zeta=0.13))
-        assert built.count(SubspaceLabel.INITIAL) == 1
-        assert calc.ground_coupling == pytest.approx(-0.13, abs=1e-15)
-        assert calc.E_g == 2 * -13.6 + -5.0 + calc.ground_coupling
-
-    def test_initial_energy_must_be_finite(self):
-        with pytest.raises(model.DomainError, match="initial-state energy is not finite"):
-            model.initial_energy(ModelParams(eps_s=0.0, eps_p=1.7e308), 1e307)
+        assert sorted(x.value for x in built) == sorted(x.value for x in SubspaceLabel)
+        assert calc.ground_coupling == pytest.approx(-0.13, abs=1e-16)
 
 
 class TestNearlyDegenerateLevels:

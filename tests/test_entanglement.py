@@ -345,13 +345,16 @@ class TestOrthogonalPolarizationPair:
                                               "beta2=2.0943951023931953 rad"):
             entropy_sweep(PARAMS, self.NOT_ORTHOGONAL, [0, 45, 90], 6.5)
 
-    def test_a_state_and_its_density_matrix_refuse_the_pair(self, calc):
+    def test_a_state_refuses_the_pair(self, calc):
         with pytest.raises(DomainError, match="not orthogonal"):
             entangled_state(calc.amplitudes(self.NOT_ORTHOGONAL, 6.5))
-        made = EntangledState(np.array([[0.0, 1.0], [1.0j, 0.0]]) / math.sqrt(2.0), 6.5,
-                              self.NOT_ORTHOGONAL)
-        with pytest.raises(DomainError, match="not orthogonal"):
-            full_density_matrix(made)
+
+    def test_a_state_built_directly_refuses_the_pair(self):
+        # it once constructed, and reduce_to_spin of it reported 1.0 bit
+        coeffs = np.array([[0.0, 1.0], [1.0j, 0.0]]) / math.sqrt(2.0)
+        with pytest.raises(DomainError, match="beta1=1.5707963267948966 and "
+                                              "beta2=2.0943951023931953 rad"):
+            EntangledState(coeffs, 6.5, self.NOT_ORTHOGONAL)
 
     @pytest.mark.parametrize("beta1, beta2", [(90.0, 180.0), (30.0, 120.0), (200.0, -70.0),
                                               (10.0, 280.0)])

@@ -1,4 +1,4 @@
-"""Hamiltonian blocks, eigensystems and the coupled-basis labels."""
+"""Hamiltonian blocks, the levels from per-J constants and the coupled-basis labels."""
 
 import math
 from fractions import Fraction
@@ -13,13 +13,12 @@ from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
-    diagonalize,
     intermediate_eigensystem,
     subspace,
 )
 
 import reference
-from reference import basis_vector, build_hamiltonian, initial_state, inner
+from reference import basis_vector, build_hamiltonian, coupling_hamiltonian, initial_state, inner
 
 RELATIVE = ModelParams(G=0.3, zeta=0.1, eps_s=0.0, eps_p=0.0)
 TABLE = ModelParams()
@@ -188,7 +187,7 @@ class TestOneBodyOperators:
             model._fock_matrix(model._angular_momentum(Shell.P2P, True)[1], row)
 
 
-class TestDiagonalize:
+class TestLevels:
     def test_j_labels(self):
         up = intermediate_eigensystem(TABLE, Spin.UP)
         down = intermediate_eigensystem(TABLE, Spin.DOWN)
@@ -213,24 +212,24 @@ class TestDiagonalize:
         assert by_j[0.0] == pytest.approx(-G / 2 - zeta, abs=1e-12)
         assert by_j[2.0] == pytest.approx(-G / 2 + zeta / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("label", list(SubspaceLabel))
-    def test_residuals_unitarity_trace(self, label):
-        sub = subspace(label)
-        H = build_hamiltonian(TABLE, sub)
-        eig = diagonalize(H, sub)
+    @pytest.mark.parametrize("spin", list(Spin))
+    def test_residuals_unitarity_trace(self, spin):
+        eig = intermediate_eigensystem(TABLE, spin)
+        H = coupling_hamiltonian(TABLE, eig.subspace)
         v = eig.vectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(sub.dim))) < 1e-10
+        assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) < 1e-10
         w = eig.coupling_energies
         assert np.max(np.abs(H @ v - v * w[np.newaxis, :])) < 1e-10
         assert np.trace(H).real == pytest.approx(float(np.sum(w)), abs=1e-10)
         assert list(w) == sorted(w)
 
-    def test_non_hermitian_rejected(self):
-        sub = subspace(SubspaceLabel.M1)
-        H = build_hamiltonian(TABLE, sub).copy()
-        H[0, 1] += 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
-            diagonalize(H, sub)
+    def test_ground_residual(self):
+        # E'_g is the J = 1/2 level, and the ground state its vector
+        g = model._ground()
+        H = coupling_hamiltonian(TABLE, subspace(SubspaceLabel.INITIAL))
+        energy = model.ground_coupling_energy(TABLE)
+        assert np.max(np.abs(H @ g - energy * g)) < 1e-15
+        assert energy == pytest.approx(-TABLE.zeta, abs=1e-16)
 
     def test_no_spin_mixing_without_spin_orbit(self):
         # zeta = 0: eigenvectors carry sharp total-spin labels
@@ -271,13 +270,13 @@ class TestInitialState:
 
     def test_is_lowest_initial_subspace_eigenvector(self):
         sub = subspace(SubspaceLabel.INITIAL)
-        eig = diagonalize(build_hamiltonian(TABLE, sub), sub)
-        assert [float(j) for j in eig.j_labels] == [0.5, 1.5]
+        energies, vectors, labels = reference.block_eigh(build_hamiltonian(TABLE, sub), sub)
+        assert [float(j) for j in labels] == [0.5, 1.5]
         g, energy = initial_state(TABLE)
-        assert energy == pytest.approx(float(eig.coupling_energies[0]), abs=1e-12)
+        assert energy == pytest.approx(float(energies[0]), abs=1e-12)
         # overlap of the stated vector with the j = 1/2 eigenvector is unital
         comps = np.array([inner(basis_vector(b), g) for b in sub.basis])
-        assert abs(eig.vectors[:, 0].conj() @ comps) == pytest.approx(1.0, abs=1e-12)
+        assert abs(vectors[:, 0].conj() @ comps) == pytest.approx(1.0, abs=1e-12)
 
     def test_angular_momentum_quantum_numbers(self):
         sub = subspace(SubspaceLabel.INITIAL)
@@ -329,15 +328,15 @@ class TestOffsetFreeHamiltonian:
 
     def test_closed_shell_has_occupations_2_0_and_no_coupling(self):
         closed = reference.closed_shell()
-        assert list(closed.states()) == [model._CLOSED_SHELL]
-        assert model._occupation(model._CLOSED_SHELL) == (2, 0)
+        filled = FockState(model._SHELL_MASK[Shell.S1S])
+        assert list(closed.states()) == [filled]
+        assert model._occupation(filled) == (2, 0)
         for apply in (reference.apply_spin_orbit, reference.apply_exchange):
             assert len(apply(closed)) == 0
         row = model._configuration((2, 0))
         operators = model._configuration_operators((2, 0))
-        assert list(row) == [model._CLOSED_SHELL]
+        assert list(row) == [filled]
         assert np.array_equal(operators[0], [[0.0]]) and np.array_equal(operators[1], [[0.0]])
-        assert model.final_state_energy(TABLE) == 2 * TABLE.eps_s
 
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
         eig = intermediate_eigensystem(TABLE, Spin.UP)
@@ -358,7 +357,7 @@ class TestOffsetFreeHamiltonian:
 
 
 class TestJBlocks:
-    """diagonalize works one J block at a time in a parameter-free (J, S) basis."""
+    """The levels come one J block at a time from a parameter-free (J, S) basis."""
 
     # the (J, S) of each column of the basis, ascending
     COUPLED = [(SubspaceLabel.INITIAL, [(0.5, 0.5), (1.5, 0.5)]),
@@ -418,15 +417,71 @@ class TestJBlocks:
             intermediate_eigensystem(params, Spin.UP)
         assert model._label_basis.cache_info().misses == misses
 
-    def test_matrix_not_commuting_with_j_squared_is_rejected(self):
-        sub = subspace(SubspaceLabel.M0)
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        H = a + a.conj().T
+    @staticmethod
+    def patch_spin_orbit(monkeypatch, label, operator):
+        """``operator`` in place of l.s on subspace ``label``; the caller clears
+        the projected constants again when done."""
+        original = model._subspace_operators
+
+        def patched(which):
+            spin_orbit, exchange = original(which)
+            return (operator, exchange) if which is label else (spin_orbit, exchange)
+
+        monkeypatch.setattr(model, "_subspace_operators", patched)
+        model._coupled_operators.cache_clear()
+
+    @pytest.mark.parametrize("label", list(SubspaceLabel))
+    def test_an_operator_not_commuting_with_j_squared_is_rejected(self, monkeypatch, label):
+        # a random real symmetric matrix in place of l.s: real in the (J, S)
+        # basis, but not block-diagonal in J
+        sub = subspace(label)
+        a = np.random.default_rng(7).normal(size=(sub.dim, sub.dim))
+        H = (a + a.T).astype(complex)
         jsq = angular_operators(sub)[0]
         assert np.max(np.abs(H @ jsq - jsq @ H)) > 0.1
-        with pytest.raises(model.DomainError, match="residual"):
-            diagonalize(H, sub)
+        self.patch_spin_orbit(monkeypatch, label, H)
+        try:
+            with pytest.raises(model.DomainError, match="l.s on .* does not commute with J\\^2"):
+                model._coupled_operators(label)
+            call = (model.ground_coupling_energy if label is SubspaceLabel.INITIAL else
+                    lambda p: intermediate_eigensystem(p, Spin.UP if label is SubspaceLabel.M0
+                                                       else Spin.DOWN))
+            for params in (TABLE, ModelParams(G=0.0, zeta=0.0)):   # every parameter set
+                with pytest.raises(model.DomainError, match="does not commute"):
+                    call(params)
+            with pytest.raises(model.DomainError, match="^ModelParams\\(.*does not commute"):
+                AmplitudeCalculator(ModelParams(G=0.21))
+        finally:
+            model._coupled_operators.cache_clear()
+
+    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
+    def test_an_operator_complex_in_the_coupled_basis_is_rejected(self, monkeypatch, label):
+        # U h U^dag with h Hermitian and block-diagonal in J, its 2 x 2 block
+        # complex: it commutes with J^2, but a real weight gives no real block
+        sub = subspace(label)
+        u, _, ((i, j),) = model._label_basis(label)
+        h = np.diag([0.3, -0.1, 0.2, 0.5][:sub.dim]).astype(complex)
+        h[i, j] = 0.2 * np.exp(0.7j)
+        h[j, i] = h[i, j].conjugate()
+        self.patch_spin_orbit(monkeypatch, label, u @ h @ u.conj().T)
+        try:
+            with pytest.raises(model.DomainError, match="l.s on .* is not real"):
+                model._coupled_operators(label)
+        finally:
+            model._coupled_operators.cache_clear()
+
+    def test_the_projected_constants_are_real_block_diagonal_and_read_only(self):
+        for label in SubspaceLabel:
+            u, labels, _ = model._label_basis(label)
+            twice_j = np.array([j.twice_value for j in labels])
+            outside = twice_j[:, None] != twice_j[None, :]
+            for ours, theirs in zip(model._coupled_operators(label),
+                                    model._subspace_operators(label)):
+                assert ours.dtype == np.float64
+                assert np.max(np.abs(ours - (u.conj().T @ theirs @ u))) <= 1e-15
+                assert np.max(np.abs(ours[outside]), initial=0.0) <= 1e-15
+                with pytest.raises(ValueError):
+                    ours[0, 0] = 1.0
 
     def test_equal_energies_stay_in_ascending_j(self):
         for spin, js in ((Spin.UP, [0.0, 1.0, 1.0, 2.0]), (Spin.DOWN, [1.0, 1.0, 2.0])):
@@ -464,16 +519,19 @@ class TestClosedFormBlocks:
 
     @staticmethod
     def eigensystems(params):
-        """(H', closed form) on every subspace: H' without its level energy."""
-        relative = ModelParams(G=params.G, zeta=params.zeta, eps_s=0.0, eps_p=0.0)
-        for label in SubspaceLabel:
-            sub = subspace(label)
-            H = build_hamiltonian(relative, sub)
-            if label is SubspaceLabel.INITIAL:
-                yield H, diagonalize(H, sub)
-            else:
-                yield H, intermediate_eigensystem(relative, Spin.UP if label is SubspaceLabel.M0
-                                                  else Spin.DOWN)
+        """(H', closed form) on each intermediate subspace."""
+        for spin in Spin:
+            eig = intermediate_eigensystem(params, spin)
+            yield coupling_hamiltonian(params, eig.subspace), eig
+
+    @staticmethod
+    def assert_the_ground_matches_the_per_block_eigh(params):
+        sub = subspace(SubspaceLabel.INITIAL)
+        H = coupling_hamiltonian(params, sub)
+        energies, _, labels = reference.block_eigh(H, sub)
+        scale = max(1.0, np.max(np.abs(H)))
+        (theirs,) = [e for e, j in zip(energies, labels) if j == HalfInt.of(0.5)]
+        assert abs(model.ground_coupling_energy(params) - theirs) <= 1e-15 * scale
 
     @staticmethod
     def assert_matches_the_per_block_eigh(H, eig):
@@ -488,24 +546,7 @@ class TestClosedFormBlocks:
     def test_equals_the_per_block_eigh(self, params):
         for H, eig in self.eigensystems(params):
             self.assert_matches_the_per_block_eigh(H, eig)
-
-    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
-    def test_complex_hermitian_blocks(self, label):
-        # H = U h U^dag with h Hermitian and block diagonal in J, its 2 x 2
-        # blocks complex: H commutes with J^2 but is not real in the (J, S) basis
-        sub = subspace(label)
-        u, _, pairs = model._label_basis(label)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            h = np.diag(rng.normal(size=sub.dim)).astype(complex)
-            for i, j in pairs:
-                h[i, j] = rng.normal() * np.exp(2j * np.pi * rng.uniform())
-                h[j, i] = h[i, j].conjugate()
-            H = u @ h @ u.conj().T
-            H = (H + H.conj().T) / 2
-            eig = diagonalize(H, sub)
-            self.assert_matches_the_per_block_eigh(H, eig)
-            assert np.max(np.abs(eig.coupling_energies - np.linalg.eigvalsh(H))) <= 1e-14
+        self.assert_the_ground_matches_the_per_block_eigh(params)
 
     @pytest.mark.parametrize("params", HAZARDS)
     def test_degenerate_zero_and_subnormal_blocks(self, params):
@@ -521,34 +562,31 @@ class TestClosedFormBlocks:
             assert np.all(np.isfinite(v))
             assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) <= 1e-15
             assert np.max(np.abs(H @ v - v * eig.coupling_energies)) <= 1e-15
+        self.assert_the_ground_matches_the_per_block_eigh(params)
 
     def test_a_zero_off_diagonal_leaves_the_block_as_it_is(self):
-        # G = 1, zeta = 0: the J = 1 block of U^dag H' U is diagonal, its larger
-        # entry first on the up-spin side; the solve keeps it bit for bit
+        # G = 1, zeta = 0: the J = 1 block of the projected H' is diagonal, its
+        # larger entry first on the up-spin side; the solve keeps it bit for bit
         sub = subspace(SubspaceLabel.M0)
-        u, _, pairs = model._label_basis(SubspaceLabel.M0)
-        h = u.conj().T @ build_hamiltonian(ModelParams(G=1.0, zeta=0.0, eps_s=0.0, eps_p=0.0),
-                                           sub) @ u
+        _, pairs = model._label_basis(SubspaceLabel.M0)[1:]
+        h = -2.0 * model._coupled_operators(SubspaceLabel.M0)[1]
         ((i, j),) = pairs
-        assert h[i, j] == 0.0 and h[i, i].real > h[j, j].real
+        assert h[i, j] == 0.0 and h[i, i] > h[j, j]
         values, rotation = model._block_eigenpairs(h, pairs)
-        assert np.array_equal(values, h.diagonal().real)
+        assert np.array_equal(values, h.diagonal())
         assert np.array_equal(rotation, np.eye(sub.dim))
 
     @pytest.mark.parametrize("p,r,b", [(1.0, -0.5, 0.0), (-0.5, 1.0, 0.0), (0.3, 0.3, 0.2),
                                        (0.0, 0.0, 2.2e-311), (1e-311, -1e-311, 3e-311),
-                                       (1e308, -1e308, 5e307), (2.0, 1.0, -1e-9),
-                                       (0.3, -0.2, 0.1 + 0.2j), (1.0, 1.0, -1e-9j),
-                                       (0.0, 0.0, 2e-311 - 3e-311j), (1e308, -1e308, 3e307j)])
+                                       (1e308, -1e308, 5e307), (2.0, 1.0, -1e-9)])
     def test_one_block_against_eigh(self, p, r, b):
-        block = np.array([[p, b], [np.conj(b), r]], dtype=complex)
+        block = np.array([[p, b], [b, r]])
         values, rotation = model._block_eigenpairs(block, ((0, 1),))
         scale = np.max(np.abs(block))
         tol = 4e-16 * scale + 1e-322   # a few ulps, and a subnormal ulp or two
         assert np.max(np.abs(block @ rotation - rotation * values)) <= tol
-        assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(2))) <= 4e-16
-        scaled = block.real / scale + 1j * (block.imag / scale)   # complex / subnormal overflows
-        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(scaled) * scale)) <= tol
+        assert np.max(np.abs(rotation.T @ rotation - np.eye(2))) <= 4e-16
+        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(block / scale) * scale)) <= tol
         if b == 0.0:
             assert list(values) == [p, r] and np.array_equal(rotation, np.eye(2))
 
@@ -559,16 +597,14 @@ class TestClosedFormBlocks:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         calc = AmplitudeCalculator(ModelParams(G=0.43, zeta=0.19))
         assert j_values(calc.eigensystems[Spin.UP]) == [0.0, 1.0, 1.0, 2.0]
-        for label in SubspaceLabel:
-            sub = subspace(label)
-            diagonalize(build_hamiltonian(ModelParams(G=0.43, zeta=0.19), sub), sub)
+        assert calc.ground_coupling == pytest.approx(-0.19, abs=1e-16)
 
 
 class TestChecksOnTheirReproducers:
-    """Every check of the per-parameter-set step still raises: H finite, the
-    eigen-residual, the ground-state residual, then the widths with Gamma_1s
-    first (H Hermitian: ``TestDiagonalize.test_non_hermitian_rejected``; the
-    eigen-residual: ``TestJBlocks.test_matrix_not_commuting_with_j_squared_is_rejected``)."""
+    """Every check of the per-parameter-set step still raises: H' finite, then
+    the widths with Gamma_1s first, then the line positions. The block check
+    runs once per process, and no parameter set can fail it (see
+    ``TestJBlocks.test_an_operator_not_commuting_with_j_squared_is_rejected``)."""
 
     def test_overflowing_couplings_are_not_finite(self):
         params = ModelParams(G=1e308)
@@ -578,12 +614,14 @@ class TestChecksOnTheirReproducers:
             with pytest.raises(model.DomainError, match="Hamiltonian matrix is not finite"):
                 call()
 
-    def test_a_ground_state_off_its_eigenvector_fails_the_residual(self, monkeypatch):
-        # the J = 1/2 column replaced by the first basis state, which l.s mixes
-        # with the second
-        monkeypatch.setattr(model, "_ground", lambda: np.array([1.0, 0.0]))
-        with pytest.raises(model.DomainError, match="not an eigenvector"):
-            model.ground_coupling_energy(TABLE)
+    def test_a_level_beyond_the_float_range_is_a_line_position_that_is_not_finite(self):
+        # H' is finite on every subspace, but a J = 1 level overflows to -inf; with
+        # Omega + eps_s = -inf its line position would be inf - inf, a NaN, which
+        # is reported with no numpy warning (warnings are errors in this suite)
+        params = ModelParams(G=-0.89e308, zeta=1.79e308, Omega=-1e308, eps_s=-1e308)
+        assert -np.inf in intermediate_eigensystem(params, Spin.DOWN).coupling_energies
+        with pytest.raises(model.DomainError, match="line positions are not finite"):
+            AmplitudeCalculator(params)
 
     def test_widths_are_checked_after_the_model_gamma_1s_first(self):
         with pytest.raises(model.DomainError, match="not finite"):

@@ -1,16 +1,15 @@
 """The operator layer's single homes: CG-derived constants, the closed 1s shell,
-one final-state energy per parameter set, and dict accumulation."""
+and dict accumulation."""
 
 import math
 
 import pytest
 
-from xepecs import DomainError, amplitudes, cli, model, spectra
-from xepecs.amplitudes import CHANNELS, _EMISSION_VERTEX, calculator
+from xepecs import DomainError, amplitudes, cli, model
+from xepecs.amplitudes import _EMISSION_VERTEX
 from xepecs.angular import cg
-from xepecs.fockspace import Spin
-from xepecs.model import ModelParams, SubspaceLabel, final_state_energy, subspace
-from xepecs.polarization import EmissionGeometry
+from xepecs.fockspace import FockState, Shell, Spin
+from xepecs.model import ModelParams, SubspaceLabel, subspace
 
 import reference
 from reference import basis_vector, closed_shell, combine, initial_state, inner
@@ -40,41 +39,13 @@ class TestClosedShell:
         # the register's final states are the closed shell with one photoelectron
         # and one emitted photon, and the package's decay ends in the closed shell
         (closed, amplitude), = closed_shell().terms()
-        assert (closed, amplitude) == (model._CLOSED_SHELL, 1.0)
+        assert (closed, amplitude) == (FockState(model._SHELL_MASK[Shell.S1S]), 1.0)
         assert list(model._configuration((2, 0))) == [closed]
         for sigma in Spin:
             for lam in (1, 2):
                 photons = tuple(int(k == lam) for k in range(3))
                 key = (closed.orbitals, 1 << (reference.PE_MODE[sigma] - 8), photons)
                 assert dict(reference.final_state(sigma, lam).terms()) == {key: 1.0}
-
-    def test_closed_shell_energy(self):
-        params = ModelParams(eps_s=-11.0, eps_p=-4.0, G=0.7, zeta=0.3)
-        assert final_state_energy(params) == 2 * params.eps_s
-
-
-class TestFinalStateEnergyOncePerParams:
-    def test_four_xepecs_channels_share_one_evaluation(self, tmp_path, monkeypatch, capsys):
-        calls = []
-
-        def counted(params):
-            calls.append(params)
-            return final_state_energy(params)
-
-        monkeypatch.setattr(amplitudes, "final_state_energy", counted)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("XEPECS_CONFIG", raising=False)
-        calculator.cache_clear()
-        assert cli.main(["xepecs", "--theta", "45", "--epsilon", "6.5"]) == 0
-        assert calls == [ModelParams()]
-
-        geom = EmissionGeometry.from_degrees(60.0)
-        params = ModelParams(G=0.25)
-        for channel in CHANNELS:
-            spectra.xepecs_spectrum(params, geom, 6.5, channel)
-        assert calls == [ModelParams(), params]
-        assert calculator(params).E_f == final_state_energy(params)
-        calculator.cache_clear()
 
 
 class TestCombine:

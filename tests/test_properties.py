@@ -1,15 +1,15 @@
 """Property-based invariants of the model over bounded physical parameters.
 
 Draws include exact G = 0 and zeta = 0, where levels are degenerate and the
-J blocks of ``diagonalize`` carry the labels. Hypothesis also
+J blocks of the levels carry the labels. Hypothesis also
 folds literals it finds in the source files into its draws, so
 ``derandomize=True`` alone does not fix what is tested: the hard cases are
 explicit examples of every property (``hard_cases``), and run every time.
 
 ``fock_hamiltonian`` applies H to one basis state at a time through the
 operators of ``reference``, the route that the cached, parameter-linear
-``model._hamiltonian`` (with ``reference.build_hamiltonian`` adding the level
-energy) replaced; it is kept here as the reference.
+matrices (``reference.build_hamiltonian``) replaced; it is kept here as the
+reference. The levels are held to their closed forms in J.
 """
 
 from math import cos, log2, radians, sin
@@ -216,6 +216,32 @@ def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
             assert j.twice_value % 2 == 0
             x = float(np.real(eig.vectors[:, i].conj() @ jsq @ eig.vectors[:, i]))
             assert abs(x - float(j.value * (j.value + 1))) <= 1e-8
+
+
+@SETTINGS
+@given(params_st)
+@hard_cases()
+def test_levels_equal_their_closed_forms(params):
+    # with <S_1s . S_2p> = -3/4 (S = 0) or 1/4 (S = 1) and <l.s> on a (1, S = 1) J
+    # level (J(J + 1) - 4)/4, J = 0 and J = 2 are pure; the two J = 1 levels mix
+    # the singlet and the triplet through <S=0| l.s |S=1> = -1/sqrt(2)
+    G, zeta = params.G, params.zeta
+    calc = calculator(params)
+    levels = {}
+    for sigma in Spin:
+        eig = calc.eigensystems[sigma]
+        for j in (0, 1, 2):
+            found = [e for e, x in zip(eig.coupling_energies, eig.j_labels) if x == HalfInt.of(j)]
+            levels.setdefault(j, []).append(sorted(found))
+    j1 = np.linalg.eigvalsh([[1.5 * G, -zeta / np.sqrt(2.0)],
+                             [-zeta / np.sqrt(2.0), -0.5 * zeta - 0.5 * G]])
+    assert [len(x) for x in levels[0]] == [1, 0]   # no J = 0 level with M = 1
+    for found, closed_form in ((levels[0][0], [-zeta - 0.5 * G]),
+                               (levels[1][0], j1), (levels[1][1], j1),
+                               (levels[2][0], [0.5 * zeta - 0.5 * G]),
+                               (levels[2][1], [0.5 * zeta - 0.5 * G]),
+                               ([calc.ground_coupling], [-zeta])):
+        assert np.max(np.abs(np.subtract(found, closed_form))) <= 1e-15
 
 
 @SETTINGS

@@ -19,7 +19,8 @@ MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path_
 
 # (defining module, name): reference routes moved to tests/reference.py, names
 # with no caller outside their own tests, deleted, names the reduced amplitude
-# replaced, and the vector algebra the ladder rule replaced
+# replaced, the vector algebra the ladder rule replaced, and the names the
+# per-J levels left without a caller
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -33,6 +34,8 @@ GONE = [
     ("polarization", "polarization_components"), ("amplitudes", "AmplitudeCalculator.spin_vectors"),
     ("fockspace", "ManyBodyVector"), ("fockspace", "create"), ("fockspace", "annihilate"),
     ("fockspace", "inner"), ("model", "ground_state"),
+    # the levels from per-J constants: the general solver and the level energies
+    ("model", "diagonalize"), ("model", "initial_energy"), ("model", "final_state_energy"),
 ]
 
 

@@ -9,7 +9,7 @@ from xepecs import spectra
 from xepecs.amplitudes import CHANNELS, calculator, channel_label
 from xepecs.angular import HalfInt
 from xepecs.fockspace import Spin
-from xepecs.model import DomainError, ModelParams, final_state_energy
+from xepecs.model import DomainError, ModelParams
 from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import (
     LineSpectrum,
@@ -193,6 +193,15 @@ class TestXepecsSpectrum:
                                     eps, channel)
             assert np.max(np.abs(base.intensity - other.intensity)) < 1e-12
 
+    @pytest.mark.parametrize("params", [ModelParams(eps_s=1e20), ModelParams(eps_s=-1e14),
+                                        ModelParams(zeta=1e20), ModelParams(G=-1e20)])
+    def test_unresolved_down_spin_lines_leave_no_coincidence_spectrum(self, params):
+        # one check of the lines for both spectra: R(epsilon) sums the down-spin J = 1 lines
+        with pytest.raises(DomainError, match="resolution of the spectrum grids"):
+            xps_lines(params, Spin.DOWN)
+        with pytest.raises(DomainError, match=r"epsilon=6\.5: .* resolution of the spectrum"):
+            xepecs_spectrum(params, EmissionGeometry.from_degrees(45.0, 0.0), 6.5, D1)
+
     def test_intensity_scales_quadratically_with_amplitudes(self):
         # doubling the line weight (the squared amplitude) doubles the series
         grid = np.linspace(-1, 1, 21)
@@ -209,9 +218,6 @@ class TestDefaults:
         e = default_emission_grid(8.0)
         assert e[0] == pytest.approx(5.0) and e[-1] == pytest.approx(11.0)
         assert len(e) == 1201
-
-    def test_final_state_energy(self):
-        assert final_state_energy(PARAMS) == pytest.approx(2 * PARAMS.eps_s, abs=1e-12)
 
     @pytest.mark.parametrize("params", [
         PARAMS, ModelParams(G=0.0, zeta=0.31), ModelParams(G=0.83, zeta=0.0),
