@@ -1,8 +1,8 @@
 """Command-line interface: xps, xepecs, rho and entropy runs with CSV/JSON/SVG output.
 
-Configuration is resolved in three layers: built-in defaults, an optional
-flat JSON config file (--config or the XEPECS_CONFIG environment variable),
-then command-line flags. Identical inputs produce byte-identical CSV/JSON.
+Configuration is three layers over one key table: its defaults, a flat JSON
+config file (--config or $XEPECS_CONFIG), then the flags given; the table also
+gives the parser its value flags. Identical inputs produce byte-identical CSV/JSON.
 
 Exit codes: 0 ok, 2 configuration error, 3 computation domain error.
 """
@@ -33,9 +33,15 @@ from .spectra import (
     xps_lines,
 )
 
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-_ANGLE_KEYS = ("theta_deg", "phi_deg", "beta1_deg", "beta2_deg")
-_CONFIG_KEYS = _PARAM_KEYS + _ANGLE_KEYS + ("epsilon",)
+# key: (default, flag or None, metavar), in --help order; entropy's theta_deg is 0:180:1
+_CONFIG_KEYS = {
+    **{f.name: (f.default, None, None) for f in fields(ModelParams)},
+    "theta_deg": (90.0, "theta", "DEG|START:END:STEP"),
+    "phi_deg": (0.0, "phi", "DEG"),
+    "beta1_deg": (90.0, "beta1", "DEG"),
+    "beta2_deg": (180.0, "beta2", "DEG"),
+    "epsilon": ("auto", "epsilon", "EV|auto"),
+}
 
 # longest entropy sweep accepted; covers --theta 0:180:0.001
 MAX_THETAS = 200_001
@@ -77,6 +83,8 @@ def _number(field: str, value) -> float:
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
+    except OverflowError:   # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
     return number
@@ -111,11 +119,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also too many digits or too deep
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -126,43 +134,36 @@ def _load_config_file(path: str | None) -> dict:
             continue
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{key}: expected a number")
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        data[key] = _number(key, value)
     return data
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config)
+    defaults = {key: default for key, (default, _, _) in _CONFIG_KEYS.items()}
+    if args.command == "entropy":
+        defaults["theta_deg"] = "0:180:1"
+    flags = {key: vars(args)[flag] for key, (_, flag, _) in _CONFIG_KEYS.items()
+             if vars(args).get(flag) is not None}
+    values = {**defaults, **_load_config_file(args.config), **flags}
 
-    params_kwargs = {k: float(file_cfg[k]) for k in _PARAM_KEYS if k in file_cfg}
     try:
-        params = ModelParams(**params_kwargs)
+        params = ModelParams(**{f.name: values[f.name] for f in fields(ModelParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    theta_text = args.theta if args.theta is not None else (
-        str(file_cfg.get("theta_deg")) if "theta_deg" in file_cfg
-        else ("0:180:1" if args.command == "entropy" else "90")
-    )
-    thetas = _parse_theta(theta_text)
+    thetas = _parse_theta(str(values["theta_deg"]))
     if args.command != "entropy" and len(thetas) != 1:
         raise ConfigError("theta: a single angle is required for this command")
 
-    def angle(flag_value, flag, key, default):
-        if flag_value is not None:
-            return _number(flag, flag_value)
-        return float(file_cfg.get(key, default))
-
-    phi = angle(args.phi, "phi", "phi_deg", 0.0)
-    beta1 = angle(args.beta1, "beta1", "beta1_deg", 90.0)
-    beta2 = angle(args.beta2, "beta2", "beta2_deg", 180.0)
+    # a file value is a finite float, so only a flag's text can fail here
+    phi, beta1, beta2 = (_number(_CONFIG_KEYS[key][1], values[key])
+                         for key in ("phi_deg", "beta1_deg", "beta2_deg"))
     if not _orthogonal(math.radians(beta1), math.radians(beta2)):
         raise ConfigError(f"beta2: polarization axes {beta1} and {beta2} degrees "
                           "are not orthogonal")
 
     epsilon: float | str
-    eps_arg = args.epsilon if args.epsilon is not None else file_cfg.get("epsilon", "auto")
-    epsilon = "auto" if eps_arg == "auto" else _number("epsilon", eps_arg)
+    epsilon = "auto" if values["epsilon"] == "auto" else _number("epsilon", values["epsilon"])
     if epsilon != "auto" and not epsilon > 0.0:
         raise ConfigError(f"epsilon: {epsilon:g} eV is below threshold; "
                           "a kinetic energy must be positive")
@@ -373,11 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="flat JSON config file (fallback: $XEPECS_CONFIG)")
-        p.add_argument("--theta", metavar="DEG|START:END:STEP", default=None)
-        p.add_argument("--phi", metavar="DEG", default=None)
-        p.add_argument("--beta1", metavar="DEG", default=None)
-        p.add_argument("--beta2", metavar="DEG", default=None)
-        p.add_argument("--epsilon", metavar="EV|auto", default=None)
+        for _, flag, metavar in _CONFIG_KEYS.values():
+            if flag is not None:
+                p.add_argument(f"--{flag}", metavar=metavar, default=None)
         p.add_argument("--out", metavar="PATH", default=None)
         p.add_argument("--format", choices=command.formats, default=command.formats[0])
         if name == "xps":

@@ -242,6 +242,9 @@ class TestNonFiniteAndOversizedInputs:
         ('{"phi_deg": -Infinity}', "phi_deg"),
         ('{"epsilon": NaN}', "epsilon"),
         ('{"epsilon": -1}', "epsilon"),
+        # integers beyond the float range
+        *(pytest.param(f'{{"{key}": 1{"0" * 400}}}', key, id=f"{key}-401-digits")
+          for key in ("G", "theta_deg", "epsilon")),
     ])
     def test_config_file_values(self, tmp_path, monkeypatch, capsys, text, field):
         cfg = tmp_path / "cfg.json"

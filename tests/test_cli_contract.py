@@ -7,7 +7,10 @@ Draws cover every config key with log-uniform magnitudes of either sign, +/-0,
 subnormals and the largest float, sweeps of the flags (--epsilon, --phi,
 --beta1 with --beta2 = beta1 + 90 degrees, --theta), and all four commands in
 every format. The past reproducers run every time (``hard_cases``), through
-all four commands with the automatic and a fixed kinetic energy.
+all four commands with the automatic and a fixed kinetic energy: config
+values, flags, and raw config files that no JSON value can stand for (an
+integer beyond the float range or over Python's digit limit, bytes that are
+not UTF-8, nesting deeper than the decoder's recursion limit).
 """
 
 import contextlib
@@ -51,6 +54,10 @@ HARD_CONFIGS = [
     {"eps_s": 9e307}, {"eps_s": 1e308, "eps_p": 1e308}, {"eps_s": -1.7e308, "eps_p": -1.7e308},
     {"G": -0.89e308, "zeta": 1.79e308, "Omega": -1e308, "eps_s": -1e308},
 ]
+HARD_FILES = [
+    '{"G": 1' + "0" * 400 + "}", '{"G": 1' + "0" * 4300 + "}", b"\xff\xfe{}",
+    "[" * 200_000 + "]" * 200_000,
+]
 HARD_FLAGS = [["--beta1=1e308", "--beta2=-1e308"], ["--beta1=-1e308", "--beta2=1e308"]]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -59,9 +66,9 @@ NOT_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
 
 @st.composite
 def runs(draw):
-    """(command, config file contents, flags) of one run."""
+    """(command, config as a dict, flags) of one run."""
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    keys = draw(st.lists(st.sampled_from(cli._CONFIG_KEYS), unique=True, max_size=3))
+    keys = draw(st.lists(st.sampled_from(list(cli._CONFIG_KEYS)), unique=True, max_size=3))
     config = {key: draw(epsilons if key == "epsilon" else magnitudes) for key in keys}
     flags = [f"--format={draw(st.sampled_from(cli.COMMANDS[command].formats))}"]
     if draw(st.booleans()):
@@ -87,7 +94,7 @@ def hard_cases(test):
     a fixed kinetic energy."""
     for command in cli.COMMANDS:
         for epsilon in ([], ["--epsilon=6.5"]):
-            for config in HARD_CONFIGS:
+            for config in HARD_CONFIGS + HARD_FILES:
                 test = example((command, config, epsilon))(test)
             for flags in HARD_FLAGS:
                 test = example((command, {}, epsilon + flags))(test)
@@ -96,10 +103,13 @@ def hard_cases(test):
 
 def run_main(command, config, flags):
     """(exit code, stdout, stderr, output text or None) of one in-process run
-    in a fresh directory, every warning an error."""
+    in a fresh directory, every warning an error. A config given as a dict is
+    written as JSON, one given as str or bytes verbatim."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
+        if isinstance(config, dict):
+            config = json.dumps(config)
+        cfg.write_bytes(config.encode("utf-8") if isinstance(config, str) else config)
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
