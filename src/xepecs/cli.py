@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,6 +43,9 @@ _CONFIG_KEYS = {
     "beta2_deg": (180.0, "beta2", "DEG"),
     "epsilon": ("auto", "epsilon", "EV|auto"),
 }
+
+# a flag's number: ASCII decimal, not every spelling float() takes (1_0, " 5 ", fullwidth digits)
+_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 # longest entropy sweep accepted; covers --theta 0:180:0.001
 MAX_THETAS = 200_001
@@ -77,16 +81,18 @@ class RunConfig:
         return float(self.epsilon)
 
 
-def _number(field: str, value) -> float:
+def _number(field: str, value: float | str) -> float:
     """``value`` as a finite float, or a ConfigError naming ``field``."""
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:   # a flag's text
         raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
     except OverflowError:   # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    if isinstance(value, str) and not _DECIMAL.fullmatch(value):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
     return number
 
 
@@ -118,7 +124,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")   # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
@@ -397,7 +403,3 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     print(out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

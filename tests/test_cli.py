@@ -1,7 +1,11 @@
 """End-to-end CLI runs: output schemas, determinism, config handling, exit codes."""
 
+import gc
+import importlib
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +198,64 @@ class TestDeterminismAndConfig:
         assert result.returncode == 2
         assert "beta" in result.stderr
 
+    @pytest.mark.parametrize("via", ["--config", "XEPECS_CONFIG"])
+    def test_config_file_with_a_utf8_bom(self, tmp_path, monkeypatch, capsys, via):
+        # editors on Windows start a UTF-8 file with a byte-order mark
+        text = json.dumps({"G": 0.25, "theta_deg": 63.0, "epsilon": 6.5}).encode()
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.json").write_bytes(data)
+            argv = ["rho", f"--out={name}.out"]
+            if via == "--config":
+                argv.append(f"--config={name}.json")
+            else:
+                monkeypatch.setenv("XEPECS_CONFIG", f"{name}.json")
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            outputs.append((tmp_path / f"{name}.out").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["theta_deg"] == 63.0
+
+
+class TestProcessEntry:
+    """``python -m xepecs`` and the ``xepecs`` script run ``xepecs.__main__``,
+    which freezes the import heap once, before ``cli.main``; ``cli.main`` in
+    process never freezes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        # the entry binds cli.main when it is imported, so each test imports it
+        # afresh (runpy also warns about a module imported already)
+        monkeypatch.delitem(sys.modules, "xepecs.__main__", raising=False)
+        yield calls
+        sys.modules.pop("xepecs.__main__", None)
+
+    def test_main_in_process_does_not_freeze(self, tmp_path, monkeypatch, capsys):
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        code, err = TestNonFiniteAndOversizedInputs.main(["rho"], tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        assert freezes == []
+
+    def test_python_m_freezes_once_before_main(self, calls):
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("xepecs", run_name="__main__")
+        assert calls == ["freeze", "main"]
+        assert exit_.value.code == 3
+
+    def test_the_script_is_the_entry(self, calls):
+        text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+        assert re.findall(r'^(\S+) = "(.*)"$', scripts.group(1), re.M) \
+            == [("xepecs", "xepecs.__main__:run")]
+        entry = importlib.import_module("xepecs.__main__")
+        assert calls == []   # importing runs nothing
+        assert entry.run() == 3   # the script exits with run's value
+        assert calls == ["freeze", "main"]
+
 
 class TestSvgOutput:
     @pytest.mark.parametrize("command,args", [
@@ -224,6 +286,12 @@ class TestNonFiniteAndOversizedInputs:
         (["rho", "--epsilon", "nan"], "epsilon"),
         (["rho", "--phi", "inf"], "phi"),
         (["rho", "--phi", "abc"], "phi"),
+        # a flag's number is an ASCII decimal, not every spelling float() takes
+        (["rho", "--theta", "1_0", "--phi", " 5 "], "theta"),
+        (["rho", "--phi", " 5 "], "phi"),
+        (["xepecs", "--theta", "\uff19\uff10", "--epsilon", "1_0"], "theta"),   # fullwidth 90
+        (["xepecs", "--epsilon", "1_0"], "epsilon"),
+        (["entropy", "--theta", "0:1_80:1"], "theta"),
         (["entropy", "--beta2=-inf"], "beta2"),
         (["entropy", "--theta", "0:nan:1"], "theta"),
         # a kinetic energy <= 0 is below threshold

@@ -13,9 +13,8 @@ import xepecs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# every module but __main__, which runs the command line on import
-MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path__)
-                 if m.name != "__main__")
+# every module; __main__ runs the command line only as the program, not on import
+MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path__))
 
 # (defining module, name): reference routes moved to tests/reference.py, names
 # with no caller outside their own tests, deleted, names the reduced amplitude
