@@ -62,7 +62,6 @@ from .model import (
     DomainError,
     ModelParams,
     SubspaceLabel,
-    _configuration,
     _fock_matrix,
     _ground,
     _read_only,
@@ -138,13 +137,13 @@ def _ground_components(sigma: Spin) -> np.ndarray:
 def _decay_row() -> np.ndarray:
     """<f| sum_s d_1 s^dag_s p_(1 s) |b>, the q = -1 decay to the closed shell, over
     the down-spin (M = 1) intermediate basis states b: read-only, built once."""
-    closed, col = _configuration((2, 0)), _configuration((1, 1))
-    table = np.zeros((8, 8))
+    table, closed = np.zeros((8, 8)), 0
     for s in Spin:
-        table[SpinOrbital(Shell.S1S, 0, s).index,
-              SpinOrbital(Shell.P2P, 1, s).index] = _EMISSION_VERTEX[1]
-    basis = [col[b] for b in subspace(SubspaceLabel.M1).basis]
-    return _read_only(_fock_matrix(table, closed, col)[0, basis])
+        core = SpinOrbital(Shell.S1S, 0, s).index
+        table[core, SpinOrbital(Shell.P2P, 1, s).index] = _EMISSION_VERTEX[1]
+        closed |= 1 << core
+    col = {b: k for k, b in enumerate(subspace(SubspaceLabel.M1).basis)}
+    return _read_only(_fock_matrix((table,), {FockState(closed): 0}, col)[0])
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity

@@ -8,10 +8,11 @@ The electron system has 8 spin-orbitals in the fixed canonical order
 and a basis state is the bitmask of its occupied spin-orbitals. ``ladder`` is
 the one rule for creation and annihilation on such a mask: it returns the
 sign (-1)^(number of occupied modes below the target) and the new mask, and
-every operator matrix of the model is built from it (see ``model``). Only
-electrons are second-quantized: the photons and the photoelectron change no
-sign and no norm in any matrix element of the model, so they are labels of
-the channels (see ``amplitudes``), not modes."""
+every operator matrix of the model is built from it, one hop at a time on
+the states of a subspace (see ``model``). Only electrons are
+second-quantized: the photons and the photoelectron change no sign and no
+norm in any matrix element of the model, so they are labels of the channels
+(see ``amplitudes``), not modes."""
 
 from __future__ import annotations
 

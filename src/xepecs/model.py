@@ -4,13 +4,13 @@
     H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
 
 Both couplings come from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
-8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), each
-turned by the ladder rule of ``fockspace`` into its matrix over all states
-with a subspace's shell occupations, where
+8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), where
 A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 gives l.s and S_1s . S_2p (zero on a
-filled 1s shell). The same builder maps one configuration to another:
-``amplitudes`` takes the 2p -> 1s decay from the s^1 p^1 states to the closed
-shell with it.
+filled 1s shell). Each coupling is applied to its subspace's states hop by
+hop with the ladder rule of ``fockspace``; a product may pass through states
+of another M, and only where it ends is looked up in the subspace.
+``amplitudes`` takes the 2p -> 1s decay from the M = 1 states to the closed
+shell with the same builder.
 
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
@@ -151,21 +151,12 @@ def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# operators: products of one-body Fock-space matrices
+# operators: products of one-body operators, applied hop by hop
 # ---------------------------------------------------------------------------
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-# the bits of each shell's orbitals in an orbital mask, 1s first
-_SHELL_MASK = {shell: sum(1 << o.index for o in ORBITALS if o.shell is shell) for shell in Shell}
-
-
-def _occupation(state: FockState) -> tuple[int, int]:
-    """(n_1s, n_2p) of a basis state: the bit counts of its shell masks."""
-    return tuple((state.orbitals & mask).bit_count() for mask in _SHELL_MASK.values())
 
 
 def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -182,56 +173,48 @@ def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarr
     return z, plus
 
 
-def _fock_matrix(table: np.ndarray, row: dict[FockState, int],
+def _fock_matrix(tables: tuple[np.ndarray, ...], row: dict[FockState, int],
                  col: dict[FockState, int] | None = None) -> np.ndarray:
-    """sum_ab table[a, b] c^dag_a c_b by the ladder rule, c_b and then c^dag_a on
-    each state of ``col`` (state -> index; default ``row``), into the states of
-    ``row``; a KeyError if it leads out of them."""
+    """The product of the one-body operators sum_ab t[a, b] c^dag_a c_b of
+    ``tables``, right to left, on each state of ``col`` (state -> index;
+    default ``row``), hop by hop with the ladder rule (c_b, then c^dag_a).
+    Only where a product ends is looked up in ``row``, so it may pass through
+    states of any M; a KeyError if it ends outside them."""
     col = row if col is None else col
-    hops = [(float(table[a, b]), int(a), int(b)) for a, b in zip(*np.nonzero(table))]
+    factors = [[(float(t[a, b]), int(a), int(b)) for a, b in zip(*np.nonzero(t))]
+               for t in reversed(tables)]
     out = np.zeros((len(row), len(col)), dtype=complex)
     for s, k in col.items():
-        for x, a, b in hops:
-            removed = ladder(s.orbitals, b, False)
-            added = removed and ladder(removed[1], a, True)
-            if added:
-                out[row[FockState(added[1])], k] += x * removed[0] * added[0]
+        paths = [(s.orbitals, 1.0)]   # (orbital mask, amplitude) of each path so far
+        for hops in factors:
+            paths, previous = [], paths
+            for mask, amplitude in previous:
+                for x, a, b in hops:
+                    removed = ladder(mask, b, False)
+                    added = removed and ladder(removed[1], a, True)
+                    if added:
+                        paths.append((added[1], x * removed[0] * added[0] * amplitude))
+        for mask, amplitude in paths:
+            out[row[FockState(mask)], k] += amplitude
     return out
 
 
 @cache
-def _configuration(occupation: tuple[int, int]) -> dict[FockState, int]:
-    """The index of each state with the shell occupations ``occupation``."""
-    states = [FockState(mask) for mask in range(256) if mask.bit_count() == sum(occupation)]
-    return {s: k for k, s in enumerate(s for s in states if _occupation(s) == occupation)}
-
-
-@cache
-def _configuration_operators(occupation: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """l.s and S_1s . S_2p over the states of ``_configuration``, built once per
-    occupation. Each one-body matrix maps the states into themselves, so the
-    products are exact there."""
-    row = _configuration(occupation)
-    l2p, s1s, s2p = ([_fock_matrix(t, row) for t in _angular_momentum(*x)]
+def _subspace_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
+    """l.s and S_1s . S_2p on the subspace ``label``, read-only, each product
+    applied to its basis states hop by hop."""
+    row = {b: k for k, b in enumerate(_BASES[label])}
+    l2p, s1s, s2p = (_angular_momentum(*x)
                      for x in ((Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)))
 
     def dot(a, b):   # A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 from the (z, +) pairs
-        return _read_only(a[0] @ b[0] + (a[1] @ b[1].conj().T + a[1].conj().T @ b[1]) / 2)
+        return _read_only(_fock_matrix((a[0], b[0]), row) + (
+            _fock_matrix((a[1], b[1].T), row) + _fock_matrix((a[1].T, b[1]), row)) / 2)
 
     return dot(l2p, s2p), dot(s1s, s2p)
 
 
-@cache
-def _subspace_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
-    """l.s and S_1s . S_2p on the subspace ``label``: read-only slices of the
-    matrices of its configuration."""
-    occupation = _occupation(_BASES[label][0])
-    row = _configuration(occupation)
-    k = np.ix_(*2 * ([row[b] for b in _BASES[label]],))
-    return tuple(_read_only(a[k]) for a in _configuration_operators(occupation))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EigenSystem:
     """The levels of H' on a subspace, ascending: ``coupling_energies`` the
     eigenvalues of H' (the subspace's level energy shifts them to the

@@ -69,7 +69,7 @@ def _check_line(position: float, weight: float) -> None:
         raise DomainError("lines need finite positions and non-negative weights")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # array fields: == is identity
 class SpectrumSeries:
     grid: np.ndarray
     intensity: np.ndarray

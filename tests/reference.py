@@ -1,8 +1,9 @@
 """Independent routes the tests hold the package to, which the package does not
 need: a sparse vector algebra (``ManyBodyVector``, amplitudes keyed by basis
-state) and with it the package's one-body Fock matrices and ground state, and
-the model operators one basis vector at a time; the Hamiltonian H' over the
-basis states and with its level energy, and the initial state with E_g; the
+state) and with it the package's products of one-body Fock matrices and its
+ground state, the shell occupations of a state, and the model operators one
+basis vector at a time; the Hamiltonian H' over the basis states from those
+operators and with its level energy, and the initial state with E_g; the
 eigendecomposition of each J block by LAPACK (``np.linalg.eigh``), the route
 for any H that commutes with J^2; a full register of the 8 orbitals, two
 photoelectron modes and three photon counts with one fermionic sign rule, and
@@ -32,8 +33,8 @@ from xepecs.angular import HalfInt, _triangle, _valid_pair
 from xepecs.entanglement import EntangledState, _spin_invariants
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 from xepecs.model import (
-    DomainError, SubspaceLabel, _ground, _label_basis, _occupation, _subspace_operators,
-    ground_coupling_energy, intermediate_subspace, subspace,
+    DomainError, SubspaceLabel, _ground, _label_basis, ground_coupling_energy,
+    intermediate_subspace, subspace,
 )
 from xepecs.polarization import alpha_components
 
@@ -175,12 +176,21 @@ def apply_casimir(v, raising, lowering, z_weights):
     return apply_terms(apply_terms(v, raising), lowering) + apply_diagonal(z, z_weights) + z
 
 
-def fock_matrix(table, row, col=None):
-    """sum_ab table[a, b] c^dag_a c_b from the states of ``col`` (default ``row``)
-    to those of ``row`` by the vector algebra, in place of ``model._fock_matrix``."""
-    hops = [(float(table[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(table))]
-    images = [apply_terms(basis_vector(s), hops) for s in (row if col is None else col)]
+def fock_matrix(tables, row, col=None):
+    """The product of the one-body operators sum_ab t[a, b] c^dag_a c_b of
+    ``tables``, right to left, from the states of ``col`` (default ``row``) to
+    those of ``row`` by the vector algebra, in place of ``model._fock_matrix``."""
+    images = [basis_vector(s) for s in (row if col is None else col)]
+    for t in reversed(tables):
+        hops = [(float(t[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(t))]
+        images = [apply_terms(v, hops) for v in images]
     return np.array([[v.amplitude(t) for v in images] for t in row], dtype=complex)
+
+
+def occupation(state):
+    """(n_1s, n_2p) of a basis state, counted over its occupied orbitals."""
+    return tuple(sum(o.shell is shell for o in ORBITALS if state.orbitals >> o.index & 1)
+                 for shell in BOTH_SHELLS)
 
 
 def operator_matrix(sub, apply):
@@ -191,7 +201,7 @@ def operator_matrix(sub, apply):
 
 def model_operators(sub):
     """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``; the first two are the
-    pair of ``xepecs.model._subspace_operators``."""
+    pair that ``xepecs.model._subspace_operators`` builds by its own route."""
     j_plus = p_ladder_hops(+1) + spin_ladder_hops(BOTH_SHELLS, True)
     j_minus = p_ladder_hops(-1) + spin_ladder_hops(BOTH_SHELLS, False)
     s_plus, s_minus = (spin_ladder_hops(BOTH_SHELLS, r) for r in (True, False))
@@ -220,16 +230,22 @@ def block_eigh(H, sub):
 def level_energy(params, state):
     """eps_s n_1s + eps_p n_2p of ``state`` and of its whole subspace, or a
     DomainError if it overflows. An empty shell's level energy plays no part."""
-    level = sum(e * n for e, n in zip((params.eps_s, params.eps_p), _occupation(state)) if n)
+    level = sum(e * n for e, n in zip((params.eps_s, params.eps_p), occupation(state)) if n)
     if not isfinite(level):
         raise DomainError("level energy is not finite")
     return level
 
 
+@cache
+def _couplings(label):
+    """l.s and S_1s . S_2p on subspace ``label`` by the per-vector route, built once."""
+    return model_operators(subspace(label))[:2]
+
+
 def coupling_hamiltonian(params, sub):
     """H' = zeta l.s - 2 G S_1s . S_2p over the basis states of ``sub``, from the
-    package's cached coupling matrices; a DomainError if the sum overflows."""
-    spin_orbit, exchange = _subspace_operators(sub.label)
+    per-vector couplings, not the package's; a DomainError if the sum overflows."""
+    spin_orbit, exchange = _couplings(sub.label)
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         H = params.zeta * spin_orbit - 2.0 * params.G * exchange
     if not np.isfinite(H).all():

@@ -25,7 +25,7 @@ from xepecs import amplitudes, entanglement, fockspace, model
 from xepecs.amplitudes import AmplitudeCalculator, AmplitudeSet, calculator
 from xepecs.entanglement import entangled_state, entropy_sweep, reduce_to_spin, von_neumann_entropy
 from xepecs.fockspace import Spin
-from xepecs.model import DomainError, ModelParams, SubspaceLabel, subspace
+from xepecs.model import DomainError, ModelParams, SubspaceLabel
 from xepecs.polarization import EmissionGeometry
 
 from reference import (
@@ -246,18 +246,16 @@ class TestParameterLinearModel:
         assert calls == []
         assert calc.ground_coupling == pytest.approx(-0.17, abs=1e-16)
         # the counter does see Fock-space work that is not cached
-        model._configuration_operators.cache_clear()
-        model._configuration_operators((1, 1))
+        model._subspace_operators.cache_clear()
+        model._subspace_operators(SubspaceLabel.M0)
         assert calls
 
     def test_cached_matrices_are_read_only(self):
         AmplitudeCalculator(ModelParams())
         arrays = [model._ground()]
         for label in SubspaceLabel:
-            sub = subspace(label)
             arrays += list(model._subspace_operators(label))
             arrays += list(model._coupled_operators(label))
-            arrays += list(model._configuration_operators(model._occupation(sub.basis[0])))
             arrays.append(model._label_basis(label)[0])
         arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
         for array in arrays:

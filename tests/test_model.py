@@ -101,7 +101,13 @@ class TestCommutingObservables:
 
 
 ALL_STATES = tuple(map(FockState, range(256)))
+CLOSED = FockState(sum(1 << o.index for o in ORBITALS if o.shell is Shell.S1S))   # 1s^2
 ANGULAR_MOMENTA = [(Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)]   # l, s, s
+
+
+def basis_index(label):
+    """The index of each basis state of subspace ``label``."""
+    return {b: k for k, b in enumerate(subspace(label).basis)}
 
 
 class TestOneBodyOperators:
@@ -119,15 +125,12 @@ class TestOneBodyOperators:
     def test_the_ladder_rule_builds_the_vector_algebra_arrays_bit_for_bit(self, monkeypatch):
         # every cached array made from a Fock matrix, built by the ladder rule and
         # again with the reference's vector algebra in place of the rule
-        caches = (model._configuration_operators, model._subspace_operators,
-                  amplitudes._decay_row)
+        caches = (model._subspace_operators, amplitudes._decay_row)
 
         def build():
             for cached in caches:
                 cached.cache_clear()
-            arrays = [a for occupation in ((2, 1), (1, 1))
-                      for a in model._configuration_operators(occupation)]
-            arrays += [a for label in SubspaceLabel for a in model._subspace_operators(label)]
+            arrays = [a for label in SubspaceLabel for a in model._subspace_operators(label)]
             return [a.tobytes() for a in arrays + [amplitudes._decay_row()]]
 
         ours = build()
@@ -153,38 +156,48 @@ class TestOneBodyOperators:
     @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
     def test_one_body_matrices_keep_the_shell_occupations(self, shell, orbital):
         # over every orbital mask, each element joins states of equal (n_1s, n_2p),
-        # so a product of them restricted to one configuration loses nothing
+        # so a product of them on a subspace ends on states of its occupations
         row = {s: k for k, s in enumerate(ALL_STATES)}
         for table in model._angular_momentum(shell, orbital):
-            rows, cols = np.nonzero(model._fock_matrix(table, row))
+            rows, cols = np.nonzero(model._fock_matrix((table,), row))
             assert len(rows) > 0
-            assert all(model._occupation(ALL_STATES[i]) == model._occupation(ALL_STATES[k])
+            assert all(reference.occupation(ALL_STATES[i]) == reference.occupation(ALL_STATES[k])
                        for i, k in zip(rows, cols))
 
-    def test_configurations_hold_every_state_of_their_occupations(self):
-        for occupation, size, labels in (((2, 1), 6, [SubspaceLabel.INITIAL]),
-                                         ((1, 1), 12, [SubspaceLabel.M0, SubspaceLabel.M1])):
-            row = model._configuration(occupation)
-            operators = model._configuration_operators(occupation)
-            assert len(row) == size and all(op.shape == (size, size) for op in operators)
-            assert all(b in row for label in labels for b in subspace(label).basis)
-
-    def test_fock_matrix_between_configurations(self):
-        # s^dag_up p_(-1 up) takes the s^1 p^1 states to the closed shell; its
+    def test_fock_matrix_from_a_subspace_to_the_closed_shell(self):
+        # s^dag_up p_(1 up) takes one M = 1 state to the closed shell; its
         # adjoint leads out of it
-        closed, col = model._configuration((2, 0)), model._configuration((1, 1))
+        closed, col = {CLOSED: 0}, basis_index(SubspaceLabel.M1)
         hop = np.zeros((8, 8))
-        hop[0, 2] = 1.0
-        decay = model._fock_matrix(hop, closed, col)
-        assert decay.shape == (1, 12) and np.count_nonzero(decay) == 1
+        hop[0, 6] = 1.0
+        decay = model._fock_matrix((hop,), closed, col)
+        assert decay.shape == (1, 3) and np.count_nonzero(decay) == 1
         with pytest.raises(KeyError):
-            model._fock_matrix(hop.T, closed, col)
+            model._fock_matrix((hop.T,), closed, col)
 
     def test_fock_matrix_rejects_states_that_do_not_close(self):
         # l_+ on 2p leads out of the four M = 0 states
-        row = {b: k for k, b in enumerate(subspace(SubspaceLabel.M0).basis)}
+        row = basis_index(SubspaceLabel.M0)
         with pytest.raises(KeyError):
-            model._fock_matrix(model._angular_momentum(Shell.P2P, True)[1], row)
+            model._fock_matrix((model._angular_momentum(Shell.P2P, True)[1],), row)
+
+    def test_a_product_may_pass_through_states_outside_the_subspace(self):
+        # S_2p- takes the M = 0 states to M = -1, and S_1s+ back: only the end
+        # of the product is looked up
+        row = basis_index(SubspaceLabel.M0)
+        (_, s1s), (_, s2p) = (model._angular_momentum(x, False) for x in (Shell.S1S, Shell.P2P))
+        with pytest.raises(KeyError):
+            model._fock_matrix((s2p.T,), row)
+        product = model._fock_matrix((s1s, s2p.T), row)
+        assert np.count_nonzero(product) == 1
+        assert np.array_equal(product, reference.fock_matrix((s1s, s2p.T), row))
+
+    def test_a_product_that_ends_outside_the_subspace_is_rejected(self):
+        # S_1s+ S_2p+ raises M by 2, out of the M = 0 states
+        row = basis_index(SubspaceLabel.M0)
+        (_, s1s), (_, s2p) = (model._angular_momentum(x, False) for x in (Shell.S1S, Shell.P2P))
+        with pytest.raises(KeyError):
+            model._fock_matrix((s1s, s2p), row)
 
 
 class TestLevels:
@@ -222,6 +235,12 @@ class TestLevels:
         assert np.max(np.abs(H @ v - v * w[np.newaxis, :])) < 1e-10
         assert np.trace(H).real == pytest.approx(float(np.sum(w)), abs=1e-10)
         assert list(w) == sorted(w)
+
+    def test_equality_is_identity(self):
+        # an ndarray field would make a generated == raise ValueError and hash TypeError
+        eig, other = (intermediate_eigensystem(TABLE, Spin.UP) for _ in range(2))
+        assert eig == eig and not eig == other and eig != other
+        assert len({eig, other, eig}) == 2
 
     def test_ground_residual(self):
         # E'_g is the J = 1/2 level, and the ground state its vector
@@ -324,19 +343,19 @@ class TestOffsetFreeHamiltonian:
             number = reference.operator_matrix(
                 sub, lambda v: reference.apply_diagonal(v, reference.N_SHELL[shell]))
             assert np.array_equal(number, n * np.eye(sub.dim))
-        assert all(model._occupation(b) == occupation for b in sub.basis)
+        assert all(reference.occupation(b) == occupation for b in sub.basis)
 
     def test_closed_shell_has_occupations_2_0_and_no_coupling(self):
         closed = reference.closed_shell()
-        filled = FockState(model._SHELL_MASK[Shell.S1S])
-        assert list(closed.states()) == [filled]
-        assert model._occupation(filled) == (2, 0)
+        assert list(closed.states()) == [CLOSED]
+        assert reference.occupation(CLOSED) == (2, 0)
         for apply in (reference.apply_spin_orbit, reference.apply_exchange):
             assert len(apply(closed)) == 0
-        row = model._configuration((2, 0))
-        operators = model._configuration_operators((2, 0))
-        assert list(row) == [filled]
-        assert np.array_equal(operators[0], [[0.0]]) and np.array_equal(operators[1], [[0.0]])
+        # every product of A . B for l.s and S_1s . S_2p vanishes on it
+        l2p, s1s, s2p = (model._angular_momentum(*x) for x in ANGULAR_MOMENTA)
+        for a, b in ((l2p, s2p), (s1s, s2p)):
+            for tables in ((a[0], b[0]), (a[1], b[1].T), (a[1].T, b[1])):
+                assert np.array_equal(model._fock_matrix(tables, {CLOSED: 0}), [[0.0]])
 
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
         eig = intermediate_eigensystem(TABLE, Spin.UP)

@@ -8,7 +8,7 @@ import pytest
 from xepecs import DomainError, amplitudes, cli, model
 from xepecs.amplitudes import _EMISSION_VERTEX
 from xepecs.angular import cg
-from xepecs.fockspace import FockState, Shell, Spin
+from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
 from xepecs.model import ModelParams, SubspaceLabel, subspace
 
 import reference
@@ -35,12 +35,25 @@ class TestConstantsFromClebschGordan:
 
 
 class TestClosedShell:
-    def test_final_states_are_built_on_the_closed_shell(self):
+    def test_final_states_are_built_on_the_closed_shell(self, monkeypatch):
         # the register's final states are the closed shell with one photoelectron
         # and one emitted photon, and the package's decay ends in the closed shell
         (closed, amplitude), = closed_shell().terms()
-        assert (closed, amplitude) == (FockState(model._SHELL_MASK[Shell.S1S]), 1.0)
-        assert list(model._configuration((2, 0))) == [closed]
+        filled = sum(1 << o.index for o in ORBITALS if o.shell is Shell.S1S)
+        assert (closed, amplitude) == (FockState(filled), 1.0)
+        rows = []
+
+        def recorded(tables, row, col=None):
+            rows.append(list(row))
+            return model._fock_matrix(tables, row, col)
+
+        monkeypatch.setattr(amplitudes, "_fock_matrix", recorded)
+        amplitudes._decay_row.cache_clear()
+        try:
+            amplitudes._decay_row()
+        finally:   # the next build is the package's own again
+            amplitudes._decay_row.cache_clear()
+        assert rows == [[closed]]
         for sigma in Spin:
             for lam in (1, 2):
                 photons = tuple(int(k == lam) for k in range(3))

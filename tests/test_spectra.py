@@ -129,6 +129,13 @@ class TestBroaden:
             expected += line.weight * (0.45 / math.pi) / ((grid - line.position) ** 2 + 0.45 ** 2)
         assert broaden(lines, 0.45, grid).intensity.tobytes() == expected.tobytes()
 
+    def test_equality_is_identity(self):
+        # an ndarray field would make a generated == raise ValueError and hash TypeError
+        lines = xps_lines(ModelParams(), Spin.UP)
+        series, other = (broaden(lines, 0.45, default_xps_grid()) for _ in range(2))
+        assert series == series and not series == other and series != other
+        assert len({series, other, series}) == 2
+
     def test_no_lines_give_zero_intensity(self):
         series = broaden(LineSpectrum(()), 0.3, np.linspace(0.0, 1.0, 5))
         assert series.channel == "" and np.array_equal(series.intensity, np.zeros(5))
