@@ -41,10 +41,10 @@ roundoff that a narrow core hole could amplify.
 A calculator keeps its last R (per epsilon) and its last ``AmplitudeSet`` (per
 theta, phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the
 four channels, the state and a sweep of one measurement share them; a third
-slot keeps the emission grid and the (4, n) coincidence intensities of
-``spectra.xepecs_spectrum`` for its last amplitude set and grid. A slot is
-one tuple of read-only results, read once and replaced whole, so threads that
-share a calculator never pair a key with another key's result.
+slot keeps the checked emission grid and (4, n) coincidence block, whose rows
+``spectra.xepecs_spectrum`` returns, for its last amplitude set and grid. Each
+slot is one read-only tuple, read once and replaced whole, so threads sharing
+a calculator never pair a key with another key's result.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import inf, isfinite, pi, sqrt
+from math import inf, isfinite, pi, sqrt, ulp
 
 import numpy as np
 
@@ -101,6 +101,12 @@ KAPPA = -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
+_GRID_STEP, _EMISSION_HALF_WIDTH = 0.005, 3.0   # eV: the spectrum grids' step, emission window
+
+
+def _unresolved(energies) -> float | None:
+    """The first of ``energies`` beyond the grids' resolution (see ``spectra``), or None."""
+    return next((e for e in energies if not ulp(abs(e) + _EMISSION_HALF_WIDTH) < _GRID_STEP), None)
 
 
 def _check_width(width: float) -> None:
@@ -170,15 +176,15 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The ground coupling E'_g, the intermediate eigensystems, the
-    photoemission line positions and elements, and the J = 1 down-spin
-    positions and products of R(epsilon) are computed once, read-only, with
-    no Fock-space operator (their work is cached per process). Per kinetic
-    energy ``reduced_amplitude`` sums R; per geometry the amplitudes are R
-    times the alpha closed forms, for one angle or an array of them. The last
-    R and the last ``amplitudes`` are kept in one-tuple slots (see the module
-    docstring); inputs are checked before a slot is read. A model that leaves
-    the domain raises ``DomainError`` naming the parameter set.
+    The ground coupling E'_g, the intermediate eigensystems, the photoemission
+    line positions, elements, weights and resolution verdicts (raised by
+    ``spectra``, never here), and the J = 1 down-spin positions and products of
+    R(epsilon) are computed once, read-only, with no Fock-space operator. Per
+    kinetic energy ``reduced_amplitude`` sums R; per geometry the amplitudes
+    are R times the alpha closed forms, for one angle or an array of them. The
+    last R and the last ``amplitudes`` are kept in one-tuple slots (see the
+    module docstring); inputs are checked before a slot is read. A model that
+    leaves the domain raises ``DomainError`` naming the parameter set.
     """
 
     def __init__(self, params: ModelParams):
@@ -206,6 +212,10 @@ class AmplitudeCalculator:
         }
         down = self.eigensystems[Spin.DOWN]
         j1 = np.array([j == HalfInt.of(1) for j in down.j_labels])
+        self.line_weights = {s: _read_only(np.abs(pe) ** 2) for s, pe in self.pe_elements.items()}
+        self.line_verdicts = {s: _unresolved([   # of the lines and their terms, raised on each read
+            *self.line_positions[s].tolist(), params.Omega, params.eps_s, self.ground_coupling,
+            *eig.coupling_energies.tolist()]) for s, eig in self.eigensystems.items()}
         self.j1_positions = _read_only(self.line_positions[Spin.DOWN][j1])
         self.j1_products = _read_only(
             (_decay_row() @ down.vectors * self.pe_elements[Spin.DOWN])[j1])

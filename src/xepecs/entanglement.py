@@ -36,7 +36,7 @@ reduction or density matrix is formed over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +76,9 @@ def _check_orthogonal(geom: EmissionGeometry) -> None:
 
 def _check_squared_norm(norm_sq, params: ModelParams | None, epsilon: float) -> None:
     """DomainError naming the inputs unless every squared amplitude norm is finite and > 0."""
-    finite = np.all(np.isfinite(norm_sq))
-    if finite and np.all(norm_sq != 0.0):
+    one = isinstance(norm_sq, float)   # one state's norm: compared in ``math``
+    finite = isfinite(norm_sq) if one else np.all(np.isfinite(norm_sq))
+    if finite and (norm_sq != 0.0 if one else np.all(norm_sq != 0.0)):
         return
     inputs = f"epsilon={epsilon!r}" if params is None else f"{params!r}, epsilon={epsilon!r}"
     reason = ("all coincidence amplitudes vanish; state undefined" if finite
@@ -86,8 +87,9 @@ def _check_squared_norm(norm_sq, params: ModelParams | None, epsilon: float) -> 
 
 
 def _check_norm(norm_sq) -> None:
-    """DomainError unless every squared state norm lies within 1e-12 of 1."""
-    if not np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL):
+    """DomainError unless every squared state norm (a float or an array) is within 1e-12 of 1."""
+    if not (abs(norm_sq - 1.0) <= _NORM_TOL if isinstance(norm_sq, float)
+            else np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL)):
         raise DomainError(f"state norm^2 differs from 1 by more than {_NORM_TOL}")
 
 

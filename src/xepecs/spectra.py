@@ -11,20 +11,23 @@ either side of its line. A model or kinetic energy that puts a line where
 double precision cannot resolve that step (beyond about 3.5e13 eV), or that
 sums an energy that large into a line position, is a domain error naming the
 inputs, not a collapsed grid, a multiplet rounded away or an overflowing
-Lorentzian. The coincidence spectrum checks the down-spin photoemission lines
-too: its resonance R(epsilon) sums their J = 1 members.
+Lorentzian. The calculator takes that verdict on each spin's photoemission
+lines once, and each read of them raises it: ``xps_lines``, ``auto_epsilon``
+and the coincidence spectrum (R(epsilon) sums the down-spin J = 1 lines), which
+checks omega_0 once per amplitude set and returns rows of its checked block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi, ulp
+from math import isfinite, pi
 
 import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Spin
-from .amplitudes import CHANNEL_INDEX, CHANNELS, _check_width, calculator, channel_label
+from .amplitudes import (_EMISSION_HALF_WIDTH, _GRID_STEP, CHANNEL_INDEX, CHANNELS, _check_width,
+                         _unresolved, calculator, channel_label)
 from .model import DomainError, ModelParams, _read_only
 from .polarization import EmissionGeometry
 
@@ -40,8 +43,6 @@ __all__ = [
     "auto_epsilon",
 ]
 
-_GRID_STEP = 0.005             # eV, the step of both default grids
-_EMISSION_HALF_WIDTH = 3.0     # eV on either side of the emission line
 _XPS_GRID = _read_only(np.linspace(5.0, 8.0, 601))
 _EMISSION_OFFSETS = _read_only(np.linspace(-_EMISSION_HALF_WIDTH, _EMISSION_HALF_WIDTH, 1201))
 
@@ -76,6 +77,8 @@ class SpectrumSeries:
     channel: str
 
     def __post_init__(self):
+        if np.ndim(self.grid) != 1:
+            raise ValueError("grid must be a 1-D sequence")
         if len(self.grid) != len(self.intensity):
             raise ValueError("grid and intensity lengths differ")
         if not np.greater(self.grid[1:], self.grid[:-1]).all():
@@ -84,32 +87,21 @@ class SpectrumSeries:
             raise ValueError("intensity must be non-negative")
 
 
-def _check_resolution(params: ModelParams, energies, epsilon: float | None = None) -> None:
-    """DomainError naming ``params`` (and ``epsilon``, if given) if one of the
-    ``energies`` (a line position, or a term summed into one) lies, with an
-    emission window around it, where the spacing of doubles reaches the grid
-    step, or is not finite. A term that large leaves no splitting in the sum."""
-    for energy in energies:
-        if not ulp(abs(energy) + _EMISSION_HALF_WIDTH) < _GRID_STEP:
-            inputs = repr(params) if epsilon is None else f"{params!r}, epsilon={epsilon!r}"
-            raise DomainError(f"{inputs}: {energy:.6g} eV in a line position is beyond "
-                              f"the {_GRID_STEP} eV resolution of the spectrum grids")
-
-
-def _check_lines(params: ModelParams, calc, sigma: Spin, epsilon: float | None = None) -> None:
-    """``_check_resolution`` of the photoemission lines of spin ``sigma`` in
-    ``calc`` and of every term summed into them: Omega, eps_s, E'_g, the E'_i."""
-    _check_resolution(params, [*calc.line_positions[sigma], params.Omega, params.eps_s,
-                               calc.ground_coupling, *calc.eigensystems[sigma].coupling_energies],
-                      epsilon)
+def _check_lines(params: ModelParams, unresolved, epsilon: float | None = None) -> None:
+    """DomainError naming ``params`` (and ``epsilon``, if given) if ``unresolved``, a
+    verdict of ``amplitudes._unresolved`` on line positions and the terms summed into
+    them (the calculator keeps one per spin's photoemission lines), is an energy."""
+    if unresolved is not None:
+        inputs = repr(params) if epsilon is None else f"{params!r}, epsilon={epsilon!r}"
+        raise DomainError(f"{inputs}: {unresolved:.6g} eV in a line position is beyond "
+                          f"the {_GRID_STEP} eV resolution of the spectrum grids")
 
 
 def _xps_arrays(params: ModelParams, sigma: Spin):
     """Positions, weights and J labels of one spin's lines (see ``xps_lines``), checked."""
     calc = calculator(params)
-    _check_lines(params, calc, sigma)
-    return (calc.line_positions[sigma], np.abs(calc.pe_elements[sigma]) ** 2,
-            calc.eigensystems[sigma].j_labels)
+    _check_lines(params, calc.line_verdicts[sigma])
+    return calc.line_positions[sigma], calc.line_weights[sigma], calc.eigensystems[sigma].j_labels
 
 
 def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
@@ -125,7 +117,10 @@ def xps_lines(params: ModelParams, sigma: Spin) -> LineSpectrum:
 
 def _lorentzians(positions, weights, width: float, grid: np.ndarray) -> np.ndarray:
     """The (lines x grid) Lorentzians weight * L(grid - position), ``positions``
-    a column with one per line or one number that every line shares."""
+    a column with one per line or one number that every line shares; a
+    ValueError, before any math, unless the array ``grid`` is 1-D."""
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D sequence")
     return weights[:, None] * (width / pi) / ((grid - positions) ** 2 + width ** 2)
 
 
@@ -164,19 +159,21 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     weights in CHANNELS order times one Lorentzian profile (the float order of
     ``broaden``). The calculator keeps the block of its last amplitude set
     with its grid, both read-only: the default grid around omega_0, or a copy
-    of ``grid``. A call for that amplitude set with no grid after a default
-    build, or with the grid a call returned, reads the block; any other grid
-    builds it again, so a caller's array is never kept or frozen.
+    of ``grid`` (1-D). A call for that amplitude set with no grid after a
+    default build, or with the grid a call returned, reads the block; any
+    other grid builds it again, so a caller's array is never kept or frozen.
+    Each amplitude set is checked once, before its first build.
     """
     row, col = CHANNEL_INDEX[channel]   # of the (2, 2) amplitudes; 2 * row + col in CHANNELS
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
-    omega0 = calc.emission_line(epsilon)
-    _check_resolution(params, [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon],
-                      epsilon)
-    _check_lines(params, calc, Spin.DOWN, epsilon)   # R(epsilon) sums its J = 1 lines
     slot = calc._block_slot   # (amplitude set, built on the default grid, grid, block)
     if slot[0] is not amps or not (slot[1] if grid is None else grid is slot[2]):
+        omega0 = calc.emission_line(epsilon)
+        if slot[0] is not amps:   # the slot holds only a set that passed these
+            _check_lines(params, _unresolved(
+                [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon]), epsilon)
+            _check_lines(params, calc.line_verdicts[Spin.DOWN], epsilon)   # R sums its J = 1 lines
         weights = np.array([abs(amps[ch]) ** 2 for ch in CHANNELS])
         for weight in weights:
             _check_line(omega0, weight)
@@ -184,8 +181,12 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
         kept = _read_only(default_emission_grid(omega0) if grid is None
                           else np.array(grid, dtype=float))
         block = _read_only(_lorentzians(omega0, weights, params.gamma, kept))
+        SpectrumSeries(kept, block.T, "")   # checks the grid and every row once: n rows of 4
         slot = calc._block_slot = (amps, grid is None, kept, block)
-    return SpectrumSeries(slot[2], slot[3][2 * row + col], channel_label(channel))
+    series = object.__new__(SpectrumSeries)   # a row of the checked block: no __post_init__
+    series.__dict__.update(grid=slot[2], intensity=slot[3][2 * row + col],
+                           channel=channel_label(channel))
+    return series
 
 
 def auto_epsilon(params: ModelParams) -> float:

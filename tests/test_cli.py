@@ -460,6 +460,17 @@ class TestLinesBeyondGridResolution:
         assert "resolution of the spectrum grids" in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("eps_s", ["1e20", "-1e20", "-1e14"])
+    @pytest.mark.parametrize("command", ["rho", "entropy"])
+    def test_rho_and_entropy_at_a_fixed_epsilon_do_not_read_the_lines(
+            self, tmp_path, monkeypatch, capsys, command, eps_s):
+        # the calculator takes the line verdict when it is built and raises it only
+        # where the lines are read: xps, xepecs and the automatic kinetic energy
+        argv = [command, "--epsilon", "6.5",
+                "--config", self.config(tmp_path, f'{{"eps_s": {eps_s}}}')]
+        assert self.main(argv, tmp_path, monkeypatch, capsys) == (0, "")
+        assert (tmp_path / f"{command}.{'json' if command == 'rho' else 'csv'}").exists()
+
     @pytest.mark.parametrize("text", ['{"eps_s": 1e308}', '{"eps_s": -1e308}', '{"eps_s": 9e307}',
                                       '{"eps_s": 1e308, "eps_p": 1e308}',
                                       '{"eps_s": -1.7e308, "eps_p": -1.7e308}'])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from xepecs import spectra
-from xepecs.amplitudes import CHANNELS, calculator, channel_label
+from xepecs import amplitudes, spectra
+from xepecs.amplitudes import CHANNELS, calculator, channel_label, xepecs_amplitudes
 from xepecs.angular import HalfInt
+from xepecs.entanglement import entangled_state, entropy_sweep, full_density_matrix
 from xepecs.fockspace import Spin
 from xepecs.model import DomainError, ModelParams
 from xepecs.polarization import EmissionGeometry
@@ -367,3 +368,99 @@ class TestCoincidenceBlock:
     def test_an_unknown_channel_is_a_key_error(self):
         with pytest.raises(KeyError):
             xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, (Spin.UP, 3))
+
+
+NOT_1D = {"4x4": np.arange(16.0).reshape(4, 4), "2x3": np.arange(6.0).reshape(2, 3),
+          "0-d": np.array(6.5)}
+
+
+class TestGridShape:
+    """A grid that is not 1-D is a ValueError before any math: a 4 x 4 grid once gave
+    a series of meaningless intensities, a 2 x 3 grid numpy's broadcast error and a
+    0-d grid a TypeError, so each message is matched whole."""
+
+    @pytest.mark.parametrize("grid", NOT_1D.values(), ids=NOT_1D.keys())
+    def test_series(self, grid):
+        with pytest.raises(ValueError, match="^grid must be a 1-D sequence$"):
+            SpectrumSeries(grid, np.zeros_like(grid), "x")
+
+    @pytest.mark.parametrize("grid", [*NOT_1D.values(), [[5.0, 6.0], [7.0, 8.0]]],
+                             ids=[*NOT_1D.keys(), "nested list"])
+    def test_broaden_and_the_coincidence_spectrum(self, grid):
+        calculator.cache_clear()
+        with pytest.raises(ValueError, match="^grid must be a 1-D sequence$"):
+            broaden(xps_lines(PARAMS, Spin.UP), 0.5, grid)
+        geom = EmissionGeometry.from_degrees(45.0)
+        for _ in range(2):   # a rejected grid leaves nothing in the block slot
+            with pytest.raises(ValueError, match="^grid must be a 1-D sequence$"):
+                xepecs_spectrum(PARAMS, geom, 6.5, D1, grid)
+        assert calculator(PARAMS)._block_slot[0] is None
+
+
+class TestChecksRunOnce:
+    """The calculator takes one line verdict per spin when it is built, and the
+    coincidence spectrum checks the epsilon terms once per amplitude set; each
+    verdict is raised on every read, never at build time."""
+
+    def test_the_param_scan_sequence(self, monkeypatch):
+        verdicts, series_checks = [], []
+        rule, post_init = amplitudes._unresolved, SpectrumSeries.__post_init__
+
+        def counted(energies):
+            verdicts.append(list(energies))
+            return rule(energies)
+
+        def counted_post_init(series):
+            series_checks.append(series.channel)
+            post_init(series)
+
+        for module in (amplitudes, spectra):
+            monkeypatch.setattr(module, "_unresolved", counted)
+        monkeypatch.setattr(SpectrumSeries, "__post_init__", counted_post_init)
+        calculator.cache_clear()
+        params, grid = ModelParams(G=0.4, zeta=0.2, Gamma_1s=0.3), default_xps_grid()
+        for spin in (Spin.UP, Spin.DOWN):
+            broaden(xps_lines(params, spin), params.Gamma_1s, grid)
+        epsilon = auto_epsilon(params)
+        calc = calculator(params)
+        assert verdicts == [[*calc.line_positions[spin].tolist(), params.Omega, params.eps_s,
+                             calc.ground_coupling, *calc.eigensystems[spin].coupling_energies]
+                            for spin in (Spin.UP, Spin.DOWN)]
+        for theta in (63.0, 64.0):   # two amplitude sets
+            geom = EmissionGeometry.from_degrees(theta, 10.0)
+            full_density_matrix(entangled_state(xepecs_amplitudes(params, geom, epsilon)))
+            emission_grid = None
+            for channel in CHANNELS:
+                emission_grid = xepecs_spectrum(params, geom, epsilon, channel,
+                                                emission_grid).grid
+            entropy_sweep(params, geom, [0.0, 45.0, 90.0], epsilon)
+            # another grid builds the block again, for an amplitude set already checked
+            xepecs_spectrum(params, geom, epsilon, D1, emission_grid.copy())
+        eps_terms = [calc.emission_line(epsilon), params.Omega, params.eps_p,
+                     calc.ground_coupling, epsilon]
+        assert verdicts[2:] == [eps_terms, eps_terms]
+        # one check of each block build (two sets, each on two grids), none of the rows
+        assert series_checks == ["xps_up", "xps_down"] + [""] * 4
+
+    def test_a_verdict_is_raised_on_every_read_never_at_build(self):
+        calculator.cache_clear()
+        params = ModelParams(eps_s=1e20)
+        calc = calculator(params)
+        assert all(calc.line_verdicts[spin] is not None for spin in Spin)
+        for spin in Spin:
+            errors = []
+            for _ in range(2):
+                with pytest.raises(DomainError) as info:
+                    xps_lines(params, spin)
+                errors.append(info.value)
+            assert type(errors[0]) is type(errors[1]) and str(errors[0]) == str(errors[1])
+            assert str(errors[0]).startswith(f"{params!r}: ")
+            assert "resolution of the spectrum grids" in str(errors[0])
+        geom = EmissionGeometry.from_degrees(45.0)
+        for epsilon in (6.5, 6.6, 6.5):
+            with pytest.raises(DomainError, match=rf"epsilon={epsilon}: .* resolution of the"):
+                xepecs_spectrum(params, geom, epsilon, D1)
+        assert calc._block_slot[0] is None
+        # a state at a fixed epsilon does not read the lines
+        state = entangled_state(xepecs_amplitudes(params, geom, 6.5))
+        assert full_density_matrix(state).matrix.any()
