@@ -18,10 +18,12 @@ Only the electrons are second-quantized; the photons and the photoelectron
 label the channel. Each gives every bracket a factor 1: a photon count goes
 1 -> 0 or 0 -> 1 (sqrt(1)), and the photoelectron, above the 8 orbitals, gives
 bra and ket of equal electron count the same fermionic sign. So the
-photoemission components are the vertex times <b| s_sigma |g>, and the decay
-is the one-body operator sum_(m, s) d_m s^dag_s p_(m s), whose Fock matrix
-from the s^1 p^1 states to the closed 1s^2 shell comes from the builder of the
-``model`` operators. Both are built once per process. With the radial dipole
+photoemission elements are the vertex times <i| s_sigma |g>, and the decay
+is the one-body operator sum_(m, s) d_m s^dag_s p_(m s) to the closed 1s^2
+shell. Both are written once per process in the coupled (J, S) basis of
+``model``, by a Clebsch-Gordan coefficient and a recoupling 6j symbol from
+``angular``, each as sign * sqrt(exact square); per parameter set they are the
+rotation of the levels applied to these vectors. With the radial dipole
 integral 1 and the photoemission vertex 1/sqrt(2), both spins remove unit 1s
 strength (only ratios are observable).
 
@@ -51,24 +53,25 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, lru_cache
-from math import inf, isfinite, pi, sqrt, ulp
+from math import inf, isfinite, pi, ulp
 
 import numpy as np
 
-from .angular import HalfInt, _triangle, cg
-from .fockspace import FockState, Shell, Spin, SpinOrbital, ladder
+from .angular import HalfInt, _phase, _root, cg, cg_exact, sixj_exact
+from .fockspace import Spin
 from .model import (
     DomainError,
     ModelParams,
     SubspaceLabel,
-    _fock_matrix,
-    _ground,
+    _columns,
+    _couplings_of,
+    _eigensystem,
+    _GROUND,
+    _j1_block,
     _read_only,
-    ground_coupling_energy,
-    intermediate_eigensystem,
     intermediate_subspace,
-    subspace,
 )
 from .polarization import EmissionGeometry, alpha_components
 
@@ -89,15 +92,14 @@ CHANNELS: tuple[tuple[Spin, int], ...] = (
 )
 CHANNEL_INDEX = {channel: divmod(k, 2) for k, channel in enumerate(CHANNELS)}
 
-# Total 1s photoemission strength over both spin channels normalized to 1.
-PHOTOEMISSION_VERTEX = 1.0 / sqrt(2.0)
-
-# Angular factor of <1s| r_q |2p_m>, radial integral set to 1, from the CG
-# layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
-_EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
+# Total 1s photoemission strength over both spin channels normalized to 1: the
+# photoemission vertex squared, the strength of each of the two 1s electrons.
+_VERTEX_SQUARE = Fraction(1, 2)
 
 # A(up, lambda) / alpha_(lambda, 0) over A(down, lambda) / alpha_(lambda, -1)
 KAPPA = -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
+
+_SUBSPACE_LABELS = tuple(SubspaceLabel)
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
@@ -126,30 +128,36 @@ def channel_label(channel: tuple[Spin, int]) -> str:
 
 
 @cache
-def _ground_components(sigma: Spin) -> np.ndarray:
-    """<b| c^dag_(eps sigma) s_sigma a |g> = vertex * <b| s_sigma |g> of the
-    ground state g over the intermediate basis states b (read-only), built once:
-    the ladder rule removes s_sigma from each initial basis state."""
-    basis = intermediate_subspace(sigma).basis
-    out = np.zeros(len(basis), dtype=complex)
-    for state, c in zip(subspace(SubspaceLabel.INITIAL).basis, _ground()):
-        removed = ladder(state.orbitals, SpinOrbital(Shell.S1S, 0, sigma).index, False)
-        if removed:
-            out[basis.index(FockState(removed[1]))] += PHOTOEMISSION_VERTEX * removed[0] * c
-    return _read_only(out)
+def _photoemission_vector(sigma: Spin) -> np.ndarray:
+    """<(l, (s_1s s_2p) S) J M| c^dag_(eps sigma) s_sigma a |g> over the (J, S)
+    columns of the intermediate subspace of ``sigma`` (read-only), built once:
+    s_sigma leaves m_1s = -sigma beside g's (l s_2p) j = m = 1/2, with the
+    ladder sign -1 for down (past the 1s up electron). The element is the
+    vertex, that sign, <j m; s_1s m_1s| J M> and the recoupling (Edmonds 6.1.5,
+    with (s_2p s_1s) S turned into (s_1s s_2p) S) (-1)^(2 s_1s + 2 s_2p - S + l
+    + J) sqrt((2j + 1)(2S + 1)) {l s_2p j; s_1s J S}; J = 2 is dark, exactly."""
+    tm1s, ladder_sign = -sigma.twice_sz, 1 if sigma is Spin.UP else -1
+    return _read_only(np.array([_root(   # the phase: twice (2 s_1s + 2 s_2p - S + l + J)
+        (ladder_sign * _phase(2 + 2 - ts + 2 + tj), _VERTEX_SQUARE * 2 * (ts + 1)),
+        cg_exact(0.5, 0.5, 0.5, HalfInt(tm1s), HalfInt(tj), HalfInt(1 + tm1s)),
+        sixj_exact(1, 0.5, 0.5, 0.5, HalfInt(tj), HalfInt(ts)))
+        for tj, ts in _columns(intermediate_subspace(sigma).label)[1]]))
 
 
 @cache
-def _decay_row() -> np.ndarray:
-    """<f| sum_s d_1 s^dag_s p_(1 s) |b>, the q = -1 decay to the closed shell, over
-    the down-spin (M = 1) intermediate basis states b: read-only, built once."""
-    table, closed = np.zeros((8, 8)), 0
-    for s in Spin:
-        core = SpinOrbital(Shell.S1S, 0, s).index
-        table[core, SpinOrbital(Shell.P2P, 1, s).index] = _EMISSION_VERTEX[1]
-        closed |= 1 << core
-    col = {b: k for k, b in enumerate(subspace(SubspaceLabel.M1).basis)}
-    return _read_only(_fock_matrix((table,), {FockState(closed): 0}, col)[0])
+def _decay_vector() -> np.ndarray:
+    """<f| sum_s d_1 s^dag_s p_(1 s) |(l, (s_1s s_2p) S) J 1>, the q = -1 decay to
+    the closed shell, over the (J, S) columns of the down-spin (M = 1) subspace
+    (read-only), built once. On |1s m_1s, 2p (1, -m_1s)> it is d_1 times the
+    ladder sign, +1 for m_1s = 1/2 and -1 for -1/2, so by the symmetry of
+    <1/2 m; 1/2 -m| S 0> the element is d_1 (1 - (-1)^(1 - S))
+    <1/2 1/2; 1/2 -1/2| S 0> <l 1; S 0| J 1>: only the singlet decays."""
+    # d_1 = -<1 1; 1 -1| 0 0>, the angular factor of <1s| r_(-1) |2p_1> (radial integral 1)
+    d_sign, d_square = cg_exact(1, 1, 1, -1, 0, 0)
+    return _read_only(np.array([_root(
+        (-d_sign * (ts == 0), 4 * d_square), cg_exact(0.5, 0.5, 0.5, -0.5, HalfInt(ts), 0),
+        cg_exact(1, 1, HalfInt(ts), 0, HalfInt(tj), 1))
+        for tj, ts in _columns(SubspaceLabel.M1)[1]]))
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
@@ -176,10 +184,12 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The ground coupling E'_g, the intermediate eigensystems, the photoemission
-    line positions, elements, weights and resolution verdicts (raised by
-    ``spectra``, never here), and the J = 1 down-spin positions and products of
-    R(epsilon) are computed once, read-only, with no Fock-space operator. Per
+    The ground coupling E'_g, the intermediate eigensystems (from one
+    evaluation of H' and one J = 1 rotation shared by both spins), the
+    photoemission line positions, elements, weights and resolution verdicts
+    (raised by ``spectra``, never here), and the J = 1 down-spin positions and
+    products of R(epsilon) are computed once, read-only, as rotations of the
+    per-process constants in the coupled basis. Per
     kinetic energy ``reduced_amplitude`` sums R; per geometry the amplitudes
     are R times the alpha closed forms, for one angle or an array of them. The
     last R and the last ``amplitudes`` are kept in one-tuple slots (see the
@@ -190,35 +200,35 @@ class AmplitudeCalculator:
     def __init__(self, params: ModelParams):
         self.params = params
         try:
-            self.ground_coupling = ground_coupling_energy(params)   # E'_g
-            self.eigensystems = {sigma: intermediate_eigensystem(params, sigma) for sigma in Spin}
+            h = _couplings_of(params, _SUBSPACE_LABELS)   # H' once, on every subspace
+            self.ground_coupling = h[_GROUND]   # E'_g
+            block = _j1_block(h)
+            solved = {sigma: _eigensystem(intermediate_subspace(sigma).label, h, block)
+                      for sigma in Spin}
+            self.eigensystems = {sigma: eig for sigma, (eig, _) in solved.items()}
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
             # an overflow leaves an inf, and inf - inf a NaN, reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.line_positions = {
-                    sigma: _read_only(params.Omega + params.eps_s
-                                      + (self.ground_coupling - eig.coupling_energies))
-                    for sigma, eig in self.eigensystems.items()}
-            if not all(np.isfinite(x).all() for x in self.line_positions.values()):
+            energies = {s: eig.coupling_energies.tolist() for s, eig in self.eigensystems.items()}
+            positions = {s: [params.Omega + params.eps_s + (self.ground_coupling - e) for e in x]
+                         for s, x in energies.items()}
+            if not all(isfinite(x) for lines in positions.values() for x in lines):
                 raise DomainError("photoemission line positions are not finite")
         except DomainError as exc:
             raise DomainError(f"{params!r}: {exc}") from exc
-        # exactly 0 where J, the removed s = 1/2 and the ground J = 1/2 break the triangle rule
-        self.pe_elements = {
-            sigma: _read_only(np.where([_triangle(j.twice_value, 1, 1) for j in eig.j_labels],
-                                       eig.vectors.conj().T @ _ground_components(sigma), 0.0))
-            for sigma, eig in self.eigensystems.items()
-        }
-        down = self.eigensystems[Spin.DOWN]
-        j1 = np.array([j == HalfInt.of(1) for j in down.j_labels])
-        self.line_weights = {s: _read_only(np.abs(pe) ** 2) for s, pe in self.pe_elements.items()}
+        self.line_positions = {s: _read_only(np.array(x)) for s, x in positions.items()}
+        # the coupled vectors rotated onto the levels; a zero of the triangle rule
+        # (J against the removed s = 1/2 and the ground J = 1/2) is exact
+        self.pe_elements = {sigma: _read_only(_photoemission_vector(sigma).dot(rotation))
+                            for sigma, (_, rotation) in solved.items()}
+        self.line_weights = {s: _read_only(pe * pe) for s, pe in self.pe_elements.items()}
         self.line_verdicts = {s: _unresolved([   # of the lines and their terms, raised on each read
-            *self.line_positions[s].tolist(), params.Omega, params.eps_s, self.ground_coupling,
-            *eig.coupling_energies.tolist()]) for s, eig in self.eigensystems.items()}
-        self.j1_positions = _read_only(self.line_positions[Spin.DOWN][j1])
-        self.j1_products = _read_only(
-            (_decay_row() @ down.vectors * self.pe_elements[Spin.DOWN])[j1])
+            *positions[s], params.Omega, params.eps_s, self.ground_coupling, *energies[s]])
+            for s in Spin}
+        j1 = [k for k, j in enumerate(self.eigensystems[Spin.DOWN].j_labels) if j.twice_value == 2]
+        self.j1_positions = _read_only(self.line_positions[Spin.DOWN].take(j1))
+        self.j1_products = _read_only((_decay_vector().dot(solved[Spin.DOWN][1])
+                                       * self.pe_elements[Spin.DOWN]).take(j1))
         self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
         self._block_slot = (None, False, None, None)   # written by spectra.xepecs_spectrum
 

@@ -1,24 +1,26 @@
-"""Exact half-integer angular momentum values and Clebsch-Gordan coefficients.
+"""Exact half-integer angular momentum values, Clebsch-Gordan coefficients and
+6j symbols.
 
 Quantum numbers are stored as twice their value so that half-integers stay
-exact. Coefficients follow the Condon-Shortley phase convention and are
-evaluated through Racah's closed-form sum in exact integer arithmetic, on
-one common denominator, with one rational built at the end and a single
-square root. ``cg_exact`` returns the sign and the exact square, so a
-product of coefficients, as in the coupled (J, S) basis of ``model``, also
-needs only one square root.
+exact. Coefficients follow the Condon-Shortley phase convention. They and the
+6j symbols are evaluated through Racah's closed-form sums in exact integer
+arithmetic, on one common denominator, with one rational built at the end.
+``cg_exact`` and ``sixj_exact`` return the sign and the exact square, so a
+product of them, as in every per-process constant of ``model`` and
+``amplitudes``, needs only one square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, sqrt
+from math import factorial, lcm, prod, sqrt
 
 __all__ = [
     "HalfInt",
     "cg",
     "cg_exact",
+    "sixj_exact",
 ]
 
 
@@ -82,6 +84,11 @@ def _triangle(tj1: int, tj2: int, tj: int) -> bool:
 _ZERO = (0, Fraction(0))
 
 
+def _phase(twice_exponent: int) -> int:
+    """(-1)^x of an integer x, given as 2x."""
+    return -1 if twice_exponent % 4 else 1
+
+
 def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     """Sign and exact square of the Clebsch-Gordan coefficient <j1 m1 j2 m2|j m>.
 
@@ -101,19 +108,11 @@ def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     if tm1 + tm2 != tm or not _triangle(tj1, tj2, tj):
         return _ZERO
 
-    # All of these are integers by the parity checks above.
-    a = (tj1 + tj2 - tj) // 2
-    b = (tj1 - tj2 + tj) // 2
-    c = (-tj1 + tj2 + tj) // 2
-    d = (tj1 + tj2 + tj) // 2 + 1
-
-    prefactor = (
-        (tj + 1)
-        * factorial(a) * factorial(b) * factorial(c)
-        * factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
-        * factorial((tj1 - tm1) // 2) * factorial((tj1 + tm1) // 2)
-        * factorial((tj2 - tm2) // 2) * factorial((tj2 + tm2) // 2)
-    )   # over factorial(d)
+    # All of these are integers by the parity checks above: (2j + 1) times the
+    # triangle coefficient and the factorials of j -/+ m of the three pairs ...
+    prefactor = (tj + 1) * prod(factorial(x // 2) for x in (
+        tj1 + tj2 - tj, tj1 - tj2 + tj, -tj1 + tj2 + tj, tj + tm, tj - tm,
+        tj1 - tm1, tj1 + tm1, tj2 - tm2, tj2 + tm2))   # ... over (j1 + j2 + j + 1)!
 
     # Racah sum over k with every factorial argument non-negative.
     p1 = (tj1 + tj2 - tj) // 2      # j1 + j2 - j
@@ -121,21 +120,49 @@ def cg_exact(j1, m1, j2, m2, j, m) -> tuple[int, Fraction]:
     p3 = (tj2 + tm2) // 2           # j2 + m2
     q1 = (tj - tj2 + tm1) // 2      # j - j2 + m1
     q2 = (tj - tj1 - tm2) // 2      # j - j1 - m2
-    k_min = max(0, -q1, -q2)
-    k_max = min(p1, p2, p3)
+    return _racah_sum(prefactor, factorial((tj1 + tj2 + tj) // 2 + 1), (
+        (k, 1, factorial(k) * factorial(p1 - k) * factorial(p2 - k) * factorial(p3 - k)
+         * factorial(q1 + k) * factorial(q2 + k))
+        for k in range(max(0, -q1, -q2), min(p1, p2, p3) + 1)))
 
-    # each term (-1)^k / denominators[k - k_min], summed as total / common
-    ks = range(k_min, k_max + 1)
-    denominators = [factorial(k) * factorial(p1 - k) * factorial(p2 - k) * factorial(p3 - k)
-                    * factorial(q1 + k) * factorial(q2 + k) for k in ks]
-    common = lcm(*denominators)
-    total = sum(common // den if k % 2 == 0 else -(common // den)
-                for k, den in zip(ks, denominators))
 
+def _racah_sum(numerator: int, denominator: int, terms) -> tuple[int, Fraction]:
+    """Sign and exact square of sqrt(numerator / denominator) times the sum of
+    (-1)^k a / b over the (k, a, b) of ``terms``, summed in integers on one
+    common denominator."""
+    terms = list(terms)
+    common = lcm(*(b for _, _, b in terms))
+    total = sum((-1) ** k * a * (common // b) for k, a, b in terms)
     if total == 0:
         return _ZERO
-    sign = 1 if total > 0 else -1
-    return sign, Fraction(prefactor * total * total, factorial(d) * common * common)
+    return (1 if total > 0 else -1), Fraction(numerator * total * total,
+                                              denominator * common * common)
+
+
+def sixj_exact(j1, j2, j3, j4, j5, j6) -> tuple[int, Fraction]:
+    """Sign and exact square of the 6j symbol {j1 j2 j3; j4 j5 j6} by Racah's sum
+    (Edmonds, ch. 6), as ``cg_exact`` returns a coefficient: ``(0, Fraction(0))``
+    if one of its four triads breaks the triangle rule."""
+    a, b, c, d, e, f = map(_twice, (j1, j2, j3, j4, j5, j6))
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    if not all(_triangle(*triad) for triad in triads):   # also a negative j
+        return _ZERO
+    # the squared triangle coefficients (x + y - z)! (x - y + z)! (y + z - x)! / (x + y + z + 1)!
+    numerator = prod(factorial((x + y - z) // 2) * factorial((x - y + z) // 2)
+                     * factorial((y + z - x) // 2) for x, y, z in triads)
+    denominator = prod(factorial((x + y + z) // 2 + 1) for x, y, z in triads)
+    # the sum over t with t >= each triad's sum and t <= each of the three sums below
+    lows = [(x + y + z) // 2 for x, y, z in triads]
+    highs = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
+    return _racah_sum(numerator, denominator, (
+        (t, factorial(t + 1), prod(factorial(t - x) for x in lows)
+         * prod(factorial(x - t) for x in highs)) for t in range(max(lows), min(highs) + 1)))
+
+
+def _root(*factors: tuple[int, Fraction]) -> float:
+    """The product of the (sign, square) ``factors``, sign * sqrt(square) each,
+    with one square root."""
+    return prod(sign for sign, _ in factors) * sqrt(prod(square for _, square in factors))
 
 
 def cg(j1, m1, j2, m2, j, m) -> float:
@@ -152,8 +179,5 @@ def cg(j1, m1, j2, m2, j, m) -> float:
         The coefficient, exact up to one final floating square root.
         Out-of-domain input returns 0.0.
     """
-    sign, square = cg_exact(j1, m1, j2, m2, j, m)
-    if sign == 0:
-        return 0.0
-    return sign * sqrt(square)
+    return _root(cg_exact(j1, m1, j2, m2, j, m))
 

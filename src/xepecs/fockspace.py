@@ -1,18 +1,18 @@
-"""Occupation-number states and the fermionic ladder rule of the two-shell model.
+"""Occupation-number states of the two-shell model.
 
 The electron system has 8 spin-orbitals in the fixed canonical order
 
     (1s up, 1s down, 2p[m=-1] up, 2p[m=-1] down,
      2p[m=0] up, 2p[m=0] down, 2p[m=1] up, 2p[m=1] down)
 
-and a basis state is the bitmask of its occupied spin-orbitals. ``ladder`` is
-the one rule for creation and annihilation on such a mask: it returns the
-sign (-1)^(number of occupied modes below the target) and the new mask, and
-every operator matrix of the model is built from it, one hop at a time on
-the states of a subspace (see ``model``). Only electrons are
-second-quantized: the photons and the photoelectron change no sign and no
-norm in any matrix element of the model, so they are labels of the channels
-(see ``amplitudes``), not modes."""
+and a basis state is the bitmask of its occupied spin-orbitals. A fermionic
+sign is (-1)^(number of occupied modes below the mode created or removed).
+The model's operators are written in its coupled (J, S) basis by Racah
+algebra (see ``model`` and ``amplitudes``), so no operator is applied to a
+mask here; those signs enter only as the ladder sign of a photoemission or a
+decay in ``amplitudes``. Only electrons are second-quantized: the photons and
+the photoelectron change no sign and no norm in any matrix element of the
+model, so they are labels of the channels (see ``amplitudes``), not modes."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "SpinOrbital",
     "ORBITALS",
     "FockState",
-    "ladder",
 ]
 
 
@@ -87,12 +86,3 @@ class FockState:
         if not 0 <= self.orbitals < 256:
             raise ValueError("orbital mask out of range")
 
-
-def ladder(mask: int, mode: int, raise_op: bool) -> tuple[int, int] | None:
-    """c^dag (``raise_op``) or c of spin-orbital ``mode`` on the basis state with
-    orbital mask ``mask``: (sign, new mask), or None where Pauli exclusion or an
-    empty mode gives 0. The sign is (-1)^(number of occupied modes below ``mode``)."""
-    bit = 1 << mode
-    if bool(mask & bit) is raise_op:
-        return None
-    return -1 if (mask & (bit - 1)).bit_count() % 2 else 1, mask ^ bit

@@ -3,42 +3,43 @@
     H = eps_s * n_1s + eps_p * n_2p + H',
     H' = zeta * (l.s on the 2p electron) - 2 G * S_1s . S_2p
 
-Both couplings come from the (z, +) pairs of l on 2p, s on 1s and s on 2p:
-8 x 8 one-body tables with ladder elements sqrt(j(j + 1) - m(m + 1)), where
-A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 gives l.s and S_1s . S_2p (zero on a
-filled 1s shell). Each coupling is applied to its subspace's states hop by
-hop with the ladder rule of ``fockspace``; a product may pass through states
-of another M, and only where it ends is looked up in the subspace.
-``amplitudes`` takes the 2p -> 1s decay from the M = 1 states to the closed
-shell with the same builder.
-
 Every state of a subspace has the same (n_1s, n_2p): (2, 1) initially, (1, 1)
 in the intermediate states and (2, 0) on the closed shell of the final state.
 So the level energy eps_s n_1s + eps_p n_2p only shifts a whole subspace, and
 no level energy is formed here: the lines take eps_s and eps_p through exact
 occupation differences (see ``amplitudes``). Only H' is solved, and it is a
-scalar under rotations, so it commutes with J^2. In the coupled basis
-|((s_1s s_2p) S, l) J M> of each subspace, whose entries are products of two
-Clebsch-Gordan coefficients from the exact layer in ``angular``, l.s and
-S_1s . S_2p are real and block-diagonal in J: they are projected there and
-checked once per process and subspace. A parameter set then costs
-h = zeta l.s - 2 G S_1s . S_2p on at most 4 x 4 constants and one closed-form
-2 x 2 solve (no LAPACK call) per subspace, which gives every level an exact J.
-The ground state is the J = 1/2 column of the initial subspace, and E'_g its
-entry of h.
+scalar under rotations, so it is block-diagonal in J in the coupled basis
+|((s_1s s_2p) S, l) J M> of each subspace. The entries of that basis over the
+basis states are products of two Clebsch-Gordan coefficients from the exact
+layer in ``angular`` (U, built once per process); the ground state is the
+J = 1/2 column of the initial subspace.
+
+Both couplings are written in the coupled basis by Racah algebra, once per
+process: S_1s . S_2p = [S(S + 1) - s_1s(s_1s + 1) - 3/4]/2 is diagonal, and
+l.s is a scalar product of operators on the two parts of the (l, S) coupling
+(Edmonds, ch. 7), one product of two 6j symbols from ``angular``. Each entry
+is sign * sqrt(exact square), within one rounding of its exact value; the
+rational entries (-1, 1/2, 1/4, -3/4) and the zeros are exact. The two
+intermediate subspaces share their J = 1 block (1P1, 3P1) as the same floats.
+
+A parameter set costs h = zeta l.s - 2 G S_1s . S_2p once, on the seven
+distinct entries of the three subspaces, and one closed-form 2 x 2 rotation of
+the shared J = 1 block (no LAPACK call). The other levels are single entries:
+E'_g = -zeta (J = 1/2), 3P0 = -zeta - G/2 and 3P2 = zeta/2 - G/2. Every level
+comes with an exact J, and its vector is U times the rotation on its subspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from math import atan2, copysign, cos, sin, sqrt, tan
+from math import atan2, copysign, cos, isfinite, sin, tan
 
 import numpy as np
 
-from .angular import HalfInt, cg_exact
-from .fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital, ladder
+from .angular import HalfInt, _phase, _root, cg_exact, sixj_exact
+from .fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 
 __all__ = [
     "DomainError",
@@ -51,10 +52,6 @@ __all__ = [
     "intermediate_eigensystem",
     "ground_coupling_energy",
 ]
-
-# largest entry of a coupling operator allowed outside the J blocks of its subspace
-_BLOCK_TOL = 1e-10
-
 
 class DomainError(ValueError):
     """A computation left the physically meaningful domain."""
@@ -150,77 +147,18 @@ def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
     return subspace(SubspaceLabel.M0 if photoelectron_spin is Spin.UP else SubspaceLabel.M1)
 
 
-# ---------------------------------------------------------------------------
-# operators: products of one-body operators, applied hop by hop
-# ---------------------------------------------------------------------------
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _angular_momentum(shell: Shell, orbital: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x_z, x_+) of l (``orbital``) or s of one electron on ``shell``, as 8 x 8
-    one-body tables over ORBITALS; x_+ raises m with sqrt(j(j + 1) - m(m + 1))."""
-    z, plus = np.zeros((8, 8)), np.zeros((8, 8))
-    for b, o in enumerate(ORBITALS):
-        if o.shell is shell:
-            j, m = (1.0, o.m) if orbital else (0.5, 0.5 * o.spin.twice_sz)
-            z[b, b] = m
-            if m < j:
-                raised = replace(o, m=o.m + 1) if orbital else replace(o, spin=Spin.UP)
-                plus[raised.index, b] = sqrt(j * (j + 1) - m * (m + 1))
-    return z, plus
-
-
-def _fock_matrix(tables: tuple[np.ndarray, ...], row: dict[FockState, int],
-                 col: dict[FockState, int] | None = None) -> np.ndarray:
-    """The product of the one-body operators sum_ab t[a, b] c^dag_a c_b of
-    ``tables``, right to left, on each state of ``col`` (state -> index;
-    default ``row``), hop by hop with the ladder rule (c_b, then c^dag_a).
-    Only where a product ends is looked up in ``row``, so it may pass through
-    states of any M; a KeyError if it ends outside them."""
-    col = row if col is None else col
-    factors = [[(float(t[a, b]), int(a), int(b)) for a, b in zip(*np.nonzero(t))]
-               for t in reversed(tables)]
-    out = np.zeros((len(row), len(col)), dtype=complex)
-    for s, k in col.items():
-        paths = [(s.orbitals, 1.0)]   # (orbital mask, amplitude) of each path so far
-        for hops in factors:
-            paths, previous = [], paths
-            for mask, amplitude in previous:
-                for x, a, b in hops:
-                    removed = ladder(mask, b, False)
-                    added = removed and ladder(removed[1], a, True)
-                    if added:
-                        paths.append((added[1], x * removed[0] * added[0] * amplitude))
-        for mask, amplitude in paths:
-            out[row[FockState(mask)], k] += amplitude
-    return out
-
-
-@cache
-def _subspace_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
-    """l.s and S_1s . S_2p on the subspace ``label``, read-only, each product
-    applied to its basis states hop by hop."""
-    row = {b: k for k, b in enumerate(_BASES[label])}
-    l2p, s1s, s2p = (_angular_momentum(*x)
-                     for x in ((Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)))
-
-    def dot(a, b):   # A . B = A_z B_z + (A_+ B_- + A_- B_+)/2 from the (z, +) pairs
-        return _read_only(_fock_matrix((a[0], b[0]), row) + (
-            _fock_matrix((a[1], b[1].T), row) + _fock_matrix((a[1].T, b[1]), row)) / 2)
-
-    return dot(l2p, s2p), dot(s1s, s2p)
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EigenSystem:
     """The levels of H' on a subspace, ascending: ``coupling_energies`` the
     eigenvalues of H' (the subspace's level energy shifts them to the
-    energies); ``vectors[:, i]`` the i-th eigenvector over the subspace basis
-    and ``j_labels[i]`` the J of the block it was found in. The phase of each
-    vector is arbitrary."""
+    energies); ``vectors[:, i]`` the i-th eigenvector over the subspace basis,
+    real, and ``j_labels[i]`` the J of the block it was found in. The sign of
+    each vector is arbitrary."""
 
     coupling_energies: np.ndarray
     vectors: np.ndarray
@@ -242,11 +180,22 @@ def _angular_numbers(state: FockState) -> tuple[int, int, int, int]:
 
 
 @cache
+def _columns(label: SubspaceLabel) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Twice s_1s of subspace ``label`` (the same for every state) and twice the
+    (J, S) of each column of its coupled basis, ascending: every J and S that
+    s_1s, s_2p = 1/2 and l = 1 couple to, with |M| <= J."""
+    ts1s, tm1s, tml, tms = _angular_numbers(_BASES[label][0])
+    tm = tm1s + tml + tms
+    return ts1s, tuple(sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
+                              for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj))
+
+
+@cache
 def _label_basis(label: SubspaceLabel) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple]:
     """The (J, S) basis of subspace ``label`` (a Subspace key rehashes its basis),
-    built once: the coupled states |((s_1s s_2p) S, l) J M> as the columns U over
-    the basis states (read-only), ascending in (J, S), their J labels and the
-    column pair of each 2 x 2 J block.
+    built once: the coupled states |((s_1s s_2p) S, l) J M> of ``_columns`` as
+    the real columns U over the basis states (read-only), their J labels and
+    the column pair of each 2 x 2 J block.
 
     A basis state carries (m_1s, m_l, m_s), and its entry in the column (J, S)
     is <s_1s m_1s; 1/2 m_s | S M_S> <1 m_l; S M_S | J M>, the square root of
@@ -254,103 +203,119 @@ def _label_basis(label: SubspaceLabel) -> tuple[np.ndarray, tuple[HalfInt, ...],
     subspace the closed 1s shell has s_1s = 0, so the columns are |(l s) j m>.
     """
     numbers = [_angular_numbers(b) for b in _BASES[label]]   # all twice their value
-    ts1s, tm = numbers[0][0], sum(numbers[0][1:])   # s_1s and M, the same for every state
-    columns = sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
-                     for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj)
-    u = np.zeros((len(numbers), len(columns)), dtype=complex)
-    for k, (_, tm1s, tml, tms) in enumerate(numbers):
-        m_spin = HalfInt(tm1s + tms)   # M_S
-        spin = {ts: cg_exact(HalfInt(ts1s), HalfInt(tm1s), 0.5, HalfInt(tms), HalfInt(ts), m_spin)
-                for ts in {ts for _, ts in columns}}
-        for col, (tj, ts) in enumerate(columns):
-            spin_sign, spin_square = spin[ts]
-            if spin_sign:   # else |M_S| > S
-                total_sign, total_square = cg_exact(1, HalfInt(tml), HalfInt(ts), m_spin,
-                                                    HalfInt(tj), HalfInt(tm))
-                u[k, col] = spin_sign * total_sign * sqrt(spin_square * total_square)
+    ts1s, columns = _columns(label)
+    tm = sum(numbers[0][1:])   # M, the same for every state
+    u = np.array([[_root(cg_exact(HalfInt(ts1s), HalfInt(tm1s), 0.5, HalfInt(tms), HalfInt(ts),
+                                  HalfInt(tm1s + tms)),
+                         cg_exact(1, HalfInt(tml), HalfInt(ts), HalfInt(tm1s + tms), HalfInt(tj),
+                                  HalfInt(tm)))
+                   for tj, ts in columns] for _, tm1s, tml, tms in numbers])
     labels = tuple(HalfInt(tj) for tj, _ in columns)
     pairs = tuple((k, k + 1) for k in range(len(labels) - 1) if labels[k] == labels[k + 1])
     return _read_only(u), labels, pairs
 
 
+def _spin_orbit(ts1s: int, tj: int, ts_row: int, ts_col: int) -> float:
+    """<(l, S') J| l.s |(l, S) J> of the 2p electron, S' and S of (s_1s s_2p), all
+    twice their value, l = 1: l on the first part of (l, S) and s_2p on the second
+    (Edmonds 7.1.6), (-1)^(l + S' + J) {J S' l; 1 l S} <l||l||l> <S'||s_2p||S>,
+    with <S'||s_2p||S> = (-1)^(s_1s + s_2p + S' + 1) sqrt((2S + 1)(2S' + 1))
+    {s_2p S' s_1s; S s_2p 1} <s||s||s> (Edmonds 7.1.8), <l||l||l>^2 <s||s||s>^2 = 9."""
+    return _root((_phase(2 + ts_row + tj + ts1s + 1 + ts_row + 2), 9 * (ts_row + 1) * (ts_col + 1)),
+                 sixj_exact(HalfInt(tj), HalfInt(ts_row), 1, 1, 1, HalfInt(ts_col)),
+                 sixj_exact(0.5, HalfInt(ts_row), HalfInt(ts1s), HalfInt(ts_col), 0.5, 1))
+
+
 @cache
-def _coupled_operators(label: SubspaceLabel) -> tuple[np.ndarray, np.ndarray]:
-    """l.s and S_1s . S_2p in the (J, S) basis U of subspace ``label``: the real
-    matrices U^dag X U, built once and read-only. Both are checked there once:
-    a DomainError unless they are real and vanish outside the J blocks (to
-    1e-10), which only an operator that does not commute with J^2 fails. The
-    parameters only weight them, so no parameter set can fail the check."""
-    u, labels, _ = _label_basis(label)
-    twice_j = np.array([j.twice_value for j in labels])
-    outside = twice_j[:, None] != twice_j[None, :]
-    projected = []
-    for name, x in zip(("l.s", "S_1s . S_2p"), _subspace_operators(label)):
-        x = u.conj().T @ x @ u
-        if np.any(x.imag):
-            raise DomainError(f"{name} on {label.value} is not real in the (J, S) basis")
-        if not np.abs(x.real[outside]).max(initial=0.0) <= _BLOCK_TOL:
-            raise DomainError(f"{name} on {label.value} does not commute with J^2")
-        projected.append(_read_only(x.real.copy()))
-    return tuple(projected)
+def _couplings() -> dict[tuple[int, int, int, int], tuple[float, float]]:
+    """(l.s, S_1s . S_2p) at every entry of H' in the coupled bases of the three
+    subspaces (see ``_entry_keys``), built once. The J = 1 block of the two
+    intermediate subspaces is one set of entries, shared. l.s vanishes between
+    different J, and S_1s . S_2p = [S(S + 1) - s_1s(s_1s + 1) - 3/4]/2 is
+    diagonal: 0 on the closed 1s shell, -3/4 on a singlet and 1/4 on a triplet."""
+    return {(ts1s, tj, ts, ts_col): (
+        _spin_orbit(ts1s, tj, ts, ts_col),
+        (ts * (ts + 2) - ts1s * (ts1s + 2) - 3) / 8 if ts == ts_col else 0.0)
+        for label in SubspaceLabel for ts1s, tj, ts, ts_col in _entry_keys(label)}
 
 
-def _block_eigenpairs(h: np.ndarray, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, in column order, and the rotation of the J blocks of a real
-    symmetric h in a (J, S) basis, each 2 x 2 block [[p, b], [b, r]] at the
-    columns (i, j) of one of ``pairs``, b read from h[i, j]. The Jacobi angle
-    theta = atan2(b sgn(p - r), |p - r|) / 2 gives
-    diag(p + b tan(theta), r - b tan(theta)): b = 0 keeps a block bit for bit,
-    and a subnormal b gives a subnormal angle."""
-    values = h.diagonal().copy()
-    rotation = np.eye(len(h))
-    for i, j in pairs:   # at most one per subspace: Python floats beat size-1 arrays
-        p, r, b = float(values[i]), float(values[j]), float(h[i, j])
-        half = 0.5 * p - 0.5 * r   # overflows no sooner than p or r
-        angle = 0.5 * atan2(copysign(1.0, half) * b, abs(half))
-        shift = b * tan(angle)
-        values[i], values[j] = p + shift, r - shift
-        rotation[i, i], rotation[i, j] = cos(angle), -sin(angle)
-        rotation[j, i], rotation[j, j] = sin(angle), cos(angle)
-    return values, rotation
+@cache
+def _entry_keys(label: SubspaceLabel) -> tuple[tuple[int, int, int, int], ...]:
+    """The entries of H' on subspace ``label`` in its coupled basis, each as twice
+    (s_1s, J, S', S): the diagonal, in column order, then the off-diagonal of
+    each 2 x 2 J block."""
+    ts1s, columns = _columns(label)
+    return (*((ts1s, tj, ts, ts) for tj, ts in columns),
+            *((ts1s, columns[i][0], columns[i][1], columns[j][1])
+              for i, j in _label_basis(label)[2]))
 
 
-def _eigensystem(params: ModelParams, label: SubspaceLabel) -> EigenSystem:
-    """The levels of H' on subspace ``label``, one rule for every subspace:
-    h = zeta l.s - 2 G S_1s . S_2p on the constants of ``_coupled_operators``,
-    each J block solved in closed form, the pairs sorted by energy, stably
-    (energies equal as floats stay in ascending (J, S) order; levels
-    degenerate only in exact arithmetic, at G = 0 or zeta = 0, can differ by
-    an ulp and then follow roundoff), and the vectors U times the rotation. A
-    DomainError if h overflows; a level beyond the float range comes out as
-    +/-inf, which the calculator's line positions report."""
-    spin_orbit, exchange = _coupled_operators(label)
-    # an overflowing weight or sum leaves inf or NaN entries, which are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = params.zeta * spin_orbit - 2.0 * params.G * exchange
-    if not np.isfinite(h).all():
+# twice (s_1s, J, S', S) of E'_g, the J = 1/2 entry of the initial subspace, and of
+# the J = 1 block of both intermediate subspaces: 1P1 and 3P1, and between them
+_GROUND = (0, 1, 1, 1)
+_J1_BLOCK = ((1, 2, 0, 0), (1, 2, 2, 2), (1, 2, 0, 2))
+
+
+def _couplings_of(params: ModelParams, labels) -> dict[tuple[int, int, int, int], float]:
+    """h = zeta l.s - 2 G S_1s . S_2p at every entry of ``_couplings``, once per
+    parameter set; a DomainError unless the entries of the subspaces ``labels``
+    are finite. An overflowing weight or sum leaves an inf or a NaN."""
+    zeta, twice_g = params.zeta, 2.0 * params.G
+    h = {key: zeta * spin_orbit - twice_g * exchange
+         for key, (spin_orbit, exchange) in _couplings().items()}
+    if not all(isfinite(h[key]) for label in labels for key in _entry_keys(label)):
         raise DomainError("Hamiltonian matrix is not finite")
+    return h
+
+
+def _block_eigenpairs(p: float, r: float, b: float) -> tuple[float, float, float, float]:
+    """The eigenvalues of a real symmetric 2 x 2 J block [[p, b], [b, r]], in
+    column order, and the cosine and sine of its rotation, in closed form: the
+    Jacobi angle theta = atan2(b sgn(p - r), |p - r|) / 2 gives
+    diag(p + b tan(theta), r - b tan(theta)). b = 0 keeps the block bit for
+    bit, and a subnormal b gives a subnormal angle."""
+    half = 0.5 * p - 0.5 * r   # overflows no sooner than p or r
+    angle = 0.5 * atan2(copysign(1.0, half) * b, abs(half))
+    shift = b * tan(angle)
+    return p + shift, r - shift, cos(angle), sin(angle)
+
+
+def _j1_block(h: dict) -> tuple[float, float, float, float]:
+    """The J = 1 block of the entries ``h`` of ``_couplings_of``, solved once for
+    both intermediate subspaces (see ``_block_eigenpairs``)."""
+    return _block_eigenpairs(*(h[key] for key in _J1_BLOCK))
+
+
+def _eigensystem(label: SubspaceLabel, h: dict, block) -> tuple[EigenSystem, np.ndarray]:
+    """The levels of H' on subspace ``label`` from the entries ``h`` of one
+    parameter set and its solved J = 1 ``block`` (see ``_j1_block``), with the
+    vectors U R, and the rotation R (read-only). The other levels are entries
+    of h. The pairs are sorted by energy, stably: energies equal as floats, as
+    the exact entries give at zeta = 0, stay in ascending (J, S) order. A level
+    beyond the float range is +/-inf, which the calculator's positions report."""
     u, labels, pairs = _label_basis(label)
-    w, rotation = _block_eigenpairs(h, pairs)
-    order = np.argsort(w, kind="stable")
-    return EigenSystem(_read_only(w[order]), _read_only(u @ rotation[:, order]),
-                       tuple(labels[i] for i in order), subspace(label))
+    values = [h[key] for key in _entry_keys(label)[:len(labels)]]
+    rotation = np.eye(len(labels))
+    for i, j in pairs:   # the one J = 1 block
+        values[i], values[j], c, s = block
+        rotation[i, i], rotation[i, j], rotation[j, i], rotation[j, j] = c, -s, s, c
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rotation = _read_only(rotation.take(order, axis=1))
+    energies = _read_only(np.array([values[i] for i in order]))
+    return EigenSystem(energies, _read_only(u.dot(rotation)), tuple(labels[i] for i in order),
+                       subspace(label)), rotation
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
-    """The levels of H' on the intermediate subspace of the photoelectron spin."""
-    return _eigensystem(params, intermediate_subspace(photoelectron_spin).label)
-
-
-def _ground() -> np.ndarray:
-    """The (J, M) = (1/2, 1/2) electron ground state 1s^2 2p as its components
-    over the initial basis (read-only): the J = 1/2 column of the (J, S) basis.
-    The closed 1s shell has spin 0, so this is the 2p electron coupled to
-    j = 1/2 with Clebsch-Gordan coefficients, the same for every parameter set."""
-    return _label_basis(SubspaceLabel.INITIAL)[0][:, 0]
+    """The levels of H' on the intermediate subspace of the photoelectron spin; a
+    DomainError if H' overflows there."""
+    label = intermediate_subspace(photoelectron_spin).label
+    h = _couplings_of(params, (label,))
+    return _eigensystem(label, h, _j1_block(h))[0]
 
 
 def ground_coupling_energy(params: ModelParams) -> float:
-    """E'_g, the J = 1/2 level of H' on the initial subspace, whose one vector
-    is ``_ground()``."""
-    eig = _eigensystem(params, SubspaceLabel.INITIAL)
-    return float(eig.coupling_energies[eig.j_labels.index(HalfInt(1))])
+    """E'_g = -zeta, the J = 1/2 level of H' on the initial subspace, whose vector
+    is the J = 1/2 column of its coupled basis; a DomainError if H' overflows
+    there."""
+    return _couplings_of(params, (SubspaceLabel.INITIAL,))[_GROUND]

@@ -77,14 +77,23 @@ class SpectrumSeries:
     channel: str
 
     def __post_init__(self):
-        if np.ndim(self.grid) != 1:
-            raise ValueError("grid must be a 1-D sequence")
-        if len(self.grid) != len(self.intensity):
-            raise ValueError("grid and intensity lengths differ")
-        if not np.greater(self.grid[1:], self.grid[:-1]).all():
-            raise ValueError("grid must be strictly ascending")
-        if not np.greater_equal(self.intensity, 0.0).all():
-            raise ValueError("intensity must be non-negative")
+        _check_spectrum(self.grid, self.intensity)
+
+
+def _check_spectrum(grid: np.ndarray, intensity: np.ndarray, ndim: int = 1) -> None:
+    """ValueError unless ``grid`` is 1-D and strictly ascending and ``intensity``
+    (a series, or a block of them) has ``ndim`` axes, the last as long as
+    ``grid``, and is non-negative; NaN fails every check."""
+    if np.ndim(grid) != 1:
+        raise ValueError("grid must be a 1-D sequence")
+    if np.ndim(intensity) != ndim:
+        raise ValueError(f"intensity must be {ndim}-D")
+    if np.shape(intensity)[-1] != len(grid):
+        raise ValueError("grid and intensity lengths differ")
+    if not np.greater(grid[1:], grid[:-1]).all():
+        raise ValueError("grid must be strictly ascending")
+    if not np.greater_equal(intensity, 0.0).all():
+        raise ValueError("intensity must be non-negative")
 
 
 def _check_lines(params: ModelParams, unresolved, epsilon: float | None = None) -> None:
@@ -174,14 +183,13 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
             _check_lines(params, _unresolved(
                 [omega0, params.Omega, params.eps_p, calc.ground_coupling, epsilon]), epsilon)
             _check_lines(params, calc.line_verdicts[Spin.DOWN], epsilon)   # R sums its J = 1 lines
+        # omega_0 and its terms passed the resolution check, each |A|^2 <= |R|^2 / 2 < inf,
+        # and the calculator checked gamma
         weights = np.array([abs(amps[ch]) ** 2 for ch in CHANNELS])
-        for weight in weights:
-            _check_line(omega0, weight)
-        _check_width(params.gamma)
         kept = _read_only(default_emission_grid(omega0) if grid is None
                           else np.array(grid, dtype=float))
         block = _read_only(_lorentzians(omega0, weights, params.gamma, kept))
-        SpectrumSeries(kept, block.T, "")   # checks the grid and every row once: n rows of 4
+        _check_spectrum(kept, block, ndim=2)   # the grid and every row, once
         slot = calc._block_slot = (amps, grid is None, kept, block)
     series = object.__new__(SpectrumSeries)   # a row of the checked block: no __post_init__
     series.__dict__.update(grid=slot[2], intensity=slot[3][2 * row + col],

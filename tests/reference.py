@@ -1,12 +1,15 @@
 """Independent routes the tests hold the package to, which the package does not
 need: a sparse vector algebra (``ManyBodyVector``, amplitudes keyed by basis
-state) and with it the package's products of one-body Fock matrices and its
-ground state, the shell occupations of a state, and the model operators one
-basis vector at a time; the Hamiltonian H' over the basis states from those
-operators and with its level energy, and the initial state with E_g; the
-eigendecomposition of each J block by LAPACK (``np.linalg.eigh``), the route
-for any H that commutes with J^2; a full register of the 8 orbitals, two
-photoelectron modes and three photon counts with one fermionic sign rule, and
+state) and with it the shell occupations of a state and the model operators
+one basis vector at a time, whose projections on the coupled (J, S) basis
+check the package's Racah tables; those tables as matrices on each subspace,
+and each subspace's levels solved on their own from them (the route the one
+shared J = 1 rotation replaced); the Hamiltonian H' over the basis states from
+the per-vector operators and with its level energy, and the initial state
+with E_g; the eigendecomposition of each J block by LAPACK
+(``np.linalg.eigh``), the route for any H that commutes with J^2; a full
+register of the 8 orbitals, two photoelectron modes and three photon counts
+with one fermionic sign rule, and
 through it the electron creation and annihilation operators, the
 photon-emission operator for any polarization pair, the emission rows, and the
 photoemission elements of any initial state; the general resonant sum over
@@ -16,10 +19,12 @@ them, and the per-eigenstate resonance terms; the Cartesian polarization
 vectors and the spherical projections of one, in closed form and by
 projection, and all three components for an array of angles; the closed-form
 pair state; the bits of a sweep by the stacked route, its (n, 2) spectrum
-summed over the last axis by np.sum; and the Racah sum of the Clebsch-Gordan
-coefficients in ``Fraction`` arithmetic, one rational per term."""
+summed over the last axis by np.sum; the Racah sum of the Clebsch-Gordan
+coefficients in ``Fraction`` arithmetic, one rational per term; and a signed
+square root rounded once from 50 digits."""
 
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
@@ -28,15 +33,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from xepecs.amplitudes import PHOTOEMISSION_VERTEX, _EMISSION_VERTEX
-from xepecs.angular import HalfInt, _triangle, _valid_pair
+from xepecs.amplitudes import _VERTEX_SQUARE
+from xepecs.angular import HalfInt, _triangle, _valid_pair, cg
 from xepecs.entanglement import EntangledState, _spin_invariants
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
 from xepecs.model import (
-    DomainError, SubspaceLabel, _ground, _label_basis, ground_coupling_energy,
-    intermediate_subspace, subspace,
+    DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis,
+    ground_coupling_energy, intermediate_subspace, subspace,
 )
+from xepecs.model import _couplings as package_tables
 from xepecs.polarization import alpha_components
+
+PHOTOEMISSION_VERTEX = sqrt(_VERTEX_SQUARE)
+# Angular factor of <1s| r_q |2p_m>, radial integral set to 1, from the CG
+# layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
+EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
 
 # ---------------------------------------------------------------------------
 # sparse vectors: amplitudes keyed by basis state, a FockState for the
@@ -176,17 +187,6 @@ def apply_casimir(v, raising, lowering, z_weights):
     return apply_terms(apply_terms(v, raising), lowering) + apply_diagonal(z, z_weights) + z
 
 
-def fock_matrix(tables, row, col=None):
-    """The product of the one-body operators sum_ab t[a, b] c^dag_a c_b of
-    ``tables``, right to left, from the states of ``col`` (default ``row``) to
-    those of ``row`` by the vector algebra, in place of ``model._fock_matrix``."""
-    images = [basis_vector(s) for s in (row if col is None else col)]
-    for t in reversed(tables):
-        hops = [(float(t[a, b]), ORBITALS[a], ORBITALS[b]) for a, b in zip(*np.nonzero(t))]
-        images = [apply_terms(v, hops) for v in images]
-    return np.array([[v.amplitude(t) for v in images] for t in row], dtype=complex)
-
-
 def occupation(state):
     """(n_1s, n_2p) of a basis state, counted over its occupied orbitals."""
     return tuple(sum(o.shell is shell for o in ORBITALS if state.orbitals >> o.index & 1)
@@ -201,7 +201,7 @@ def operator_matrix(sub, apply):
 
 def model_operators(sub):
     """l.s, S_1s . S_2p, J^2, S^2 and J_z on ``sub``; the first two are the
-    pair that ``xepecs.model._subspace_operators`` builds by its own route."""
+    pair whose Racah tables ``xepecs.model._couplings`` holds."""
     j_plus = p_ladder_hops(+1) + spin_ladder_hops(BOTH_SHELLS, True)
     j_minus = p_ladder_hops(-1) + spin_ladder_hops(BOTH_SHELLS, False)
     s_plus, s_minus = (spin_ladder_hops(BOTH_SHELLS, r) for r in (True, False))
@@ -210,6 +210,45 @@ def model_operators(sub):
         lambda v: apply_casimir(v, j_plus, j_minus, JZ),
         lambda v: apply_casimir(v, s_plus, s_minus, SZ),
         lambda v: apply_diagonal(v, JZ)))
+
+
+def coupled(matrix, label):
+    """U^T X U of a matrix X over the basis states of subspace ``label``, in its
+    (J, S) basis U: real where X commutes with J^2 and is real there."""
+    u = _label_basis(label)[0]
+    return u.T @ np.asarray(matrix) @ u
+
+
+def table_matrices(label):
+    """l.s and S_1s . S_2p on subspace ``label`` in its (J, S) basis, from the
+    package's table ``model._couplings``: each entry at its columns, and its
+    mirror, and 0 between different J."""
+    ts1s, columns = _columns(label)
+    out = np.zeros((2, len(columns), len(columns)))
+    for a, (tj, ts) in enumerate(columns):
+        for b, (tj_col, ts_col) in enumerate(columns):
+            key = (ts1s, tj, *sorted((ts, ts_col)))
+            if tj == tj_col and key in package_tables():
+                out[:, a, b] = package_tables()[key]
+    return out[0], out[1]
+
+
+def subspace_levels(params, label):
+    """The levels of H' on subspace ``label`` solved on their own: h over the
+    tables of ``table_matrices``, each J block by ``model._block_eigenpairs``,
+    the pairs sorted stably by np.argsort, and the vectors U R. Returns the
+    energies, the vectors, their J labels and the sorted rotation R."""
+    spin_orbit, exchange = table_matrices(label)
+    h = params.zeta * spin_orbit - 2.0 * params.G * exchange
+    u, labels, pairs = _label_basis(label)
+    values, rotation = h.diagonal().copy(), np.eye(len(h))
+    for i, j in pairs:
+        values[i], values[j], c, s = _block_eigenpairs(float(h[i, i]), float(h[j, j]),
+                                                       float(h[i, j]))
+        rotation[i, i], rotation[i, j], rotation[j, i], rotation[j, j] = c, -s, s, c
+    order = np.argsort(values, kind="stable")
+    rotation = rotation[:, order]
+    return values[order], u.dot(rotation), tuple(labels[i] for i in order), rotation
 
 
 def block_eigh(H, sub):
@@ -262,8 +301,9 @@ def build_hamiltonian(params, sub):
 
 def ground_state():
     """The (J, M) = (1/2, 1/2) electron ground state as a vector over the
-    initial basis states, from the package's components."""
-    return combine(zip(_ground(), map(basis_vector, subspace(SubspaceLabel.INITIAL).basis)))
+    initial basis states: the J = 1/2 column of the package's coupled basis."""
+    components = _label_basis(SubspaceLabel.INITIAL)[0][:, 0]
+    return combine(zip(components, map(basis_vector, subspace(SubspaceLabel.INITIAL).basis)))
 
 
 def initial_state(params):
@@ -416,10 +456,10 @@ def photoemission_elements(g, eig, sigma):
 def _apply_mph(v, alphas):
     """The 2p -> 1s photon-emission operator; alphas[lam] holds the spherical
     projections (q = +1, 0, -1) of polarization vector lam, and each term is
-    _EMISSION_VERTEX[m] * alpha_(-m) * b^dag_lam s^dag_sigma p_(m sigma)."""
+    EMISSION_VERTEX[m] * alpha_(-m) * b^dag_lam s^dag_sigma p_(m sigma)."""
     terms = []
     for lam, alpha in alphas.items():
-        for m, vertex in _EMISSION_VERTEX.items():
+        for m, vertex in EMISSION_VERTEX.items():
             d = vertex * alpha[1 + m]
             if d == 0:
                 continue
@@ -586,3 +626,11 @@ def cg_exact_fraction(j1, m1, j2, m2, j, m):
     if total == 0:
         return zero
     return (1 if total > 0 else -1), prefactor * total * total
+
+
+def rounded_root(sign, square):
+    """sign * sqrt(square) of a Fraction, from 50 digits rounded once to the
+    nearest float."""
+    with localcontext() as context:
+        context.prec = 50
+        return float(sign * (Decimal(square.numerator) / Decimal(square.denominator)).sqrt())

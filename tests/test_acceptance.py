@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from xepecs.angular import HalfInt, cg
-from xepecs.fockspace import Spin, ladder
+from xepecs.fockspace import ORBITALS, FockState, Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
-    _ground,
+    _label_basis,
     intermediate_eigensystem,
     subspace,
 )
@@ -27,7 +27,10 @@ from xepecs.entanglement import (
 )
 from xepecs.spectra import xepecs_spectrum, xps_lines
 
-from reference import alpha_coeffs, closed_form_state, coupling_hamiltonian, model_operators
+from reference import (
+    alpha_coeffs, annihilate, basis_vector, closed_form_state, coupling_hamiltonian,
+    model_operators,
+)
 
 PARAMS = ModelParams()
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
@@ -205,19 +208,19 @@ def test_criterion_10_algebraic_substrate(calc):
                     cg_ok &= abs(left - phase * right) < 1e-12
 
     # fermionic anticommutation over all 2^8 occupation states, on the 256 x 256
-    # matrix of each c_a from the ladder rule (c^dag_a is its transpose)
+    # matrix of each c_a from the tests' sign rule (c^dag_a is its transpose)
     c = np.zeros((8, 256, 256))
-    for a in range(8):
+    for a, orbital in enumerate(ORBITALS):
         for mask in range(256):
-            hop = ladder(mask, a, False)
-            if hop:
-                c[a, hop[1], mask] = hop[0]
+            for state, amplitude in annihilate(basis_vector(FockState(mask)), orbital).terms():
+                c[a, state.orbitals, mask] = amplitude.real
     fermi_ok = all(np.array_equal(c[a] @ c[b].T + c[b].T @ c[a], np.eye(256) * (a == b))
                    for a in range(8) for b in range(8))
 
     # eigen-residuals of the levels (the intermediate eigensystems, and the ground
     # state with E'_g) and [J^2, H] = 0 on every subspace
-    levels = {SubspaceLabel.INITIAL: (_ground()[:, None], np.array([calc.ground_coupling]))}
+    ground = _label_basis(SubspaceLabel.INITIAL)[0][:, :1]
+    levels = {SubspaceLabel.INITIAL: (ground, np.array([calc.ground_coupling]))}
     for sigma in Spin:
         eig = intermediate_eigensystem(PARAMS, sigma)
         levels[eig.subspace.label] = (eig.vectors, eig.coupling_energies)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from xepecs.fockspace import Spin
 from xepecs.model import (
     ModelParams,
     SubspaceLabel,
+    _label_basis,
     intermediate_eigensystem,
     intermediate_subspace,
 )
 from xepecs.amplitudes import (
     CHANNELS,
     AmplitudeCalculator,
-    _decay_row,
-    _ground_components,
+    _decay_vector,
+    _photoemission_vector,
     calculator,
     channel_label,
     xepecs_amplitudes,
@@ -38,6 +40,7 @@ from reference import (
     per_eigenstate_terms,
     photoemission_components,
     photoemission_elements,
+    rounded_root,
 )
 
 PARAMS = ModelParams()
@@ -85,17 +88,30 @@ class TestPhotoemissionElements:
 
 
 class TestFullRegisterRoute:
-    """The once-per-process arrays, electron-only, against the route that also
-    carries the photoelectron and photon registers, bit for bit."""
+    """The once-per-process vectors in the coupled basis, from a Clebsch-Gordan
+    coefficient and a 6j symbol each, against the route that carries the
+    photoelectron and photon registers, to 1e-15; and against their closed
+    forms, each its exact value rounded once."""
 
-    def test_decay_row(self):
-        # the q = -1 row of the down-spin (M = 1) emission basis
-        assert _decay_row().tobytes() == emission_basis(SubspaceLabel.M1)[2].tobytes()
+    def test_decay_vector(self):
+        # the q = -1 row of the down-spin (M = 1) emission basis; only 1P1 decays
+        row = emission_basis(SubspaceLabel.M1)[2] @ _label_basis(SubspaceLabel.M1)[0]
+        assert np.max(np.abs(_decay_vector() - row)) <= 1e-15
+        assert list(_decay_vector()) == [rounded_root(-1, Fraction(2, 3)), 0.0, 0.0]
 
     @pytest.mark.parametrize("sigma", list(Spin))
-    def test_ground_components(self, sigma):
-        expected = photoemission_components(ground_state(), sigma, intermediate_subspace(sigma))
-        assert _ground_components(sigma).tobytes() == expected.tobytes()
+    def test_photoemission_vector(self, sigma):
+        sub = intermediate_subspace(sigma)
+        components = photoemission_components(ground_state(), sigma, sub)
+        expected = _label_basis(sub.label)[0].T @ components
+        assert np.max(np.abs(_photoemission_vector(sigma) - expected)) <= 1e-15
+        # up: 3P0, 1P1, 3P1, 3P2 and down: 1P1, 3P1, 3P2, each its exact value
+        # rounded once; 3P2 is dark exactly, and each spin removes strength 1/2
+        closed_form = {Spin.UP: [(1, Fraction(1, 4)), (1, Fraction(1, 12)), (1, Fraction(1, 6)),
+                                 (0, Fraction(0))],
+                       Spin.DOWN: [(-1, Fraction(1, 6)), (-1, Fraction(1, 3)), (0, Fraction(0))]}
+        assert list(_photoemission_vector(sigma)) == [rounded_root(*x) for x in closed_form[sigma]]
+        assert sum(square for _, square in closed_form[sigma]) == Fraction(1, 2)
 
 
 class TestDipoleBlock:

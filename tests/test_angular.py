@@ -1,11 +1,13 @@
-"""Clebsch-Gordan coefficients against standard tables and their symmetries."""
+"""Clebsch-Gordan coefficients and 6j symbols against standard tables, their
+symmetries and, where sympy is installed, its exact 6j symbols."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from xepecs.angular import HalfInt, cg, cg_exact
+from xepecs.angular import HalfInt, cg, cg_exact, sixj_exact
 
 from reference import cg_exact_fraction
 
@@ -179,3 +181,77 @@ class TestIntegerRacahSum:
             cg_exact(True, 0, 1, 0, 1, 0)
         with pytest.raises(ValueError, match="half-integer"):
             cg_exact(0.25, 0, 1, 0, 1, 0)
+
+
+UP_TO_2 = [HalfInt(t) for t in range(5)]   # j = 0, 1/2, ..., 2
+
+
+def sixj(*js):
+    sign, square = sixj_exact(*js)
+    return sign * math.sqrt(square)
+
+
+class TestSixJ:
+    """The exact 6j symbol: Racah's sum in integers, (sign, exact square)."""
+
+    def test_with_a_zero_is_a_normalization(self):
+        # {a b c; 0 c b} = (-1)^(a + b + c) / sqrt((2b + 1)(2c + 1)) on every triad
+        zero = HalfInt(0)
+        for a, b, c in itertools.product(UP_TO_2, repeat=3):
+            got = sixj_exact(a, b, c, zero, c, b)
+            twice_sum = a.twice_value + b.twice_value + c.twice_value
+            if not (abs(b.twice_value - c.twice_value) <= a.twice_value
+                    <= b.twice_value + c.twice_value and twice_sum % 2 == 0):
+                assert got == (0, Fraction(0))
+                continue
+            phase = -1 if twice_sum % 4 else 1
+            assert got == (phase, Fraction(1, (b.twice_value + 1) * (c.twice_value + 1)))
+
+    def test_known_values(self):
+        # {1 1 1; 1 1 1} = {1/2 1/2 1; 1/2 1/2 1} = 1/6, and by the symmetries
+        # and the zero rule {1/2 1/2 0; 1/2 1/2 1} = 1/2 and {1 1 0; 1 1 2} = 1/3
+        assert sixj_exact(1, 1, 1, 1, 1, 1) == (1, Fraction(1, 36))
+        assert sixj_exact(0.5, 0.5, 1, 0.5, 0.5, 1) == (1, Fraction(1, 36))
+        assert sixj_exact(0.5, 0.5, 0, 0.5, 0.5, 1) == (1, Fraction(1, 4))
+        assert sixj_exact(1, 1, 0, 1, 1, 2) == (1, Fraction(1, 9))
+
+    def test_symmetries_for_every_argument_up_to_2(self):
+        # invariant under a permutation of the columns and under swapping the
+        # upper and lower entries of two columns
+        for js in itertools.product(UP_TO_2, repeat=6):
+            a, b, c, d, e, f = js
+            got = sixj_exact(*js)
+            assert got == sixj_exact(b, a, c, e, d, f) == sixj_exact(a, c, b, d, f, e)
+            assert got == sixj_exact(d, e, c, a, b, f) == sixj_exact(a, e, f, d, b, c)
+
+    def test_orthogonality(self):
+        # sum_x (2x + 1)(2j + 1) {a b x; c d j} {a b x; c d j'} = delta(j, j')
+        for a, b, c, d in itertools.product(UP_TO_2[:4], repeat=4):
+            for j, k in itertools.product(UP_TO_2, repeat=2):
+                total = sum((x.twice_value + 1) * (j.twice_value + 1)
+                            * sixj(a, b, x, c, d, j) * sixj(a, b, x, c, d, k)
+                            for x in [HalfInt(t) for t in range(9)])
+                if any(sixj_exact(a, b, x, c, d, j)[0] for x in map(HalfInt, range(9))):
+                    assert total == pytest.approx(float(j == k), abs=1e-14)
+
+    def test_broken_triangles_and_negative_j_are_zero(self):
+        assert sixj_exact(1, 1, 3, 1, 1, 1) == (0, Fraction(0))
+        assert sixj_exact(0.5, 0.5, 0.5, 1, 1, 1) == (0, Fraction(0))
+        assert sixj_exact(-1, 1, 0, 1, 1, 1) == (0, Fraction(0))
+
+    def test_equals_sympy_for_every_argument_up_to_2(self):
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        sympy = pytest.importorskip("sympy")
+        nonzero = 0
+        for js in itertools.product(UP_TO_2, repeat=6):
+            args = [sympy.Rational(j.twice_value, 2) for j in js]
+            try:
+                value = sympy.S(wigner.wigner_6j(*args))
+            except ValueError:   # sympy refuses a triad that breaks the triangle rule
+                value = sympy.S(0)
+            square = sympy.Rational(value ** 2)
+            sign, ours = sixj_exact(*js)
+            assert ours == Fraction(int(square.p), int(square.q))
+            assert sign == int(sympy.sign(value))
+            nonzero += sign != 0
+        assert nonzero == 566

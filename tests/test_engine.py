@@ -6,8 +6,9 @@ route in ``reference.py``, to the mechanical routes they replaced:
 ``dipole_block`` per geometry (kept in ``reference.py``), and the
 single-state chain ``entangled_state`` -> ``reduce_to_spin`` ->
 ``von_neumann_entropy`` per angle. The model build is parameter-linear in the
-same way: after the first calculator of a process, a new parameter set runs
-no Fock-space operator. Nearly degenerate levels keep their own energies.
+same way: after the first calculator of a process, a new parameter set builds
+no Clebsch-Gordan coefficient or 6j symbol, evaluates H' once and solves one
+J = 1 block. Nearly degenerate levels keep their own energies.
 """
 
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xepecs import amplitudes, entanglement, fockspace, model
+from xepecs import amplitudes, entanglement, model
 from xepecs.amplitudes import AmplitudeCalculator, AmplitudeSet, calculator
 from xepecs.entanglement import entangled_state, entropy_sweep, reduce_to_spin, von_neumann_entropy
 from xepecs.fockspace import Spin
@@ -220,44 +221,45 @@ class TestCalculatorCache:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    def test_emission_matrices_are_not_built_at_import(self):
+    def test_constants_are_not_built_at_import(self):
         code = ("import xepecs, xepecs.cli\n"
-                "from xepecs.amplitudes import _decay_row\n"
-                "print(_decay_row.cache_info().currsize)")
+                "from xepecs import amplitudes, model\n"
+                "print([f.cache_info().currsize for f in (model._couplings, model._label_basis,\n"
+                "       amplitudes._photoemission_vector, amplitudes._decay_vector)])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
-        assert out.strip() == "0"
+        assert out.strip() == "[0, 0, 0, 0]"
 
 
 class TestParameterLinearModel:
-    def test_new_parameters_run_no_fock_space_operator(self, monkeypatch):
+    def test_new_parameters_build_no_angular_constant(self, monkeypatch):
         AmplitudeCalculator(ModelParams())   # fills the per-process caches
-        calls, ladder = [], fockspace.ladder
+        calls = []
 
-        def counted(*args):
+        def refuse(*args):
             calls.append(args)
-            return ladder(*args)
+            raise AssertionError("an angular-momentum constant was built again")
 
-        # every binding of the ladder rule, in whichever module imported it
-        for module in [m for name, m in sys.modules.items() if name.startswith("xepecs")]:
-            if getattr(module, "ladder", None) is ladder:
-                monkeypatch.setattr(module, "ladder", counted)
+        for module in (model, amplitudes):
+            for name in ("cg_exact", "sixj_exact"):
+                monkeypatch.setattr(module, name, refuse)
         calc = AmplitudeCalculator(ModelParams(G=0.42, zeta=0.17, eps_s=-12.5, eps_p=-4.5))
         assert calls == []
         assert calc.ground_coupling == pytest.approx(-0.17, abs=1e-16)
-        # the counter does see Fock-space work that is not cached
-        model._subspace_operators.cache_clear()
-        model._subspace_operators(SubspaceLabel.M0)
-        assert calls
+        # the patch does see a constant that is not cached
+        amplitudes._decay_vector.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="built again"):
+                amplitudes._decay_vector()
+        finally:
+            monkeypatch.undo()
+            amplitudes._decay_vector.cache_clear()
 
     def test_cached_matrices_are_read_only(self):
         AmplitudeCalculator(ModelParams())
-        arrays = [model._ground()]
-        for label in SubspaceLabel:
-            arrays += list(model._subspace_operators(label))
-            arrays += list(model._coupled_operators(label))
-            arrays.append(model._label_basis(label)[0])
-        arrays += [amplitudes._ground_components(s) for s in (Spin.UP, Spin.DOWN)]
+        arrays = [model._label_basis(label)[0] for label in SubspaceLabel]
+        arrays += [amplitudes._photoemission_vector(s) for s in (Spin.UP, Spin.DOWN)]
+        arrays.append(amplitudes._decay_vector())
         for array in arrays:
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
@@ -271,30 +273,41 @@ class TestParameterLinearModel:
     def test_overflowing_sum_is_a_domain_error_without_warnings(self, params, label):
         # runtime warnings are errors in this suite, so a numpy warning fails here
         with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
-            model._eigensystem(params, label)
+            model._couplings_of(params, (label,))
 
-    @pytest.mark.parametrize("label", [SubspaceLabel.INITIAL, SubspaceLabel.M1])
-    def test_a_sum_that_stays_in_range_is_solved(self, label):
-        # the set that overflows M0 above leaves every entry of these finite
-        eig = model._eigensystem(ModelParams(zeta=1.7e308, G=0.85e308), label)
+    def test_a_sum_that_stays_in_range_is_solved(self):
+        # the set that overflows M0 above leaves every entry of the others finite:
+        # E'_g and the down-spin levels are solved, the calculator is refused
+        params = ModelParams(zeta=1.7e308, G=0.85e308)
+        assert model.ground_coupling_energy(params) == -1.7e308
+        eig = model.intermediate_eigensystem(params, Spin.DOWN)
         assert np.isfinite(eig.vectors).all()
+        with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
+            model.intermediate_eigensystem(params, Spin.UP)
+        with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
+            AmplitudeCalculator(params)
 
 
 class TestLevelsOnce:
-    def test_one_solve_per_subspace_and_calculator(self, monkeypatch):
-        # E'_g is the only use of H' on the initial subspace; each intermediate
-        # subspace is solved on its own, once
+    def test_one_evaluation_and_one_j1_solve_per_calculator(self, monkeypatch):
+        # H' is evaluated once on every subspace, and the J = 1 block that both
+        # spins share is solved once
         AmplitudeCalculator(ModelParams())
-        built = []
-        original = model._eigensystem
+        evaluated, solved = [], []
+        couplings_of, block_eigenpairs = model._couplings_of, model._block_eigenpairs
 
-        def counted(params, label):
-            built.append(label)
-            return original(params, label)
+        def counted_couplings(params, labels):
+            evaluated.append(labels)
+            return couplings_of(params, labels)
 
-        monkeypatch.setattr(model, "_eigensystem", counted)
+        def counted_blocks(*args):
+            solved.append(args)
+            return block_eigenpairs(*args)
+
+        monkeypatch.setattr(amplitudes, "_couplings_of", counted_couplings)
+        monkeypatch.setattr(model, "_block_eigenpairs", counted_blocks)
         calc = AmplitudeCalculator(ModelParams(G=0.21, zeta=0.13))
-        assert sorted(x.value for x in built) == sorted(x.value for x in SubspaceLabel)
+        assert evaluated == [tuple(SubspaceLabel)] and len(solved) == 1
         assert calc.ground_coupling == pytest.approx(-0.13, abs=1e-16)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xepecs import amplitudes, model
+from xepecs import model
 from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt, cg_exact
 from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
@@ -100,104 +100,53 @@ class TestCommutingObservables:
             assert np.allclose(angular_operators(sub)[2], m * np.eye(sub.dim), atol=1e-14)
 
 
-ALL_STATES = tuple(map(FockState, range(256)))
 CLOSED = FockState(sum(1 << o.index for o in ORBITALS if o.shell is Shell.S1S))   # 1s^2
-ANGULAR_MOMENTA = [(Shell.P2P, True), (Shell.S1S, False), (Shell.P2P, False)]   # l, s, s
+QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
+
+# l.s and S_1s . S_2p in closed form, each entry as (sign, exact square), in the
+# (J, S) column order of each subspace: (j = 1/2, j = 3/2) on the initial one,
+# (3P0, 1P1, 3P1, 3P2) on M0 and (1P1, 3P1, 3P2) on M1; an entry not listed is 0
+EXACT_SPIN_ORBIT = {
+    SubspaceLabel.INITIAL: {(0, 0): (-1, 1), (1, 1): (1, QUARTER)},
+    SubspaceLabel.M0: {(0, 0): (-1, 1), (1, 2): (-1, HALF), (2, 2): (-1, QUARTER),
+                       (3, 3): (1, QUARTER)},
+    SubspaceLabel.M1: {(0, 1): (-1, HALF), (1, 1): (-1, QUARTER), (2, 2): (1, QUARTER)},
+}
+EXACT_EXCHANGE = {SubspaceLabel.INITIAL: [0, 0], SubspaceLabel.M0: [0.25, -0.75, 0.25, 0.25],
+                  SubspaceLabel.M1: [-0.75, 0.25, 0.25]}
 
 
-def basis_index(label):
-    """The index of each basis state of subspace ``label``."""
-    return {b: k for k, b in enumerate(subspace(label).basis)}
+class TestRacahTables:
+    """l.s and S_1s . S_2p in the coupled basis, written once per process from 6j
+    symbols, against their closed forms and the per-vector route."""
 
-
-class TestOneBodyOperators:
-    """l.s and S_1s . S_2p as products of one-body Fock matrices."""
+    @pytest.mark.parametrize("label", list(SubspaceLabel))
+    def test_each_entry_is_its_exact_value_rounded_once(self, label):
+        spin_orbit, exchange = reference.table_matrices(label)
+        expected = np.zeros_like(spin_orbit)
+        for (i, j), (sign, square) in EXACT_SPIN_ORBIT[label].items():
+            expected[i, j] = expected[j, i] = reference.rounded_root(sign, Fraction(square))
+        assert spin_orbit.tobytes() == expected.tobytes()
+        assert exchange.tobytes() == np.diag(EXACT_EXCHANGE[label]).astype(float).tobytes()
 
     @pytest.mark.parametrize("label", list(SubspaceLabel))
     def test_equal_the_per_vector_route(self, label):
-        sub = subspace(label)
-        built = model._subspace_operators(label)
-        assert len(built) == 2
-        for name, ours, theirs in zip(("l.s", "S_1s.S_2p"), built,
-                                      reference.model_operators(sub)):
-            assert np.array_equal(ours, theirs), name
+        # the per-vector operators, projected on the coupled basis: real, zero
+        # outside the J blocks, and the tables to 1e-15
+        for ours, theirs in zip(reference.table_matrices(label),
+                                reference.model_operators(subspace(label))):
+            projected = reference.coupled(theirs, label)
+            assert not np.any(projected.imag)
+            assert np.max(np.abs(ours - projected.real)) <= 1e-15
 
-    def test_the_ladder_rule_builds_the_vector_algebra_arrays_bit_for_bit(self, monkeypatch):
-        # every cached array made from a Fock matrix, built by the ladder rule and
-        # again with the reference's vector algebra in place of the rule
-        caches = (model._subspace_operators, amplitudes._decay_row)
-
-        def build():
-            for cached in caches:
-                cached.cache_clear()
-            arrays = [a for label in SubspaceLabel for a in model._subspace_operators(label)]
-            return [a.tobytes() for a in arrays + [amplitudes._decay_row()]]
-
-        ours = build()
-        for module in (model, amplitudes):
-            monkeypatch.setattr(module, "_fock_matrix", reference.fock_matrix)
-        theirs = build()
-        for cached in caches:   # the next build is the rule's again
-            cached.cache_clear()
-        assert ours == theirs
-
-    @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
-    def test_tables_obey_the_angular_momentum_algebra(self, shell, orbital):
-        z, plus = model._angular_momentum(shell, orbital)
-        minus = plus.T
-        assert np.array_equal(z @ plus - plus @ z, plus)
-        assert np.allclose(plus @ minus - minus @ plus, 2 * z, rtol=0.0, atol=1e-15)
-        j = 1.0 if orbital else 0.5
-        casimir = minus @ plus + z @ z + z
-        inside = np.array([o.shell is shell for o in ORBITALS])
-        assert np.allclose(np.diag(casimir)[inside], j * (j + 1), rtol=0.0, atol=1e-15)
-        assert not np.any(z[~inside]) and not np.any(plus[~inside]) and not np.any(plus[:, ~inside])
-
-    @pytest.mark.parametrize("shell,orbital", ANGULAR_MOMENTA)
-    def test_one_body_matrices_keep_the_shell_occupations(self, shell, orbital):
-        # over every orbital mask, each element joins states of equal (n_1s, n_2p),
-        # so a product of them on a subspace ends on states of its occupations
-        row = {s: k for k, s in enumerate(ALL_STATES)}
-        for table in model._angular_momentum(shell, orbital):
-            rows, cols = np.nonzero(model._fock_matrix((table,), row))
-            assert len(rows) > 0
-            assert all(reference.occupation(ALL_STATES[i]) == reference.occupation(ALL_STATES[k])
-                       for i, k in zip(rows, cols))
-
-    def test_fock_matrix_from_a_subspace_to_the_closed_shell(self):
-        # s^dag_up p_(1 up) takes one M = 1 state to the closed shell; its
-        # adjoint leads out of it
-        closed, col = {CLOSED: 0}, basis_index(SubspaceLabel.M1)
-        hop = np.zeros((8, 8))
-        hop[0, 6] = 1.0
-        decay = model._fock_matrix((hop,), closed, col)
-        assert decay.shape == (1, 3) and np.count_nonzero(decay) == 1
-        with pytest.raises(KeyError):
-            model._fock_matrix((hop.T,), closed, col)
-
-    def test_fock_matrix_rejects_states_that_do_not_close(self):
-        # l_+ on 2p leads out of the four M = 0 states
-        row = basis_index(SubspaceLabel.M0)
-        with pytest.raises(KeyError):
-            model._fock_matrix((model._angular_momentum(Shell.P2P, True)[1],), row)
-
-    def test_a_product_may_pass_through_states_outside_the_subspace(self):
-        # S_2p- takes the M = 0 states to M = -1, and S_1s+ back: only the end
-        # of the product is looked up
-        row = basis_index(SubspaceLabel.M0)
-        (_, s1s), (_, s2p) = (model._angular_momentum(x, False) for x in (Shell.S1S, Shell.P2P))
-        with pytest.raises(KeyError):
-            model._fock_matrix((s2p.T,), row)
-        product = model._fock_matrix((s1s, s2p.T), row)
-        assert np.count_nonzero(product) == 1
-        assert np.array_equal(product, reference.fock_matrix((s1s, s2p.T), row))
-
-    def test_a_product_that_ends_outside_the_subspace_is_rejected(self):
-        # S_1s+ S_2p+ raises M by 2, out of the M = 0 states
-        row = basis_index(SubspaceLabel.M0)
-        (_, s1s), (_, s2p) = (model._angular_momentum(x, False) for x in (Shell.S1S, Shell.P2P))
-        with pytest.raises(KeyError):
-            model._fock_matrix((s1s, s2p), row)
+    def test_both_intermediate_subspaces_share_one_j1_block(self):
+        # the M0 and M1 J = 1 blocks (1P1, 3P1) are the same floats
+        m0, m1 = (reference.table_matrices(label) for label in (SubspaceLabel.M0,
+                                                                SubspaceLabel.M1))
+        for a, b in zip(m0, m1):
+            assert a[1:3, 1:3].tobytes() == b[0:2, 0:2].tobytes()
+        up, down = (intermediate_eigensystem(ModelParams(G=0.37, zeta=0.29), s) for s in Spin)
+        assert set(up.coupling_energies.tolist()) >= set(down.coupling_energies.tolist())
 
 
 class TestLevels:
@@ -244,7 +193,7 @@ class TestLevels:
 
     def test_ground_residual(self):
         # E'_g is the J = 1/2 level, and the ground state its vector
-        g = model._ground()
+        g = model._label_basis(SubspaceLabel.INITIAL)[0][:, 0]
         H = coupling_hamiltonian(TABLE, subspace(SubspaceLabel.INITIAL))
         energy = model.ground_coupling_energy(TABLE)
         assert np.max(np.abs(H @ g - energy * g)) < 1e-15
@@ -351,11 +300,6 @@ class TestOffsetFreeHamiltonian:
         assert reference.occupation(CLOSED) == (2, 0)
         for apply in (reference.apply_spin_orbit, reference.apply_exchange):
             assert len(apply(closed)) == 0
-        # every product of A . B for l.s and S_1s . S_2p vanishes on it
-        l2p, s1s, s2p = (model._angular_momentum(*x) for x in ANGULAR_MOMENTA)
-        for a, b in ((l2p, s2p), (s1s, s2p)):
-            for tables in ((a[0], b[0]), (a[1], b[1].T), (a[1].T, b[1])):
-                assert np.array_equal(model._fock_matrix(tables, {CLOSED: 0}), [[0.0]])
 
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
         eig = intermediate_eigensystem(TABLE, Spin.UP)
@@ -424,10 +368,8 @@ class TestJBlocks:
                 assert abs(u[row, col].real ** 2 - float(square)) <= math.ulp(float(square))
 
     def test_ground_state_is_the_initial_j_half_column(self):
-        components = model._ground()
-        assert list(components) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
         u = model._label_basis(SubspaceLabel.INITIAL)[0]
-        assert np.array_equal(components, u[:, 0])
+        assert list(u[:, 0]) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
 
     def test_basis_is_built_once_per_subspace(self):
         intermediate_eigensystem(TABLE, Spin.UP)
@@ -436,76 +378,31 @@ class TestJBlocks:
             intermediate_eigensystem(params, Spin.UP)
         assert model._label_basis.cache_info().misses == misses
 
-    @staticmethod
-    def patch_spin_orbit(monkeypatch, label, operator):
-        """``operator`` in place of l.s on subspace ``label``; the caller clears
-        the projected constants again when done."""
-        original = model._subspace_operators
-
-        def patched(which):
-            spin_orbit, exchange = original(which)
-            return (operator, exchange) if which is label else (spin_orbit, exchange)
-
-        monkeypatch.setattr(model, "_subspace_operators", patched)
-        model._coupled_operators.cache_clear()
-
-    @pytest.mark.parametrize("label", list(SubspaceLabel))
-    def test_an_operator_not_commuting_with_j_squared_is_rejected(self, monkeypatch, label):
-        # a random real symmetric matrix in place of l.s: real in the (J, S)
-        # basis, but not block-diagonal in J
-        sub = subspace(label)
-        a = np.random.default_rng(7).normal(size=(sub.dim, sub.dim))
-        H = (a + a.T).astype(complex)
-        jsq = angular_operators(sub)[0]
-        assert np.max(np.abs(H @ jsq - jsq @ H)) > 0.1
-        self.patch_spin_orbit(monkeypatch, label, H)
-        try:
-            with pytest.raises(model.DomainError, match="l.s on .* does not commute with J\\^2"):
-                model._coupled_operators(label)
-            call = (model.ground_coupling_energy if label is SubspaceLabel.INITIAL else
-                    lambda p: intermediate_eigensystem(p, Spin.UP if label is SubspaceLabel.M0
-                                                       else Spin.DOWN))
-            for params in (TABLE, ModelParams(G=0.0, zeta=0.0)):   # every parameter set
-                with pytest.raises(model.DomainError, match="does not commute"):
-                    call(params)
-            with pytest.raises(model.DomainError, match="^ModelParams\\(.*does not commute"):
-                AmplitudeCalculator(ModelParams(G=0.21))
-        finally:
-            model._coupled_operators.cache_clear()
-
-    @pytest.mark.parametrize("label", [SubspaceLabel.M0, SubspaceLabel.M1])
-    def test_an_operator_complex_in_the_coupled_basis_is_rejected(self, monkeypatch, label):
-        # U h U^dag with h Hermitian and block-diagonal in J, its 2 x 2 block
-        # complex: it commutes with J^2, but a real weight gives no real block
-        sub = subspace(label)
-        u, _, ((i, j),) = model._label_basis(label)
-        h = np.diag([0.3, -0.1, 0.2, 0.5][:sub.dim]).astype(complex)
-        h[i, j] = 0.2 * np.exp(0.7j)
-        h[j, i] = h[i, j].conjugate()
-        self.patch_spin_orbit(monkeypatch, label, u @ h @ u.conj().T)
-        try:
-            with pytest.raises(model.DomainError, match="l.s on .* is not real"):
-                model._coupled_operators(label)
-        finally:
-            model._coupled_operators.cache_clear()
-
-    def test_the_projected_constants_are_real_block_diagonal_and_read_only(self):
-        for label in SubspaceLabel:
-            u, labels, _ = model._label_basis(label)
-            twice_j = np.array([j.twice_value for j in labels])
-            outside = twice_j[:, None] != twice_j[None, :]
-            for ours, theirs in zip(model._coupled_operators(label),
-                                    model._subspace_operators(label)):
-                assert ours.dtype == np.float64
-                assert np.max(np.abs(ours - (u.conj().T @ theirs @ u))) <= 1e-15
-                assert np.max(np.abs(ours[outside]), initial=0.0) <= 1e-15
-                with pytest.raises(ValueError):
-                    ours[0, 0] = 1.0
-
     def test_equal_energies_stay_in_ascending_j(self):
         for spin, js in ((Spin.UP, [0.0, 1.0, 1.0, 2.0]), (Spin.DOWN, [1.0, 1.0, 2.0])):
             eig = intermediate_eigensystem(ModelParams(G=0.0, zeta=0.0), spin)
             assert [float(j) for j in eig.j_labels] == js
+
+    def test_zeta_zero_levels_are_equal_floats_in_ascending_j(self):
+        # zeta = 0: 3P0, 3P1 and 3P2 are -G/2 from exact entries, so the three are
+        # equal as floats and keep the (J, S) order; 1P1 is 3G/2
+        params = ModelParams(G=0.3, zeta=0.0)
+        for spin, js in ((Spin.UP, [0, 1, 2, 1]), (Spin.DOWN, [1, 2, 1])):
+            eig = intermediate_eigensystem(params, spin)
+            assert [float(j) for j in eig.j_labels] == js
+            assert eig.coupling_energies.tolist() == [-0.15] * (len(js) - 1) + [2.0 * 0.3 * 0.75]
+
+    def test_g_zero_levels_keep_their_order(self):
+        # G = 0: 3P0 = -zeta and 3P2 = zeta/2 are exact entries, and the J = 1
+        # rotation gives -zeta and zeta/2 up to its own roundoff: here the lower
+        # level equals 3P0 as a float and follows it, and the upper one is an ulp
+        # above 3P2
+        params = ModelParams(G=0.0, zeta=0.1)
+        up, down = (intermediate_eigensystem(params, spin) for spin in Spin)
+        assert [float(j) for j in up.j_labels] == [0, 1, 2, 1]
+        assert [float(j) for j in down.j_labels] == [1, 2, 1]
+        assert up.coupling_energies.tolist() == [-0.1, -0.1, 0.05, 0.05 + math.ulp(0.05)]
+        assert down.coupling_energies.tolist() == up.coupling_energies.tolist()[1:]
 
     def test_split_levels_of_different_j_stay_unmixed(self):
         # levels of J = 0 and J = 1 about 1e-10 eV apart were once mixed by
@@ -584,23 +481,20 @@ class TestClosedFormBlocks:
         self.assert_the_ground_matches_the_per_block_eigh(params)
 
     def test_a_zero_off_diagonal_leaves_the_block_as_it_is(self):
-        # G = 1, zeta = 0: the J = 1 block of the projected H' is diagonal, its
-        # larger entry first on the up-spin side; the solve keeps it bit for bit
-        sub = subspace(SubspaceLabel.M0)
-        _, pairs = model._label_basis(SubspaceLabel.M0)[1:]
-        h = -2.0 * model._coupled_operators(SubspaceLabel.M0)[1]
-        ((i, j),) = pairs
-        assert h[i, j] == 0.0 and h[i, i] > h[j, j]
-        values, rotation = model._block_eigenpairs(h, pairs)
-        assert np.array_equal(values, h.diagonal())
-        assert np.array_equal(rotation, np.eye(sub.dim))
+        # G = 1, zeta = 0: the J = 1 block of H' is diagonal, its larger entry
+        # first; the solve keeps it bit for bit
+        h = model._couplings_of(ModelParams(G=1.0, zeta=0.0), (SubspaceLabel.M0,))
+        p, r, b = (h[key] for key in model._J1_BLOCK)
+        assert b == 0.0 and p > r
+        assert model._block_eigenpairs(p, r, b) == (p, r, 1.0, 0.0)
 
     @pytest.mark.parametrize("p,r,b", [(1.0, -0.5, 0.0), (-0.5, 1.0, 0.0), (0.3, 0.3, 0.2),
                                        (0.0, 0.0, 2.2e-311), (1e-311, -1e-311, 3e-311),
                                        (1e308, -1e308, 5e307), (2.0, 1.0, -1e-9)])
     def test_one_block_against_eigh(self, p, r, b):
         block = np.array([[p, b], [b, r]])
-        values, rotation = model._block_eigenpairs(block, ((0, 1),))
+        *values, c, s = model._block_eigenpairs(p, r, b)
+        rotation = np.array([[c, -s], [s, c]])
         scale = np.max(np.abs(block))
         tol = 4e-16 * scale + 1e-322   # a few ulps, and a subnormal ulp or two
         assert np.max(np.abs(block @ rotation - rotation * values)) <= tol

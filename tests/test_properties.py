@@ -43,10 +43,12 @@ from xepecs.spectra import xps_lines
 from reference import (
     amplitude_array,
     apply_diagonal,
+    block_eigh,
     apply_exchange,
     apply_spin_orbit,
     build_hamiltonian,
     closed_form_state,
+    coupling_hamiltonian,
     initial_state,
     model_operators,
     operator_matrix,
@@ -56,6 +58,7 @@ from reference import (
     spin_vectors,
     stacked_entropy_bits,
     stacked_sweep_entropy,
+    subspace_levels,
 )
 
 ENTROPY_TOL = 1e-9
@@ -95,6 +98,11 @@ HARD_PARAMS = (
     # diagonal entry first on the up-spin side, and a subnormal one
     ModelParams(G=1.0, zeta=0.0),
     ModelParams(G=0.0, zeta=2.2e-311),
+    # degenerate in exact arithmetic, at the default couplings: zeta = 0 makes the
+    # three triplet levels equal as floats, and at G = 0 the J = 1 rotation leaves
+    # its levels within an ulp of 3P0 and 3P2 (see test_model.TestJBlocks)
+    ModelParams(G=0.3, zeta=0.0),
+    ModelParams(G=0.0, zeta=0.1),
 )
 
 
@@ -242,6 +250,31 @@ def test_levels_equal_their_closed_forms(params):
                                (levels[2][1], [0.5 * zeta - 0.5 * G]),
                                ([calc.ground_coupling], [-zeta])):
         assert np.max(np.abs(np.subtract(found, closed_form))) <= 1e-15
+
+
+@SETTINGS
+@given(params_st)
+@hard_cases()
+def test_the_shared_rotation_equals_each_subspace_solved_on_its_own(params):
+    # one evaluation of H' and one J = 1 rotation for both spins give, bit for
+    # bit, the levels of each subspace solved on its own from the same tables,
+    # and the per-block eigh of the per-vector route to 1e-12
+    calc = calculator(params)
+    ground = subspace_levels(params, SubspaceLabel.INITIAL)
+    assert same_bits(calc.ground_coupling, ground[0][ground[2].index(HalfInt.of(0.5))])
+    for sigma in Spin:
+        eig = calc.eigensystems[sigma]
+        energies, vectors, labels, _ = subspace_levels(params, eig.subspace.label)
+        assert same_bits(eig.coupling_energies, energies) and same_bits(eig.vectors, vectors)
+        assert eig.j_labels == labels
+        H = coupling_hamiltonian(params, eig.subspace)
+        scale = max(1.0, np.max(np.abs(H)))
+        theirs, _, their_labels = block_eigh(H, eig.subspace)
+        for j in set(labels):
+            ours = [e for e, x in zip(energies, labels) if x == j]
+            assert np.max(np.abs(np.subtract(ours, sorted(
+                e for e, x in zip(theirs, their_labels) if x == j)))) <= 1e-12 * scale
+        assert np.max(np.abs(H @ vectors - vectors * energies)) <= 1e-12 * scale
 
 
 @SETTINGS

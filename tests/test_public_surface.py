@@ -18,8 +18,9 @@ MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path_
 
 # (defining module, name): reference routes moved to tests/reference.py, names
 # with no caller outside their own tests, deleted, names the reduced amplitude
-# replaced, the vector algebra the ladder rule replaced, and the names the
-# per-J levels left without a caller
+# replaced, the vector algebra the ladder rule replaced, the names the per-J
+# levels left without a caller, and the Fock-space operator engine that the
+# Racah tables replaced
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -35,6 +36,11 @@ GONE = [
     ("fockspace", "inner"), ("model", "ground_state"),
     # the levels from per-J constants: the general solver and the level energies
     ("model", "diagonalize"), ("model", "initial_energy"), ("model", "final_state_energy"),
+    # the per-process constants from Racah algebra, in place of the operator engine
+    ("fockspace", "ladder"), ("model", "_angular_momentum"), ("model", "_fock_matrix"),
+    ("model", "_subspace_operators"), ("model", "_coupled_operators"), ("model", "_ground"),
+    ("amplitudes", "_ground_components"), ("amplitudes", "_decay_row"),
+    ("amplitudes", "PHOTOEMISSION_VERTEX"), ("amplitudes", "_EMISSION_VERTEX"),
 ]
 
 

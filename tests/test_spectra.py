@@ -1,6 +1,7 @@
 """Photoemission line spectra, Lorentzian broadening and coincidence spectra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,9 +304,20 @@ class TestCoincidenceBlock:
                 assert series.intensity.tobytes() == expected.intensity.tobytes()
                 returned = series.grid
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The width of each block build: ``_lorentzians`` runs once per build."""
+        builds, lorentzians = [], spectra._lorentzians
+
+        def counted(positions, weights, width, grid):
+            builds.append(width)
+            return lorentzians(positions, weights, width, grid)
+
+        monkeypatch.setattr(spectra, "_lorentzians", counted)
+        return builds
+
     def test_four_channels_build_the_block_once(self, monkeypatch):
-        builds = []
-        monkeypatch.setattr(spectra, "_check_width", builds.append)   # runs once per build
+        builds = self.count_builds(monkeypatch)
         geom = EmissionGeometry.from_degrees(45.0, 10.0)
         for grid_of in (lambda series: None, lambda series: series.grid):
             calculator.cache_clear()
@@ -349,8 +361,7 @@ class TestCoincidenceBlock:
 
     @pytest.mark.parametrize("change", ["geometry", "epsilon", "cache_clear"])
     def test_another_measurement_or_calculator_is_a_miss(self, monkeypatch, change):
-        builds = []
-        monkeypatch.setattr(spectra, "_check_width", builds.append)
+        builds = self.count_builds(monkeypatch)
         geom, epsilon = EmissionGeometry.from_degrees(45.0), 6.5
         first = xepecs_spectrum(PARAMS, geom, epsilon, D1)
         if change == "geometry":
@@ -369,6 +380,18 @@ class TestCoincidenceBlock:
         with pytest.raises(KeyError):
             xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, (Spin.UP, 3))
 
+    def test_an_overflowing_gamma_and_a_non_finite_epsilon_are_domain_errors(self):
+        # the block build no longer checks gamma or the line: the calculator and
+        # the amplitudes refuse them first, with the same errors
+        geom = EmissionGeometry.from_degrees(45.0)
+        params = ModelParams(gamma=1e200)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{params!r}: a Lorentzian width of 1e+200 eV overflows its square")):
+            xepecs_spectrum(params, geom, 6.5, D1)
+        for epsilon in (NAN, INF, -INF):
+            with pytest.raises(DomainError, match=f"^epsilon must be finite, got {epsilon!r}$"):
+                xepecs_spectrum(PARAMS, geom, epsilon, D1)
+
 
 NOT_1D = {"4x4": np.arange(16.0).reshape(4, 4), "2x3": np.arange(6.0).reshape(2, 3),
           "0-d": np.array(6.5)}
@@ -383,6 +406,13 @@ class TestGridShape:
     def test_series(self, grid):
         with pytest.raises(ValueError, match="^grid must be a 1-D sequence$"):
             SpectrumSeries(grid, np.zeros_like(grid), "x")
+
+    @pytest.mark.parametrize("intensity", [np.ones((4, 3)), np.ones((4, 4)), np.array(1.0)],
+                             ids=["4x3", "4x4", "0-d"])
+    def test_series_intensity(self, intensity):
+        # a (4, 3) intensity over 4 grid points once made a series
+        with pytest.raises(ValueError, match="^intensity must be 1-D$"):
+            SpectrumSeries(np.arange(4.0), intensity, "x")
 
     @pytest.mark.parametrize("grid", [*NOT_1D.values(), [[5.0, 6.0], [7.0, 8.0]]],
                              ids=[*NOT_1D.keys(), "nested list"])
@@ -403,8 +433,9 @@ class TestChecksRunOnce:
     verdict is raised on every read, never at build time."""
 
     def test_the_param_scan_sequence(self, monkeypatch):
-        verdicts, series_checks = [], []
-        rule, post_init = amplitudes._unresolved, SpectrumSeries.__post_init__
+        verdicts, series_checks, spectrum_checks = [], [], []
+        rule, post_init, check = (amplitudes._unresolved, SpectrumSeries.__post_init__,
+                                  spectra._check_spectrum)
 
         def counted(energies):
             verdicts.append(list(energies))
@@ -414,9 +445,14 @@ class TestChecksRunOnce:
             series_checks.append(series.channel)
             post_init(series)
 
+        def counted_check(grid, intensity, ndim=1):
+            spectrum_checks.append(np.shape(intensity))
+            check(grid, intensity, ndim)
+
         for module in (amplitudes, spectra):
             monkeypatch.setattr(module, "_unresolved", counted)
         monkeypatch.setattr(SpectrumSeries, "__post_init__", counted_post_init)
+        monkeypatch.setattr(spectra, "_check_spectrum", counted_check)
         calculator.cache_clear()
         params, grid = ModelParams(G=0.4, zeta=0.2, Gamma_1s=0.3), default_xps_grid()
         for spin in (Spin.UP, Spin.DOWN):
@@ -439,8 +475,10 @@ class TestChecksRunOnce:
         eps_terms = [calc.emission_line(epsilon), params.Omega, params.eps_p,
                      calc.ground_coupling, epsilon]
         assert verdicts[2:] == [eps_terms, eps_terms]
-        # one check of each block build (two sets, each on two grids), none of the rows
-        assert series_checks == ["xps_up", "xps_down"] + [""] * 4
+        # the two broadened series are checked as series, and each block build (two
+        # sets, each on two grids) checks its (4, n) block directly, none of the rows
+        assert series_checks == ["xps_up", "xps_down"]
+        assert spectrum_checks == [(601,), (601,)] + [(4, 1201)] * 4
 
     def test_a_verdict_is_raised_on_every_read_never_at_build(self):
         calculator.cache_clear()
