@@ -99,7 +99,7 @@ _VERTEX_SQUARE = Fraction(1, 2)
 # A(up, lambda) / alpha_(lambda, 0) over A(down, lambda) / alpha_(lambda, -1)
 KAPPA = -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
 
-_SUBSPACE_LABELS = tuple(SubspaceLabel)
+_SUBSPACE_LABELS, _SPINS = tuple(SubspaceLabel), tuple(Spin)
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
@@ -204,7 +204,7 @@ class AmplitudeCalculator:
             self.ground_coupling = h[_GROUND]   # E'_g
             block = _j1_block(h)
             solved = {sigma: _eigensystem(intermediate_subspace(sigma).label, h, block)
-                      for sigma in Spin}
+                      for sigma in _SPINS}
             self.eigensystems = {sigma: eig for sigma, (eig, _) in solved.items()}
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
@@ -224,7 +224,7 @@ class AmplitudeCalculator:
         self.line_weights = {s: _read_only(pe * pe) for s, pe in self.pe_elements.items()}
         self.line_verdicts = {s: _unresolved([   # of the lines and their terms, raised on each read
             *positions[s], params.Omega, params.eps_s, self.ground_coupling, *energies[s]])
-            for s in Spin}
+            for s in _SPINS}
         j1 = [k for k, j in enumerate(self.eigensystems[Spin.DOWN].j_labels) if j.twice_value == 2]
         self.j1_positions = _read_only(self.line_positions[Spin.DOWN].take(j1))
         self.j1_products = _read_only((_decay_vector().dot(solved[Spin.DOWN][1])
@@ -239,8 +239,8 @@ class AmplitudeCalculator:
     def _resonant_sum(self, epsilon: float) -> complex:
         """R(epsilon); a DomainError naming the inputs if |R|^2 is not finite."""
         with np.errstate(over="ignore"):   # a denominator beyond the float range adds 0
-            r = complex(np.sum(self.j1_products / (
-                self.j1_positions - epsilon + 1j * self.params.Gamma_1s)))
+            r = complex((self.j1_products / (
+                self.j1_positions - epsilon + 1j * self.params.Gamma_1s)).sum())
         if not r.real * r.real + r.imag * r.imag < inf:   # float products overflow to inf
             raise DomainError(f"{self.params!r}, epsilon={epsilon!r}: "
                               "squared coincidence amplitudes are not finite")
@@ -265,7 +265,7 @@ class AmplitudeCalculator:
         that is NaN or outside [0, pi] raises ValueError.
         """
         alpha0, alpha_m1 = alpha_components(thetas, geom.phi, geom.beta1, geom.beta2)
-        return self.reduced_amplitude(epsilon) * np.stack([KAPPA * alpha0, alpha_m1], axis=1)
+        return self.reduced_amplitude(epsilon) * np.array((KAPPA * alpha0, alpha_m1)).swapaxes(0, 1)
 
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
         """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon)."""

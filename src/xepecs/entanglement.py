@@ -24,10 +24,10 @@ states are defined, and G G^dag = [[a, b], [b*, d]] has, with C, S and X the
 sums over the pair of cos^2 beta, sin^2 beta and cos beta sin beta, the real
 invariants a = KAPPA^2 C sin^2 theta, d = (C cos^2 theta + S)/2 (a + d = 1),
 |b| = KAPPA |sin theta| hypot(C cos theta, X)/sqrt(2) and
-|det G| = KAPPA |sin theta| |sin(beta2 - beta1)|/sqrt(2). Its two eigenvalue
-columns follow from these in closed form, with no eigenvalue decomposition.
-Both routes name the inputs when a squared amplitude norm is not finite or is
-0, check the norm, and turn eigenvalues into bits the same way, by column.
+|det G| = KAPPA |sin theta| |sin(beta2 - beta1)|/sqrt(2), which give its two
+eigenvalues in closed form. Both routes name the inputs when a squared
+amplitude norm is not finite or is 0, check the norm (a sweep at the bounds of
+a + d, not at each angle) and turn eigenvalues into bits the same way.
 The state needs a polarization basis: for a pair of axes that is not
 orthogonal, ``EntangledState`` and a sweep are a DomainError, so no state,
 reduction or density matrix is formed over it.
@@ -74,28 +74,25 @@ def _check_orthogonal(geom: EmissionGeometry) -> None:
                           "are not orthogonal; the spin-polarization state needs a basis")
 
 
-def _check_squared_norm(norm_sq, params: ModelParams | None, epsilon: float) -> None:
-    """DomainError naming the inputs unless every squared amplitude norm is finite and > 0."""
-    one = isinstance(norm_sq, float)   # one state's norm: compared in ``math``
-    finite = isfinite(norm_sq) if one else np.all(np.isfinite(norm_sq))
-    if finite and (norm_sq != 0.0 if one else np.all(norm_sq != 0.0)):
+def _check_squared_norm(norm_sq: float, params: ModelParams | None, epsilon: float) -> None:
+    """DomainError naming the inputs unless a squared amplitude norm is finite and > 0."""
+    if isfinite(norm_sq) and norm_sq != 0.0:
         return
     inputs = f"epsilon={epsilon!r}" if params is None else f"{params!r}, epsilon={epsilon!r}"
-    reason = ("all coincidence amplitudes vanish; state undefined" if finite
+    reason = ("all coincidence amplitudes vanish; state undefined" if isfinite(norm_sq)
               else "coincidence amplitudes are not finite")
     raise DomainError(f"{inputs}: {reason}")
 
 
-def _check_norm(norm_sq) -> None:
-    """DomainError unless every squared state norm (a float or an array) is within 1e-12 of 1."""
-    if not (abs(norm_sq - 1.0) <= _NORM_TOL if isinstance(norm_sq, float)
-            else np.all(np.abs(norm_sq - 1.0) <= _NORM_TOL)):
+def _check_norm(norm_sq: float) -> None:
+    """DomainError unless a squared state norm is within 1e-12 of 1."""
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
         raise DomainError(f"state norm^2 differs from 1 by more than {_NORM_TOL}")
 
 
 def _check_trace(m: np.ndarray, tol: float) -> None:
     """DomainError unless every matrix of a (..., n, n) stack has trace 1 to ``tol`` (NaN fails)."""
-    if not np.all(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) <= tol):
+    if not (abs(m.trace(axis1=-2, axis2=-1) - 1.0) <= tol).all():
         raise DomainError("matrix trace differs from 1")
 
 
@@ -116,17 +113,17 @@ def _check_density(m: np.ndarray, tol: float) -> np.ndarray:
     return eigenvalues
 
 
-def _spin_spectrum(a, d, b, det) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue columns (lambda_-, lambda_+) of spin matrices [[a, b], [b*, d]]
+def _spin_spectrum(a, d, b, det) -> np.ndarray:
+    """The eigenvalues (lambda_-, lambda_+) of spin matrices [[a, b], [b*, d]], stacked,
     from arrays of a, d, |b| and |det|: lambda_+ = (a + d)/2 + hypot((a - d)/2, |b|)
     and lambda_- = min(|det|^2 / lambda_+, lambda_+), which does not cancel near
     a separable state. Their sum is a + d, the norm ``_check_norm`` bounds, so
     only positivity is checked: a DomainError unless lambda_- >= -1e-12 (NaN fails)."""
     upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
     lower = np.minimum(det * det / upper, upper)
-    if not np.all(lower >= -_MATRIX_TOL):
+    if not (lower >= -_MATRIX_TOL).all():
         raise DomainError("matrix has a negative eigenvalue")
-    return lower, upper
+    return np.array((lower, upper))
 
 
 def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
@@ -140,14 +137,15 @@ def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
             scale * np.hypot(c * cos_t, x), scale * abs(sin(geom.beta2 - geom.beta1)))
 
 
-def _entropy_bits(columns):
-    """-sum p log2 p of checked density eigenvalues, one column (array or number) per
-    eigenvalue, clipped to [0, 1]; below 1e-12 (jitter) adds 0. Columns add left to
-    right, as np.sum does, subtracted from 0.0: a separable state gives 0, not -0."""
+def _entropy_bits(eigenvalues: np.ndarray):
+    """-sum p log2 p of checked density eigenvalues (first axis: the eigenvalue), clipped
+    to [0, 1]; below 1e-12 (jitter) adds 0. The terms add along that axis left to right,
+    as np.sum does, subtracted from 0.0: a separable state gives 0, not -0."""
+    p = eigenvalues.clip(0.0, 1.0)
+    terms = np.log2(p, out=np.zeros(p.shape), where=p >= _EIGENVALUE_CLIP)
     total = 0.0
-    for p in columns:
-        p = np.clip(p, 0.0, 1.0)
-        total = total + p * np.log2(p, out=np.zeros_like(p), where=p >= _EIGENVALUE_CLIP)
+    for column in np.multiply(terms, p, out=terms):   # p log2 p, formed in place
+        total = total + column
     return 0.0 - total
 
 
@@ -164,7 +162,7 @@ class EntangledState:
     def __post_init__(self):
         self.coeffs.flags.writeable = False
         _check_orthogonal(self.geometry)
-        _check_norm(np.sum(np.abs(self.coeffs) ** 2))
+        _check_norm((abs(self.coeffs) ** 2).sum())
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
         return complex(self.coeffs[CHANNEL_INDEX[channel]])
@@ -208,8 +206,8 @@ class EntropyCurve:
                 raise ValueError(f"{name} must be a 1-D sequence")
         if len(thetas) != len(entropy):
             raise ValueError("angle and entropy lengths differ")
-        outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))
-        if outside.size:
+        if entropy.size and not (entropy.min() >= -1e-9 and entropy.max() <= 1.0 + 1e-9):
+            outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))   # NaN too
             raise ValueError(f"entropy {float(entropy[outside[0]])} outside [0, 1] bits")
         object.__setattr__(self, "thetas", tuple(thetas.tolist()))
         object.__setattr__(self, "entropy", tuple(entropy.tolist()))
@@ -220,11 +218,12 @@ def entangled_state(amps: AmplitudeSet) -> EntangledState:
     a largest modulus of 1 first, so that a subnormal squared norm loses no digits.
     A polarization pair that is not orthogonal is a DomainError naming both angles
     (from ``EntangledState``)."""
-    values = amps.values
-    with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
-        _check_squared_norm(np.sum(values.real ** 2 + values.imag ** 2), amps.params, amps.epsilon)
-    scaled = values / np.max(np.abs(values))
-    coeffs = scaled * (1.0 / np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2)))
+    norm_sq = 0.0   # in Python floats, in np.sum's order: an overflow leaves an inf, no warning
+    for z in amps.values.ravel().tolist():
+        norm_sq += z.real * z.real + z.imag * z.imag
+    _check_squared_norm(norm_sq, amps.params, amps.epsilon)
+    scaled = amps.values / abs(amps.values).max()
+    coeffs = scaled * (1.0 / sqrt((scaled.real ** 2 + scaled.imag ** 2).sum()))
     return EntangledState(coeffs, amps.epsilon, amps.geometry)
 
 
@@ -236,7 +235,7 @@ def full_density_matrix(state: EntangledState) -> DensityMatrix:
     so only the trace is checked again. The state holds an orthogonal
     polarization pair."""
     v = state.vector()
-    m = np.outer(v, v.conj())
+    m = v[:, None] * v.conj()
     m = 0.5 * (m + m.conj().T)
     _check_trace(m, _MATRIX_TOL)
     rho = object.__new__(DensityMatrix)   # its __post_init__ would solve for the spectrum
@@ -270,10 +269,14 @@ def von_neumann_entropy(rho):
     plain Hermitian array, or a stack of them with shape (..., n, n). Returns
     a float for one matrix and an array of shape (...) for a stack. Raises
     DomainError if an array violates Hermiticity, unit trace or positivity
-    beyond 1e-8; smaller negative eigenvalue jitter is clipped to zero.
+    beyond 1e-8; smaller negative eigenvalue jitter is clipped to zero. Another
+    shape (1-D, n != m or n = 0) is a ValueError naming it, before any math.
     """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.ndim < 2 or not m.shape[-2] == m.shape[-1] > 0:
+        raise ValueError(f"rho must have shape (..., n, n) with n >= 1, got {m.shape}")
     eigenvalues = (rho.eigenvalues if isinstance(rho, DensityMatrix)
-                   else _check_density(np.asarray(rho, dtype=complex), _ENTROPY_INPUT_TOL))
+                   else _check_density(m, _ENTROPY_INPUT_TOL))
     entropy = _entropy_bits(np.moveaxis(eigenvalues, -1, 0))
     return float(entropy) if eigenvalues.ndim == 1 else entropy
 
@@ -287,8 +290,8 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     pair that is not orthogonal is a DomainError naming both angles. One cached
     model build per parameter set and one R(epsilon), then real array math over
     all angles: the invariants of G G^dag, the checks of ``entangled_state`` and
-    ``EntangledState`` on |R|^2 (a + d) and a + d, the closed-form spectrum with
-    ``DensityMatrix``'s positivity check, and its bits by column.
+    ``EntangledState`` at the least and greatest a + d (which decide every angle's),
+    the closed-form spectrum with ``DensityMatrix``'s positivity check, and its bits.
     """
     degrees = np.asarray(thetas_deg, dtype=float)
     if degrees.ndim != 1:
@@ -299,8 +302,10 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     _check_orthogonal(geom_template)
     r = calculator(params).reduced_amplitude(epsilon)
     a, d, b, det = _spin_invariants(np.radians(degrees), geom_template)
-    norm_sq = a + d
-    with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
-        _check_squared_norm((r.real * r.real + r.imag * r.imag) * norm_sq, params, epsilon)
-    _check_norm(norm_sq)
+    norm_sq, r_sq = a + d, r.real * r.real + r.imag * r.imag   # |R|^2 (a + d) grows with a + d
+    bounds = (float(norm_sq.max()), float(norm_sq.min())) if norm_sq.size else ()
+    for bound in bounds:   # an inf or a NaN at any angle is one at the max, a 0 one at the min
+        _check_squared_norm(r_sq * bound, params, epsilon)
+    for bound in bounds:
+        _check_norm(bound)
     return EntropyCurve(degrees, _entropy_bits(_spin_spectrum(a, d, b, det)))

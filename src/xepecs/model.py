@@ -289,18 +289,19 @@ def _j1_block(h: dict) -> tuple[float, float, float, float]:
 def _eigensystem(label: SubspaceLabel, h: dict, block) -> tuple[EigenSystem, np.ndarray]:
     """The levels of H' on subspace ``label`` from the entries ``h`` of one
     parameter set and its solved J = 1 ``block`` (see ``_j1_block``), with the
-    vectors U R, and the rotation R (read-only). The other levels are entries
-    of h. The pairs are sorted by energy, stably: energies equal as floats, as
-    the exact entries give at zeta = 0, stay in ascending (J, S) order. A level
-    beyond the float range is +/-inf, which the calculator's positions report."""
+    vectors U R, and the rotation R. The other levels are entries of h. The
+    pairs are sorted by energy, stably: energies equal as floats, as the exact
+    entries give at zeta = 0, stay in ascending (J, S) order. A level beyond the
+    float range is +/-inf, which the calculator's positions report."""
     u, labels, pairs = _label_basis(label)
     values = [h[key] for key in _entry_keys(label)[:len(labels)]]
-    rotation = np.eye(len(labels))
+    rotation = np.zeros((len(labels), len(labels)))
+    rotation.flat[::len(labels) + 1] = 1.0   # the identity, without np.eye's call overhead
     for i, j in pairs:   # the one J = 1 block
         values[i], values[j], c, s = block
         rotation[i, i], rotation[i, j], rotation[j, i], rotation[j, j] = c, -s, s, c
     order = sorted(range(len(values)), key=values.__getitem__)
-    rotation = _read_only(rotation.take(order, axis=1))
+    rotation = rotation.take(order, axis=1)
     energies = _read_only(np.array([values[i] for i in order]))
     return EigenSystem(energies, _read_only(u.dot(rotation)), tuple(labels[i] for i in order),
                        subspace(label)), rotation

@@ -70,18 +70,14 @@ def _orthogonal(beta1: float, beta2: float) -> bool:
     return abs(cos(beta1 - beta2)) <= _ORTHOGONALITY_TOL
 
 
-def _check_polar_angles(thetas: np.ndarray) -> None:
-    if not ((thetas >= 0.0) & (thetas <= pi)).all():   # NaN fails too
-        raise ValueError("theta must lie in [0, pi]")
-
-
 def alpha_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """alpha_0 (real) and alpha_-1 (complex) as two (N, 2) arrays, entry [n, i - 1]
     for the polarization vector cos(beta_i) e_theta + sin(beta_i) e_phi at the
     polar angle thetas[n] (radians) and the fixed phi, beta1 and beta2. A theta
     that is NaN or outside [0, pi] raises ValueError."""
-    _check_polar_angles(thetas)
+    if not ((thetas >= 0.0) & (thetas <= pi)).all():   # NaN fails too
+        raise ValueError("theta must lie in [0, pi]")
     cb = np.array([cos(beta1), cos(beta2)])
     sb = np.array([sin(beta1), sin(beta2)])
     phase = complex(cos(phi), sin(phi))

@@ -4,7 +4,8 @@ Line positions follow energy conservation, written once by the calculator: a
 photoelectron line at epsilon_i = Omega + eps_s + E'_g - E'_i, and the emitted
 photon of the coincidence spectrum at omega_0 = Omega + eps_p + E'_g - epsilon
 (see ``amplitudes``). Discrete lines are convolved with a unit-area Lorentzian
-whose ``width`` parameter is the half width at half maximum.
+of half width at half maximum ``width``; a dark line (weight 0) adds nothing to
+a sum that holds a bright one, so the sums leave it out.
 
 Both default grids have a 0.005 eV step, and the emission grid spans 3 eV on
 either side of its line. A model or kinetic energy that puts a line where
@@ -26,7 +27,7 @@ import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Spin
-from .amplitudes import (_EMISSION_HALF_WIDTH, _GRID_STEP, CHANNEL_INDEX, CHANNELS, _check_width,
+from .amplitudes import (_EMISSION_HALF_WIDTH, _GRID_STEP, CHANNEL_INDEX, _check_width,
                          _unresolved, calculator, channel_label)
 from .model import DomainError, ModelParams, _read_only
 from .polarization import EmissionGeometry
@@ -60,14 +61,9 @@ class LineSpectrum:
     lines: tuple[SpectralLine, ...]
 
     def __post_init__(self):
-        for line in self.lines:
-            _check_line(line.position, line.weight)
-
-
-def _check_line(position: float, weight: float) -> None:
-    """DomainError unless a line's position is finite and its weight >= 0 (NaN fails)."""
-    if not isfinite(position) or not weight >= 0:
-        raise DomainError("lines need finite positions and non-negative weights")
+        for line in self.lines:   # NaN fails
+            if not isfinite(line.position) or not line.weight >= 0:
+                raise DomainError("lines need finite positions and non-negative weights")
 
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
@@ -139,8 +135,9 @@ def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
     (a ValueError unless it passes ``amplitudes._check_width``)."""
     _check_width(width)
     grid = np.asarray(grid, dtype=float)
-    positions = np.array([line.position for line in lines.lines], dtype=float)
-    weights = np.array([line.weight for line in lines.lines], dtype=float)
+    summed = [line for line in lines.lines if line.weight != 0.0] or lines.lines   # bright, if any
+    positions = np.array([line.position for line in summed], dtype=float)
+    weights = np.array([line.weight for line in summed], dtype=float)
     if channel is None:
         channel = lines.lines[0].channel if lines.lines else ""
     intensity = _lorentzians(positions[:, None], weights, width, grid).sum(axis=0)   # line order
@@ -185,7 +182,7 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
             _check_lines(params, calc.line_verdicts[Spin.DOWN], epsilon)   # R sums its J = 1 lines
         # omega_0 and its terms passed the resolution check, each |A|^2 <= |R|^2 / 2 < inf,
         # and the calculator checked gamma
-        weights = np.array([abs(amps[ch]) ** 2 for ch in CHANNELS])
+        weights = np.array([abs(a) ** 2 for a in amps.values.ravel().tolist()])   # CHANNELS order
         kept = _read_only(default_emission_grid(omega0) if grid is None
                           else np.array(grid, dtype=float))
         block = _read_only(_lorentzians(omega0, weights, params.gamma, kept))
@@ -202,5 +199,6 @@ def auto_epsilon(params: ModelParams) -> float:
     J = 1 photoemission peak (taken from the down-spin channel, whose J = 2
     line has weight exactly 0), on the default kinetic-energy grid."""
     positions, weights, _ = _xps_arrays(params, Spin.DOWN)
-    intensity = _lorentzians(positions[:, None], weights, params.Gamma_1s, _XPS_GRID).sum(axis=0)
-    return float(_XPS_GRID[int(np.argmax(intensity))])
+    bright = weights != 0.0   # the dark J = 2 line adds nothing to the sum
+    rows = _lorentzians(positions[bright, None], weights[bright], params.Gamma_1s, _XPS_GRID)
+    return float(_XPS_GRID[rows.sum(axis=0).argmax()])

@@ -19,9 +19,9 @@ them, and the per-eigenstate resonance terms; the Cartesian polarization
 vectors and the spherical projections of one, in closed form and by
 projection, and all three components for an array of angles; the closed-form
 pair state; the bits of a sweep by the stacked route, its (n, 2) spectrum
-summed over the last axis by np.sum; the Racah sum of the Clebsch-Gordan
-coefficients in ``Fraction`` arithmetic, one rational per term; and a signed
-square root rounded once from 50 digits."""
+summed over the last axis by np.sum, and its norm checks at every angle; the
+Racah sum of the Clebsch-Gordan coefficients in ``Fraction`` arithmetic, one
+rational per term; and a signed square root rounded once from 50 digits."""
 
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -541,6 +541,21 @@ def stacked_sweep_entropy(thetas_deg, geom):
     upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
     lower = np.minimum(det * det / upper, upper)
     return stacked_entropy_bits(np.stack([lower, upper], axis=-1))
+
+
+def per_angle_norm_checks(r_sq, norm_sq, params, epsilon):
+    """The DomainError that the norm checks of a sweep raise when run at every angle
+    (finite and nonzero |R|^2 (a + d), then a + d within 1e-12 of 1), or None."""
+    with np.errstate(over="ignore"):   # an overflow leaves an inf, reported as not finite
+        products = r_sq * np.asarray(norm_sq, dtype=float)
+    inputs = f"{params!r}, epsilon={epsilon!r}"
+    if not np.all(np.isfinite(products)):
+        return DomainError(f"{inputs}: coincidence amplitudes are not finite")
+    if not np.all(products != 0.0):
+        return DomainError(f"{inputs}: all coincidence amplitudes vanish; state undefined")
+    if not np.all(np.abs(np.asarray(norm_sq) - 1.0) <= 1e-12):
+        return DomainError("state norm^2 differs from 1 by more than 1e-12")
+    return None
 
 
 class DipoleBlock(NamedTuple):

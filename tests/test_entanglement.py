@@ -22,7 +22,7 @@ from xepecs.entanglement import (
     von_neumann_entropy,
 )
 
-from reference import closed_form_state
+from reference import closed_form_state, per_angle_norm_checks
 
 PARAMS = ModelParams()
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
@@ -195,6 +195,16 @@ class TestVonNeumannEntropy:
         with pytest.raises(DomainError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (0, 0)])
+    def test_an_array_that_is_no_stack_of_square_matrices_is_named(self, monkeypatch, shape):
+        # these once ended in numpy's AxisError, a broadcast error and "matrix trace
+        # differs from 1"; the shape is refused before any check or eigensolve
+        monkeypatch.setattr(entanglement, "_check_density", lambda *args: pytest.fail("math"))
+        with pytest.raises(ValueError) as error:
+            von_neumann_entropy(np.zeros(shape))
+        assert type(error.value) is ValueError
+        assert str(error.value) == f"rho must have shape (..., n, n) with n >= 1, got {shape}"
+
     def test_small_negative_jitter_clipped(self):
         assert von_neumann_entropy(np.diag([1.0 + 1e-13, -1e-13])) == 0.0
 
@@ -279,6 +289,57 @@ class TestEntropySweep:
         curve = EntropyCurve(np.array([0.0, 90.0]), np.array([0.0, 1.0], dtype=np.float32))
         assert curve.thetas == (0.0, 90.0) and curve.entropy == (0.0, 1.0)
         assert all(type(x) is float for x in curve.thetas + curve.entropy)
+
+
+def norm_edges(side):
+    """The last float inside |x - 1| <= 1e-12 on one side of 1 (side +1 or -1) and
+    the first outside it."""
+    x = 1.0 + side * 1e-12
+    while abs(x - 1.0) > 1e-12:
+        x = float(np.nextafter(x, 1.0))
+    return x, float(np.nextafter(x, side * np.inf))
+
+
+(LOW_IN, LOW_OUT), (HIGH_IN, HIGH_OUT) = norm_edges(-1), norm_edges(1)
+MAX_FLOAT_ROOT = 1.3407807929942596e154   # its square is one ulp under the largest float
+
+
+class TestSweepBounds:
+    """A sweep checks |R|^2 (a + d) and a + d at their least and greatest values
+    only; each input gives the exception type and message of the checks run at
+    every angle (``reference.per_angle_norm_checks``), or no exception."""
+
+    @pytest.mark.parametrize("r, r_sq", [
+        (0j, 0.0),
+        (complex(math.sqrt(5e-324)), 5e-324),
+        (complex(MAX_FLOAT_ROOT, 2.0 ** 485 * math.sqrt(2.0)), 1.7976931348623157e308),
+    ])
+    @pytest.mark.parametrize("norms", [
+        [1.0], [LOW_IN, HIGH_IN], [HIGH_IN, 1.0, LOW_IN, 1.0], [1.0, LOW_OUT], [HIGH_OUT],
+        [LOW_IN, HIGH_OUT, 1.0], [LOW_OUT, HIGH_IN], [LOW_OUT, 1.0, HIGH_OUT],
+        [HIGH_IN, 0.0],   # an overflow and a 0: the overflow is reported
+    ])
+    def test_the_bounds_give_the_verdict_of_every_angle(self, monkeypatch, r, r_sq, norms):
+        assert r.real * r.real + r.imag * r.imag == r_sq
+        # a + d = 0.0 + norm, bit for bit; the spectrum is then (0, norm)
+        zeros = np.zeros(len(norms))
+        monkeypatch.setattr(AmplitudeCalculator, "reduced_amplitude", lambda self, epsilon: r)
+        monkeypatch.setattr(entanglement, "_spin_invariants",
+                            lambda thetas, geom: (zeros, np.array(norms), zeros, zeros))
+        thetas = np.linspace(0.0, 180.0, len(norms))
+        expected = per_angle_norm_checks(r_sq, norms, PARAMS, 6.5)
+        if expected is None:
+            assert len(entropy_sweep(PARAMS, EmissionGeometry.from_degrees(90.0), thetas,
+                                     6.5).entropy) == len(norms)
+            return
+        with pytest.raises(DomainError) as error:
+            entropy_sweep(PARAMS, EmissionGeometry.from_degrees(90.0), thetas, 6.5)
+        assert type(error.value) is type(expected) and str(error.value) == str(expected)
+
+    @pytest.mark.parametrize("thetas", [[], [0.0], [180.0], [0.0, 180.0], [180.0, 0.0]])
+    def test_no_angle_and_the_ends_of_the_range(self, thetas):
+        curve = entropy_sweep(PARAMS, EmissionGeometry.from_degrees(90.0), thetas, 6.5)
+        assert curve.thetas == tuple(thetas) and curve.entropy == tuple([0.0] * len(thetas))
 
 
 class TestPureStateSpectrum:

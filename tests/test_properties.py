@@ -23,6 +23,7 @@ from xepecs.amplitudes import KAPPA, AmplitudeCalculator, calculator, xepecs_amp
 from xepecs.angular import HalfInt
 from xepecs.entanglement import (
     DensityMatrix,
+    _spin_invariants,
     _spin_spectrum,
     entangled_state,
     entropy_sweep,
@@ -52,6 +53,7 @@ from reference import (
     initial_state,
     model_operators,
     operator_matrix,
+    per_angle_norm_checks,
     per_eigenstate_terms,
     photoemission_elements,
     reduced_spin_matrices,
@@ -390,6 +392,19 @@ def test_entropy_sweep_equals_the_reference_reduced_matrix(params, thetas, phi, 
     amps = amplitude_array(calculator(params), np.radians(thetas), geom, epsilon)
     eigenvalues = np.linalg.eigvalsh(reduced_spin_matrices(amps))
     assert np.max(np.abs(np.array(curve.entropy) - stacked_entropy_bits(eigenvalues))) <= 1e-14
+
+
+@SETTINGS
+@given(params_st, st.lists(theta_st, max_size=5), angle_st, angle_st, epsilon_st)
+@hard_cases([], 30.0, 20.0, 6.5)
+@hard_cases([0.0, 180.0], 0.0, 90.0, 6.5)
+def test_the_sweep_checks_its_bounds_as_every_angle(params, thetas, phi, beta1, epsilon):
+    # the sweep checks |R|^2 (a + d) and a + d only at their least and greatest values
+    geom = geometry(phi, beta1)
+    r = calculator(params).reduced_amplitude(epsilon)
+    a, d, _, _ = _spin_invariants(np.radians(np.asarray(thetas, dtype=float)), geom)
+    assert per_angle_norm_checks(r.real * r.real + r.imag * r.imag, a + d, params, epsilon) is None
+    assert len(sweep(params, geom, thetas, epsilon).entropy) == len(thetas)
 
 
 @SETTINGS

@@ -25,6 +25,8 @@ from xepecs.spectra import (
     xps_lines,
 )
 
+from test_properties import HARD_PARAMS
+
 PARAMS = ModelParams()
 NAN, INF = float("nan"), float("inf")
 U1, U2 = (Spin.UP, 1), (Spin.UP, 2)
@@ -249,6 +251,71 @@ class TestDefaults:
         eps = auto_epsilon(PARAMS)
         strongest = max(xps_lines(PARAMS, Spin.DOWN).lines, key=lambda l: l.weight)
         assert abs(eps - strongest.position) < PARAMS.Gamma_1s
+
+
+def every_line_sum(positions, weights, width, grid):
+    """The Lorentzians of every line, dark ones too, summed in line order: the
+    route before lines of weight 0 were left out of the sums."""
+    positions, weights = (np.asarray(x, dtype=float) for x in (positions, weights))
+    return (weights[:, None] * (width / math.pi)
+            / ((grid - positions[:, None]) ** 2 + width ** 2)).sum(axis=0)
+
+
+def dark_line_params(n=40):
+    """Random parameter sets, with G = 0 or zeta = 0 in turn, and the hard cases of
+    ``test_properties`` with G = 0 or zeta = 0."""
+    rng = np.random.default_rng(29)
+    draws = [ModelParams(G=0.0 if i % 3 == 0 else rng.uniform(0.0, 1.0),
+                         zeta=0.0 if i % 3 == 1 else rng.uniform(0.0, 0.5),
+                         eps_p=rng.uniform(-7.0, -3.0), Gamma_1s=rng.uniform(0.2, 0.8),
+                         Omega=rng.choice([15.0, 20.0, 30.0])) for i in range(n)]
+    return draws + [p for p in HARD_PARAMS if p.G == 0.0 or p.zeta == 0.0]
+
+
+class TestDarkLines:
+    """``broaden`` and ``auto_epsilon`` leave lines of weight 0 out of their sums:
+    the bits are those of the sum over every line and of the sum without them."""
+
+    @pytest.mark.parametrize("params", dark_line_params())
+    def test_broaden(self, params):
+        grid = default_xps_grid()
+        for spin in Spin:
+            lines = xps_lines(params, spin)
+            assert any(l.weight == 0.0 for l in lines.lines)   # the J = 2 line at least
+            lit = LineSpectrum(tuple(l for l in lines.lines if l.weight != 0.0))
+            expected = every_line_sum([l.position for l in lines.lines],
+                                      [l.weight for l in lines.lines], params.Gamma_1s, grid)
+            for spectrum in (lines, lit):
+                assert (broaden(spectrum, params.Gamma_1s, grid).intensity.tobytes()
+                        == expected.tobytes())
+
+    @pytest.mark.parametrize("params", dark_line_params())
+    def test_auto_epsilon(self, params):
+        calc = calculator(params)
+        grid = default_xps_grid()
+        expected = every_line_sum(calc.line_positions[Spin.DOWN], calc.line_weights[Spin.DOWN],
+                                  params.Gamma_1s, grid)
+        assert auto_epsilon(params) == float(grid[int(np.argmax(expected))])
+
+    @pytest.mark.parametrize("weights", [(-0.0,), (-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0),
+                                         (0.0, -0.0), (-0.0, 0.25, -0.0)])
+    def test_lines_of_either_zero(self, weights):
+        # numpy's sum starts from +0.0, so lines that all weigh -0.0 give +0.0
+        lines = LineSpectrum(tuple(SpectralLine(5.5 + 0.5 * k, w, None, "dark")
+                                   for k, w in enumerate(weights)))
+        grid = default_xps_grid()
+        intensity = broaden(lines, 0.3, grid).intensity
+        expected = every_line_sum([l.position for l in lines.lines], weights, 0.3, grid)
+        assert intensity.tobytes() == expected.tobytes()
+        if 0.25 not in weights:
+            assert intensity.tobytes() == np.zeros_like(grid).tobytes()
+
+    def test_dark_lines_alone_are_summed_on_a_nan_grid(self):
+        # a one-point NaN grid passes the ascending check; the dark lines' NaN fails
+        # the intensity check, as it did before dark lines were left out
+        lines = LineSpectrum((SpectralLine(6.0, 0.0, None, "dark"),))
+        with pytest.raises(ValueError, match="intensity must be non-negative"):
+            broaden(lines, 0.3, np.array([NAN]))
 
 
 def one_line_route(params, geom, epsilon, channel, grid):
