@@ -3,16 +3,8 @@ minimal two-shell atom, including the spin-polarization entanglement of the
 outgoing pair."""
 
 from .angular import HalfInt, cg
-from .fockspace import FockState, Shell, Spin, SpinOrbital
-from .model import (
-    DomainError,
-    EigenSystem,
-    ModelParams,
-    Subspace,
-    SubspaceLabel,
-    intermediate_eigensystem,
-    subspace,
-)
+from .fockspace import Spin
+from .model import DomainError, EigenSystem, ModelParams, SubspaceLabel, intermediate_eigensystem
 from .polarization import EmissionGeometry
 from .amplitudes import AmplitudeCalculator, AmplitudeSet, xepecs_amplitudes
 from .spectra import (
@@ -38,9 +30,8 @@ from .entanglement import (
 
 __all__ = [
     "HalfInt", "cg",
-    "FockState", "Shell", "Spin", "SpinOrbital",
-    "DomainError", "EigenSystem", "ModelParams", "Subspace", "SubspaceLabel",
-    "intermediate_eigensystem", "subspace",
+    "Spin",
+    "DomainError", "EigenSystem", "ModelParams", "SubspaceLabel", "intermediate_eigensystem",
     "EmissionGeometry",
     "AmplitudeCalculator", "AmplitudeSet", "xepecs_amplitudes",
     "LineSpectrum", "SpectralLine", "SpectrumSeries",

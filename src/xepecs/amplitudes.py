@@ -20,7 +20,10 @@ label the channel. Each gives every bracket a factor 1: a photon count goes
 bra and ket of equal electron count the same fermionic sign. So the
 photoemission elements are the vertex times <i| s_sigma |g>, and the decay
 is the one-body operator sum_(m, s) d_m s^dag_s p_(m s) to the closed 1s^2
-shell. Both are written once per process in the coupled (J, S) basis of
+shell. The electrons' ladder signs follow the canonical orbital order (1s up,
+1s down, then 2p m = -1, 0, 1, up before down for each m): creating or
+removing an electron gives (-1)^(number of occupied orbitals before it). Both
+are written once per process in the coupled (J, S) basis of
 ``model``, by a Clebsch-Gordan coefficient and a recoupling 6j symbol from
 ``angular``, each as sign * sqrt(exact square); per parameter set they are the
 rotation of the levels applied to these vectors. With the radial dipole
@@ -69,9 +72,9 @@ from .model import (
     _couplings_of,
     _eigensystem,
     _GROUND,
+    _INTERMEDIATE,
     _j1_block,
     _read_only,
-    intermediate_subspace,
 )
 from .polarization import EmissionGeometry, alpha_components
 
@@ -132,16 +135,17 @@ def _photoemission_vector(sigma: Spin) -> np.ndarray:
     """<(l, (s_1s s_2p) S) J M| c^dag_(eps sigma) s_sigma a |g> over the (J, S)
     columns of the intermediate subspace of ``sigma`` (read-only), built once:
     s_sigma leaves m_1s = -sigma beside g's (l s_2p) j = m = 1/2, with the
-    ladder sign -1 for down (past the 1s up electron). The element is the
-    vertex, that sign, <j m; s_1s m_1s| J M> and the recoupling (Edmonds 6.1.5,
-    with (s_2p s_1s) S turned into (s_1s s_2p) S) (-1)^(2 s_1s + 2 s_2p - S + l
-    + J) sqrt((2j + 1)(2S + 1)) {l s_2p j; s_1s J S}; J = 2 is dark, exactly."""
+    ladder sign (see the module docstring) -1 for down, past the 1s up
+    electron. The element is the vertex, that sign, <j m; s_1s m_1s| J M> and
+    the recoupling (Edmonds 6.1.5, with (s_2p s_1s) S turned into (s_1s s_2p) S)
+    (-1)^(2 s_1s + 2 s_2p - S + l + J) sqrt((2j + 1)(2S + 1)) {l s_2p j; s_1s J S};
+    J = 2 is dark, exactly."""
     tm1s, ladder_sign = -sigma.twice_sz, 1 if sigma is Spin.UP else -1
     return _read_only(np.array([_root(   # the phase: twice (2 s_1s + 2 s_2p - S + l + J)
         (ladder_sign * _phase(2 + 2 - ts + 2 + tj), _VERTEX_SQUARE * 2 * (ts + 1)),
         cg_exact(0.5, 0.5, 0.5, HalfInt(tm1s), HalfInt(tj), HalfInt(1 + tm1s)),
         sixj_exact(1, 0.5, 0.5, 0.5, HalfInt(tj), HalfInt(ts)))
-        for tj, ts in _columns(intermediate_subspace(sigma).label)[1]]))
+        for tj, ts in _columns(_INTERMEDIATE[sigma])[1]]))
 
 
 @cache
@@ -149,9 +153,10 @@ def _decay_vector() -> np.ndarray:
     """<f| sum_s d_1 s^dag_s p_(1 s) |(l, (s_1s s_2p) S) J 1>, the q = -1 decay to
     the closed shell, over the (J, S) columns of the down-spin (M = 1) subspace
     (read-only), built once. On |1s m_1s, 2p (1, -m_1s)> it is d_1 times the
-    ladder sign, +1 for m_1s = 1/2 and -1 for -1/2, so by the symmetry of
-    <1/2 m; 1/2 -m| S 0> the element is d_1 (1 - (-1)^(1 - S))
-    <1/2 1/2; 1/2 -1/2| S 0> <l 1; S 0| J 1>: only the singlet decays."""
+    ladder sign (see the module docstring), +1 for m_1s = 1/2 and -1 for -1/2,
+    so by the symmetry of <1/2 m; 1/2 -m| S 0> the element is
+    d_1 (1 - (-1)^(1 - S)) <1/2 1/2; 1/2 -1/2| S 0> <l 1; S 0| J 1>: only the
+    singlet decays."""
     # d_1 = -<1 1; 1 -1| 0 0>, the angular factor of <1s| r_(-1) |2p_1> (radial integral 1)
     d_sign, d_square = cg_exact(1, 1, 1, -1, 0, 0)
     return _read_only(np.array([_root(
@@ -163,7 +168,8 @@ def _decay_vector() -> np.ndarray:
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class AmplitudeSet:
     """The four coincidence amplitudes at one photoelectron kinetic energy: the
-    (2, 2) complex array values[sigma, lambda - 1], stored as given, made read-only."""
+    (2, 2) complex array values[sigma, lambda - 1], stored as given, made read-only;
+    any other shape is a ValueError naming it."""
 
     epsilon: float
     values: np.ndarray
@@ -171,6 +177,8 @@ class AmplitudeSet:
     params: ModelParams | None = None   # the model, where the calculator made the set
 
     def __post_init__(self):
+        if self.values.shape != (2, 2):
+            raise ValueError(f"values must have shape (2, 2), got {self.values.shape}")
         self.values.flags.writeable = False
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
@@ -203,9 +211,8 @@ class AmplitudeCalculator:
             h = _couplings_of(params, _SUBSPACE_LABELS)   # H' once, on every subspace
             self.ground_coupling = h[_GROUND]   # E'_g
             block = _j1_block(h)
-            solved = {sigma: _eigensystem(intermediate_subspace(sigma).label, h, block)
-                      for sigma in _SPINS}
-            self.eigensystems = {sigma: eig for sigma, (eig, _) in solved.items()}
+            self.eigensystems = {sigma: _eigensystem(_INTERMEDIATE[sigma], h, block)
+                                 for sigma in _SPINS}
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
             # an overflow leaves an inf, and inf - inf a NaN, reported below
@@ -219,15 +226,16 @@ class AmplitudeCalculator:
         self.line_positions = {s: _read_only(np.array(x)) for s, x in positions.items()}
         # the coupled vectors rotated onto the levels; a zero of the triangle rule
         # (J against the removed s = 1/2 and the ground J = 1/2) is exact
-        self.pe_elements = {sigma: _read_only(_photoemission_vector(sigma).dot(rotation))
-                            for sigma, (_, rotation) in solved.items()}
+        self.pe_elements = {sigma: _read_only(_photoemission_vector(sigma).dot(eig.rotation))
+                            for sigma, eig in self.eigensystems.items()}
         self.line_weights = {s: _read_only(pe * pe) for s, pe in self.pe_elements.items()}
         self.line_verdicts = {s: _unresolved([   # of the lines and their terms, raised on each read
             *positions[s], params.Omega, params.eps_s, self.ground_coupling, *energies[s]])
             for s in _SPINS}
-        j1 = [k for k, j in enumerate(self.eigensystems[Spin.DOWN].j_labels) if j.twice_value == 2]
+        down = self.eigensystems[Spin.DOWN]
+        j1 = [k for k, j in enumerate(down.j_labels) if j.twice_value == 2]
         self.j1_positions = _read_only(self.line_positions[Spin.DOWN].take(j1))
-        self.j1_products = _read_only((_decay_vector().dot(solved[Spin.DOWN][1])
+        self.j1_products = _read_only((_decay_vector().dot(down.rotation)
                                        * self.pe_elements[Spin.DOWN]).take(j1))
         self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
         self._block_slot = (None, False, None, None)   # written by spectra.xepecs_spectrum

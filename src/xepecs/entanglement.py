@@ -152,14 +152,17 @@ def _entropy_bits(eigenvalues: np.ndarray):
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EntangledState:
     """Normalized coefficients over the (U1, U2, D1, D2) product basis: the (2, 2)
-    complex array coeffs[sigma, lambda - 1], stored as given, made read-only. A
-    polarization pair that is not orthogonal is a DomainError naming both angles."""
+    complex array coeffs[sigma, lambda - 1], stored as given, made read-only; any
+    other shape is a ValueError naming it. A polarization pair that is not
+    orthogonal is a DomainError naming both angles."""
 
     coeffs: np.ndarray
     epsilon: float | None
     geometry: EmissionGeometry
 
     def __post_init__(self):
+        if self.coeffs.shape != (2, 2):
+            raise ValueError(f"coeffs must have shape (2, 2), got {self.coeffs.shape}")
         self.coeffs.flags.writeable = False
         _check_orthogonal(self.geometry)
         _check_norm((abs(self.coeffs) ** 2).sum())

@@ -9,10 +9,9 @@ So the level energy eps_s n_1s + eps_p n_2p only shifts a whole subspace, and
 no level energy is formed here: the lines take eps_s and eps_p through exact
 occupation differences (see ``amplitudes``). Only H' is solved, and it is a
 scalar under rotations, so it is block-diagonal in J in the coupled basis
-|((s_1s s_2p) S, l) J M> of each subspace. The entries of that basis over the
-basis states are products of two Clebsch-Gordan coefficients from the exact
-layer in ``angular`` (U, built once per process); the ground state is the
-J = 1/2 column of the initial subspace.
+|((s_1s s_2p) S, l) J M> of each subspace, the one basis of the package: a
+subspace is its s_1s and M, and its columns are every (J, S) they couple to.
+The ground state is the J = 1/2 column of the initial subspace.
 
 Both couplings are written in the coupled basis by Racah algebra, once per
 process: S_1s . S_2p = [S(S + 1) - s_1s(s_1s + 1) - 3/4]/2 is diagonal, and
@@ -26,7 +25,8 @@ A parameter set costs h = zeta l.s - 2 G S_1s . S_2p once, on the seven
 distinct entries of the three subspaces, and one closed-form 2 x 2 rotation of
 the shared J = 1 block (no LAPACK call). The other levels are single entries:
 E'_g = -zeta (J = 1/2), 3P0 = -zeta - G/2 and 3P2 = zeta/2 - G/2. Every level
-comes with an exact J, and its vector is U times the rotation on its subspace.
+comes with an exact J, and its vector is a column of the rotation over the
+coupled columns of its subspace.
 """
 
 from __future__ import annotations
@@ -38,17 +38,14 @@ from math import atan2, copysign, cos, isfinite, sin, tan
 
 import numpy as np
 
-from .angular import HalfInt, _phase, _root, cg_exact, sixj_exact
-from .fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
+from .angular import HalfInt, _phase, _root, sixj_exact
+from .fockspace import Spin
 
 __all__ = [
     "DomainError",
     "ModelParams",
     "SubspaceLabel",
-    "Subspace",
     "EigenSystem",
-    "subspace",
-    "intermediate_subspace",
     "intermediate_eigensystem",
     "ground_coupling_energy",
 ]
@@ -91,60 +88,11 @@ class SubspaceLabel(Enum):
     M1 = "M1"             # one 1s + one 2p electron, M = 1 (down-spin photoelectron)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    label: SubspaceLabel
-    basis: tuple[FockState, ...]
+# twice (s_1s, M) of each subspace: s_1s = 0 on the closed 1s shell
+_SPIN_AND_M = {SubspaceLabel.INITIAL: (0, 1), SubspaceLabel.M0: (1, 0), SubspaceLabel.M1: (1, 2)}
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _state(*orbs: SpinOrbital) -> FockState:
-    return FockState(sum(1 << o.index for o in orbs))
-
-
-_S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)
-_S_DN = SpinOrbital(Shell.S1S, 0, Spin.DOWN)
-
-
-def _p(m: int, spin: Spin) -> SpinOrbital:
-    return SpinOrbital(Shell.P2P, m, spin)
-
-
-_BASES: dict[SubspaceLabel, tuple[FockState, ...]] = {
-    # s^2 p^1 states with total M = +1/2
-    SubspaceLabel.INITIAL: (
-        _state(_S_UP, _S_DN, _p(1, Spin.DOWN)),
-        _state(_S_UP, _S_DN, _p(0, Spin.UP)),
-    ),
-    # s^1 p^1 states with M = 0, reached by up-spin photoemission
-    SubspaceLabel.M0: (
-        _state(_S_UP, _p(0, Spin.DOWN)),
-        _state(_S_UP, _p(-1, Spin.UP)),
-        _state(_S_DN, _p(1, Spin.DOWN)),
-        _state(_S_DN, _p(0, Spin.UP)),
-    ),
-    # s^1 p^1 states with M = 1, reached by down-spin photoemission
-    SubspaceLabel.M1: (
-        _state(_S_UP, _p(1, Spin.DOWN)),
-        _state(_S_UP, _p(0, Spin.UP)),
-        _state(_S_DN, _p(1, Spin.UP)),
-    ),
-}
-
-
-_SUBSPACES = {label: Subspace(label, basis) for label, basis in _BASES.items()}
-
-
-def subspace(label: SubspaceLabel) -> Subspace:
-    return _SUBSPACES[label]
-
-
-def intermediate_subspace(photoelectron_spin: Spin) -> Subspace:
-    """Intermediate-state subspace matching the photoelectron spin."""
-    return subspace(SubspaceLabel.M0 if photoelectron_spin is Spin.UP else SubspaceLabel.M1)
+# the intermediate subspace that each photoelectron spin leaves
+_INTERMEDIATE = {Spin.UP: SubspaceLabel.M0, Spin.DOWN: SubspaceLabel.M1}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -154,65 +102,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EigenSystem:
-    """The levels of H' on a subspace, ascending: ``coupling_energies`` the
-    eigenvalues of H' (the subspace's level energy shifts them to the
-    energies); ``vectors[:, i]`` the i-th eigenvector over the subspace basis,
-    real, and ``j_labels[i]`` the J of the block it was found in. The sign of
-    each vector is arbitrary."""
+    """The levels of H' on subspace ``label``, ascending: ``coupling_energies``
+    the eigenvalues of H' (the subspace's level energy shifts them to the
+    energies); ``rotation[:, i]`` the i-th eigenvector over the subspace's
+    coupled (J, S) columns, real and read-only, and ``j_labels[i]`` the J of the
+    block it was found in. The sign of each vector is arbitrary."""
 
     coupling_energies: np.ndarray
-    vectors: np.ndarray
+    rotation: np.ndarray
     j_labels: tuple[HalfInt, ...]
-    subspace: Subspace
+    label: SubspaceLabel
 
     @property
     def dim(self) -> int:
         return len(self.coupling_energies)
 
 
-def _angular_numbers(state: FockState) -> tuple[int, int, int, int]:
-    """Twice s_1s and m_1s of the 1s shell of ``state`` (s_1s = 0 when it is
-    closed), and twice m_l and m_s of its one 2p electron."""
-    occupied = [o for o in ORBITALS if state.orbitals >> o.index & 1]
-    core = [o for o in occupied if o.shell is Shell.S1S]
-    p = next(o for o in occupied if o.shell is Shell.P2P)
-    return len(core) % 2, sum(o.spin.twice_sz for o in core), 2 * p.m, p.spin.twice_sz
-
-
 @cache
 def _columns(label: SubspaceLabel) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Twice s_1s of subspace ``label`` (the same for every state) and twice the
-    (J, S) of each column of its coupled basis, ascending: every J and S that
-    s_1s, s_2p = 1/2 and l = 1 couple to, with |M| <= J."""
-    ts1s, tm1s, tml, tms = _angular_numbers(_BASES[label][0])
-    tm = tm1s + tml + tms
+    """Twice s_1s of subspace ``label`` and twice the (J, S) of each column of its
+    coupled basis, ascending: every J and S that s_1s, s_2p = 1/2 and l = 1
+    couple to, with |M| <= J."""
+    ts1s, tm = _SPIN_AND_M[label]
     return ts1s, tuple(sorted((tj, ts) for ts in range(abs(ts1s - 1), ts1s + 2, 2)
                               for tj in range(abs(2 - ts), 3 + ts, 2) if abs(tm) <= tj))
 
 
 @cache
-def _label_basis(label: SubspaceLabel) -> tuple[np.ndarray, tuple[HalfInt, ...], tuple]:
-    """The (J, S) basis of subspace ``label`` (a Subspace key rehashes its basis),
-    built once: the coupled states |((s_1s s_2p) S, l) J M> of ``_columns`` as
-    the real columns U over the basis states (read-only), their J labels and
-    the column pair of each 2 x 2 J block.
-
-    A basis state carries (m_1s, m_l, m_s), and its entry in the column (J, S)
-    is <s_1s m_1s; 1/2 m_s | S M_S> <1 m_l; S M_S | J M>, the square root of
-    the exact product of the two squares from ``cg_exact``. On the initial
-    subspace the closed 1s shell has s_1s = 0, so the columns are |(l s) j m>.
-    """
-    numbers = [_angular_numbers(b) for b in _BASES[label]]   # all twice their value
-    ts1s, columns = _columns(label)
-    tm = sum(numbers[0][1:])   # M, the same for every state
-    u = np.array([[_root(cg_exact(HalfInt(ts1s), HalfInt(tm1s), 0.5, HalfInt(tms), HalfInt(ts),
-                                  HalfInt(tm1s + tms)),
-                         cg_exact(1, HalfInt(tml), HalfInt(ts), HalfInt(tm1s + tms), HalfInt(tj),
-                                  HalfInt(tm)))
-                   for tj, ts in columns] for _, tm1s, tml, tms in numbers])
-    labels = tuple(HalfInt(tj) for tj, _ in columns)
-    pairs = tuple((k, k + 1) for k in range(len(labels) - 1) if labels[k] == labels[k + 1])
-    return _read_only(u), labels, pairs
+def _label_basis(label: SubspaceLabel) -> tuple[tuple[HalfInt, ...], tuple]:
+    """The J label of each column of ``_columns(label)`` and the column pair of
+    each 2 x 2 J block, built once."""
+    labels = tuple(HalfInt(tj) for tj, _ in _columns(label)[1])
+    return labels, tuple((k, k + 1) for k in range(len(labels) - 1)
+                         if labels[k] == labels[k + 1])
 
 
 def _spin_orbit(ts1s: int, tj: int, ts_row: int, ts_col: int) -> float:
@@ -247,7 +169,7 @@ def _entry_keys(label: SubspaceLabel) -> tuple[tuple[int, int, int, int], ...]:
     ts1s, columns = _columns(label)
     return (*((ts1s, tj, ts, ts) for tj, ts in columns),
             *((ts1s, columns[i][0], columns[i][1], columns[j][1])
-              for i, j in _label_basis(label)[2]))
+              for i, j in _label_basis(label)[1]))
 
 
 # twice (s_1s, J, S', S) of E'_g, the J = 1/2 entry of the initial subspace, and of
@@ -286,14 +208,14 @@ def _j1_block(h: dict) -> tuple[float, float, float, float]:
     return _block_eigenpairs(*(h[key] for key in _J1_BLOCK))
 
 
-def _eigensystem(label: SubspaceLabel, h: dict, block) -> tuple[EigenSystem, np.ndarray]:
+def _eigensystem(label: SubspaceLabel, h: dict, block) -> EigenSystem:
     """The levels of H' on subspace ``label`` from the entries ``h`` of one
     parameter set and its solved J = 1 ``block`` (see ``_j1_block``), with the
-    vectors U R, and the rotation R. The other levels are entries of h. The
+    rotation R of the coupled columns. The other levels are entries of h. The
     pairs are sorted by energy, stably: energies equal as floats, as the exact
     entries give at zeta = 0, stay in ascending (J, S) order. A level beyond the
     float range is +/-inf, which the calculator's positions report."""
-    u, labels, pairs = _label_basis(label)
+    labels, pairs = _label_basis(label)
     values = [h[key] for key in _entry_keys(label)[:len(labels)]]
     rotation = np.zeros((len(labels), len(labels)))
     rotation.flat[::len(labels) + 1] = 1.0   # the identity, without np.eye's call overhead
@@ -301,18 +223,17 @@ def _eigensystem(label: SubspaceLabel, h: dict, block) -> tuple[EigenSystem, np.
         values[i], values[j], c, s = block
         rotation[i, i], rotation[i, j], rotation[j, i], rotation[j, j] = c, -s, s, c
     order = sorted(range(len(values)), key=values.__getitem__)
-    rotation = rotation.take(order, axis=1)
-    energies = _read_only(np.array([values[i] for i in order]))
-    return EigenSystem(energies, _read_only(u.dot(rotation)), tuple(labels[i] for i in order),
-                       subspace(label)), rotation
+    return EigenSystem(_read_only(np.array([values[i] for i in order])),
+                       _read_only(rotation.take(order, axis=1)),
+                       tuple(labels[i] for i in order), label)
 
 
 def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
     """The levels of H' on the intermediate subspace of the photoelectron spin; a
     DomainError if H' overflows there."""
-    label = intermediate_subspace(photoelectron_spin).label
+    label = _INTERMEDIATE[photoelectron_spin]
     h = _couplings_of(params, (label,))
-    return _eigensystem(label, h, _j1_block(h))[0]
+    return _eigensystem(label, h, _j1_block(h))
 
 
 def ground_coupling_energy(params: ModelParams) -> float:

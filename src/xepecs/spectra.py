@@ -129,19 +129,17 @@ def _lorentzians(positions, weights, width: float, grid: np.ndarray) -> np.ndarr
     return weights[:, None] * (width / pi) / ((grid - positions) ** 2 + width ** 2)
 
 
-def broaden(lines: LineSpectrum, width: float, grid: np.ndarray,
-            channel: str | None = None) -> SpectrumSeries:
+def broaden(lines: LineSpectrum, width: float, grid: np.ndarray) -> SpectrumSeries:
     """Convolve a line spectrum with a unit-area Lorentzian of HWHM ``width``
-    (a ValueError unless it passes ``amplitudes._check_width``)."""
+    (a ValueError unless it passes ``amplitudes._check_width``); the series
+    takes the first line's channel, or "" when there are no lines."""
     _check_width(width)
     grid = np.asarray(grid, dtype=float)
     summed = [line for line in lines.lines if line.weight != 0.0] or lines.lines   # bright, if any
     positions = np.array([line.position for line in summed], dtype=float)
     weights = np.array([line.weight for line in summed], dtype=float)
-    if channel is None:
-        channel = lines.lines[0].channel if lines.lines else ""
     intensity = _lorentzians(positions[:, None], weights, width, grid).sum(axis=0)   # line order
-    return SpectrumSeries(grid, intensity, channel)
+    return SpectrumSeries(grid, intensity, lines.lines[0].channel if lines.lines else "")
 
 
 def default_xps_grid() -> np.ndarray:

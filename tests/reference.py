@@ -1,7 +1,9 @@
 """Independent routes the tests hold the package to, which the package does not
-need: a sparse vector algebra (``ManyBodyVector``, amplitudes keyed by basis
-state) and with it the shell occupations of a state and the model operators
-one basis vector at a time, whose projections on the coupled (J, S) basis
+need: the occupation-number states of the 8 spin-orbitals, the three subspace
+bases over them and the basis change U from them to the package's coupled
+(J, S) columns; a sparse vector algebra (``ManyBodyVector``, amplitudes keyed
+by basis state) and with it the shell occupations of a state and the model
+operators one basis vector at a time, whose projections on the coupled (J, S) basis
 check the package's Racah tables; those tables as matrices on each subspace,
 and each subspace's levels solved on their own from them (the route the one
 shared J = 1 rotation replaced); the Hamiltonian H' over the basis states from
@@ -25,6 +27,7 @@ rational per term; and a signed square root rounded once from 50 digits."""
 
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
@@ -36,10 +39,9 @@ import numpy as np
 from xepecs.amplitudes import _VERTEX_SQUARE
 from xepecs.angular import HalfInt, _triangle, _valid_pair, cg
 from xepecs.entanglement import EntangledState, _spin_invariants
-from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
+from xepecs.fockspace import Spin
 from xepecs.model import (
-    DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis,
-    ground_coupling_energy, intermediate_subspace, subspace,
+    DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis, ground_coupling_energy,
 )
 from xepecs.model import _couplings as package_tables
 from xepecs.polarization import alpha_components
@@ -48,6 +50,119 @@ PHOTOEMISSION_VERTEX = sqrt(_VERTEX_SQUARE)
 # Angular factor of <1s| r_q |2p_m>, radial integral set to 1, from the CG
 # layer: d_m = -<1 m; 1 -m|0 0> = (-1)^m / sqrt(3) multiplies alpha_(-m).
 EMISSION_VERTEX = {m: -cg(1, m, 1, -m, 0, 0) for m in (1, 0, -1)}
+
+# ---------------------------------------------------------------------------
+# occupation-number states: the 8 spin-orbitals in the canonical order (1s up,
+# 1s down, 2p[m=-1] up, 2p[m=-1] down, ..., 2p[m=1] down), a basis state the
+# bitmask of its occupied ones, and the subspace bases over them
+# ---------------------------------------------------------------------------
+
+class Shell(Enum):
+    S1S = "1s"
+    P2P = "2p"
+
+
+@dataclass(frozen=True)
+class SpinOrbital:
+    shell: Shell
+    m: int
+    spin: Spin
+
+    def __post_init__(self):
+        if self.m not in ((0,) if self.shell is Shell.S1S else (-1, 0, 1)):
+            raise ValueError(f"no {self.shell.value} orbital has m = {self.m}")
+
+    @property
+    def index(self) -> int:
+        return ORBITALS.index(self)
+
+    def __str__(self) -> str:
+        tag = "" if self.shell is Shell.S1S else f"[{self.m:+d}]"
+        return f"{self.shell.value}{tag}{'+' if self.spin is Spin.UP else '-'}"
+
+
+ORBITALS = tuple(SpinOrbital(shell, m, spin)
+                 for shell, ms in ((Shell.S1S, (0,)), (Shell.P2P, (-1, 0, 1)))
+                 for m in ms for spin in (Spin.UP, Spin.DOWN))
+
+
+@dataclass(frozen=True)
+class FockState:
+    """``orbitals`` is a bitmask over the 8 spin-orbitals, bit i set when
+    ORBITALS[i] is occupied."""
+
+    orbitals: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.orbitals < 256:
+            raise ValueError("orbital mask out of range")
+
+
+@dataclass(frozen=True)
+class Subspace:
+    label: SubspaceLabel
+    basis: tuple[FockState, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def _state(*orbitals):
+    """The basis state of the (shell, m, spin) ``orbitals``."""
+    return FockState(sum(1 << SpinOrbital(*o).index for o in orbitals))
+
+
+_S_UP, _S_DN = (Shell.S1S, 0, Spin.UP), (Shell.S1S, 0, Spin.DOWN)
+_P_UP, _P_DN = ({m: (Shell.P2P, m, spin) for m in (-1, 0, 1)} for spin in Spin)
+_SUBSPACES = {label: Subspace(label, tuple(_state(*orbitals) for orbitals in basis))
+              for label, basis in (
+    # s^2 p^1 states with total M = +1/2
+    (SubspaceLabel.INITIAL, ((_S_UP, _S_DN, _P_DN[1]), (_S_UP, _S_DN, _P_UP[0]))),
+    # s^1 p^1 states with M = 0, reached by up-spin photoemission
+    (SubspaceLabel.M0, ((_S_UP, _P_DN[0]), (_S_UP, _P_UP[-1]), (_S_DN, _P_DN[1]),
+                        (_S_DN, _P_UP[0]))),
+    # s^1 p^1 states with M = 1, reached by down-spin photoemission
+    (SubspaceLabel.M1, ((_S_UP, _P_DN[1]), (_S_UP, _P_UP[0]), (_S_DN, _P_UP[1]))))}
+
+
+def subspace(label):
+    return _SUBSPACES[label]
+
+
+def intermediate_subspace(spin):
+    """The intermediate subspace that a photoelectron of ``spin`` leaves."""
+    return subspace(SubspaceLabel.M0 if spin is Spin.UP else SubspaceLabel.M1)
+
+
+@cache
+def label_basis(label):
+    """U: the package's coupled columns |((s_1s s_2p) S, l) J M> of subspace
+    ``label`` (``model._columns``) over its basis states, real and read-only. A
+    state with (m_1s, m_l, m_s) has <s_1s m_1s; 1/2 m_s | S M_S> <1 m_l; S M_S | J M>
+    in column (J, S), the root of the exact product of the squares from
+    ``cg_exact_fraction``, rounded once (a product of two rounded ``cg`` values
+    misses the projection tests' 1e-15); s_1s = m_1s = 0 on a closed 1s shell."""
+    ts1s, columns = _columns(label)
+    rows = []
+    for b in subspace(label).basis:
+        occupied = [o for o in ORBITALS if b.orbitals >> o.index & 1]
+        m1s = Fraction(sum(o.spin.twice_sz for o in occupied if o.shell is Shell.S1S), 2)
+        (p,) = [o for o in occupied if o.shell is Shell.P2P]
+        m_s = Fraction(p.spin.twice_sz, 2)
+        factors = [(cg_exact_fraction(Fraction(ts1s, 2), m1s, 0.5, m_s, Fraction(ts, 2), m1s + m_s),
+                    cg_exact_fraction(1, p.m, Fraction(ts, 2), m1s + m_s, Fraction(tj, 2),
+                                      m1s + m_s + p.m)) for tj, ts in columns]
+        rows.append([rounded_root(s1 * s2, q1 * q2) for (s1, q1), (s2, q2) in factors])
+    u = np.array(rows)
+    u.flags.writeable = False
+    return u
+
+
+def eigenvectors(eig):
+    """The eigenvectors of ``eig`` over its subspace's basis states: U R."""
+    return label_basis(eig.label) @ eig.rotation
+
 
 # ---------------------------------------------------------------------------
 # sparse vectors: amplitudes keyed by basis state, a FockState for the
@@ -215,7 +330,7 @@ def model_operators(sub):
 def coupled(matrix, label):
     """U^T X U of a matrix X over the basis states of subspace ``label``, in its
     (J, S) basis U: real where X commutes with J^2 and is real there."""
-    u = _label_basis(label)[0]
+    u = label_basis(label)
     return u.T @ np.asarray(matrix) @ u
 
 
@@ -240,7 +355,7 @@ def subspace_levels(params, label):
     energies, the vectors, their J labels and the sorted rotation R."""
     spin_orbit, exchange = table_matrices(label)
     h = params.zeta * spin_orbit - 2.0 * params.G * exchange
-    u, labels, pairs = _label_basis(label)
+    labels, pairs = _label_basis(label)
     values, rotation = h.diagonal().copy(), np.eye(len(h))
     for i, j in pairs:
         values[i], values[j], c, s = _block_eigenpairs(float(h[i, i]), float(h[j, j]),
@@ -248,14 +363,14 @@ def subspace_levels(params, label):
         rotation[i, i], rotation[i, j], rotation[j, i], rotation[j, j] = c, -s, s, c
     order = np.argsort(values, kind="stable")
     rotation = rotation[:, order]
-    return values[order], u.dot(rotation), tuple(labels[i] for i in order), rotation
+    return values[order], label_basis(label) @ rotation, tuple(labels[i] for i in order), rotation
 
 
 def block_eigh(H, sub):
     """The per-block eigh route: ``np.linalg.eigh`` of each J block of H in the
     (J, S) basis U of ``sub``, the pairs sorted stably by energy. Returns the
     energies, the eigenvectors over the basis states and their J labels."""
-    u, labels, _ = _label_basis(sub.label)
+    u, (labels, _) = label_basis(sub.label), _label_basis(sub.label)
     h = u.conj().T @ np.asarray(H, dtype=complex) @ u
     starts = [next(group)[0] for _, group in groupby(enumerate(labels), key=lambda x: x[1])]
     blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(labels)])]
@@ -302,7 +417,7 @@ def build_hamiltonian(params, sub):
 def ground_state():
     """The (J, M) = (1/2, 1/2) electron ground state as a vector over the
     initial basis states: the J = 1/2 column of the package's coupled basis."""
-    components = _label_basis(SubspaceLabel.INITIAL)[0][:, 0]
+    components = label_basis(SubspaceLabel.INITIAL)[:, 0]
     return combine(zip(components, map(basis_vector, subspace(SubspaceLabel.INITIAL).basis)))
 
 
@@ -447,10 +562,11 @@ def photoemission_components(g, sigma, sub):
 def photoemission_elements(g, eig, sigma):
     """<i_sigma| c^dag_(eps sigma) s_sigma a |g> for every eigenstate i of ``eig``,
     which must be the intermediate eigensystem matching the photoelectron spin."""
-    if eig.subspace != intermediate_subspace(sigma):
-        raise ValueError(f"eigensystem over {eig.subspace.label.value} does not match "
+    sub = intermediate_subspace(sigma)
+    if eig.label is not sub.label:
+        raise ValueError(f"eigensystem over {eig.label.value} does not match "
                          f"photoelectron spin {sigma}")
-    return eig.vectors.conj().T @ photoemission_components(g, sigma, eig.subspace)
+    return eigenvectors(eig).conj().T @ photoemission_components(g, sigma, sub)
 
 
 def _apply_mph(v, alphas):
@@ -501,7 +617,7 @@ def emission_basis(label):
 def emission_matrices(calc):
     """(D_sigma V_sigma)[q, i]: the emission rows of the three spherical
     components over the eigenstates of each spin's eigensystem of ``calc``."""
-    return {sigma: emission_basis(eig.subspace.label) @ eig.vectors
+    return {sigma: emission_basis(eig.label) @ eigenvectors(eig)
             for sigma, eig in calc.eigensystems.items()}
 
 
@@ -572,7 +688,7 @@ class DipoleBlock(NamedTuple):
 def per_eigenstate_terms(calc, geom, epsilon, sigma):
     """The resonance terms (lambda, i) of ``calc`` before the sum over eigenstates i."""
     eig = calc.eigensystems[sigma]
-    emission = dipole_block(geom, eig.subspace) @ eig.vectors
+    emission = dipole_block(geom, subspace(eig.label)) @ eigenvectors(eig)
     resonance = calc.line_positions[sigma] - epsilon + 1j * calc.params.Gamma_1s
     return emission * calc.pe_elements[sigma] / resonance
 

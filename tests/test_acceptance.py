@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from xepecs.angular import HalfInt, cg
-from xepecs.fockspace import ORBITALS, FockState, Spin
-from xepecs.model import (
-    ModelParams,
-    SubspaceLabel,
-    _label_basis,
-    intermediate_eigensystem,
-    subspace,
-)
+from xepecs.fockspace import Spin
+from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
 from xepecs.polarization import EmissionGeometry
 from xepecs.amplitudes import CHANNELS, AmplitudeCalculator
 from xepecs.entanglement import (
@@ -28,8 +22,8 @@ from xepecs.entanglement import (
 from xepecs.spectra import xepecs_spectrum, xps_lines
 
 from reference import (
-    alpha_coeffs, annihilate, basis_vector, closed_form_state, coupling_hamiltonian,
-    model_operators,
+    ORBITALS, FockState, alpha_coeffs, annihilate, basis_vector, closed_form_state,
+    coupling_hamiltonian, eigenvectors, label_basis, model_operators, subspace,
 )
 
 PARAMS = ModelParams()
@@ -219,11 +213,11 @@ def test_criterion_10_algebraic_substrate(calc):
 
     # eigen-residuals of the levels (the intermediate eigensystems, and the ground
     # state with E'_g) and [J^2, H] = 0 on every subspace
-    ground = _label_basis(SubspaceLabel.INITIAL)[0][:, :1]
+    ground = label_basis(SubspaceLabel.INITIAL)[:, :1]
     levels = {SubspaceLabel.INITIAL: (ground, np.array([calc.ground_coupling]))}
     for sigma in Spin:
         eig = intermediate_eigensystem(PARAMS, sigma)
-        levels[eig.subspace.label] = (eig.vectors, eig.coupling_energies)
+        levels[eig.label] = (eigenvectors(eig), eig.coupling_energies)
     eigen_ok = True
     for label, (vectors, coupling_energies) in levels.items():
         sub = subspace(label)

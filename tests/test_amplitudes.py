@@ -1,6 +1,7 @@
 """Photoemission elements, dipole blocks and the coincidence amplitudes."""
 
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -11,16 +12,11 @@ from xepecs import amplitudes
 from xepecs.angular import HalfInt
 from xepecs.entanglement import entropy_sweep
 from xepecs.fockspace import Spin
-from xepecs.model import (
-    ModelParams,
-    SubspaceLabel,
-    _label_basis,
-    intermediate_eigensystem,
-    intermediate_subspace,
-)
+from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
 from xepecs.amplitudes import (
     CHANNELS,
     AmplitudeCalculator,
+    AmplitudeSet,
     _decay_vector,
     _photoemission_vector,
     calculator,
@@ -37,10 +33,13 @@ from reference import (
     dipole_block,
     ground_state,
     initial_state,
+    intermediate_subspace,
+    label_basis,
     per_eigenstate_terms,
     photoemission_components,
     photoemission_elements,
     rounded_root,
+    subspace,
 )
 
 PARAMS = ModelParams()
@@ -95,7 +94,7 @@ class TestFullRegisterRoute:
 
     def test_decay_vector(self):
         # the q = -1 row of the down-spin (M = 1) emission basis; only 1P1 decays
-        row = emission_basis(SubspaceLabel.M1)[2] @ _label_basis(SubspaceLabel.M1)[0]
+        row = emission_basis(SubspaceLabel.M1)[2] @ label_basis(SubspaceLabel.M1)
         assert np.max(np.abs(_decay_vector() - row)) <= 1e-15
         assert list(_decay_vector()) == [rounded_root(-1, Fraction(2, 3)), 0.0, 0.0]
 
@@ -103,7 +102,7 @@ class TestFullRegisterRoute:
     def test_photoemission_vector(self, sigma):
         sub = intermediate_subspace(sigma)
         components = photoemission_components(ground_state(), sigma, sub)
-        expected = _label_basis(sub.label)[0].T @ components
+        expected = label_basis(sub.label).T @ components
         assert np.max(np.abs(_photoemission_vector(sigma) - expected)) <= 1e-15
         # up: 3P0, 1P1, 3P1, 3P2 and down: 1P1, 3P1, 3P2, each its exact value
         # rounded once; 3P2 is dark exactly, and each spin removes strength 1/2
@@ -149,7 +148,6 @@ class TestDipoleBlock:
             PE_MODE, _apply_mph, basis_vector, fermion, final_state, inner, lift,
             polarization_vector, spherical_components,
         )
-        from xepecs.model import intermediate_subspace
 
         geom = EmissionGeometry.from_degrees(77.0, 31.0)
         alphas = {i: spherical_components(polarization_vector(geom, i)) for i in (1, 2)}
@@ -165,7 +163,7 @@ class TestDipoleBlock:
         blocks = DipoleBlock.from_geometry(geom)
         assert blocks.up_block.shape == (2, 4)
         assert blocks.down_block.shape == (2, 3)
-        up = dipole_block(geom, intermediate_eigensystem(PARAMS, Spin.UP).subspace)
+        up = dipole_block(geom, subspace(intermediate_eigensystem(PARAMS, Spin.UP).label))
         assert np.array_equal(up, blocks.up_block)
 
 
@@ -247,6 +245,11 @@ class TestInputValidation:
     def test_polar_angle_outside_zero_to_pi(self, thetas):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
             calculator(PARAMS).amplitude_array(np.array(thetas), EmissionGeometry(1.0), 6.5)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4), (1, 2), (2, 2, 1)])
+    def test_values_that_are_not_2_by_2_are_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 2), got {shape}")):
+            AmplitudeSet(6.5, np.full(shape, 0.5, dtype=complex), EmissionGeometry(1.0))
 
 
 def bits(z: complex) -> bytes:

@@ -30,8 +30,8 @@ from xepecs.model import DomainError, ModelParams, SubspaceLabel
 from xepecs.polarization import EmissionGeometry
 
 from reference import (
-    build_hamiltonian, dipole_block, emission_matrices, per_eigenstate_terms,
-    polarization_components, polarization_vector, spherical_components,
+    build_hamiltonian, dipole_block, eigenvectors, emission_matrices, per_eigenstate_terms,
+    polarization_components, polarization_vector, spherical_components, subspace,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -89,7 +89,7 @@ class TestEmissionContraction:
                                              geom.beta1, geom.beta2)[0]
             for sigma in (Spin.UP, Spin.DOWN):
                 eig = calc.eigensystems[sigma]
-                reference = dipole_block(geom, eig.subspace) @ eig.vectors
+                reference = dipole_block(geom, subspace(eig.label)) @ eigenvectors(eig)
                 assert np.max(np.abs(alphas @ emission[sigma] - reference)) <= 1e-14
 
     def test_amplitudes_equal_the_dipole_block_resonant_sum(self):
@@ -216,7 +216,7 @@ class TestCalculatorCache:
         arrays = [calc.j1_positions, calc.j1_products]
         arrays += [calc.pe_elements[s] for s in (Spin.UP, Spin.DOWN)]
         for eig in calc.eigensystems.values():
-            arrays += [eig.coupling_energies, eig.vectors]
+            arrays += [eig.coupling_energies, eig.rotation]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -231,6 +231,31 @@ class TestCalculatorCache:
         assert out.strip() == "[0, 0, 0, 0]"
 
 
+    def test_the_first_calculator_builds_only_the_photoemission_and_decay_vectors(self):
+        # every cg_exact call of a process's first calculator, by caller: one per
+        # coupled column of each intermediate subspace (4 + 3) for the photoemission
+        # vectors, and d_1 plus two per column of the down-spin subspace for the decay
+        code = ("import sys\n"
+                "from collections import Counter\n"
+                "import xepecs.cli\n"
+                "from xepecs import amplitudes, angular, model\n"
+                "callers, exact = Counter(), angular.cg_exact\n"
+                "def counted(*args):\n"
+                "    frame = sys._getframe(1)\n"
+                "    while frame.f_code.co_name.startswith('<'):   # a comprehension's frame\n"
+                "        frame = frame.f_back\n"
+                "    callers[frame.f_code.co_name] += 1\n"
+                "    return exact(*args)\n"
+                "for module in list(sys.modules.values()):\n"
+                "    if module.__name__.startswith('xepecs') and hasattr(module, 'cg_exact'):\n"
+                "        module.cg_exact = counted\n"
+                "amplitudes.calculator(model.ModelParams())\n"
+                "print(sorted(callers.items()))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True).stdout
+        assert out.strip() == "[('_decay_vector', 7), ('_photoemission_vector', 7)]"
+
+
 class TestParameterLinearModel:
     def test_new_parameters_build_no_angular_constant(self, monkeypatch):
         AmplitudeCalculator(ModelParams())   # fills the per-process caches
@@ -240,9 +265,9 @@ class TestParameterLinearModel:
             calls.append(args)
             raise AssertionError("an angular-momentum constant was built again")
 
-        for module in (model, amplitudes):
-            for name in ("cg_exact", "sixj_exact"):
-                monkeypatch.setattr(module, name, refuse)
+        for module, name in ((model, "sixj_exact"), (amplitudes, "cg_exact"),
+                             (amplitudes, "sixj_exact")):
+            monkeypatch.setattr(module, name, refuse)
         calc = AmplitudeCalculator(ModelParams(G=0.42, zeta=0.17, eps_s=-12.5, eps_p=-4.5))
         assert calls == []
         assert calc.ground_coupling == pytest.approx(-0.17, abs=1e-16)
@@ -257,8 +282,7 @@ class TestParameterLinearModel:
 
     def test_cached_matrices_are_read_only(self):
         AmplitudeCalculator(ModelParams())
-        arrays = [model._label_basis(label)[0] for label in SubspaceLabel]
-        arrays += [amplitudes._photoemission_vector(s) for s in (Spin.UP, Spin.DOWN)]
+        arrays = [amplitudes._photoemission_vector(s) for s in (Spin.UP, Spin.DOWN)]
         arrays.append(amplitudes._decay_vector())
         for array in arrays:
             with pytest.raises(ValueError):
@@ -281,7 +305,7 @@ class TestParameterLinearModel:
         params = ModelParams(zeta=1.7e308, G=0.85e308)
         assert model.ground_coupling_energy(params) == -1.7e308
         eig = model.intermediate_eigensystem(params, Spin.DOWN)
-        assert np.isfinite(eig.vectors).all()
+        assert np.isfinite(eig.rotation).all()
         with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
             model.intermediate_eigensystem(params, Spin.UP)
         with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
@@ -321,8 +345,8 @@ class TestNearlyDegenerateLevels:
         calc = AmplitudeCalculator(params)
         for sigma in (Spin.UP, Spin.DOWN):
             eig = calc.eigensystems[sigma]
-            H = build_hamiltonian(params, eig.subspace)
+            H, v = build_hamiltonian(params, subspace(eig.label)), eigenvectors(eig)
             energies = params.eps_s + params.eps_p + eig.coupling_energies
-            assert np.max(np.abs(H @ eig.vectors - eig.vectors * energies)) <= 1e-9
+            assert np.max(np.abs(H @ v - v * energies)) <= 1e-9
         curve = entropy_sweep(params, EmissionGeometry.from_degrees(90.0), [0.0, 90.0], 6.5)
         assert curve.entropy == pytest.approx((0.0, 1.0), abs=1e-10)

@@ -1,6 +1,7 @@
 """Entangled state, density matrices and the emission-angle entropy curve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ class TestEntangledState:
         dead = AmplitudeSet(6.0, np.zeros((2, 2), dtype=complex), geom)
         with pytest.raises(DomainError):
             entangled_state(dead)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4), (1, 2), (2, 2, 1)])
+    def test_coefficients_that_are_not_2_by_2_are_named(self, shape):
+        # each of unit norm, so only the shape check refuses it
+        coeffs = np.full(shape, 1.0 / math.sqrt(math.prod(shape)), dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 2), got {shape}")):
+            EntangledState(coeffs, 6.5, EmissionGeometry.from_degrees(60.0))
 
 
 class TestClosedForm:

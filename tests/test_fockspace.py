@@ -1,16 +1,16 @@
-"""The package's occupation states, and the tests' vector algebra and its own
-checks: anticommutation, adjointness, inner products, and the photoelectron
-and photon ladders of the full register."""
+"""The tests' occupation states and vector algebra, and their own checks:
+anticommutation, adjointness, inner products, and the photoelectron and photon
+ladders of the full register."""
 
 import numpy as np
 import pytest
 
-from xepecs.fockspace import ORBITALS, FockState, Shell, Spin, SpinOrbital
+from xepecs.fockspace import Spin
 
 import reference
 from reference import (
-    INCIDENT, PE_MODE, ManyBodyVector, annihilate, basis_vector, create, fermion, inner, lift,
-    photon, vacuum,
+    INCIDENT, ORBITALS, PE_MODE, FockState, ManyBodyVector, Shell, SpinOrbital, annihilate,
+    basis_vector, create, fermion, inner, lift, photon, vacuum,
 )
 
 S_UP = SpinOrbital(Shell.S1S, 0, Spin.UP)

@@ -9,16 +9,14 @@ import pytest
 from xepecs import model
 from xepecs.amplitudes import AmplitudeCalculator
 from xepecs.angular import HalfInt, cg_exact
-from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
-from xepecs.model import (
-    ModelParams,
-    SubspaceLabel,
-    intermediate_eigensystem,
-    subspace,
-)
+from xepecs.fockspace import Spin
+from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
 
 import reference
-from reference import basis_vector, build_hamiltonian, coupling_hamiltonian, initial_state, inner
+from reference import (
+    ORBITALS, FockState, Shell, basis_vector, build_hamiltonian, coupling_hamiltonian,
+    eigenvectors, initial_state, inner, label_basis, subspace,
+)
 
 RELATIVE = ModelParams(G=0.3, zeta=0.1, eps_s=0.0, eps_p=0.0)
 TABLE = ModelParams()
@@ -177,8 +175,8 @@ class TestLevels:
     @pytest.mark.parametrize("spin", list(Spin))
     def test_residuals_unitarity_trace(self, spin):
         eig = intermediate_eigensystem(TABLE, spin)
-        H = coupling_hamiltonian(TABLE, eig.subspace)
-        v = eig.vectors
+        H = coupling_hamiltonian(TABLE, subspace(eig.label))
+        v = eigenvectors(eig)
         assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) < 1e-10
         w = eig.coupling_energies
         assert np.max(np.abs(H @ v - v * w[np.newaxis, :])) < 1e-10
@@ -193,7 +191,7 @@ class TestLevels:
 
     def test_ground_residual(self):
         # E'_g is the J = 1/2 level, and the ground state its vector
-        g = model._label_basis(SubspaceLabel.INITIAL)[0][:, 0]
+        g = label_basis(SubspaceLabel.INITIAL)[:, 0]
         H = coupling_hamiltonian(TABLE, subspace(SubspaceLabel.INITIAL))
         energy = model.ground_coupling_energy(TABLE)
         assert np.max(np.abs(H @ g - energy * g)) < 1e-15
@@ -204,9 +202,9 @@ class TestLevels:
         params = ModelParams(G=0.3, zeta=0.0)
         for spin in (Spin.UP, Spin.DOWN):
             eig = intermediate_eigensystem(params, spin)
-            ssq = angular_operators(eig.subspace)[1]
+            ssq, v = angular_operators(subspace(eig.label))[1], eigenvectors(eig)
             for i in range(eig.dim):
-                x = float(np.real(eig.vectors[:, i].conj() @ ssq @ eig.vectors[:, i]))
+                x = float(np.real(v[:, i].conj() @ ssq @ v[:, i]))
                 assert min(abs(x - 0.0), abs(x - 2.0)) < 1e-10
 
     def test_fully_degenerate_limit_still_labels(self):
@@ -304,8 +302,8 @@ class TestOffsetFreeHamiltonian:
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
         eig = intermediate_eigensystem(TABLE, Spin.UP)
         energies = TABLE.eps_s + TABLE.eps_p + eig.coupling_energies
-        H = build_hamiltonian(TABLE, eig.subspace)
-        assert np.max(np.abs(H @ eig.vectors - eig.vectors * energies)) < 1e-10
+        H, v = build_hamiltonian(TABLE, subspace(eig.label)), eigenvectors(eig)
+        assert np.max(np.abs(H @ v - v * energies)) < 1e-10
 
     def test_near_degenerate_levels_keep_sharp_j_labels(self):
         # levels split just above the degeneracy tolerance of a scale set by
@@ -330,7 +328,7 @@ class TestJBlocks:
     @pytest.mark.parametrize("label,coupled", COUPLED)
     def test_label_basis_is_orthonormal_with_its_labels(self, label, coupled):
         sub = subspace(label)
-        u, labels, pairs = model._label_basis(label)
+        u, (labels, pairs) = label_basis(label), model._label_basis(label)
         assert [float(j) for j in labels] == [j for j, _ in coupled]
         # the columns of each 2 x 2 J block; a J with one column is a 1 x 1 block
         assert [(labels[i], labels[j]) for i, j in pairs] == [
@@ -343,7 +341,7 @@ class TestJBlocks:
     @pytest.mark.parametrize("label,coupled", COUPLED)
     def test_label_basis_diagonalizes_j_squared_and_s_squared(self, label, coupled):
         sub = subspace(label)
-        u = model._label_basis(label)[0]
+        u = label_basis(label)
         jsq, ssq, _ = angular_operators(sub)
         for op, values in ((jsq, [j for j, _ in coupled]), (ssq, [s for _, s in coupled])):
             expected = np.diag([x * (x + 1) for x in values])
@@ -354,7 +352,7 @@ class TestJBlocks:
         # |U_bk|^2 = <s_1s m_1s; 1/2 m_s | S M_S>^2 <1 m_l; S M_S | J M>^2, an exact
         # fraction, to within one ulp; a closed 1s shell has s_1s = m_1s = 0
         sub = subspace(label)
-        u = model._label_basis(label)[0]
+        u = label_basis(label)
         assert not np.any(u.imag)
         for row, b in enumerate(sub.basis):
             occupied = [o for o in ORBITALS if b.orbitals >> o.index & 1]
@@ -368,7 +366,7 @@ class TestJBlocks:
                 assert abs(u[row, col].real ** 2 - float(square)) <= math.ulp(float(square))
 
     def test_ground_state_is_the_initial_j_half_column(self):
-        u = model._label_basis(SubspaceLabel.INITIAL)[0]
+        u = label_basis(SubspaceLabel.INITIAL)
         assert list(u[:, 0]) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
 
     def test_basis_is_built_once_per_subspace(self):
@@ -438,7 +436,7 @@ class TestClosedFormBlocks:
         """(H', closed form) on each intermediate subspace."""
         for spin in Spin:
             eig = intermediate_eigensystem(params, spin)
-            yield coupling_hamiltonian(params, eig.subspace), eig
+            yield coupling_hamiltonian(params, subspace(eig.label)), eig
 
     @staticmethod
     def assert_the_ground_matches_the_per_block_eigh(params):
@@ -451,10 +449,10 @@ class TestClosedFormBlocks:
 
     @staticmethod
     def assert_matches_the_per_block_eigh(H, eig):
-        energies, vectors, labels = reference.block_eigh(H, eig.subspace)
+        energies, vectors, labels = reference.block_eigh(H, subspace(eig.label))
         scale = max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(eig.coupling_energies - energies)) <= 1e-15 * scale
-        overlaps = np.abs(np.sum(vectors.conj() * eig.vectors, axis=0))
+        overlaps = np.abs(np.sum(vectors.conj() * eigenvectors(eig), axis=0))
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-14
         assert eig.j_labels == labels
 
@@ -469,12 +467,12 @@ class TestClosedFormBlocks:
         # exactly degenerate levels may come in another order than eigh's, so
         # the energies of each J are compared as sorted lists
         for H, eig in self.eigensystems(params):
-            energies, _, labels = reference.block_eigh(H, eig.subspace)
+            energies, _, labels = reference.block_eigh(H, subspace(eig.label))
             for j in set(labels):
                 ours = sorted(e for e, x in zip(eig.coupling_energies, eig.j_labels) if x == j)
                 theirs = sorted(e for e, x in zip(energies, labels) if x == j)
                 assert np.max(np.abs(np.subtract(ours, theirs))) <= 1e-15
-            v = eig.vectors
+            v = eigenvectors(eig)
             assert np.all(np.isfinite(v))
             assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) <= 1e-15
             assert np.max(np.abs(H @ v - v * eig.coupling_energies)) <= 1e-15

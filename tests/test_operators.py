@@ -7,11 +7,14 @@ import pytest
 
 from xepecs import DomainError, amplitudes, cli, model
 from xepecs.angular import cg
-from xepecs.fockspace import ORBITALS, FockState, Shell, Spin
-from xepecs.model import ModelParams, SubspaceLabel, subspace
+from xepecs.fockspace import Spin
+from xepecs.model import ModelParams, SubspaceLabel
 
 import reference
-from reference import EMISSION_VERTEX, basis_vector, closed_shell, combine, initial_state, inner
+from reference import (
+    EMISSION_VERTEX, ORBITALS, FockState, Shell, basis_vector, closed_shell, combine,
+    initial_state, inner, subspace,
+)
 
 
 class TestConstantsFromClebschGordan:

@@ -1,7 +1,10 @@
 """The stated public surface: every name that a module of the package lists in
 ``__all__`` exists and is defined there, ``xepecs.__all__`` is the list in the
-README's "Public surface" section, and the names that left the surface are gone."""
+README's "Public surface" section, the names that left the surface are gone,
+and every ``xepecs`` name that the benchmark's workloads use resolves."""
 
+import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -12,6 +15,7 @@ import pytest
 import xepecs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # every module; __main__ runs the command line only as the program, not on import
 MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path__))
@@ -19,8 +23,9 @@ MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path_
 # (defining module, name): reference routes moved to tests/reference.py, names
 # with no caller outside their own tests, deleted, names the reduced amplitude
 # replaced, the vector algebra the ladder rule replaced, the names the per-J
-# levels left without a caller, and the Fock-space operator engine that the
-# Racah tables replaced
+# levels left without a caller, the Fock-space operator engine that the
+# Racah tables replaced, and the occupation-number layer, its subspace bases
+# and the basis change U that the coupled basis replaced
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -41,6 +46,12 @@ GONE = [
     ("model", "_subspace_operators"), ("model", "_coupled_operators"), ("model", "_ground"),
     ("amplitudes", "_ground_components"), ("amplitudes", "_decay_row"),
     ("amplitudes", "PHOTOEMISSION_VERTEX"), ("amplitudes", "_EMISSION_VERTEX"),
+    # one basis in the package: the coupled (J, S) columns
+    ("fockspace", "FockState"), ("fockspace", "Shell"), ("fockspace", "SpinOrbital"),
+    ("fockspace", "ORBITALS"), ("model", "Subspace"), ("model", "subspace"),
+    ("model", "intermediate_subspace"), ("model", "_BASES"), ("model", "_SUBSPACES"),
+    ("model", "_angular_numbers"), ("model", "EigenSystem.vectors"),
+    ("model", "EigenSystem.subspace"),
 ]
 
 
@@ -80,11 +91,65 @@ def test_the_package_surface_is_the_readme_list():
         assert name in importlib.import_module(f"xepecs.{module}").__all__
 
 
-@pytest.mark.parametrize("module,name", GONE)
-def test_a_name_that_left_the_surface_is_gone(module, name):
+def present(module, name):
+    """Whether ``name`` (or ``Class.member``) is defined in ``xepecs.<module>``; a
+    dataclass field without a default is no class attribute, so the fields are
+    read too. A member of a class that is gone is gone too."""
     owner, _, attribute = name.rpartition(".")
     defining = importlib.import_module(f"xepecs.{module}")
-    if owner:   # a member of a class that is gone is gone too
-        assert not hasattr(getattr(defining, owner, None), attribute)
-    else:
-        assert not hasattr(defining, name) and not hasattr(xepecs, name)
+    if not owner:
+        return hasattr(defining, name) or hasattr(xepecs, name)
+    cls = getattr(defining, owner, None)
+    fields = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    return hasattr(cls, attribute) or attribute in fields
+
+
+@pytest.mark.parametrize("module,name", GONE)
+def test_a_name_that_left_the_surface_is_gone(module, name):
+    assert not present(module, name)
+
+
+@pytest.mark.parametrize("module,name", [
+    ("model", "EigenSystem.coupling_energies"), ("model", "EigenSystem.rotation"),
+    ("model", "EigenSystem.dim"), ("model", "_label_basis"), ("fockspace", "Spin"),
+])
+def test_the_gone_check_sees_a_live_name(module, name):
+    assert present(module, name)
+
+
+def workload_names():
+    """The dotted ``xepecs`` names that ``perfbench/workloads.py`` imports or
+    reads: each ``from xepecs.x import y``, ``import xepecs.x`` and attribute
+    chain on the name ``xepecs``."""
+    names = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "xepecs":
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "xepecs")
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                chain.append(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "xepecs":
+                names.add(".".join(["xepecs", *reversed(chain)]))
+    return sorted(names)
+
+
+def resolve(name):
+    """The object that the dotted ``xepecs`` name refers to, importing each
+    submodule on the way; an AttributeError or ImportError if it is gone."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(
+            ".".join(parts[:i]))
+    return obj
+
+
+def test_the_workloads_read_names_that_resolve():
+    names = workload_names()
+    assert {"xepecs.fockspace.Spin", "xepecs.amplitudes.CHANNELS",
+            "xepecs.spectra.default_xps_grid", "xepecs.broaden", "xepecs.cli.main"} <= set(names)
+    assert [name for name in names if resolve(name) is None] == []

@@ -321,10 +321,9 @@ class TestDarkLines:
 def one_line_route(params, geom, epsilon, channel, grid):
     """The public route of one coincidence channel: one line, broadened."""
     calc = calculator(params)
-    label = channel_label(channel)
     weight = abs(calc.amplitudes(geom, epsilon)[channel]) ** 2
-    line = SpectralLine(calc.emission_line(epsilon), weight, None, label)
-    return broaden(LineSpectrum((line,)), params.gamma, grid, channel=label)
+    line = SpectralLine(calc.emission_line(epsilon), weight, None, channel_label(channel))
+    return broaden(LineSpectrum((line,)), params.gamma, grid)
 
 
 BLOCK_HARD_CASES = [
