@@ -28,6 +28,8 @@ invariants a = KAPPA^2 C sin^2 theta, d = (C cos^2 theta + S)/2 (a + d = 1),
 eigenvalues in closed form. Both routes name the inputs when a squared
 amplitude norm is not finite or is 0, check the norm (a sweep at the bounds of
 a + d, not at each angle) and turn eigenvalues into bits the same way.
+Their theta terms depend on the grid alone: a sweep keeps the last checked grid
+with them and its float tuple, for a repeat under any geometry, energy or model.
 The state needs a polarization basis: for a pair of axes that is not
 orthogonal, ``EntangledState`` and a sweep are a DomainError, so no state,
 reduction or density matrix is formed over it.
@@ -126,15 +128,44 @@ def _spin_spectrum(a, d, b, det) -> np.ndarray:
     return np.array((lower, upper))
 
 
-def _spin_invariants(thetas: np.ndarray, geom: EmissionGeometry):
-    """(a, d, |b|, |det G|) at the polar angles thetas (radians) for the pair of
+def _grid_terms(thetas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The read-only terms of the polar angles thetas (radians) that
+    ``_spin_invariants`` takes: sin^2, cos, cos^2 and |sin| KAPPA/sqrt(2)."""
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
+    terms = (sin_t * sin_t, cos_t, cos_t * cos_t, np.abs(sin_t) * (KAPPA / sqrt(2.0)))
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
+def _spin_invariants(terms: tuple[np.ndarray, ...], geom: EmissionGeometry):
+    """(a, d, |b|, |det G|) at the angles of ``_grid_terms`` for the pair of
     ``geom`` (see the module docstring); phi, a phase of G, drops out."""
     (c1, s1), (c2, s2) = (cos(geom.beta1), sin(geom.beta1)), (cos(geom.beta2), sin(geom.beta2))
     c, s, x = c1 * c1 + c2 * c2, s1 * s1 + s2 * s2, c1 * s1 + c2 * s2
-    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
-    scale = np.abs(sin_t) * (KAPPA / sqrt(2.0))
-    return ((KAPPA * KAPPA * c) * (sin_t * sin_t), 0.5 * (c * (cos_t * cos_t) + s),
+    sin_sq, cos_t, cos_sq, scale = terms
+    return ((KAPPA * KAPPA * c) * sin_sq, 0.5 * (c * cos_sq + s),
             scale * np.hypot(c * cos_t, x), scale * abs(sin(geom.beta2 - geom.beta1)))
+
+
+_grid_slot = (None, (), ())   # (the degrees' bytes, their float tuple, _grid_terms): a checked grid
+
+
+def _angle_grid(thetas_deg: Sequence[float]) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """(the angles as a float tuple, their ``_grid_terms``) of a 1-D sequence of degrees
+    in [0, 180], else a ValueError naming the first bad value. The last grid that
+    passed is kept, keyed by its float64 bytes (0.0 and -0.0 differ)."""
+    global _grid_slot
+    degrees = np.asarray(thetas_deg, dtype=float)
+    if degrees.ndim != 1:
+        raise ValueError("theta must be a 1-D sequence of angles")
+    key, slot = degrees.tobytes(), _grid_slot
+    if slot[0] != key:
+        inside = (degrees >= 0.0) & (degrees <= 180.0)   # NaN fails too
+        if not inside.all():
+            raise ValueError(f"theta: {float(degrees[~inside][0])} outside [0, 180] degrees")
+        slot = _grid_slot = (key, tuple(degrees.tolist()), _grid_terms(np.radians(degrees)))
+    return slot[1], slot[2]
 
 
 def _entropy_bits(eigenvalues: np.ndarray):
@@ -194,6 +225,13 @@ class DensityMatrix:
         object.__setattr__(self, "eigenvalues", _check_density(m, _MATRIX_TOL))
 
 
+def _check_bits(entropy: np.ndarray) -> None:
+    """ValueError naming the first entropy outside [0, 1] bits by more than 1e-9 (NaN too)."""
+    if entropy.size and not (entropy.min() >= -1e-9 and entropy.max() <= 1.0 + 1e-9):
+        outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))
+        raise ValueError(f"entropy {float(entropy[outside[0]])} outside [0, 1] bits")
+
+
 @dataclass(frozen=True)
 class EntropyCurve:
     """Entropy (bits) per emission angle (degrees); any 1-D sequences, kept as float
@@ -209,9 +247,7 @@ class EntropyCurve:
                 raise ValueError(f"{name} must be a 1-D sequence")
         if len(thetas) != len(entropy):
             raise ValueError("angle and entropy lengths differ")
-        if entropy.size and not (entropy.min() >= -1e-9 and entropy.max() <= 1.0 + 1e-9):
-            outside = np.flatnonzero(~((entropy >= -1e-9) & (entropy <= 1.0 + 1e-9)))   # NaN too
-            raise ValueError(f"entropy {float(entropy[outside[0]])} outside [0, 1] bits")
+        _check_bits(entropy)
         object.__setattr__(self, "thetas", tuple(thetas.tolist()))
         object.__setattr__(self, "entropy", tuple(entropy.tolist()))
 
@@ -289,26 +325,27 @@ def entropy_sweep(params: ModelParams, geom_template: EmissionGeometry,
     """Entanglement entropy against emission angle.
 
     The angles (degrees, any 1-D sequence in [0, 180], else a ValueError naming
-    the first bad value before any math) become one array, and a polarization
+    the first bad value before any math) are checked and their trig terms formed
+    once per grid: the last grid swept is kept with its float tuple, so a repeat
+    of it, with any geometry, energy or model, forms no sin or cos. A polarization
     pair that is not orthogonal is a DomainError naming both angles. One cached
     model build per parameter set and one R(epsilon), then real array math over
     all angles: the invariants of G G^dag, the checks of ``entangled_state`` and
     ``EntangledState`` at the least and greatest a + d (which decide every angle's),
     the closed-form spectrum with ``DensityMatrix``'s positivity check, and its bits.
     """
-    degrees = np.asarray(thetas_deg, dtype=float)
-    if degrees.ndim != 1:
-        raise ValueError("theta must be a 1-D sequence of angles")
-    inside = (degrees >= 0.0) & (degrees <= 180.0)   # NaN fails too
-    if not inside.all():
-        raise ValueError(f"theta: {float(degrees[~inside][0])} outside [0, 180] degrees")
+    thetas, terms = _angle_grid(thetas_deg)
     _check_orthogonal(geom_template)
     r = calculator(params).reduced_amplitude(epsilon)
-    a, d, b, det = _spin_invariants(np.radians(degrees), geom_template)
+    a, d, b, det = _spin_invariants(terms, geom_template)
     norm_sq, r_sq = a + d, r.real * r.real + r.imag * r.imag   # |R|^2 (a + d) grows with a + d
     bounds = (float(norm_sq.max()), float(norm_sq.min())) if norm_sq.size else ()
     for bound in bounds:   # an inf or a NaN at any angle is one at the max, a 0 one at the min
         _check_squared_norm(r_sq * bound, params, epsilon)
     for bound in bounds:
         _check_norm(bound)
-    return EntropyCurve(degrees, _entropy_bits(_spin_spectrum(a, d, b, det)))
+    entropy = _entropy_bits(_spin_spectrum(a, d, b, det))
+    _check_bits(entropy)
+    curve = object.__new__(EntropyCurve)   # its __post_init__ would convert both fields again
+    curve.__dict__.update(thetas=thetas, entropy=tuple(entropy.tolist()))
+    return curve

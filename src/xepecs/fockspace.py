@@ -12,6 +12,8 @@ class Spin(Enum):
     UP = "up"
     DOWN = "down"
 
+    __hash__ = object.__hash__   # members are singletons; Enum's hashes the name in Python
+
     @property
     def twice_sz(self) -> int:
         return 1 if self is Spin.UP else -1

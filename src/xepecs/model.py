@@ -87,6 +87,8 @@ class SubspaceLabel(Enum):
     M0 = "M0"             # one 1s + one 2p electron, M = 0 (up-spin photoelectron)
     M1 = "M1"             # one 1s + one 2p electron, M = 1 (down-spin photoelectron)
 
+    __hash__ = object.__hash__   # members are singletons; Enum's hashes the name in Python
+
 
 # twice (s_1s, M) of each subspace: s_1s = 0 on the closed 1s shell
 _SPIN_AND_M = {SubspaceLabel.INITIAL: (0, 1), SubspaceLabel.M0: (1, 0), SubspaceLabel.M1: (1, 2)}

@@ -4,7 +4,7 @@ Run from anywhere, with no options:
 
     python3 tests/fingerprint.py
 
-It prints one hex digest over two sets of outputs, each labelled in the hash:
+It prints one hex digest over three sets of outputs, each labelled in the hash:
 
 - the README-style command lines through ``cli.main``, in every format each
   command writes, at the default parameters and at Omega = 30, G = 0,
@@ -12,6 +12,10 @@ It prints one hex digest over two sets of outputs, each labelled in the hash:
   ``xps --spin up|down``, ``xepecs --theta 45`` at epsilon = 6.5 and at the
   automatic epsilon, and ``rho`` at theta = 0, 33, 45, 180 and at theta = 90
   with phi = 0; each run's exit code and its output bytes, or its error message;
+- sweeps that repeat one 1,801-angle grid, so that both a grid the sweep holds
+  and one it forms again are covered: one list object over four (phi, beta1,
+  epsilon) and two models, an equal fresh list, a grid whose first angle is
+  -0.0, then the first list again; each curve's angles and entropies as bytes;
 - the arrays of a seeded pass of the library calls a parameter scan makes
   (photoemission lines and their broadening, the automatic epsilon, rho, the
   four coincidence rows and a five-angle entropy sweep) on random parameter
@@ -52,6 +56,8 @@ COMMANDS = (
     *((["rho", "--theta", theta], ("json", "csv")) for theta in ("0", "33", "45", "180")),
     (["rho", "--theta", "90", "--phi", "0"], ("json", "csv")),
 )
+GRID_MODELS = ({}, {"G": 0.7, "zeta": 0.35, "eps_p": -4.2, "Gamma_1s": 0.3})
+GRID_GEOMETRIES = ((0.0, 90.0, 6.5), (37.0, 12.5, 4.0), (250.0, 171.0, 9.75), (123.4, -40.0, 6.2))
 SCAN_JOBS = 200
 SCAN_THETAS = 5
 
@@ -72,6 +78,20 @@ def cli_outputs(digest, workdir: Path) -> None:
                 digest.update(f"cli {json.dumps(overrides)} {' '.join(argv)} {fmt} "
                               f"exit {code} bytes {len(data)}\n".encode())
                 digest.update(data)
+
+
+def grid_outputs(digest) -> None:
+    grid = [k * 0.1 for k in range(1801)]
+    for label, thetas in (("list", grid), ("fresh list", list(grid)),
+                          ("negative zero", [-0.0, *grid[1:]]), ("list again", grid)):
+        for overrides in GRID_MODELS:
+            params = xepecs.ModelParams(**overrides)
+            for phi, beta1, epsilon in GRID_GEOMETRIES:
+                geom = xepecs.EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + 90.0)
+                curve = xepecs.entropy_sweep(params, geom, thetas, epsilon)
+                digest.update(f"grid {label} {json.dumps(overrides)} {phi} {beta1} {epsilon}\n"
+                              .encode())
+                digest.update(np.array((curve.thetas, curve.entropy)).tobytes())
 
 
 def scan_inputs(i: int) -> dict:
@@ -128,6 +148,7 @@ def main() -> None:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         cli_outputs(digest, Path(workdir))
+    grid_outputs(digest)
     scan_outputs(digest)
     print(digest.hexdigest())
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from xepecs.amplitudes import _VERTEX_SQUARE
 from xepecs.angular import HalfInt, _triangle, _valid_pair, cg
-from xepecs.entanglement import EntangledState, _spin_invariants
+from xepecs.entanglement import EntangledState, _grid_terms, _spin_invariants
 from xepecs.fockspace import Spin
 from xepecs.model import (
     DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis, ground_coupling_energy,
@@ -652,8 +652,10 @@ def stacked_entropy_bits(eigenvalues):
 
 def stacked_sweep_entropy(thetas_deg, geom):
     """The bits of a sweep from the (n, 2) stack of its closed-form spectrum
-    (lambda_-, lambda_+), from the invariants of ``entanglement._spin_invariants``."""
-    a, d, b, det = _spin_invariants(np.radians(np.asarray(thetas_deg, dtype=float)), geom)
+    (lambda_-, lambda_+), from the invariants of ``entanglement._spin_invariants``
+    on the angles' ``_grid_terms``."""
+    a, d, b, det = _spin_invariants(_grid_terms(np.radians(np.asarray(thetas_deg, dtype=float))),
+                                   geom)
     upper = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
     lower = np.minimum(det * det / upper, upper)
     return stacked_entropy_bits(np.stack([lower, upper], axis=-1))

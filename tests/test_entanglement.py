@@ -333,7 +333,7 @@ class TestSweepBounds:
         zeros = np.zeros(len(norms))
         monkeypatch.setattr(AmplitudeCalculator, "reduced_amplitude", lambda self, epsilon: r)
         monkeypatch.setattr(entanglement, "_spin_invariants",
-                            lambda thetas, geom: (zeros, np.array(norms), zeros, zeros))
+                            lambda terms, geom: (zeros, np.array(norms), zeros, zeros))
         thetas = np.linspace(0.0, 180.0, len(norms))
         expected = per_angle_norm_checks(r_sq, norms, PARAMS, 6.5)
         if expected is None:
@@ -348,6 +348,122 @@ class TestSweepBounds:
     def test_no_angle_and_the_ends_of_the_range(self, thetas):
         curve = entropy_sweep(PARAMS, EmissionGeometry.from_degrees(90.0), thetas, 6.5)
         assert curve.thetas == tuple(thetas) and curve.entropy == tuple([0.0] * len(thetas))
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestGridSlot:
+    """A sweep keeps the last grid that passed its checks, keyed by its float64
+    bytes, with its float tuple and the read-only theta terms of the invariants;
+    a repeat of the grid forms no trig and gives the bits of a fresh sweep."""
+
+    GRID = list(np.linspace(0.0, 180.0, 181))
+    MODELS = (PARAMS, ModelParams(G=0.7, zeta=0.35, eps_p=-4.2, Gamma_1s=0.3))
+    GEOMETRIES = tuple(EmissionGeometry.from_degrees(90.0, phi, beta1, beta1 + 90.0)
+                       for phi, beta1 in ((0.0, 90.0), (37.0, 12.5), (250.0, 171.0),
+                                          (123.4, -40.0)))
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(entanglement, "_grid_slot", (None, (), ()))
+
+    def cleared_sweep(self, params, geom, thetas, epsilon):
+        entanglement._grid_slot = (None, (), ())
+        return entropy_sweep(params, geom, thetas, epsilon)
+
+    def test_a_hit_gives_the_bits_of_a_fresh_sweep(self):
+        for params in self.MODELS:
+            for geom in self.GEOMETRIES:
+                for epsilon in (4.0, 6.2, 6.5, 9.75):
+                    fresh = self.cleared_sweep(params, geom, self.GRID, epsilon)
+                    held = entropy_sweep(params, geom, self.GRID, epsilon)
+                    assert held.thetas == fresh.thetas
+                    assert bits(held.entropy) == bits(fresh.entropy)
+
+    def test_a_hit_forms_no_trig(self, monkeypatch):
+        calls = []
+        grid_terms = entanglement._grid_terms
+        monkeypatch.setattr(entanglement, "_grid_terms",
+                            lambda thetas: calls.append(len(thetas)) or grid_terms(thetas))
+        for params in self.MODELS:
+            for geom in self.GEOMETRIES:
+                entropy_sweep(params, geom, self.GRID, 6.5)
+        assert calls == [181]
+        entropy_sweep(PARAMS, self.GEOMETRIES[0], self.GRID[:-1], 6.5)
+        assert calls == [181, 180]
+
+    def test_the_held_terms_are_read_only(self):
+        entropy_sweep(PARAMS, self.GEOMETRIES[1], self.GRID, 6.5)
+        key, thetas, terms = entanglement._grid_slot
+        assert key == np.array(self.GRID).tobytes() and thetas == tuple(self.GRID)
+        assert len(terms) == 4 and not any(term.flags.writeable for term in terms)
+
+    def test_the_sign_of_zero_is_part_of_the_key(self):
+        geom = self.GEOMETRIES[1]
+        for first, second in (([0.0, 90.0], [-0.0, 90.0]), ([-0.0, 90.0], [0.0, 90.0])):
+            a, b = (entropy_sweep(PARAMS, geom, grid, 6.5) for grid in (first, second))
+            assert bits(a.thetas) == bits(first) and bits(b.thetas) == bits(second)
+            assert bits(b.entropy) == bits(self.cleared_sweep(PARAMS, geom, second, 6.5).entropy)
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_the_callers_grid_changed_in_place_gives_its_new_angles(self, container):
+        grid = container([10.0, 45.0, 90.0])
+        geom = self.GEOMETRIES[2]
+        entropy_sweep(PARAMS, geom, grid, 6.5)
+        grid[1] = 135.0
+        curve = entropy_sweep(PARAMS, geom, grid, 6.5)
+        assert curve.thetas == (10.0, 135.0, 90.0)
+        assert bits(curve.entropy) == bits(self.cleared_sweep(
+            PARAMS, geom, [10.0, 135.0, 90.0], 6.5).entropy)
+
+    def test_an_int_grid_and_an_equal_float_grid_give_equal_float_tuples(self):
+        geom = self.GEOMETRIES[3]
+        ints = entropy_sweep(PARAMS, geom, [0, 30, 90, 180], 6.5)
+        floats = entropy_sweep(PARAMS, geom, [0.0, 30.0, 90.0, 180.0], 6.5)
+        assert ints.thetas == floats.thetas == (0.0, 30.0, 90.0, 180.0)
+        assert all(type(x) is float for x in ints.thetas + floats.thetas)
+        assert bits(ints.entropy) == bits(floats.entropy)
+
+    def test_a_2d_grid_with_the_held_bytes_is_refused(self):
+        entropy_sweep(PARAMS, self.GEOMETRIES[0], [0.0, 90.0], 6.5)
+        with pytest.raises(ValueError, match="theta must be a 1-D sequence of angles"):
+            entropy_sweep(PARAMS, self.GEOMETRIES[0], [[0.0, 90.0]], 6.5)
+
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-1.0, "-1.0"),
+                                            (180.00000000000003, "180.00000000000003"),
+                                            (-1e-300, "-1e-300"), (float("inf"), "inf")])
+    def test_a_bad_angle_after_a_hit_is_named(self, bad, shown):
+        grid = list(self.GRID)
+        message = re.escape(f"theta: {shown} outside [0, 180] degrees")
+        for _ in range(2):   # a grid that fails its checks is never held
+            entropy_sweep(PARAMS, self.GEOMETRIES[0], grid, 6.5)
+            grid[7] = bad
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    entropy_sweep(PARAMS, self.GEOMETRIES[0], grid, 6.5)
+            grid[7] = self.GRID[7]
+        assert entanglement._grid_slot[1] == tuple(self.GRID)
+
+    def test_a_pair_that_is_not_orthogonal_is_refused_on_a_hit(self):
+        entropy_sweep(PARAMS, self.GEOMETRIES[0], self.GRID, 6.5)
+        with pytest.raises(DomainError, match="beta1=1.5707963267948966 and "
+                                              "beta2=2.0943951023931953 rad"):
+            entropy_sweep(PARAMS, TestOrthogonalPolarizationPair.NOT_ORTHOGONAL, self.GRID, 6.5)
+
+    @pytest.mark.parametrize("r, reason", [
+        (complex(math.inf), "coincidence amplitudes are not finite"),
+        (complex(math.nan), "coincidence amplitudes are not finite"),
+        (complex(MAX_FLOAT_ROOT * 2.0), "coincidence amplitudes are not finite"),
+        (0j, "all coincidence amplitudes vanish; state undefined"),
+    ])
+    def test_a_bad_squared_norm_is_named_on_a_hit(self, monkeypatch, r, reason):
+        entropy_sweep(PARAMS, self.GEOMETRIES[0], self.GRID, 6.5)
+        monkeypatch.setattr(AmplitudeCalculator, "reduced_amplitude", lambda self, epsilon: r)
+        with pytest.raises(DomainError) as error:
+            entropy_sweep(PARAMS, self.GEOMETRIES[1], self.GRID, 6.5)
+        assert str(error.value) == f"{PARAMS!r}, epsilon=6.5: {reason}"
 
 
 class TestPureStateSpectrum:

@@ -1,13 +1,14 @@
 """Hamiltonian blocks, the levels from per-J constants and the coupled-basis labels."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from xepecs import model
-from xepecs.amplitudes import AmplitudeCalculator
+from xepecs import amplitudes, model
+from xepecs.amplitudes import CHANNEL_INDEX, AmplitudeCalculator
 from xepecs.angular import HalfInt, cg_exact
 from xepecs.fockspace import Spin
 from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
@@ -276,6 +277,33 @@ class TestSubspaces:
             assert bin(b.orbitals).count("1") == 2
         for b in subspace(SubspaceLabel.INITIAL).basis:
             assert bin(b.orbitals).count("1") == 3
+
+
+class TestEnumHashing:
+    """``Spin`` and ``SubspaceLabel`` hash by identity, not through Enum's Python-level
+    hash of the name: their members are singletons, so lookups are unchanged."""
+
+    CACHED = ((Spin, (amplitudes._photoemission_vector,)),
+              (SubspaceLabel, (model._columns, model._label_basis, model._entry_keys)))
+
+    @pytest.mark.parametrize("enum, functions", CACHED, ids=["Spin", "SubspaceLabel"])
+    def test_every_lookup_finds_the_same_member(self, enum, functions):
+        for member in enum:
+            assert type(member).__hash__ is object.__hash__
+            assert hash(member) == object.__hash__(member)
+            for same in (enum(member.value), enum[member.name],
+                         pickle.loads(pickle.dumps(member))):
+                assert same is member and hash(same) == hash(member)
+                assert {member: 1}[same] == 1
+                for function in functions:
+                    hits = function.cache_info().hits
+                    assert function(same) is function(member)
+                    assert function.cache_info().hits >= hits + 1
+
+    def test_the_channel_index_finds_a_rebuilt_spin(self):
+        for (sigma, lam), index in CHANNEL_INDEX.items():
+            assert CHANNEL_INDEX[(pickle.loads(pickle.dumps(sigma)), lam)] == index
+            assert CHANNEL_INDEX[(Spin(sigma.value), lam)] == index
 
 
 class TestOffsetFreeHamiltonian:

@@ -23,6 +23,7 @@ from xepecs.amplitudes import KAPPA, AmplitudeCalculator, calculator, xepecs_amp
 from xepecs.angular import HalfInt
 from xepecs.entanglement import (
     DensityMatrix,
+    _grid_terms,
     _spin_invariants,
     _spin_spectrum,
     entangled_state,
@@ -400,7 +401,7 @@ def test_the_sweep_checks_its_bounds_as_every_angle(params, thetas, phi, beta1, 
     # the sweep checks |R|^2 (a + d) and a + d only at their least and greatest values
     geom = geometry(phi, beta1)
     r = calculator(params).reduced_amplitude(epsilon)
-    a, d, _, _ = _spin_invariants(np.radians(np.asarray(thetas, dtype=float)), geom)
+    a, d, _, _ = _spin_invariants(_grid_terms(np.radians(np.asarray(thetas, dtype=float))), geom)
     assert per_angle_norm_checks(r.real * r.real + r.imag * r.imag, a + d, params, epsilon) is None
     assert len(sweep(params, geom, thetas, epsilon).entropy) == len(thetas)
 
