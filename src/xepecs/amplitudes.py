@@ -43,13 +43,14 @@ the J = 1 down-spin line positions x_k, p_k the product of the photoemission
 and q = -1 decay elements of level k. Its selection-rule zeros are exact, not
 roundoff that a narrow core hole could amplify.
 
-A calculator keeps its last R (per epsilon) and its last ``AmplitudeSet`` (per
-theta, phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the
-four channels, the state and a sweep of one measurement share them; a third
-slot keeps the checked emission grid and (4, n) coincidence block, whose rows
-``spectra.xepecs_spectrum`` returns, for its last amplitude set and grid. Each
-slot is one read-only tuple, read once and replaced whole, so threads sharing
-a calculator never pair a key with another key's result.
+A calculator keeps one slot of its own, its last ``AmplitudeSet`` (per theta,
+phi, beta1, beta2 and epsilon), keyed by the bits of the floats, so the four
+channels and the state of one measurement share it; R costs a two-term sum
+and is formed again on each miss. A second slot keeps the checked emission
+grid and (4, n) coincidence block, whose rows ``spectra.xepecs_spectrum``
+writes and returns, for its last amplitude set and grid. Each slot is one
+read-only tuple, read once and replaced whole, so threads sharing a
+calculator never pair a key with another key's result.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ CHANNELS: tuple[tuple[Spin, int], ...] = (
 )
 CHANNEL_INDEX = {channel: divmod(k, 2) for k, channel in enumerate(CHANNELS)}
 
+
+def _channel_index(channel: tuple[Spin, int]) -> tuple[int, int]:
+    """CHANNEL_INDEX[channel]; a ValueError naming a channel outside CHANNELS."""
+    try:
+        return CHANNEL_INDEX[channel]
+    except (KeyError, TypeError):   # TypeError: an unhashable channel
+        raise ValueError(f"channel must be one of CHANNELS, got {channel!r}") from None
+
+
 # Total 1s photoemission strength over both spin channels normalized to 1: the
 # photoemission vertex squared, the strength of each of the two 1s electrons.
 _VERTEX_SQUARE = Fraction(1, 2)
@@ -122,6 +132,12 @@ def _check_width(width: float) -> None:
         raise DomainError(f"a Lorentzian width of {width:g} eV overflows its square")
     if not width * width > 0.0:
         raise DomainError(f"a Lorentzian width of {width:g} eV underflows its square")
+
+
+def _check_array(name: str, value) -> None:
+    """TypeError naming the type of ``value`` unless it is a numpy array."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"{name} must be a numpy array, got {type(value).__name__}")
 
 
 def channel_label(channel: tuple[Spin, int]) -> str:
@@ -169,7 +185,8 @@ def _decay_vector() -> np.ndarray:
 class AmplitudeSet:
     """The four coincidence amplitudes at one photoelectron kinetic energy: the
     (2, 2) complex array values[sigma, lambda - 1], stored as given, made read-only;
-    any other shape is a ValueError naming it."""
+    anything but an ndarray is a TypeError and any other shape a ValueError, each
+    naming it."""
 
     epsilon: float
     values: np.ndarray
@@ -177,12 +194,13 @@ class AmplitudeSet:
     params: ModelParams | None = None   # the model, where the calculator made the set
 
     def __post_init__(self):
+        _check_array("values", self.values)
         if self.values.shape != (2, 2):
             raise ValueError(f"values must have shape (2, 2), got {self.values.shape}")
         self.values.flags.writeable = False
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
-        return complex(self.values[CHANNEL_INDEX[channel]])
+        return complex(self.values[_channel_index(channel)])
 
     def vector(self) -> np.ndarray:
         """Amplitudes in (U1, U2, D1, D2) order."""
@@ -198,11 +216,11 @@ class AmplitudeCalculator:
     (raised by ``spectra``, never here), and the J = 1 down-spin positions and
     products of R(epsilon) are computed once, read-only, as rotations of the
     per-process constants in the coupled basis. Per
-    kinetic energy ``reduced_amplitude`` sums R; per geometry the amplitudes
-    are R times the alpha closed forms, for one angle or an array of them. The
-    last R and the last ``amplitudes`` are kept in one-tuple slots (see the
-    module docstring); inputs are checked before a slot is read. A model that
-    leaves the domain raises ``DomainError`` naming the parameter set.
+    kinetic energy ``reduced_amplitude`` sums R; per geometry ``amplitudes``
+    is R times the alpha closed forms at its one emission direction, and the
+    last set is kept in a one-tuple slot (see the module docstring); inputs
+    are checked before the slot is read. A model that leaves the domain
+    raises ``DomainError`` naming the parameter set.
     """
 
     def __init__(self, params: ModelParams):
@@ -237,15 +255,17 @@ class AmplitudeCalculator:
         self.j1_positions = _read_only(self.line_positions[Spin.DOWN].take(j1))
         self.j1_products = _read_only((_decay_vector().dot(down.rotation)
                                        * self.pe_elements[Spin.DOWN]).take(j1))
-        self._sum_slot = self._amplitude_slot = (None, None)   # (key, result)
+        self._amplitude_slot = (None, None)   # (key, result)
         self._block_slot = (None, False, None, None)   # written by spectra.xepecs_spectrum
 
     def emission_line(self, epsilon: float) -> float:
         """omega_0 = Omega + eps_p + E'_g - epsilon, the emitted-photon energy."""
         return self.params.Omega + self.params.eps_p + self.ground_coupling - epsilon
 
-    def _resonant_sum(self, epsilon: float) -> complex:
-        """R(epsilon); a DomainError naming the inputs if |R|^2 is not finite."""
+    def reduced_amplitude(self, epsilon: float) -> complex:
+        """R(epsilon); a DomainError (a ValueError) if ``epsilon`` or |R|^2 is not finite."""
+        if not isfinite(epsilon):
+            raise DomainError(f"epsilon must be finite, got {epsilon!r}")
         with np.errstate(over="ignore"):   # a denominator beyond the float range adds 0
             r = complex((self.j1_products / (
                 self.j1_positions - epsilon + 1j * self.params.Gamma_1s)).sum())
@@ -254,34 +274,16 @@ class AmplitudeCalculator:
                               "squared coincidence amplitudes are not finite")
         return r
 
-    def reduced_amplitude(self, epsilon: float) -> complex:
-        """R(epsilon); a DomainError (a ValueError) if ``epsilon`` or |R|^2 is not finite."""
-        if not isfinite(epsilon):
-            raise DomainError(f"epsilon must be finite, got {epsilon!r}")
-        key, slot = struct.pack("d", epsilon), self._sum_slot   # bits: 0.0 and -0.0 differ
-        if slot[0] != key:
-            slot = self._sum_slot = (key, self._resonant_sum(epsilon))
-        return slot[1]
-
-    def amplitude_array(self, thetas: np.ndarray, geom: EmissionGeometry, epsilon: float
-                        ) -> np.ndarray:
-        """A[n, sigma, lambda] at the polar angles thetas (radians): R(epsilon) times
-        KAPPA alpha_(lambda, 0) for sigma = up and alpha_(lambda, -1) for down.
-
-        phi, beta1 and beta2 are taken from ``geom``; sigma runs (up, down)
-        and lambda (1, 2), so ``A[n].ravel()`` is in CHANNELS order. A theta
-        that is NaN or outside [0, pi] raises ValueError.
-        """
-        alpha0, alpha_m1 = alpha_components(thetas, geom.phi, geom.beta1, geom.beta2)
-        return self.reduced_amplitude(epsilon) * np.array((KAPPA * alpha0, alpha_m1)).swapaxes(0, 1)
-
     def amplitudes(self, geom: EmissionGeometry, epsilon: float) -> AmplitudeSet:
-        """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon)."""
+        """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon):
+        R(epsilon) times KAPPA alpha_(lambda, 0) for sigma = up and alpha_(lambda, -1)
+        for down. A theta outside [0, pi] raises ValueError before ``epsilon`` is checked."""
         checked = 0.0 <= geom.theta <= pi and isfinite(epsilon)   # before the lookup
         key = struct.pack("5d", geom.theta, geom.phi, geom.beta1, geom.beta2, epsilon)
         slot = self._amplitude_slot
-        if not checked or slot[0] != key:   # a bad theta or epsilon raises in amplitude_array
-            values = self.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
+        if not checked or slot[0] != key:   # a bad theta or epsilon raises below
+            alpha0, alpha_m1 = alpha_components(geom.theta, geom.phi, geom.beta1, geom.beta2)
+            values = self.reduced_amplitude(epsilon) * np.array((KAPPA * alpha0, alpha_m1))
             slot = self._amplitude_slot = (key, AmplitudeSet(epsilon, values, geom, self.params))
         return slot[1]
 

@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import CHANNEL_INDEX, CHANNELS, KAPPA, AmplitudeSet, calculator, channel_label
+from .amplitudes import (CHANNELS, KAPPA, AmplitudeSet, _channel_index, _check_array, calculator,
+                         channel_label)
 from .fockspace import Spin
 from .model import DomainError, ModelParams
 from .polarization import EmissionGeometry, _orthogonal
@@ -183,15 +184,17 @@ def _entropy_bits(eigenvalues: np.ndarray):
 @dataclass(frozen=True, eq=False)   # array fields: == is identity
 class EntangledState:
     """Normalized coefficients over the (U1, U2, D1, D2) product basis: the (2, 2)
-    complex array coeffs[sigma, lambda - 1], stored as given, made read-only; any
-    other shape is a ValueError naming it. A polarization pair that is not
-    orthogonal is a DomainError naming both angles."""
+    complex array coeffs[sigma, lambda - 1], stored as given, made read-only;
+    anything but an ndarray is a TypeError and any other shape a ValueError, each
+    naming it. A polarization pair that is not orthogonal is a DomainError naming
+    both angles."""
 
     coeffs: np.ndarray
     epsilon: float | None
     geometry: EmissionGeometry
 
     def __post_init__(self):
+        _check_array("coeffs", self.coeffs)
         if self.coeffs.shape != (2, 2):
             raise ValueError(f"coeffs must have shape (2, 2), got {self.coeffs.shape}")
         self.coeffs.flags.writeable = False
@@ -199,7 +202,7 @@ class EntangledState:
         _check_norm((abs(self.coeffs) ** 2).sum())
 
     def __getitem__(self, channel: tuple[Spin, int]) -> complex:
-        return complex(self.coeffs[CHANNEL_INDEX[channel]])
+        return complex(self.coeffs[_channel_index(channel)])
 
     def vector(self) -> np.ndarray:
         return self.coeffs.ravel()
@@ -283,8 +286,19 @@ def full_density_matrix(state: EntangledState) -> DensityMatrix:
     return rho
 
 
+def _check_reducible(obj) -> None:
+    """TypeError naming the type unless ``obj`` is a DensityMatrix or an EntangledState,
+    and a ValueError naming the shape of a DensityMatrix that is not 4 x 4."""
+    if isinstance(obj, DensityMatrix):
+        if obj.matrix.shape != (4, 4):
+            raise ValueError(f"rho must have shape (4, 4), got {obj.matrix.shape}")
+    elif not isinstance(obj, EntangledState):
+        raise TypeError(f"expected a DensityMatrix or an EntangledState, got {type(obj).__name__}")
+
+
 def reduce_to_spin(obj) -> DensityMatrix:
     """Partial trace over the photon polarization, leaving the spin qubit."""
+    _check_reducible(obj)
     if isinstance(obj, DensityMatrix):
         reduced = np.einsum("albl->ab", obj.matrix.reshape(2, 2, 2, 2))
     else:
@@ -294,6 +308,7 @@ def reduce_to_spin(obj) -> DensityMatrix:
 
 def reduce_to_polarization(obj) -> DensityMatrix:
     """Partial trace over the photoelectron spin, leaving the photon qubit."""
+    _check_reducible(obj)
     if isinstance(obj, DensityMatrix):
         reduced = np.einsum("alam->lm", obj.matrix.reshape(2, 2, 2, 2))
     else:

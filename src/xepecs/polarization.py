@@ -10,8 +10,8 @@ so they automatically satisfy the transversality (Coulomb gauge) condition.
 The dipole matrix elements need only the projections on the spherical basis
 vectors e_0 = z and e_-1 = (x - i y)/sqrt(2) (Condon-Shortley), alpha_0 for
 the up photoelectron and alpha_-1 for the down one. ``alpha_components``
-evaluates both for both polarizations of a whole array of emission angles at
-once, from the closed forms for linear polarization
+evaluates both for both polarizations at one emission direction, from the
+closed forms for linear polarization
 
     alpha_0  = -cos(beta) sin(theta)
     alpha_-1 = sqrt(1/2) (cos(beta) cos(theta) + i sin(beta)) e^(i phi)
@@ -70,16 +70,15 @@ def _orthogonal(beta1: float, beta2: float) -> bool:
     return abs(cos(beta1 - beta2)) <= _ORTHOGONALITY_TOL
 
 
-def alpha_components(thetas: np.ndarray, phi: float, beta1: float, beta2: float
+def alpha_components(theta: float, phi: float, beta1: float, beta2: float
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_0 (real) and alpha_-1 (complex) as two (N, 2) arrays, entry [n, i - 1]
-    for the polarization vector cos(beta_i) e_theta + sin(beta_i) e_phi at the
-    polar angle thetas[n] (radians) and the fixed phi, beta1 and beta2. A theta
-    that is NaN or outside [0, pi] raises ValueError."""
-    if not ((thetas >= 0.0) & (thetas <= pi)).all():   # NaN fails too
+    """alpha_0 (real) and alpha_-1 (complex) as two 2-arrays, entry [i - 1] for the
+    polarization vector cos(beta_i) e_theta + sin(beta_i) e_phi at the polar angle
+    theta and the azimuth phi (radians). A theta that is NaN or outside [0, pi]
+    raises ValueError."""
+    if not 0.0 <= theta <= pi:   # NaN fails too
         raise ValueError("theta must lie in [0, pi]")
     cb = np.array([cos(beta1), cos(beta2)])
     sb = np.array([sin(beta1), sin(beta2)])
     phase = complex(cos(phi), sin(phi))
-    return (-cb * np.sin(thetas)[:, np.newaxis],
-            phase * (cb * np.cos(thetas)[:, np.newaxis] + 1j * sb) / sqrt(2.0))
+    return -cb * sin(theta), phase * (cb * cos(theta) + 1j * sb) / sqrt(2.0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .angular import HalfInt
 from .fockspace import Spin
-from .amplitudes import (_EMISSION_HALF_WIDTH, _GRID_STEP, CHANNEL_INDEX, _check_width,
+from .amplitudes import (_EMISSION_HALF_WIDTH, _GRID_STEP, _channel_index, _check_width,
                          _unresolved, calculator, channel_label)
 from .model import DomainError, ModelParams, _read_only
 from .polarization import EmissionGeometry
@@ -126,7 +126,8 @@ def _lorentzians(positions, weights, width: float, grid: np.ndarray) -> np.ndarr
     ValueError, before any math, unless the array ``grid`` is 1-D."""
     if grid.ndim != 1:
         raise ValueError("grid must be a 1-D sequence")
-    return weights[:, None] * (width / pi) / ((grid - positions) ** 2 + width ** 2)
+    with np.errstate(over="ignore"):   # a square beyond the float range gives the Lorentzian 0
+        return weights[:, None] * (width / pi) / ((grid - positions) ** 2 + width ** 2)
 
 
 def broaden(lines: LineSpectrum, width: float, grid: np.ndarray) -> SpectrumSeries:
@@ -168,7 +169,7 @@ def xepecs_spectrum(params: ModelParams, geom: EmissionGeometry, epsilon: float,
     other grid builds it again, so a caller's array is never kept or frozen.
     Each amplitude set is checked once, before its first build.
     """
-    row, col = CHANNEL_INDEX[channel]   # of the (2, 2) amplitudes; 2 * row + col in CHANNELS
+    row, col = _channel_index(channel)   # of the (2, 2) amplitudes; 2 * row + col in CHANNELS
     calc = calculator(params)
     amps = calc.amplitudes(geom, epsilon)
     slot = calc._block_slot   # (amplitude set, built on the default grid, grid, block)

@@ -19,7 +19,8 @@ It prints one hex digest over three sets of outputs, each labelled in the hash:
 - the arrays of a seeded pass of the library calls a parameter scan makes
   (photoemission lines and their broadening, the automatic epsilon, rho, the
   four coincidence rows and a five-angle entropy sweep) on random parameter
-  sets, each with its dtype and shape.
+  sets, each with its dtype and shape, and the complex amplitudes and reduced
+  amplitude R behind them, so that a last-bit move in a phase shows too.
 
 numpy's SIMD paths may change last bits from one machine to another, so the
 digest is only comparable between trees run on the same machine.
@@ -42,7 +43,7 @@ import numpy as np  # noqa: E402
 
 import xepecs  # noqa: E402
 from xepecs import cli  # noqa: E402
-from xepecs.amplitudes import CHANNELS  # noqa: E402
+from xepecs.amplitudes import CHANNELS, calculator  # noqa: E402
 from xepecs.fockspace import Spin  # noqa: E402
 from xepecs.spectra import default_xps_grid  # noqa: E402
 
@@ -123,8 +124,10 @@ def scan_arrays(x: dict):
         yield f"xps {spin.value}", xepecs.broaden(lines, p.Gamma_1s, grid).intensity
     epsilon = xepecs.auto_epsilon(p)
     yield "epsilon", epsilon
-    yield "rho", xepecs.full_density_matrix(
-        xepecs.entangled_state(xepecs.xepecs_amplitudes(p, geom, epsilon))).matrix
+    amps = xepecs.xepecs_amplitudes(p, geom, epsilon)
+    yield "amplitudes", amps.values
+    yield "R", np.array(calculator(p).reduced_amplitude(epsilon))
+    yield "rho", xepecs.full_density_matrix(xepecs.entangled_state(amps)).matrix
     emission_grid = None
     for channel in CHANNELS:
         series = xepecs.xepecs_spectrum(p, geom, epsilon, channel, emission_grid)

@@ -474,10 +474,11 @@ def closed_form_state(geom, C=2.0 / 9.0):
 def polarization_components(thetas, phi, beta1, beta2):
     """All three spherical projections of both polarization vectors for an array
     of angles: an (N, 2, 3) complex array, entry [n, i - 1, q] for q = +1, 0, -1,
-    from the package's closed forms of alpha_0 and alpha_-1 and
-    alpha_+1 = -conj(alpha_-1)."""
-    alpha0, minus = alpha_components(np.asarray(thetas, dtype=float), phi, beta1, beta2)
-    return np.stack([-minus.conj(), alpha0, minus], axis=-1)
+    from the package's one-angle closed forms of alpha_0 and alpha_-1, stacked,
+    and alpha_+1 = -conj(alpha_-1)."""
+    rows = [alpha_components(theta, phi, beta1, beta2) for theta in np.asarray(thetas, dtype=float)]
+    return np.array([np.stack([-minus.conj(), alpha0, minus], axis=-1)
+                     for alpha0, minus in rows], dtype=complex).reshape(-1, 2, 3)
 
 
 def spherical_components(v):

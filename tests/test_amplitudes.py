@@ -23,7 +23,7 @@ from xepecs.amplitudes import (
     channel_label,
     xepecs_amplitudes,
 )
-from xepecs.polarization import EmissionGeometry
+from xepecs.polarization import EmissionGeometry, alpha_components
 from xepecs.spectra import xepecs_spectrum
 
 from reference import (
@@ -234,22 +234,28 @@ class TestInputValidation:
         lambda: xepecs_amplitudes(PARAMS, EmissionGeometry(math.pi / 2), NAN),
         lambda: calculator(PARAMS).amplitudes(EmissionGeometry(1.0), -INF),
         lambda: calculator(PARAMS).reduced_amplitude(INF),
-        lambda: calculator(PARAMS).amplitude_array(np.array([0.5]), EmissionGeometry(1.0), NAN),
     ])
     def test_non_finite_epsilon(self, call):
         with pytest.raises(ValueError, match="epsilon must be finite"):
             call()
 
-    @pytest.mark.parametrize("thetas", [[7.0, NAN], [NAN], [7.0], [-1e-12, 1.0],
-                                        [math.pi + 1e-12], [0.0, INF]])
-    def test_polar_angle_outside_zero_to_pi(self, thetas):
+    @pytest.mark.parametrize("theta", [7.0, NAN, -1e-12, math.pi + 1e-12, INF, -INF])
+    def test_polar_angle_outside_zero_to_pi(self, theta):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
-            calculator(PARAMS).amplitude_array(np.array(thetas), EmissionGeometry(1.0), 6.5)
+            alpha_components(theta, 0.3, 1.0, 2.0)
+        outside = EmissionGeometry(1.0)
+        object.__setattr__(outside, "theta", theta)   # past the geometry's own check
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):   # before epsilon
+            calculator(PARAMS).amplitudes(outside, NAN)
 
     @pytest.mark.parametrize("shape", [(4,), (4, 4), (1, 2), (2, 2, 1)])
     def test_values_that_are_not_2_by_2_are_named(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"shape (2, 2), got {shape}")):
             AmplitudeSet(6.5, np.full(shape, 0.5, dtype=complex), EmissionGeometry(1.0))
+
+    def test_values_that_are_no_array_are_a_type_error(self):
+        with pytest.raises(TypeError, match="values must be a numpy array, got list"):
+            AmplitudeSet(6.5, [[1, 2], [3, 4]], EmissionGeometry(1.0))
 
 
 def bits(z: complex) -> bytes:
@@ -257,10 +263,10 @@ def bits(z: complex) -> bytes:
 
 
 class TestKeptResults:
-    """A calculator keeps its last resonant sum and its last amplitude row."""
+    """A calculator keeps its last amplitude set; R is summed again on each miss."""
 
     def test_one_measurement_takes_one_sum_and_one_polarization_row(self, monkeypatch):
-        counts = {"alpha_components": 0, "_resonant_sum": 0}
+        counts = {"alpha_components": 0, "reduced_amplitude": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -271,19 +277,19 @@ class TestKeptResults:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(amplitudes, "alpha_components")
-        counted(AmplitudeCalculator, "_resonant_sum")
+        counted(AmplitudeCalculator, "reduced_amplitude")
         calculator.cache_clear()
         params = ModelParams(G=0.3125, zeta=0.1875)
         geom = EmissionGeometry.from_degrees(40.0, 25.0, 10.0, 100.0)
         for channel in CHANNELS:
             xepecs_spectrum(params, geom, 6.4, channel)
         xepecs_amplitudes(params, geom, 6.4)
-        assert counts == {"alpha_components": 1, "_resonant_sum": 1}
-        # a sweep at the same kinetic energy reads the same sum and forms no amplitude
+        assert counts == {"alpha_components": 1, "reduced_amplitude": 1}
+        # a sweep sums R once and forms no amplitude set
         entropy_sweep(params, geom, [0.0, 45.0, 90.0], 6.4)
-        assert counts == {"alpha_components": 1, "_resonant_sum": 1}
+        assert counts == {"alpha_components": 1, "reduced_amplitude": 2}
         xepecs_amplitudes(params, geom, 6.5)
-        assert counts == {"alpha_components": 2, "_resonant_sum": 2}
+        assert counts == {"alpha_components": 2, "reduced_amplitude": 3}
 
     def test_interleaved_hits_equal_a_fresh_calculator_bit_for_bit(self):
         calc = AmplitudeCalculator(PARAMS)
@@ -303,12 +309,9 @@ class TestKeptResults:
         calc = AmplitudeCalculator(PARAMS)
         plus = calc.amplitudes(EmissionGeometry(0.0), 6.4)
         assert calc.amplitudes(EmissionGeometry(-0.0), 6.4) is not plus
-        assert calc.reduced_amplitude(0.0) is not calc.reduced_amplitude(-0.0)
 
     def test_kept_arrays_are_read_only(self):
         calc = AmplitudeCalculator(PARAMS)
-        r = calc.reduced_amplitude(6.5)
-        assert calc.reduced_amplitude(6.5) is r
         values = calc.amplitudes(EmissionGeometry(1.0), 6.5).values
         with pytest.raises(ValueError):
             values[0, 0] = 0.0

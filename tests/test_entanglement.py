@@ -79,6 +79,11 @@ class TestEntangledState:
             EntangledState(coeffs, 6.5, EmissionGeometry.from_degrees(60.0))
 
 
+    def test_coefficients_that_are_no_array_are_a_type_error(self):
+        with pytest.raises(TypeError, match="coeffs must be a numpy array, got list"):
+            EntangledState([[1.0, 0.0], [0.0, 0.0]], 6.5, EmissionGeometry.from_degrees(60.0))
+
+
 class TestClosedForm:
     def test_matches_amplitude_path_at_random_points(self, calc):
         rng = np.random.default_rng(31)
@@ -179,6 +184,19 @@ class TestDensityMatrices:
             DensityMatrix(("U", "D"), np.diag([0.6, 0.6]))
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(("U", "D"), np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("reduce", [reduce_to_spin, reduce_to_polarization])
+    @pytest.mark.parametrize("obj", [[[1.0]], np.eye(4) / 4.0, "rho"], ids=["list", "array", "str"])
+    def test_a_reduction_of_another_type_is_a_type_error_naming_it(self, reduce, obj):
+        with pytest.raises(TypeError, match=re.escape(
+                f"expected a DensityMatrix or an EntangledState, got {type(obj).__name__}")):
+            reduce(obj)
+
+    @pytest.mark.parametrize("reduce", [reduce_to_spin, reduce_to_polarization])
+    def test_a_reduction_of_a_2_by_2_matrix_is_a_value_error_naming_its_shape(self, reduce):
+        with pytest.raises(ValueError, match=re.escape(
+                "rho must have shape (4, 4), got (2, 2)")):
+            reduce(DensityMatrix(("U", "D"), np.eye(2) / 2.0))
 
 
 class TestVonNeumannEntropy:

@@ -12,6 +12,7 @@ matrices (``reference.build_hamiltonian``) replaced; it is kept here as the
 reference. The levels are held to their closed forms in J.
 """
 
+from dataclasses import replace
 from math import cos, log2, radians, sin
 
 import numpy as np
@@ -371,7 +372,7 @@ def test_amplitudes_equal_the_summed_per_eigenstate_terms(params, theta, phi, be
     assume(abs(sin(radians(beta2 - beta1))) >= 1e-6)
     geom = EmissionGeometry.from_degrees(theta, phi, beta1, beta2)
     calc = calculator(params)
-    amps = calc.amplitude_array(np.array([geom.theta]), geom, epsilon)[0]
+    amps = calc.amplitudes(geom, epsilon).values
     summed = np.array([per_eigenstate_terms(calc, geom, epsilon, sigma).sum(axis=1)
                        for sigma in Spin])
     assert np.max(np.abs(amps - summed)) <= 1e-14 * np.max(np.abs(summed))
@@ -414,8 +415,9 @@ def test_spin_spectrum_equals_the_reduced_matrix_eigenvalues(params, thetas, phi
                                                             epsilon, draws):
     # the closed form never forms c c^dag; its eigenvalues from eigvalsh are the
     # reference, so the trace, Hermiticity and positivity checks it skips still hold
-    amps = calculator(params).amplitude_array(np.radians([0.0, 90.0, 180.0] + thetas),
-                                              geometry(phi, beta1), epsilon)
+    geom, calc = geometry(phi, beta1), calculator(params)
+    amps = np.array([calc.amplitudes(replace(geom, theta=theta), epsilon).values
+                     for theta in np.radians([0.0, 90.0, 180.0] + thetas).tolist()])
     norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=(-2, -1)))[:, None, None]
     stack = np.concatenate([amps / norms,
                             np.array(draws, dtype=complex).reshape(-1, 2, 2),

@@ -25,7 +25,8 @@ MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path_
 # replaced, the vector algebra the ladder rule replaced, the names the per-J
 # levels left without a caller, the Fock-space operator engine that the
 # Racah tables replaced, and the occupation-number layer, its subspace bases
-# and the basis change U that the coupled basis replaced
+# and the basis change U that the coupled basis replaced, and the N-angle
+# amplitude route with the calculator's R slot
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -52,6 +53,9 @@ GONE = [
     ("model", "intermediate_subspace"), ("model", "_BASES"), ("model", "_SUBSPACES"),
     ("model", "_angular_numbers"), ("model", "EigenSystem.vectors"),
     ("model", "EigenSystem.subspace"),
+    # one amplitude route: the N-angle array route and the calculator's R slot
+    ("amplitudes", "AmplitudeCalculator.amplitude_array"),
+    ("amplitudes", "AmplitudeCalculator._resonant_sum"),
 ]
 
 

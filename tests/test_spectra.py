@@ -442,9 +442,25 @@ class TestCoincidenceBlock:
         expected = one_line_route(PARAMS, geom, epsilon, D1, first.grid)
         assert second.intensity.tobytes() == expected.intensity.tobytes()
 
-    def test_an_unknown_channel_is_a_key_error(self):
-        with pytest.raises(KeyError):
-            xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, (Spin.UP, 3))
+    @pytest.mark.parametrize("channel", [(Spin.UP, 3), (Spin.DOWN, 0), ("up", 1), [Spin.UP, 1]])
+    def test_an_unknown_channel_is_a_value_error_naming_it(self, channel):
+        # the spectrum, an amplitude set and a state read a channel through one lookup
+        geom = EmissionGeometry.from_degrees(45.0)
+        amps = xepecs_amplitudes(PARAMS, geom, 6.5)
+        for read in (lambda: xepecs_spectrum(PARAMS, geom, 6.5, channel), lambda: amps[channel],
+                     lambda: entangled_state(amps)[channel]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"channel must be one of CHANNELS, got {channel!r}")):
+                read()
+
+    def test_a_grid_beyond_the_float_range_gives_zero_without_a_warning(self):
+        # (grid - position)^2 overflows to inf, so the Lorentzian is 0, with no
+        # warning (an error under this suite)
+        grid = [1e308, 1.7e308]
+        series = broaden(xps_lines(PARAMS, Spin.UP), 0.4, grid)
+        assert series.intensity.tolist() == [0.0, 0.0]
+        series = xepecs_spectrum(PARAMS, EmissionGeometry.from_degrees(45.0), 6.5, D1, grid)
+        assert series.intensity.tolist() == [0.0, 0.0]
 
     def test_an_overflowing_gamma_and_a_non_finite_epsilon_are_domain_errors(self):
         # the block build no longer checks gamma or the line: the calculator and
