@@ -4,7 +4,7 @@ outgoing pair."""
 
 from .angular import HalfInt, cg
 from .fockspace import Spin
-from .model import DomainError, EigenSystem, ModelParams, SubspaceLabel, intermediate_eigensystem
+from .model import DomainError, EigenSystem, ModelParams, SubspaceLabel
 from .polarization import EmissionGeometry
 from .amplitudes import AmplitudeCalculator, AmplitudeSet, xepecs_amplitudes
 from .spectra import (
@@ -31,7 +31,7 @@ from .entanglement import (
 __all__ = [
     "HalfInt", "cg",
     "Spin",
-    "DomainError", "EigenSystem", "ModelParams", "SubspaceLabel", "intermediate_eigensystem",
+    "DomainError", "EigenSystem", "ModelParams", "SubspaceLabel",
     "EmissionGeometry",
     "AmplitudeCalculator", "AmplitudeSet", "xepecs_amplitudes",
     "LineSpectrum", "SpectralLine", "SpectrumSeries",

@@ -59,24 +59,14 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import inf, isfinite, pi, ulp
+from math import inf, isfinite, ulp
 
 import numpy as np
 
 from .angular import HalfInt, _phase, _root, cg, cg_exact, sixj_exact
 from .fockspace import Spin
-from .model import (
-    DomainError,
-    ModelParams,
-    SubspaceLabel,
-    _columns,
-    _couplings_of,
-    _eigensystem,
-    _GROUND,
-    _INTERMEDIATE,
-    _j1_block,
-    _read_only,
-)
+from .model import (DomainError, ModelParams, SubspaceLabel, _columns, _INTERMEDIATE, _levels,
+                    _read_only)
 from .polarization import EmissionGeometry, alpha_components
 
 __all__ = [
@@ -112,7 +102,7 @@ _VERTEX_SQUARE = Fraction(1, 2)
 # A(up, lambda) / alpha_(lambda, 0) over A(down, lambda) / alpha_(lambda, -1)
 KAPPA = -cg(0.5, 0.5, 1, 0, 0.5, 0.5) / cg(0.5, -0.5, 1, 1, 0.5, 0.5)
 
-_SUBSPACE_LABELS, _SPINS = tuple(SubspaceLabel), tuple(Spin)
+_SPINS = tuple(Spin)
 
 # parameter sets whose calculators are kept by ``calculator``
 _CALCULATOR_CACHE_SIZE = 8
@@ -210,27 +200,24 @@ class AmplitudeSet:
 class AmplitudeCalculator:
     """Everything the amplitudes need that depends only on the model parameters.
 
-    The ground coupling E'_g, the intermediate eigensystems (from one
-    evaluation of H' and one J = 1 rotation shared by both spins), the
-    photoemission line positions, elements, weights and resolution verdicts
-    (raised by ``spectra``, never here), and the J = 1 down-spin positions and
-    products of R(epsilon) are computed once, read-only, as rotations of the
-    per-process constants in the coupled basis. Per
-    kinetic energy ``reduced_amplitude`` sums R; per geometry ``amplitudes``
-    is R times the alpha closed forms at its one emission direction, and the
-    last set is kept in a one-tuple slot (see the module docstring); inputs
-    are checked before the slot is read. A model that leaves the domain
-    raises ``DomainError`` naming the parameter set.
+    The ground coupling E'_g, the intermediate eigensystems (one level solve,
+    ``model._levels``: one evaluation of H' and one J = 1 rotation shared by
+    both spins), the photoemission line positions, elements, weights and
+    resolution verdicts (raised by ``spectra``, never here), and the J = 1
+    down-spin positions and products of R(epsilon) are computed once,
+    read-only, as rotations of the per-process constants in the coupled basis.
+    Per kinetic energy ``reduced_amplitude`` sums R; per geometry
+    ``amplitudes`` is R times the alpha closed forms at its one emission
+    direction, and the last set is kept in a one-tuple slot (see the module
+    docstring), which only ever holds a set whose inputs passed their checks.
+    A model that leaves the domain raises ``DomainError`` naming the parameter
+    set.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         try:
-            h = _couplings_of(params, _SUBSPACE_LABELS)   # H' once, on every subspace
-            self.ground_coupling = h[_GROUND]   # E'_g
-            block = _j1_block(h)
-            self.eigensystems = {sigma: _eigensystem(_INTERMEDIATE[sigma], h, block)
-                                 for sigma in _SPINS}
+            self.ground_coupling, self.eigensystems = _levels(params)   # E'_g, each spin's levels
             for width in (params.Gamma_1s, params.gamma):   # HWHMs, squared in spectra
                 _check_width(width)
             # an overflow leaves an inf, and inf - inf a NaN, reported below
@@ -278,10 +265,12 @@ class AmplitudeCalculator:
         """The four amplitudes at one geometry, kept for a repeat of (geometry, epsilon):
         R(epsilon) times KAPPA alpha_(lambda, 0) for sigma = up and alpha_(lambda, -1)
         for down. A theta outside [0, pi] raises ValueError before ``epsilon`` is checked."""
-        checked = 0.0 <= geom.theta <= pi and isfinite(epsilon)   # before the lookup
         key = struct.pack("5d", geom.theta, geom.phi, geom.beta1, geom.beta2, epsilon)
         slot = self._amplitude_slot
-        if not checked or slot[0] != key:   # a bad theta or epsilon raises below
+        # the slot only holds a set whose exact input bits passed alpha_components and
+        # reduced_amplitude, so a hit has valid inputs; a bad theta or epsilon misses
+        # and raises below, theta first
+        if slot[0] != key:
             alpha0, alpha_m1 = alpha_components(geom.theta, geom.phi, geom.beta1, geom.beta2)
             values = self.reduced_amplitude(epsilon) * np.array((KAPPA * alpha0, alpha_m1))
             slot = self._amplitude_slot = (key, AmplitudeSet(epsilon, values, geom, self.params))

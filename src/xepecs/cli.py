@@ -69,11 +69,7 @@ class RunConfig:
 
     def geometry(self, theta_deg: float | None = None) -> EmissionGeometry:
         theta = self.thetas_deg[0] if theta_deg is None else theta_deg
-        try:
-            return EmissionGeometry.from_degrees(theta, self.phi_deg,
-                                                 self.beta1_deg, self.beta2_deg)
-        except ValueError as exc:
-            raise ConfigError(f"theta/beta1/beta2: {exc}") from exc
+        return EmissionGeometry.from_degrees(theta, self.phi_deg, self.beta1_deg, self.beta2_deg)
 
     def resolve_epsilon(self) -> float:
         if self.epsilon == "auto":
@@ -176,9 +172,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     out = Path(args.out) if args.out is not None else None
     spin = Spin(getattr(args, "spin", Spin.UP.value))
-    cfg = RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, args.format, spin)
-    cfg.geometry(thetas[0])  # validate angles early
-    return cfg
+    return RunConfig(params, thetas, phi, beta1, beta2, epsilon, out, args.format, spin)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ is sign * sqrt(exact square), within one rounding of its exact value; the
 rational entries (-1, 1/2, 1/4, -3/4) and the zeros are exact. The two
 intermediate subspaces share their J = 1 block (1P1, 3P1) as the same floats.
 
-A parameter set costs h = zeta l.s - 2 G S_1s . S_2p once, on the seven
-distinct entries of the three subspaces, and one closed-form 2 x 2 rotation of
-the shared J = 1 block (no LAPACK call). The other levels are single entries:
-E'_g = -zeta (J = 1/2), 3P0 = -zeta - G/2 and 3P2 = zeta/2 - G/2. Every level
-comes with an exact J, and its vector is a column of the rotation over the
-coupled columns of its subspace.
+A parameter set has one set of levels, which ``_levels`` solves: E'_g and
+the intermediate levels of both photoelectron spins. It costs h = zeta l.s -
+2 G S_1s . S_2p once, on the seven distinct entries of the three subspaces,
+and one closed-form 2 x 2 rotation of the shared J = 1 block (no LAPACK
+call). The other levels are single entries: E'_g = -zeta (J = 1/2), 3P0 =
+-zeta - G/2 and 3P2 = zeta/2 - G/2. Every level comes with an exact J, and its
+vector is a column of the rotation over the coupled columns of its subspace.
+A set whose H' overflows on any subspace has no levels: ``_levels`` raises
+DomainError. The public route to the levels is ``AmplitudeCalculator``
+(``amplitudes``).
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ __all__ = [
     "ModelParams",
     "SubspaceLabel",
     "EigenSystem",
-    "intermediate_eigensystem",
-    "ground_coupling_energy",
 ]
 
 class DomainError(ValueError):
@@ -180,18 +182,6 @@ _GROUND = (0, 1, 1, 1)
 _J1_BLOCK = ((1, 2, 0, 0), (1, 2, 2, 2), (1, 2, 0, 2))
 
 
-def _couplings_of(params: ModelParams, labels) -> dict[tuple[int, int, int, int], float]:
-    """h = zeta l.s - 2 G S_1s . S_2p at every entry of ``_couplings``, once per
-    parameter set; a DomainError unless the entries of the subspaces ``labels``
-    are finite. An overflowing weight or sum leaves an inf or a NaN."""
-    zeta, twice_g = params.zeta, 2.0 * params.G
-    h = {key: zeta * spin_orbit - twice_g * exchange
-         for key, (spin_orbit, exchange) in _couplings().items()}
-    if not all(isfinite(h[key]) for label in labels for key in _entry_keys(label)):
-        raise DomainError("Hamiltonian matrix is not finite")
-    return h
-
-
 def _block_eigenpairs(p: float, r: float, b: float) -> tuple[float, float, float, float]:
     """The eigenvalues of a real symmetric 2 x 2 J block [[p, b], [b, r]], in
     column order, and the cosine and sine of its rotation, in closed form: the
@@ -204,19 +194,13 @@ def _block_eigenpairs(p: float, r: float, b: float) -> tuple[float, float, float
     return p + shift, r - shift, cos(angle), sin(angle)
 
 
-def _j1_block(h: dict) -> tuple[float, float, float, float]:
-    """The J = 1 block of the entries ``h`` of ``_couplings_of``, solved once for
-    both intermediate subspaces (see ``_block_eigenpairs``)."""
-    return _block_eigenpairs(*(h[key] for key in _J1_BLOCK))
-
-
 def _eigensystem(label: SubspaceLabel, h: dict, block) -> EigenSystem:
     """The levels of H' on subspace ``label`` from the entries ``h`` of one
-    parameter set and its solved J = 1 ``block`` (see ``_j1_block``), with the
-    rotation R of the coupled columns. The other levels are entries of h. The
-    pairs are sorted by energy, stably: energies equal as floats, as the exact
-    entries give at zeta = 0, stay in ascending (J, S) order. A level beyond the
-    float range is +/-inf, which the calculator's positions report."""
+    parameter set and its solved J = 1 ``block`` (see ``_block_eigenpairs``),
+    with the rotation R of the coupled columns. The other levels are entries of
+    h. The pairs are sorted by energy, stably: energies equal as floats, as the
+    exact entries give at zeta = 0, stay in ascending (J, S) order. A level
+    beyond the float range is +/-inf, which the calculator's positions report."""
     labels, pairs = _label_basis(label)
     values = [h[key] for key in _entry_keys(label)[:len(labels)]]
     rotation = np.zeros((len(labels), len(labels)))
@@ -230,16 +214,17 @@ def _eigensystem(label: SubspaceLabel, h: dict, block) -> EigenSystem:
                        tuple(labels[i] for i in order), label)
 
 
-def intermediate_eigensystem(params: ModelParams, photoelectron_spin: Spin) -> EigenSystem:
-    """The levels of H' on the intermediate subspace of the photoelectron spin; a
-    DomainError if H' overflows there."""
-    label = _INTERMEDIATE[photoelectron_spin]
-    h = _couplings_of(params, (label,))
-    return _eigensystem(label, h, _j1_block(h))
-
-
-def ground_coupling_energy(params: ModelParams) -> float:
-    """E'_g = -zeta, the J = 1/2 level of H' on the initial subspace, whose vector
-    is the J = 1/2 column of its coupled basis; a DomainError if H' overflows
-    there."""
-    return _couplings_of(params, (SubspaceLabel.INITIAL,))[_GROUND]
+def _levels(params: ModelParams) -> tuple[float, dict[Spin, EigenSystem]]:
+    """E'_g and the levels of H' on the intermediate subspace of each
+    photoelectron spin, from h = zeta l.s - 2 G S_1s . S_2p evaluated once on
+    every entry of ``_couplings`` and the shared J = 1 block solved once; a
+    DomainError unless every entry is finite. An overflowing weight or sum
+    leaves an inf or a NaN."""
+    zeta, twice_g = params.zeta, 2.0 * params.G
+    h = {key: zeta * spin_orbit - twice_g * exchange
+         for key, (spin_orbit, exchange) in _couplings().items()}
+    if not all(isfinite(x) for x in h.values()):
+        raise DomainError("Hamiltonian matrix is not finite")
+    block = _block_eigenpairs(*(h[key] for key in _J1_BLOCK))
+    return h[_GROUND], {sigma: _eigensystem(label, h, block)
+                        for sigma, label in _INTERMEDIATE.items()}

@@ -36,13 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from xepecs.amplitudes import _VERTEX_SQUARE
+from xepecs.amplitudes import _VERTEX_SQUARE, AmplitudeCalculator
 from xepecs.angular import HalfInt, _triangle, _valid_pair, cg
 from xepecs.entanglement import EntangledState, _grid_terms, _spin_invariants
 from xepecs.fockspace import Spin
-from xepecs.model import (
-    DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis, ground_coupling_energy,
-)
+from xepecs.model import DomainError, SubspaceLabel, _block_eigenpairs, _columns, _label_basis
 from xepecs.model import _couplings as package_tables
 from xepecs.polarization import alpha_components
 
@@ -425,7 +423,7 @@ def initial_state(params):
     """The normalized (J, M) = (1/2, 1/2) electron ground state and its energy
     E_g = 2 eps_s + eps_p + E'_g."""
     initial = subspace(SubspaceLabel.INITIAL).basis[0]
-    return ground_state(), level_energy(params, initial) + ground_coupling_energy(params)
+    return ground_state(), level_energy(params, initial) + AmplitudeCalculator(params).ground_coupling
 
 
 def closed_shell():

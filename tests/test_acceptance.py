@@ -9,7 +9,7 @@ import pytest
 
 from xepecs.angular import HalfInt, cg
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
+from xepecs.model import ModelParams, SubspaceLabel
 from xepecs.polarization import EmissionGeometry
 from xepecs.amplitudes import CHANNELS, AmplitudeCalculator
 from xepecs.entanglement import (
@@ -216,7 +216,7 @@ def test_criterion_10_algebraic_substrate(calc):
     ground = label_basis(SubspaceLabel.INITIAL)[:, :1]
     levels = {SubspaceLabel.INITIAL: (ground, np.array([calc.ground_coupling]))}
     for sigma in Spin:
-        eig = intermediate_eigensystem(PARAMS, sigma)
+        eig = calc.eigensystems[sigma]
         levels[eig.label] = (eigenvectors(eig), eig.coupling_energies)
     eigen_ok = True
     for label, (vectors, coupling_energies) in levels.items():

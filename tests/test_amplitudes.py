@@ -12,7 +12,7 @@ from xepecs import amplitudes
 from xepecs.angular import HalfInt
 from xepecs.entanglement import entropy_sweep
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
+from xepecs.model import ModelParams, SubspaceLabel
 from xepecs.amplitudes import (
     CHANNELS,
     AmplitudeCalculator,
@@ -81,7 +81,7 @@ class TestPhotoemissionElements:
 
     def test_spin_subspace_mismatch_rejected(self):
         g, _ = initial_state(PARAMS)
-        eig_up = intermediate_eigensystem(PARAMS, Spin.UP)
+        eig_up = AmplitudeCalculator(PARAMS).eigensystems[Spin.UP]
         with pytest.raises(ValueError, match="match"):
             photoemission_elements(g, eig_up, Spin.DOWN)
 
@@ -163,7 +163,7 @@ class TestDipoleBlock:
         blocks = DipoleBlock.from_geometry(geom)
         assert blocks.up_block.shape == (2, 4)
         assert blocks.down_block.shape == (2, 3)
-        up = dipole_block(geom, subspace(intermediate_eigensystem(PARAMS, Spin.UP).label))
+        up = dipole_block(geom, subspace(AmplitudeCalculator(PARAMS).eigensystems[Spin.UP].label))
         assert np.array_equal(up, blocks.up_block)
 
 

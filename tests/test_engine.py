@@ -26,7 +26,7 @@ from xepecs import amplitudes, entanglement, model
 from xepecs.amplitudes import AmplitudeCalculator, AmplitudeSet, calculator
 from xepecs.entanglement import entangled_state, entropy_sweep, reduce_to_spin, von_neumann_entropy
 from xepecs.fockspace import Spin
-from xepecs.model import DomainError, ModelParams, SubspaceLabel
+from xepecs.model import DomainError, ModelParams
 from xepecs.polarization import EmissionGeometry
 
 from reference import (
@@ -288,50 +288,42 @@ class TestParameterLinearModel:
             with pytest.raises(ValueError):
                 array.flat[0] = 1.0
 
-    @pytest.mark.parametrize("params,label", [
+    @pytest.mark.parametrize("params", [
         # 2G overflows: inf (M0, M1) and inf * 0 = NaN (INITIAL, where S_1s . S_2p is 0)
-        *[(ModelParams(G=1e308), label) for label in SubspaceLabel],
-        # 2G is finite, but the J = 0 entry -zeta - G/2 of M0 overflows
-        (ModelParams(zeta=1.7e308, G=0.85e308), SubspaceLabel.M0),
+        ModelParams(G=1e308),
+        # 2G is finite, but the J = 0 entry -zeta - G/2 of M0 overflows: the entries
+        # of the other subspaces stay finite, and the set still has no levels
+        ModelParams(zeta=1.7e308, G=0.85e308),
     ])
-    def test_overflowing_sum_is_a_domain_error_without_warnings(self, params, label):
+    def test_overflowing_sum_is_a_domain_error_without_warnings(self, params):
         # runtime warnings are errors in this suite, so a numpy warning fails here
         with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
-            model._couplings_of(params, (label,))
-
-    def test_a_sum_that_stays_in_range_is_solved(self):
-        # the set that overflows M0 above leaves every entry of the others finite:
-        # E'_g and the down-spin levels are solved, the calculator is refused
-        params = ModelParams(zeta=1.7e308, G=0.85e308)
-        assert model.ground_coupling_energy(params) == -1.7e308
-        eig = model.intermediate_eigensystem(params, Spin.DOWN)
-        assert np.isfinite(eig.rotation).all()
-        with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
-            model.intermediate_eigensystem(params, Spin.UP)
+            model._levels(params)
         with pytest.raises(DomainError, match="Hamiltonian matrix is not finite"):
             AmplitudeCalculator(params)
 
 
 class TestLevelsOnce:
     def test_one_evaluation_and_one_j1_solve_per_calculator(self, monkeypatch):
-        # H' is evaluated once on every subspace, and the J = 1 block that both
-        # spins share is solved once
+        # the levels are solved once, H' evaluated once on every subspace, and
+        # the J = 1 block that both spins share is solved once
         AmplitudeCalculator(ModelParams())
-        evaluated, solved = [], []
-        couplings_of, block_eigenpairs = model._couplings_of, model._block_eigenpairs
+        solves, blocks = [], []
+        levels, block_eigenpairs = model._levels, model._block_eigenpairs
 
-        def counted_couplings(params, labels):
-            evaluated.append(labels)
-            return couplings_of(params, labels)
+        def counted_levels(params):
+            solves.append(params)
+            return levels(params)
 
         def counted_blocks(*args):
-            solved.append(args)
+            blocks.append(args)
             return block_eigenpairs(*args)
 
-        monkeypatch.setattr(amplitudes, "_couplings_of", counted_couplings)
+        monkeypatch.setattr(amplitudes, "_levels", counted_levels)
         monkeypatch.setattr(model, "_block_eigenpairs", counted_blocks)
-        calc = AmplitudeCalculator(ModelParams(G=0.21, zeta=0.13))
-        assert evaluated == [tuple(SubspaceLabel)] and len(solved) == 1
+        params = ModelParams(G=0.21, zeta=0.13)
+        calc = AmplitudeCalculator(params)
+        assert solves == [params] and len(blocks) == 1
         assert calc.ground_coupling == pytest.approx(-0.13, abs=1e-16)
 
 

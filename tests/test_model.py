@@ -11,7 +11,7 @@ from xepecs import amplitudes, model
 from xepecs.amplitudes import CHANNEL_INDEX, AmplitudeCalculator
 from xepecs.angular import HalfInt, cg_exact
 from xepecs.fockspace import Spin
-from xepecs.model import ModelParams, SubspaceLabel, intermediate_eigensystem
+from xepecs.model import ModelParams, SubspaceLabel
 
 import reference
 from reference import (
@@ -144,20 +144,21 @@ class TestRacahTables:
                                                                 SubspaceLabel.M1))
         for a, b in zip(m0, m1):
             assert a[1:3, 1:3].tobytes() == b[0:2, 0:2].tobytes()
-        up, down = (intermediate_eigensystem(ModelParams(G=0.37, zeta=0.29), s) for s in Spin)
+        levels = AmplitudeCalculator(ModelParams(G=0.37, zeta=0.29)).eigensystems
+        up, down = (levels[s] for s in Spin)
         assert set(up.coupling_energies.tolist()) >= set(down.coupling_energies.tolist())
 
 
 class TestLevels:
     def test_j_labels(self):
-        up = intermediate_eigensystem(TABLE, Spin.UP)
-        down = intermediate_eigensystem(TABLE, Spin.DOWN)
+        levels = AmplitudeCalculator(TABLE).eigensystems
+        up, down = levels[Spin.UP], levels[Spin.DOWN]
         assert j_values(up) == [0.0, 1.0, 1.0, 2.0]
         assert j_values(down) == [1.0, 1.0, 2.0]
 
     def test_j1_energies_degenerate_across_subspaces(self):
-        up = intermediate_eigensystem(TABLE, Spin.UP)
-        down = intermediate_eigensystem(TABLE, Spin.DOWN)
+        levels = AmplitudeCalculator(TABLE).eigensystems
+        up, down = levels[Spin.UP], levels[Spin.DOWN]
         j1_up = sorted(e for e, j in zip(up.coupling_energies, up.j_labels) if j == HalfInt.of(1))
         j1_down = sorted(e for e, j in zip(down.coupling_energies, down.j_labels)
                          if j == HalfInt.of(1))
@@ -166,7 +167,7 @@ class TestLevels:
     def test_multiplet_energies_from_recoupling(self):
         # With S = S_1s + S_2p: exchange gives -G/2 (triplet) and +3G/2
         # (singlet); within a (L=1, S=1) level <l.s> = (J(J+1) - 4)/4.
-        up = intermediate_eigensystem(RELATIVE, Spin.UP)
+        up = AmplitudeCalculator(RELATIVE).eigensystems[Spin.UP]
         by_j = {float(j): e for e, j in zip(up.coupling_energies, up.j_labels)
                 if float(j) in (0.0, 2.0)}
         G, zeta = RELATIVE.G, RELATIVE.zeta
@@ -175,7 +176,7 @@ class TestLevels:
 
     @pytest.mark.parametrize("spin", list(Spin))
     def test_residuals_unitarity_trace(self, spin):
-        eig = intermediate_eigensystem(TABLE, spin)
+        eig = AmplitudeCalculator(TABLE).eigensystems[spin]
         H = coupling_hamiltonian(TABLE, subspace(eig.label))
         v = eigenvectors(eig)
         assert np.max(np.abs(v.conj().T @ v - np.eye(eig.dim))) < 1e-10
@@ -186,7 +187,7 @@ class TestLevels:
 
     def test_equality_is_identity(self):
         # an ndarray field would make a generated == raise ValueError and hash TypeError
-        eig, other = (intermediate_eigensystem(TABLE, Spin.UP) for _ in range(2))
+        eig, other = (AmplitudeCalculator(TABLE).eigensystems[Spin.UP] for _ in range(2))
         assert eig == eig and not eig == other and eig != other
         assert len({eig, other, eig}) == 2
 
@@ -194,7 +195,7 @@ class TestLevels:
         # E'_g is the J = 1/2 level, and the ground state its vector
         g = label_basis(SubspaceLabel.INITIAL)[:, 0]
         H = coupling_hamiltonian(TABLE, subspace(SubspaceLabel.INITIAL))
-        energy = model.ground_coupling_energy(TABLE)
+        energy = AmplitudeCalculator(TABLE).ground_coupling
         assert np.max(np.abs(H @ g - energy * g)) < 1e-15
         assert energy == pytest.approx(-TABLE.zeta, abs=1e-16)
 
@@ -202,7 +203,7 @@ class TestLevels:
         # zeta = 0: eigenvectors carry sharp total-spin labels
         params = ModelParams(G=0.3, zeta=0.0)
         for spin in (Spin.UP, Spin.DOWN):
-            eig = intermediate_eigensystem(params, spin)
+            eig = AmplitudeCalculator(params).eigensystems[spin]
             ssq, v = angular_operators(subspace(eig.label))[1], eigenvectors(eig)
             for i in range(eig.dim):
                 x = float(np.real(v[:, i].conj() @ ssq @ v[:, i]))
@@ -212,7 +213,7 @@ class TestLevels:
         # G = zeta = 0 leaves H proportional to the identity; labels must
         # still come out sharp, since each J block is diagonalized on its own.
         params = ModelParams(G=0.0, zeta=0.0)
-        up = intermediate_eigensystem(params, Spin.UP)
+        up = AmplitudeCalculator(params).eigensystems[Spin.UP]
         assert j_values(up) == [0.0, 1.0, 1.0, 2.0]
 
 
@@ -328,7 +329,7 @@ class TestOffsetFreeHamiltonian:
             assert len(apply(closed)) == 0
 
     def test_energies_are_the_level_energy_plus_the_coupling_eigenvalues(self):
-        eig = intermediate_eigensystem(TABLE, Spin.UP)
+        eig = AmplitudeCalculator(TABLE).eigensystems[Spin.UP]
         energies = TABLE.eps_s + TABLE.eps_p + eig.coupling_energies
         H, v = build_hamiltonian(TABLE, subspace(eig.label)), eigenvectors(eig)
         assert np.max(np.abs(H @ v - v * energies)) < 1e-10
@@ -398,15 +399,15 @@ class TestJBlocks:
         assert list(u[:, 0]) == [math.sqrt(2 / 3), -math.sqrt(1 / 3)]
 
     def test_basis_is_built_once_per_subspace(self):
-        intermediate_eigensystem(TABLE, Spin.UP)
+        AmplitudeCalculator(TABLE).eigensystems[Spin.UP]
         misses = model._label_basis.cache_info().misses
         for params in (ModelParams(G=0.2), ModelParams(zeta=0.0), ModelParams(G=0.0)):
-            intermediate_eigensystem(params, Spin.UP)
+            AmplitudeCalculator(params).eigensystems[Spin.UP]
         assert model._label_basis.cache_info().misses == misses
 
     def test_equal_energies_stay_in_ascending_j(self):
         for spin, js in ((Spin.UP, [0.0, 1.0, 1.0, 2.0]), (Spin.DOWN, [1.0, 1.0, 2.0])):
-            eig = intermediate_eigensystem(ModelParams(G=0.0, zeta=0.0), spin)
+            eig = AmplitudeCalculator(ModelParams(G=0.0, zeta=0.0)).eigensystems[spin]
             assert [float(j) for j in eig.j_labels] == js
 
     def test_zeta_zero_levels_are_equal_floats_in_ascending_j(self):
@@ -414,7 +415,7 @@ class TestJBlocks:
         # equal as floats and keep the (J, S) order; 1P1 is 3G/2
         params = ModelParams(G=0.3, zeta=0.0)
         for spin, js in ((Spin.UP, [0, 1, 2, 1]), (Spin.DOWN, [1, 2, 1])):
-            eig = intermediate_eigensystem(params, spin)
+            eig = AmplitudeCalculator(params).eigensystems[spin]
             assert [float(j) for j in eig.j_labels] == js
             assert eig.coupling_energies.tolist() == [-0.15] * (len(js) - 1) + [2.0 * 0.3 * 0.75]
 
@@ -424,7 +425,7 @@ class TestJBlocks:
         # level equals 3P0 as a float and follows it, and the upper one is an ulp
         # above 3P2
         params = ModelParams(G=0.0, zeta=0.1)
-        up, down = (intermediate_eigensystem(params, spin) for spin in Spin)
+        up, down = (AmplitudeCalculator(params).eigensystems[spin] for spin in Spin)
         assert [float(j) for j in up.j_labels] == [0, 1, 2, 1]
         assert [float(j) for j in down.j_labels] == [1, 2, 1]
         assert up.coupling_energies.tolist() == [-0.1, -0.1, 0.05, 0.05 + math.ulp(0.05)]
@@ -463,7 +464,7 @@ class TestClosedFormBlocks:
     def eigensystems(params):
         """(H', closed form) on each intermediate subspace."""
         for spin in Spin:
-            eig = intermediate_eigensystem(params, spin)
+            eig = AmplitudeCalculator(params).eigensystems[spin]
             yield coupling_hamiltonian(params, subspace(eig.label)), eig
 
     @staticmethod
@@ -473,7 +474,7 @@ class TestClosedFormBlocks:
         energies, _, labels = reference.block_eigh(H, sub)
         scale = max(1.0, np.max(np.abs(H)))
         (theirs,) = [e for e, j in zip(energies, labels) if j == HalfInt.of(0.5)]
-        assert abs(model.ground_coupling_energy(params) - theirs) <= 1e-15 * scale
+        assert abs(AmplitudeCalculator(params).ground_coupling - theirs) <= 1e-15 * scale
 
     @staticmethod
     def assert_matches_the_per_block_eigh(H, eig):
@@ -506,13 +507,16 @@ class TestClosedFormBlocks:
             assert np.max(np.abs(H @ v - v * eig.coupling_energies)) <= 1e-15
         self.assert_the_ground_matches_the_per_block_eigh(params)
 
-    def test_a_zero_off_diagonal_leaves_the_block_as_it_is(self):
+    def test_a_zero_off_diagonal_leaves_the_block_as_it_is(self, monkeypatch):
         # G = 1, zeta = 0: the J = 1 block of H' is diagonal, its larger entry
         # first; the solve keeps it bit for bit
-        h = model._couplings_of(ModelParams(G=1.0, zeta=0.0), (SubspaceLabel.M0,))
-        p, r, b = (h[key] for key in model._J1_BLOCK)
+        blocks, block_eigenpairs = [], model._block_eigenpairs
+        monkeypatch.setattr(model, "_block_eigenpairs",
+                            lambda *block: blocks.append(block) or block_eigenpairs(*block))
+        model._levels(ModelParams(G=1.0, zeta=0.0))
+        ((p, r, b),) = blocks
         assert b == 0.0 and p > r
-        assert model._block_eigenpairs(p, r, b) == (p, r, 1.0, 0.0)
+        assert block_eigenpairs(p, r, b) == (p, r, 1.0, 0.0)
 
     @pytest.mark.parametrize("p,r,b", [(1.0, -0.5, 0.0), (-0.5, 1.0, 0.0), (0.3, 0.3, 0.2),
                                        (0.0, 0.0, 2.2e-311), (1e-311, -1e-311, 3e-311),
@@ -547,9 +551,7 @@ class TestChecksOnTheirReproducers:
 
     def test_overflowing_couplings_are_not_finite(self):
         params = ModelParams(G=1e308)
-        for call in (lambda: model.ground_coupling_energy(params),
-                     lambda: intermediate_eigensystem(params, Spin.UP),
-                     lambda: AmplitudeCalculator(params)):
+        for call in (lambda: model._levels(params), lambda: AmplitudeCalculator(params)):
             with pytest.raises(model.DomainError, match="Hamiltonian matrix is not finite"):
                 call()
 
@@ -558,7 +560,7 @@ class TestChecksOnTheirReproducers:
         # Omega + eps_s = -inf its line position would be inf - inf, a NaN, which
         # is reported with no numpy warning (warnings are errors in this suite)
         params = ModelParams(G=-0.89e308, zeta=1.79e308, Omega=-1e308, eps_s=-1e308)
-        assert -np.inf in intermediate_eigensystem(params, Spin.DOWN).coupling_energies
+        assert -np.inf in model._levels(params)[1][Spin.DOWN].coupling_energies
         with pytest.raises(model.DomainError, match="line positions are not finite"):
             AmplitudeCalculator(params)
 

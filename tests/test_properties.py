@@ -33,7 +33,7 @@ from xepecs.entanglement import (
     von_neumann_entropy,
 )
 from xepecs.fockspace import Spin
-from xepecs.model import DomainError, ModelParams, SubspaceLabel, intermediate_eigensystem
+from xepecs.model import DomainError, ModelParams, SubspaceLabel
 from xepecs.polarization import EmissionGeometry
 from xepecs.spectra import xps_lines
 
@@ -220,7 +220,7 @@ def test_operators_hermitian_and_commuting(params):
 @hard_cases()
 def test_intermediate_j_labels_are_integers_with_sharp_j_squared(params):
     for sigma in Spin:
-        eig = intermediate_eigensystem(params, sigma)
+        eig = AmplitudeCalculator(params).eigensystems[sigma]
         jsq, v = ANGULAR_OPERATORS[eig.label][0], eigenvectors(eig)
         for i, j in enumerate(eig.j_labels):
             assert j.twice_value % 2 == 0

@@ -25,8 +25,9 @@ MODULES = sorted(f"xepecs.{m.name}" for m in pkgutil.iter_modules(xepecs.__path_
 # replaced, the vector algebra the ladder rule replaced, the names the per-J
 # levels left without a caller, the Fock-space operator engine that the
 # Racah tables replaced, and the occupation-number layer, its subspace bases
-# and the basis change U that the coupled basis replaced, and the N-angle
-# amplitude route with the calculator's R slot
+# and the basis change U that the coupled basis replaced, the N-angle
+# amplitude route with the calculator's R slot, and the per-subspace level
+# routes that the one level solve replaced
 GONE = [
     ("entanglement", "closed_form_state"), ("entanglement", "_is_angle"),
     ("polarization", "basis_vectors"), ("polarization", "polarization_vector"),
@@ -56,6 +57,9 @@ GONE = [
     # one amplitude route: the N-angle array route and the calculator's R slot
     ("amplitudes", "AmplitudeCalculator.amplitude_array"),
     ("amplitudes", "AmplitudeCalculator._resonant_sum"),
+    # one level solve per parameter set, model._levels
+    ("model", "intermediate_eigensystem"), ("model", "ground_coupling_energy"),
+    ("model", "_couplings_of"), ("model", "_j1_block"), ("amplitudes", "_SUBSPACE_LABELS"),
 ]
 
 
